@@ -4,6 +4,22 @@ The engine runs over two carriers (dense matrices and sampled loops) and
 never hard-codes smallness thresholds: every operation measures residuals
 and records them in certificates, so "how small is delta" stays an
 empirical, auditable question.
+
+The constructions are written once, over :mod:`approxk.ops`.  What differs
+between the carriers lives in the two membership sides, :class:`MatrixSide`
+and :class:`LoopSide`, which implement the same methods; a new carrier
+implements exactly these:
+
+- ``nearest(x, unitized)``: witness and residual of membership;
+- ``intersect(other, tol)``: the side of the intersection algebra;
+- ``tensor(m)``: the side of the algebra tensored with M_m;
+- ``random_element(m, rng)``: a random unit-norm ambient element at
+  fiber amplification m;
+- ``aug_diff(e, half)``: scalar-rank mismatch of e against 1_half (+) 0;
+- ``boundary_class(e, half, tol, seed)``: the class [e] - [1_half (+) 0];
+- ``trivializer(e, half, tol, seed)``: an invertible w with
+  w e w^-1 ~ 1_half (+) 0, or NoWitness;
+- ``k1(u, tol)``: the K_1 class of an invertible, ``()`` when K_1 is zero.
 """
 
 from __future__ import annotations
@@ -26,41 +42,41 @@ from .errors import (
     ReconstructionFailed,
 )
 from .loops import LoopAlg, LoopElem, loop_membership, winding_k1, arc_k0_trivialize
-from .matcore import DEFAULT_TOL, Tol, adjoint, as_matrix, eye, kron, op_norm
+from .matcore import DEFAULT_TOL, Tol, as_matrix, eye, op_norm
 from .subalg import Subalg, Subspace, amplify, unitize
-from .wedderburn import (
-    K0Vec,
-    WedderburnData,
-    decompose,
-    k0_class,
-    similarity_witness,
-)
+from .wedderburn import K0Vec, decompose, k0_class, similarity_witness
 
 
 # ---------------------------------------------------------------------------
 # positive-contraction multipliers
 #
-# For matrix carriers h is an ambient hermitian matrix; for loop carriers it
-# is a real per-sample profile (a scalar function on the circle).
+# A multiplier is a (..., n, n) stack acting blockwise on the element's fiber
+# index.  For matrix carriers h is an ambient hermitian matrix; for loop
+# carriers it is a real per-sample profile (a scalar function on the circle),
+# read as a (G, 1, 1) stack.
 
 
-def is_profile(h) -> bool:
-    return isinstance(h, np.ndarray) and h.ndim == 1
+def _multiplier(h) -> np.ndarray:
+    h = np.asarray(h)
+    if h.ndim == 1:
+        if not np.all(np.isreal(h)):
+            raise NotAContraction("profile multiplier must be real")
+        return h[:, None, None]
+    if h.ndim == 3 and h.shape[1] == h.shape[2]:
+        return h
+    return as_matrix(h)
+
+
+def _sup_op_norm(a: np.ndarray) -> float:
+    return float(np.max(np.linalg.norm(a, 2, axis=(-2, -1))))
 
 
 def check_contraction(h, slack: float = 1e-9):
-    if is_profile(h):
-        if not np.all(np.isreal(h)):
-            raise NotAContraction("profile multiplier must be real")
-        if h.min() < -slack or h.max() > 1.0 + slack:
-            raise NotAContraction(
-                f"profile range [{h.min():.3e}, {h.max():.3e}] outside [0, 1]"
-            )
-        return
-    hm = as_matrix(h)
-    if op_norm(hm - adjoint(hm)) > slack * max(1.0, op_norm(hm)):
+    hm = _multiplier(h)
+    hm_adj = np.conj(np.swapaxes(hm, -1, -2))
+    if _sup_op_norm(hm - hm_adj) > slack * max(1.0, _sup_op_norm(hm)):
         raise NotAContraction("multiplier is not hermitian")
-    w = np.linalg.eigvalsh((hm + adjoint(hm)) / 2)
+    w = np.linalg.eigvalsh((hm + hm_adj) / 2)
     if w.min() < -slack or w.max() > 1.0 + slack:
         raise NotAContraction(
             f"spectrum [{w.min():.3e}, {w.max():.3e}] outside [0, 1]"
@@ -68,30 +84,32 @@ def check_contraction(h, slack: float = 1e-9):
 
 
 def h_one_minus(h):
-    if is_profile(h):
-        return 1.0 - h
-    return eye(as_matrix(h).shape[0]) - as_matrix(h)
+    hm = _multiplier(h)
+    return np.eye(hm.shape[-1]) - hm
 
 
 def h_prod(h1, h2):
-    if is_profile(h1):
-        return h1 * h2
-    return as_matrix(h1) @ as_matrix(h2)
+    return _multiplier(h1) @ _multiplier(h2)
 
 
 def h_apply(h, x, side: str = "left"):
     """Multiply x by (an amplification of) h on the given side."""
-    if isinstance(x, LoopElem):
-        if not is_profile(h):
-            raise InvalidInput("loop elements take profile multipliers")
-        return x.scale_profile(h)
-    x = as_matrix(x)
-    hm = as_matrix(h)
-    k = x.shape[0] // hm.shape[0]
-    if k * hm.shape[0] != x.shape[0]:
+    hm = _multiplier(h)
+    xa = ops.arr(x)
+    if hm.shape[:-2] != xa.shape[:-2]:
+        raise InvalidInput(
+            "multiplier and element live on different sample grids "
+            "(loop elements take profile multipliers)"
+        )
+    n = hm.shape[-1]
+    k = xa.shape[-1] // n
+    if k * n != xa.shape[-1]:
         raise InvalidInput("element size is not a multiple of the multiplier size")
-    amp = kron(eye(k), hm) if k > 1 else hm
-    return amp @ x if side == "left" else x @ amp
+    if n == 1:
+        # a scalar per sample: both sides agree
+        return ops.like(x, hm * xa)
+    amp = np.kron(eye(k), hm) if k > 1 else hm
+    return ops.like(x, amp @ xa if side == "left" else xa @ amp)
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +118,6 @@ def h_apply(h, x, side: str = "left"):
 
 class MatrixSide:
     """Membership oracle for a matrix *-subalgebra at any amplification."""
-
-    kind = "matrix"
 
     def __init__(self, alg: Subalg):
         self.alg = alg
@@ -136,17 +152,93 @@ class MatrixSide:
         blocks = x.reshape(k, n, k, n)
         return np.trace(blocks, axis1=1, axis2=3) / n
 
+    def intersect(self, other: "MatrixSide", tol: Tol = DEFAULT_TOL) -> "MatrixSide":
+        return MatrixSide(subalg.intersect(self.alg, other.alg, tol))
+
+    def tensor(self, m: int) -> "MatrixSide":
+        return MatrixSide(subalg.tensor_with_full(self.alg, m))
+
+    def random_element(self, m: int, rng) -> np.ndarray:
+        n = self.ambient_dim * m
+        r = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return r / op_norm(r)
+
+    def aug_diff(self, e, half: int) -> int:
+        if self.alg.is_unital_in_ambient:
+            return 0
+        return matcore.rank(self.scalar_part(e)) - half // self.ambient_dim
+
+    def _rounded(self, e, tol: Tol) -> np.ndarray:
+        """Riesz rounding of the nearest point of e in the unitized algebra."""
+        wit, _ = self.nearest(e)
+        f, _cert = funcalc.riesz_idempotent(wit, tol)
+        return f
+
+    def boundary_class(self, e, half: int, tol: Tol = DEFAULT_TOL,
+                       seed: int = 0) -> K0Vec:
+        w = decompose(self.alg, tol, seed=seed)
+        f = self._rounded(e, tol)
+        return k0_class(f, w, tol) - k0_class(_top_projection(eye(half)), w, tol)
+
+    def trivializer(self, e, half: int, tol: Tol = DEFAULT_TOL, seed: int = 0):
+        f = self._rounded(e, tol)
+        try:
+            return similarity_witness(f, _top_projection(eye(half)), self.alg,
+                                      tol, seed=seed)
+        except NotEquivalent as err:
+            raise NoWitness(f"boundary class nonzero: {err}") from err
+
+    def k1(self, u, tol: Tol = DEFAULT_TOL) -> tuple:
+        return ()
+
 
 class LoopSide:
     """Membership oracle for a loop arc ideal."""
-
-    kind = "loop"
 
     def __init__(self, alg: LoopAlg):
         self.alg = alg
 
     def nearest(self, x: LoopElem, unitized: bool = True):
         return loop_membership(x, self.alg, unitized)
+
+    def intersect(self, other: "LoopSide", tol: Tol = DEFAULT_TOL) -> "LoopSide":
+        return LoopSide(self.alg.intersect(other.alg))
+
+    def tensor(self, m: int) -> "LoopSide":
+        old = self.alg
+        return LoopSide(LoopAlg(old.grid_size, old.fiber_dim * m, old.support_mask))
+
+    def random_element(self, m: int, rng) -> LoopElem:
+        shape = (self.alg.grid_size,) + (self.alg.fiber_dim * m,) * 2
+        el = LoopElem(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        return ops.scal(1.0 / ops.norm(el), el)
+
+    def aug_diff(self, e: LoopElem, half: int) -> int:
+        off = e.samples[~self.alg.mask]
+        if off.size == 0:
+            return 0
+        return matcore.rank(off.mean(axis=0)) - half
+
+    def boundary_class(self, e: LoopElem, half: int, tol: Tol = DEFAULT_TOL,
+                       seed: int = 0) -> K0Vec:
+        r, _conj, _const = arc_k0_trivialize(e, self.alg, tol)
+        if r != half:
+            raise ExactnessViolation(
+                f"off-support rank {r} != {half}: class escapes the trivial group"
+            )
+        # K0 of a union of open arcs is trivial; the successful rank-matched
+        # trivialization is the constructive witness that the class is zero.
+        return K0Vec((), ())
+
+    def trivializer(self, e: LoopElem, half: int, tol: Tol = DEFAULT_TOL,
+                    seed: int = 0) -> LoopElem:
+        r, conj, _const = arc_k0_trivialize(e, self.alg, tol)
+        if r != half:
+            raise NoWitness(f"boundary class nonzero: off-support rank {r} != {half}")
+        return conj
+
+    def k1(self, u: LoopElem, tol: Tol = DEFAULT_TOL) -> tuple:
+        return winding_k1(u, tol).entries
 
 
 def make_side(obj):
@@ -160,11 +252,9 @@ def make_side(obj):
 
 
 def intersect_sides(c_side, d_side, tol: Tol = DEFAULT_TOL):
-    if c_side.kind != d_side.kind:
+    if type(c_side) is not type(d_side):
         raise InvalidInput("cannot intersect sides over different carriers")
-    if c_side.kind == "matrix":
-        return MatrixSide(subalg.intersect(c_side.alg, d_side.alg, tol))
-    return LoopSide(c_side.alg.intersect(d_side.alg))
+    return c_side.intersect(d_side, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +293,7 @@ def _probe_elements(x_basis, seed: int, count: int):
     d = len(x_basis)
     for _ in range(count):
         coeffs = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        x = x_basis[0].zeros_like() if isinstance(x_basis[0], LoopElem) else (
-            np.zeros_like(as_matrix(x_basis[0]))
-        )
+        x = ops.zero_like(x_basis[0])
         for cj, bj in zip(coeffs, x_basis):
             x = x + ops.scal(cj, bj)
         nx = ops.norm(x)
@@ -250,26 +338,15 @@ def _dual_constant(x_basis) -> float:
     nuclear norms of the dual vector, which is what this returns.
     """
     n = len(x_basis)
-    unit = [ops.scal(1.0 / ops.norm(x), x) for x in x_basis]
-    if isinstance(unit[0], LoopElem):
-        flats = np.array([x.samples.ravel() for x in unit])
-        shapes = unit[0].samples.shape
-    else:
-        flats = np.array([as_matrix(x).ravel() for x in unit])
-        shapes = None
+    unit = [ops.arr(ops.scal(1.0 / ops.norm(x), x)) for x in x_basis]
+    flats = np.array([x.ravel() for x in unit])
     gram = np.conj(flats) @ flats.T
     duals = np.linalg.solve(gram, np.conj(flats))
     m_const = 0.0
     for row in duals:
-        g = np.conj(row)
-        if shapes is None:
-            side = int(round(np.sqrt(g.size)))
-            nuc = float(np.sum(np.linalg.svd(g.reshape(side, side),
-                                             compute_uv=False)))
-        else:
-            slices = g.reshape(shapes)
-            nuc = float(sum(np.sum(np.linalg.svd(s, compute_uv=False))
-                            for s in slices))
+        slices = np.conj(row).reshape((-1,) + unit[0].shape[-2:])
+        nuc = float(sum(np.sum(np.linalg.svd(s, compute_uv=False))
+                        for s in slices))
         m_const = max(m_const, nuc)
     return n * m_const
 
@@ -283,23 +360,12 @@ def tensor_scale_ideal_structure(cert: IdealCert, m: int,
     dual basis of the probe subspace.
     """
     m_x = _dual_constant(cert.x_basis)
-    if cert.c_side.kind == "matrix":
-        c2 = subalg.tensor_with_full(cert.c_side.alg, m)
-        d2 = subalg.tensor_with_full(cert.d_side.alg, m)
-        h2 = kron(as_matrix(cert.h), eye(m)) if not is_profile(cert.h) else cert.h
-        units = [matcore.matrix_unit(m, i, j) for i in range(m) for j in range(m)]
-        basis2 = [kron(as_matrix(x), u) for x in cert.x_basis for u in units]
-    else:
-        old = cert.c_side.alg
-        c2 = LoopAlg(old.grid_size, old.fiber_dim * m, old.support_mask)
-        old_d = cert.d_side.alg
-        d2 = LoopAlg(old_d.grid_size, old_d.fiber_dim * m, old_d.support_mask)
-        h2 = cert.h
-        units = [matcore.matrix_unit(m, i, j) for i in range(m) for j in range(m)]
-        basis2 = [LoopElem(np.einsum("sab,cd->sacbd", x.samples, u).reshape(
-            x.grid_size, x.side * m, x.side * m))
-            for x in cert.x_basis for u in units]
-    cert2 = check_delta_ideal_structure(h2, c2, d2, basis2, tol, seed=cert.seed)
+    h2 = np.kron(_multiplier(cert.h), eye(m))
+    units = [matcore.matrix_unit(m, i, j) for i in range(m) for j in range(m)]
+    basis2 = [ops.like(x, np.kron(ops.arr(x), u)) for x in cert.x_basis for u in units]
+    cert2 = check_delta_ideal_structure(h2, cert.c_side.tensor(m),
+                                        cert.d_side.tensor(m), basis2, tol,
+                                        seed=cert.seed)
     budget = m_x * cert.delta_level + 1e-9
     if cert2.delta_level > budget:
         raise ExactnessViolation(
@@ -338,10 +404,6 @@ class LiftCert:
     h: object = None
 
     @property
-    def kind(self) -> str:
-        return self.c_side.kind
-
-    @property
     def delta_level(self) -> float:
         return float(max(self.residual_d, self.residual_c, self.residual_int))
 
@@ -353,22 +415,6 @@ def _top_projection(u):
     one = ops.eye_like(u)
     zero = ops.zero_like(u)
     return ops.block2(one, zero, zero, zero)
-
-
-def _aug_diff(e, int_side, n_half_scalar: int) -> int:
-    """Scalar-rank mismatch of e against diag(1, 0), measuring whether the
-    boundary class lands in the non-unitized subgroup."""
-    if int_side.kind == "matrix":
-        if int_side.alg.is_unital_in_ambient:
-            return 0
-        s = int_side.scalar_part(as_matrix(e))
-        return matcore.rank(s) - n_half_scalar
-    mask = int_side.alg.mask
-    off = e.samples[~mask]
-    if off.size == 0:
-        return 0
-    f_inf = off.mean(axis=0)
-    return matcore.rank(f_inf) - n_half_scalar
 
 
 def certify_lift(u, v, c, d, tol: Tol = DEFAULT_TOL, h=None,
@@ -385,11 +431,9 @@ def certify_lift(u, v, c, d, tol: Tol = DEFAULT_TOL, h=None,
     _, r_c = c_side.nearest(v @ ops.oplus(u_inv, u))
     e = v @ _top_projection(u) @ v_inv
     _, r_int = int_side.nearest(e)
-    if c_side.kind == "matrix":
-        n_half = ops.side_size(u) // c_side.ambient_dim
-    else:
-        n_half = ops.side_size(u)
-    aug = _aug_diff(e, int_side, n_half)
+    # the scalar-rank mismatch decides whether the boundary class lands in
+    # the non-unitized subgroup
+    aug = int_side.aug_diff(e, ops.side_size(u))
     return LiftCert(u, v, v_inv, float(norm_c), float(r_d), float(r_c),
                     float(r_int), int(aug), c_side, d_side, int_side, h)
 
@@ -407,14 +451,13 @@ def build_lift_v(u, h, c, d, tol: Tol = DEFAULT_TOL):
     y = u - one
     u_inv = ops.inv(u)
     z = u_inv - one
-    if isinstance(u, LoopElem):
-        alg = c.alg if isinstance(c, LoopSide) else c
-        if getattr(alg, "basepoint_index", None) is not None:
-            base = u.samples[alg.basepoint_index]
-            if op_norm(base - np.eye(u.side)) > 1e-8:
-                raise NeedsHomotopyNormalization(
-                    "loop is not normalized to 1 at the basepoint"
-                )
+    base_index = getattr(make_side(c).alg, "basepoint_index", None)
+    if base_index is not None:
+        base = ops.arr(u)[base_index]
+        if op_norm(base - np.eye(ops.side_size(u))) > 1e-8:
+            raise NeedsHomotopyNormalization(
+                "loop is not normalized to 1 at the basepoint"
+            )
     a = one + h_apply(h_one_minus(h), y, "left")
     b = one + h_apply(h_one_minus(h), z, "right")
     ab = a @ b
@@ -452,42 +495,19 @@ def check_inv_cut(u, h):
 # boundary classes
 
 
-def _round_and_class(e, side: MatrixSide, w: WedderburnData, tol: Tol,
-                     p_mat: np.ndarray) -> tuple:
-    """Round e into the unitized amplified algebra, return the K0 classes of
-    the rounding and of the reference projection p_mat."""
-    wit, resid = side.nearest(e)
-    f, cert = funcalc.riesz_idempotent(wit, tol)
-    return k0_class(f, w, tol), k0_class(p_mat, w, tol), resid, cert
-
-
 def boundary_class(cert: LiftCert, tol: Tol = DEFAULT_TOL, seed: int = 0) -> K0Vec:
     """The boundary class of a certified lift, with the exactness assertion
     that its pushforwards into K_0(C) and K_0(D) vanish."""
     e = cert.v @ _top_projection(cert.u) @ cert.v_inv
-    if cert.kind == "loop":
-        n = ops.side_size(cert.u)
-        r, _conj, _const = arc_k0_trivialize(e, cert.int_side.alg, tol)
-        if r != n:
-            raise ExactnessViolation(
-                f"off-support rank {r} != {n}: class escapes the trivial group"
-            )
-        # K0 of a union of open arcs is trivial; the successful rank-matched
-        # trivialization is the constructive witness that the class is zero,
-        # and the pushforwards into the (also trivial) arc K0 groups vanish.
-        return K0Vec((), ())
-    p_mat = as_matrix(_top_projection(cert.u))
-    w_int = decompose(cert.int_side.alg, tol, seed=seed)
-    cls_e, cls_p, _, _ = _round_and_class(e, cert.int_side, w_int, tol, p_mat)
-    out = cls_e - cls_p
+    half = ops.side_size(cert.u)
+    out = cert.int_side.boundary_class(e, half, tol, seed)
+    if not out.blocks:
+        # a class in the zero group has zero pushforwards
+        return out
     for side in (cert.c_side, cert.d_side):
-        w_side = decompose(side.alg, tol, seed=seed)
-        cls_es, cls_ps, _, _ = _round_and_class(e, side, w_side, tol, p_mat)
-        if cls_es.entries != cls_ps.entries:
-            raise ExactnessViolation(
-                f"pushforward {tuple(a - b for a, b in zip(cls_es.entries, cls_ps.entries))}"
-                " is nonzero"
-            )
+        push = side.boundary_class(e, half, tol, seed)
+        if any(push.entries):
+            raise ExactnessViolation(f"pushforward {push.entries} is nonzero")
     return out
 
 
@@ -548,11 +568,7 @@ def boxplus(lifts, tol: Tol = DEFAULT_TOL):
     for cc in certs[1:]:
         v_sum = ops.oplus(v_sum, cc.v)
     s = boxplus_permutation(sizes)
-    if isinstance(v_sum, LoopElem):
-        s_loop = LoopElem.constant(s, v_sum.grid_size)
-        v = s_loop @ v_sum @ LoopElem.constant(s.T, v_sum.grid_size)
-    else:
-        v = s @ as_matrix(v_sum) @ s.T
+    v = ops.like(v_sum, s @ ops.arr(v_sum) @ s.T)
     cert = certify_lift(u, v, certs[0].c_side, certs[0].d_side, tol,
                         int_side=certs[0].int_side)
     return u, v, cert
@@ -588,19 +604,7 @@ def sigma_witness(cert: LiftCert, eps: float, tol: Tol = DEFAULT_TOL,
     """
     e = cert.v @ _top_projection(cert.u) @ cert.v_inv
     n = ops.side_size(cert.u)
-    if cert.kind == "loop":
-        r, conj, _const = arc_k0_trivialize(e, cert.int_side.alg, tol)
-        if r != n:
-            raise NoWitness(f"boundary class nonzero: off-support rank {r} != {n}")
-        w = conj
-    else:
-        p_mat = as_matrix(_top_projection(cert.u))
-        wit, _ = cert.int_side.nearest(as_matrix(e))
-        f, _rc = funcalc.riesz_idempotent(wit, tol)
-        try:
-            w = similarity_witness(f, p_mat, cert.int_side.alg, tol, seed=seed)
-        except NotEquivalent as err:
-            raise NoWitness(f"boundary class nonzero: {err}") from err
+    w = cert.int_side.trivializer(e, n, tol, seed)
     wv = w @ cert.v
     x, top_right, bot_left, _y = ops.corner_blocks(wv, n)
     offdiag = max(ops.norm(top_right), ops.norm(bot_left))
@@ -610,14 +614,10 @@ def sigma_witness(cert: LiftCert, eps: float, tol: Tol = DEFAULT_TOL,
     _, r_c = cert.c_side.nearest(factor)
     if max(r_d, r_c) > eps:
         raise ReconstructionFailed((float(r_d), float(r_c)))
-    if cert.kind == "loop":
-        wu = winding_k1(cert.u, tol).entries[0]
-        wx = winding_k1(x, tol).entries[0]
-        wf = winding_k1(factor, tol).entries[0]
-        if wf + wx != wu:
-            raise ReconstructionFailed(
-                f"winding bookkeeping {wf} + {wx} != {wu}"
-            )
+    k1 = cert.int_side.k1
+    wu, wx, wf = k1(cert.u, tol), k1(x, tol), k1(factor, tol)
+    if tuple(a + b for a, b in zip(wf, wx)) != wu:
+        raise ReconstructionFailed(f"winding bookkeeping {wf} + {wx} != {wu}")
     return SigmaWitness(0, x, factor, float(r_d), float(r_c), float(offdiag))
 
 
@@ -772,10 +772,7 @@ def _shuffle_embed(v_small, n: int, m: int, total: int):
         pi[n + j, j] = 1.0
         pi[n + mn + j, mn + j] = 1.0
     big = ops.embed_top_left(v_small, total)
-    if isinstance(big, LoopElem):
-        return LoopElem.constant(pi, big.grid_size) @ big @ LoopElem.constant(
-            pi.T, big.grid_size)
-    return pi @ big @ pi.T
+    return ops.like(big, pi @ ops.arr(big) @ pi.T)
 
 
 def sigma_reconstruct(u_path, u_c, u_d, h, c, d, tol: Tol = DEFAULT_TOL,
@@ -827,11 +824,12 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d, tol: Tol = DEFAULT_TOL,
     if ops.norm(x @ x_inv - one) > 1e-6:
         raise ReconstructionFailed("unstable inverse for x = 1 + y")
     windings = None
-    if isinstance(x, LoopElem):
-        # the truncation concentrates the winding of x on narrow arcs where
-        # sampled determinants alias; read it off the smooth comparison
-        # elements instead, after certifying that x shares their invertible
-        # component via the 1/||t^-1|| margin
+    if int_side.k1(one, tol):
+        # k1 is () exactly when K_1 is the zero group and there are no
+        # windings to book.  The truncation concentrates the winding of x
+        # on narrow arcs where sampled determinants alias; read it off the
+        # smooth comparison elements instead, after certifying that x shares
+        # their invertible component via the 1/||t^-1|| margin
         t_c = one + r_c
         t_d = one + r_d
         for name, t_el in (("C", t_c), ("D", t_d)):
@@ -842,10 +840,8 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d, tol: Tol = DEFAULT_TOL,
                     f"x is {drift:.3e} from the {name}-side comparison "
                     f"element, beyond the homotopy margin {margin:.3e}"
                 )
-        wx = winding_k1(t_c, tol).entries[0]
-        wx_d = winding_k1(t_d, tol).entries[0]
-        wuc = winding_k1(u_c1, tol).entries[0]
-        wud = winding_k1(u_d1, tol).entries[0]
+        wx, wx_d, wuc, wud = (int_side.k1(t, tol)[0]
+                              for t in (t_c, t_d, u_c1, u_d1))
         if wx != wx_d or wx != wuc or wx != -wud:
             raise ReconstructionFailed(
                 f"winding mismatch: x {wx}/{wx_d}, u_C {wuc}, u_D {wud}"
@@ -867,27 +863,6 @@ class UniformityReport:
     seed: int
 
 
-def _tensor_side(side, m: int):
-    if m == 1:
-        return side
-    if side.kind == "matrix":
-        return MatrixSide(subalg.tensor_with_full(side.alg, m))
-    old = side.alg
-    return LoopSide(LoopAlg(old.grid_size, old.fiber_dim * m, old.support_mask))
-
-
-def _random_ambient(side, m: int, rng):
-    if side.kind == "matrix":
-        n = side.ambient_dim * m
-        r = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        return r / op_norm(r)
-    g = side.alg.grid_size
-    dd = side.alg.fiber_dim * m
-    r = rng.standard_normal((g, dd, dd)) + 1j * rng.standard_normal((g, dd, dd))
-    el = LoopElem(r)
-    return el.scale(1.0 / el.norm())
-
-
 def uniformity_probe(c, d, sample_count: int = 50, b_dims=(1, 2, 3),
                      seed: int = 0, tol: Tol = DEFAULT_TOL) -> UniformityReport:
     """Empirical f-uniformity data for the pair (C, D).
@@ -901,11 +876,10 @@ def uniformity_probe(c, d, sample_count: int = 50, b_dims=(1, 2, 3),
     samples = []
     ratios = []
     for m in b_dims:
-        cm = _tensor_side(c_side, m)
-        dm = _tensor_side(d_side, m)
+        cm, dm = (c_side, d_side) if m == 1 else (c_side.tensor(m), d_side.tensor(m))
         im = intersect_sides(cm, dm, tol)
         for _ in range(sample_count):
-            r = _random_ambient(c_side, m, rng)
+            r = c_side.random_element(m, rng)
             cc, _ = cm.nearest(r, unitized=False)
             ncc = ops.norm(cc)
             if ncc < 1e-9:

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import __version__, boundary, funcalc, kprod, scenarios
 from .errors import ApproxKError
-from .loops import LoopElem, winding_k1
 from .matcore import Tol
 
 BUNDLED = ("twisted_pair", "circle_split", "block_pair")
@@ -186,11 +185,13 @@ def check_sigma_witness(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
         "offdiag": wit.offdiag,
         "passed": max(wit.residual_d, wit.residual_c) <= eps,
     }
-    if isinstance(wit.x, LoopElem):
+    k1 = cert.int_side.k1
+    wx = k1(wit.x, tol)
+    if wx:
         rec["windings"] = {
-            "x": winding_k1(wit.x, tol).entries[0],
-            "factor": winding_k1(wit.factor, tol).entries[0],
-            "u": winding_k1(cert.u, tol).entries[0],
+            "x": wx[0],
+            "factor": k1(wit.factor, tol)[0],
+            "u": k1(cert.u, tol)[0],
         }
     return rec
 

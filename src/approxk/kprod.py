@@ -10,10 +10,9 @@ import dataclasses
 
 import numpy as np
 
-from . import boundary, matcore, subalg
-from .boundary import LiftCert, certify_lift
+from . import boundary, matcore, ops
+from .boundary import LiftCert, MatrixSide, certify_lift
 from .errors import InvalidInput, NotAClass
-from .loops import LoopElem
 from .matcore import DEFAULT_TOL, Tol, as_matrix, eye, kron, op_norm
 from .subalg import Subalg
 from .wedderburn import K0Vec, WedderburnData, k0_class
@@ -26,13 +25,7 @@ def box_times(u, p):
     if op_norm(p @ p - p) > 1e-8:
         raise NotAClass("p is not idempotent to 1e-8")
     pbar = eye(p.shape[0]) - p
-    if isinstance(u, LoopElem):
-        one = np.eye(u.side, dtype=complex)
-        samples = np.array([np.kron(s, p) + np.kron(one, pbar)
-                            for s in u.samples])
-        return LoopElem(samples)
-    u = as_matrix(u)
-    return kron(u, p) + kron(eye(u.shape[0]), pbar)
+    return ops.like(u, np.kron(ops.arr(u), p) + np.kron(eye(ops.side_size(u)), pbar))
 
 
 def k0_product(p, q, w: WedderburnData, tol: Tol = DEFAULT_TOL) -> K0Vec:
@@ -63,7 +56,7 @@ def boundary_product_check(cert: LiftCert, p, m: int, tol: Tol = DEFAULT_TOL,
     boundary class of the input lift scaled by the rank of p, the right side
     is the boundary class of the tensored lift.
     """
-    if cert.kind != "matrix":
+    if not isinstance(cert.c_side, MatrixSide):
         raise InvalidInput("product checks run over matrix carriers")
     p = as_matrix(p)
     if p.shape != (m, m):
@@ -72,14 +65,14 @@ def boundary_product_check(cert: LiftCert, p, m: int, tol: Tol = DEFAULT_TOL,
     base = boundary.boundary_class(cert, tol, seed=seed)
     lhs = tuple(entry * rank_p for entry in base.entries)
 
-    c2 = subalg.tensor_with_full(cert.c_side.alg, m)
-    d2 = subalg.tensor_with_full(cert.d_side.alg, m)
+    c2 = cert.c_side.tensor(m)
+    d2 = cert.d_side.tensor(m)
     u2 = box_times(cert.u, p)
     v2 = box_times(cert.v, p)
     cert2 = certify_lift(u2, v2, c2, d2, tol)
 
-    i2_direct = subalg.tensor_with_full(cert.int_side.alg, m)
-    gap = cert2.int_side.alg.dim - i2_direct.dim
+    i2_direct = cert.int_side.tensor(m)
+    gap = cert2.int_side.alg.dim - i2_direct.alg.dim
     rhs_class = boundary.boundary_class(cert2, tol, seed=seed)
     rhs = rhs_class.entries
     return ProductCheck(lhs, tuple(rhs), tuple(lhs) == tuple(rhs), cert2, int(gap))

@@ -13,7 +13,7 @@ import dataclasses
 
 import numpy as np
 
-from . import matcore
+from . import matcore, ops
 from .errors import (
     GridTooCoarse,
     InvalidInput,
@@ -84,9 +84,6 @@ class LoopAlg:
             return np.ones(self.grid_size, dtype=bool)
         return self.support_mask
 
-    def is_full(self) -> bool:
-        return self.support_mask is None or bool(self.support_mask.all())
-
     def intersect(self, other: "LoopAlg") -> "LoopAlg":
         if self.grid_size != other.grid_size or self.fiber_dim != other.fiber_dim:
             raise InvalidInput("loop algebras live on different grids")
@@ -123,25 +120,16 @@ class LoopElem:
         return self.samples.shape[1]
 
     def norm(self) -> float:
-        return float(np.max(np.linalg.norm(self.samples, 2, axis=(1, 2))))
+        return ops.norm(self)
 
     def adj(self) -> "LoopElem":
-        return LoopElem(np.conj(np.swapaxes(self.samples, 1, 2)))
+        return ops.adj(self)
 
     def inv(self) -> "LoopElem":
-        return LoopElem(np.linalg.inv(self.samples))
-
-    def scale(self, c) -> "LoopElem":
-        return LoopElem(c * self.samples)
-
-    def scale_profile(self, values: np.ndarray) -> "LoopElem":
-        return LoopElem(np.asarray(values)[:, None, None] * self.samples)
+        return ops.inv(self)
 
     def eye_like(self) -> "LoopElem":
-        return LoopElem(np.tile(np.eye(self.side, dtype=complex), (self.grid_size, 1, 1)))
-
-    def zeros_like(self) -> "LoopElem":
-        return LoopElem(np.zeros_like(self.samples))
+        return ops.eye_like(self)
 
     def __matmul__(self, other):
         return LoopElem(self.samples @ other.samples)
@@ -158,11 +146,11 @@ class LoopElem:
 
     def __rmul__(self, c):
         if np.isscalar(c):
-            return self.scale(c)
+            return ops.scal(c, self)
         return NotImplemented
 
     def __neg__(self):
-        return self.scale(-1.0)
+        return ops.scal(-1.0, self)
 
 
 def power_z(alg: LoopAlg, n: int, amp: int = 1) -> LoopElem:

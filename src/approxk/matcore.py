@@ -55,11 +55,6 @@ def hs_norm(m) -> float:
     return float(np.linalg.norm(np.asarray(m, dtype=complex)))
 
 
-def hs_inner(a, b) -> complex:
-    """<a, b> = tr(a* b)."""
-    return complex(np.vdot(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
-
-
 def cond(m) -> float:
     a = as_matrix(m)
     s = np.linalg.svd(a, compute_uv=False)
@@ -116,20 +111,6 @@ def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
     e = zeros(n)
     e[i, j] = 1.0
     return e
-
-
-def direct_sum(*mats) -> np.ndarray:
-    """Block-diagonal sum a_1 (+) ... (+) a_k."""
-    mats = [as_matrix(m) for m in mats]
-    n = sum(m.shape[0] for m in mats)
-    k = sum(m.shape[1] for m in mats)
-    out = zeros(n, k)
-    i = j = 0
-    for m in mats:
-        out[i : i + m.shape[0], j : j + m.shape[1]] = m
-        i += m.shape[0]
-        j += m.shape[1]
-    return out
 
 
 def rank(m, tol: Tol = DEFAULT_TOL, guard: bool = False) -> int:

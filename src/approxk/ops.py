@@ -1,119 +1,90 @@
-"""Type-generic element operations.
+"""Element operations written once for both carriers.
 
-The boundary machinery runs over two carriers: dense complex matrices
-(numpy arrays) and sampled loop elements (:class:`approxk.loops.LoopElem`).
-These helpers dispatch on the carrier so the lift formulas can be written
-once.
+An element is an array whose last two axes are the matrix axes: a dense
+matrix is a ``(d, d)`` array and a sampled loop is a :class:`LoopElem`
+around a ``(G, d, d)`` stack, one matrix per grid point.  Every helper here
+is numpy on the trailing two axes, so leading axes broadcast and the lift
+formulas read the same over both carriers.
+
+The only place that knows about the carriers is the pair :func:`arr` /
+:func:`like`: ``arr`` unwraps an element to its array and ``like`` wraps a
+result back into the carrier of an exemplar.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import matcore
+from . import loops, matcore
 
 
-def _is_loop(x) -> bool:
-    from .loops import LoopElem
+def arr(x) -> np.ndarray:
+    """The array of x: ``(G, d, d)`` samples for a loop, ``(d, d)`` otherwise."""
+    if isinstance(x, loops.LoopElem):
+        return x.samples
+    return matcore.as_matrix(x)
 
-    return isinstance(x, LoopElem)
+
+def like(x, a):
+    """Wrap the array a in the carrier of x."""
+    return loops.LoopElem(a) if isinstance(x, loops.LoopElem) else a
+
+
+def _eye(lead: tuple, n: int) -> np.ndarray:
+    return np.broadcast_to(np.eye(n, dtype=complex), lead + (n, n)).copy()
 
 
 def norm(x) -> float:
-    if _is_loop(x):
-        return x.norm()
-    return matcore.op_norm(x)
+    """Operator norm; for a loop, the sup over its samples."""
+    return float(np.max(np.linalg.norm(arr(x), 2, axis=(-2, -1))))
 
 
 def inv(x):
-    if _is_loop(x):
-        return x.inv()
-    return np.linalg.inv(matcore.as_matrix(x))
+    return like(x, np.linalg.inv(arr(x)))
 
 
 def adj(x):
-    if _is_loop(x):
-        return x.adj()
-    return matcore.adjoint(matcore.as_matrix(x))
+    return like(x, np.conj(np.swapaxes(arr(x), -1, -2)))
 
 
 def eye_like(x):
-    if _is_loop(x):
-        return x.eye_like()
-    return matcore.eye(matcore.as_matrix(x).shape[0])
+    a = arr(x)
+    return like(x, _eye(a.shape[:-2], a.shape[-1]))
 
 
 def zero_like(x):
-    if _is_loop(x):
-        return x.zeros_like()
-    return matcore.zeros(matcore.as_matrix(x).shape[0])
+    return like(x, np.zeros_like(arr(x)))
 
 
 def scal(c, x):
-    if _is_loop(x):
-        return x.scale(c)
-    return c * matcore.as_matrix(x)
+    return like(x, c * arr(x))
 
 
 def block2(a, b, c, d):
     """2x2 block matrix [[a, b], [c, d]] over the carrier."""
-    if _is_loop(a):
-        from .loops import LoopElem
-
-        samples = np.concatenate(
-            [
-                np.concatenate([a.samples, b.samples], axis=2),
-                np.concatenate([c.samples, d.samples], axis=2),
-            ],
-            axis=1,
-        )
-        return LoopElem(samples)
-    return np.block(
-        [
-            [matcore.as_matrix(a), matcore.as_matrix(b)],
-            [matcore.as_matrix(c), matcore.as_matrix(d)],
-        ]
-    )
+    top = np.concatenate([arr(a), arr(b)], axis=-1)
+    bottom = np.concatenate([arr(c), arr(d)], axis=-1)
+    return like(a, np.concatenate([top, bottom], axis=-2))
 
 
 def oplus(a, b):
     """Block-diagonal sum; the summands may have different sizes."""
-    if _is_loop(a):
-        from .loops import LoopElem
-
-        m, na, _ = a.samples.shape
-        nb = b.samples.shape[1]
-        out = np.zeros((m, na + nb, na + nb), dtype=complex)
-        out[:, :na, :na] = a.samples
-        out[:, na:, na:] = b.samples
-        return LoopElem(out)
-    am = matcore.as_matrix(a)
-    bm = matcore.as_matrix(b)
-    na, nb = am.shape[0], bm.shape[0]
-    out = np.zeros((na + nb, na + nb), dtype=complex)
-    out[:na, :na] = am
-    out[na:, na:] = bm
-    return out
+    am, bm = arr(a), arr(b)
+    na, nb = am.shape[-1], bm.shape[-1]
+    out = np.zeros(am.shape[:-2] + (na + nb, na + nb), dtype=complex)
+    out[..., :na, :na] = am
+    out[..., na:, na:] = bm
+    return like(a, out)
 
 
 def corner_blocks(x, n_top: int):
     """Split a square element into 2x2 corner blocks with top-left size n_top."""
-    if _is_loop(x):
-        from .loops import LoopElem
-
-        s = x.samples
-        return (
-            LoopElem(s[:, :n_top, :n_top]),
-            LoopElem(s[:, :n_top, n_top:]),
-            LoopElem(s[:, n_top:, :n_top]),
-            LoopElem(s[:, n_top:, n_top:]),
-        )
-    a = matcore.as_matrix(x)
+    a = arr(x)
     return (
-        a[:n_top, :n_top],
-        a[:n_top, n_top:],
-        a[n_top:, :n_top],
-        a[n_top:, n_top:],
+        like(x, a[..., :n_top, :n_top]),
+        like(x, a[..., :n_top, n_top:]),
+        like(x, a[..., n_top:, :n_top]),
+        like(x, a[..., n_top:, n_top:]),
     )
 
 
@@ -137,25 +108,17 @@ def rotation_j(x):
 
 
 def side_size(x) -> int:
-    if _is_loop(x):
-        return x.samples.shape[1]
-    return matcore.as_matrix(x).shape[0]
+    return arr(x).shape[-1]
 
 
 def embed_top_left(x, total: int):
     """Top-left corner embedding of x into a size-`total` identity."""
-    n = side_size(x)
+    a = arr(x)
+    n = a.shape[-1]
     if n == total:
         return x
     if n > total:
         raise ValueError("cannot embed into a smaller size")
-    if _is_loop(x):
-        from .loops import LoopElem
-
-        m = x.samples.shape[0]
-        out = np.tile(np.eye(total, dtype=complex), (m, 1, 1))
-        out[:, :n, :n] = x.samples
-        return LoopElem(out)
-    out = matcore.eye(total)
-    out[:n, :n] = matcore.as_matrix(x)
-    return out
+    out = _eye(a.shape[:-2], total)
+    out[..., :n, :n] = a
+    return like(x, out)

@@ -81,11 +81,6 @@ class Subspace:
         p = self.project(x)
         return p, op_norm(as_matrix(x) - p)
 
-    def eps_in(self, x, eps: float):
-        """One-sided epsilon-membership test with the HS witness."""
-        p, r = self.nearest(x)
-        return r <= eps, p, r
-
     def contains(self, x, slack: float | None = None) -> bool:
         _, r = self.nearest(x)
         return r <= (slack if slack is not None else self.tol.membership_tol) * max(
@@ -203,34 +198,3 @@ def intersect(s: Subalg, t: Subalg, tol: Tol = DEFAULT_TOL) -> Subalg:
     null = np.conj(vh[sv <= cut])
     basis = [v.reshape(s.ambient_dim, s.ambient_dim) for v in null]
     return Subalg(s.ambient_dim, basis, tol)
-
-
-def _positive_contraction_parts(x: np.ndarray) -> list[np.ndarray]:
-    """Split a contraction into four positive contractions (re/im, +/- parts)."""
-    parts = []
-    for herm in ((x + adjoint(x)) / 2, (x - adjoint(x)) / 2j):
-        w, v = np.linalg.eigh(herm)
-        for sel in (np.clip(w, 0, None), np.clip(-w, 0, None)):
-            p = v @ np.diag(sel.astype(complex)) @ adjoint(v)
-            if op_norm(p) > 1e-14:
-                parts.append(p / max(1.0, op_norm(p)))
-    return parts
-
-
-def enlarge_subspace(x0: Subspace, n_pow: int) -> Subspace:
-    """Subspace bootstrap: adjoin all m-th roots (m <= n_pow + 1) of the
-    positive-contraction pieces of a contraction basis of x0."""
-    if n_pow < 2:
-        raise InvalidInput("n_pow must be >= 2")
-    out: list[np.ndarray] = list(x0.basis)
-    for b in x0.basis:
-        nb = op_norm(b)
-        if nb < 1e-14:
-            continue
-        for p in _positive_contraction_parts(b / nb):
-            w, v = np.linalg.eigh((p + adjoint(p)) / 2)
-            w = np.clip(w, 0.0, None)
-            for m in range(1, n_pow + 2):
-                root = v @ np.diag(w ** (1.0 / m)).astype(complex) @ adjoint(v)
-                out.append(root)
-    return Subspace(x0.ambient_dim, out, x0.tol)

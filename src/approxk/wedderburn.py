@@ -44,9 +44,6 @@ class K0Vec:
     def __neg__(self):
         return K0Vec(tuple(-a for a in self.entries), self.blocks)
 
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
-
     def scale(self, k: int) -> "K0Vec":
         return K0Vec(tuple(k * a for a in self.entries), self.blocks)
 
@@ -56,9 +53,6 @@ class K1Vec:
     """Per-block winding integers; empty for finite-dimensional algebras."""
 
     entries: tuple = ()
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
 
 
 @dataclasses.dataclass
@@ -73,9 +67,6 @@ class WedderburnData:
     @property
     def signature(self) -> tuple:
         return tuple(self.blocks)
-
-    def zero_class(self) -> K0Vec:
-        return K0Vec((0,) * len(self.blocks), self.signature)
 
 
 def _center_basis(s: Subalg) -> list[np.ndarray]:

@@ -3,12 +3,14 @@ import pytest
 
 from approxk import boundary, ops, scenarios
 from approxk.errors import (
+    InvalidInput,
     IotaNotZero,
     NoWitness,
     NotAContraction,
     PairNotUniform,
     PathTooCoarse,
 )
+from approxk.loops import LoopElem
 from approxk.matcore import matrix_unit
 from approxk.subalg import Subalg
 from approxk.wedderburn import K0Vec
@@ -41,6 +43,14 @@ def test_check_contraction_guards():
         boundary.check_contraction(np.array([[0.5, 0.3], [0.0, 0.5]]))
     with pytest.raises(NotAContraction):
         boundary.check_contraction(np.array([-0.2, 0.5]))
+    with pytest.raises(NotAContraction):
+        boundary.check_contraction(np.array([0.5 + 1e-12j, 0.2]))
+    # a multiplier acts only on elements of its own carrier
+    loop = LoopElem(np.ones((4, 2, 2)))
+    with pytest.raises(InvalidInput):
+        boundary.h_apply(np.eye(2), loop)
+    with pytest.raises(InvalidInput):
+        boundary.h_apply(np.full(4, 0.5), np.eye(2))
 
 
 def test_ideal_cert_block_pair_is_exact():

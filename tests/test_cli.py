@@ -1,13 +1,33 @@
 import json
 import os
+import pathlib
 
 import pytest
 
 from approxk import cli
 
+DATA = pathlib.Path(__file__).parent / "data"
+
 
 def run_cli(args):
     return cli.main(list(args))
+
+
+def assert_report_matches(got, want, where="report"):
+    """Integers, booleans and strings exactly; floats to 1e-12 relative."""
+    assert type(got) is type(want), where
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key, value in want.items():
+            assert_report_matches(got[key], value, f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_report_matches(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(got), abs(want)), where
+    else:
+        assert got == want, where
 
 
 def test_bundled_scenarios_pass(tmp_path):
@@ -35,6 +55,16 @@ def test_reports_are_deterministic(tmp_path):
     assert run_cli(["run", "twisted_pair", "--out", str(a)]) == 0
     assert run_cli(["run", "twisted_pair", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("name", cli.BUNDLED)
+def test_bundled_reports_match_pinned(tmp_path, name):
+    # tests/data/<name>.seed7.json holds the report of an earlier build;
+    # a change to report content shows here
+    out = tmp_path / f"{name}.json"
+    assert run_cli(["run", name, "--seed", "7", "--out", str(out)]) == 0
+    want = json.loads((DATA / f"{name}.seed7.json").read_text())
+    assert_report_matches(json.loads(out.read_text()), want)
 
 
 def test_single_check_subcommand(tmp_path):

@@ -71,7 +71,7 @@ def test_round_idempotent_in_algebra():
     e = scn["p"] + 1e-4 * scn["c"].basis[1]
     f, cls, cert = funcalc.round_idempotent_in(e, scn["c"])
     assert np.linalg.norm(f @ f - f, 2) < 1e-8
-    assert unitize(scn["c"]).eps_in(f, 1e-6)[0]
+    assert unitize(scn["c"]).nearest(f)[1] <= 1e-6
     assert cls.entries == (1,)
 
 
@@ -96,7 +96,7 @@ def test_round_invertible_in_span(rng):
     noise = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     u = base + 1e-4 * noise / np.linalg.norm(noise, 2)
     v, vinv, resid = funcalc.round_invertible_in(u, span)
-    assert span.eps_in(v, 1e-9)[0]
+    assert span.nearest(v)[1] <= 1e-9
     assert np.allclose(v @ vinv, np.eye(6))
     assert resid < 2e-4
 

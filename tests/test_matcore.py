@@ -23,12 +23,6 @@ def test_op_norm_matches_largest_singular_value(rng):
     assert matcore.op_norm(a) == pytest.approx(np.linalg.svd(a, compute_uv=False)[0])
 
 
-def test_hs_inner_is_trace_form(rng):
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert matcore.hs_inner(a, b) == pytest.approx(np.trace(a.conj().T @ b))
-
-
 def test_invert_guards_conditioning():
     with pytest.raises(NotInvertible):
         matcore.invert(np.diag([1.0, 0.0]))
@@ -59,13 +53,6 @@ def test_rank_guard_flags_borderline():
     a = np.diag([1.0, 1e-8])
     with pytest.raises(AmbiguousIntersection):
         matcore.rank(a, guard=True)
-
-
-def test_direct_sum_shapes():
-    out = matcore.direct_sum(np.eye(2), 2 * np.eye(3))
-    assert out.shape == (5, 5)
-    assert out[4, 4] == 2.0
-    assert np.count_nonzero(out[:2, 2:]) == 0
 
 
 def test_tol_rejects_nonpositive():
