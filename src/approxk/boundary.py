@@ -10,8 +10,10 @@ between the carriers lives in the two membership sides, :class:`MatrixSide`
 and :class:`LoopSide`, which implement the same methods; a new carrier
 implements exactly these:
 
-- ``nearest(x, unitized)``: witness and residual of membership;
-- ``intersect(other, tol)``: the side of the intersection algebra;
+- ``nearest(x, unitized)``: witness and residual of membership at any
+  amplification (a matrix side projects block by block);
+- ``intersect(other, tol)``: the side of the intersection algebra (a
+  matrix side reads it off principal angles);
 - ``tensor(m)``: the side of the algebra tensored with M_m;
 - ``random_element(m, rng)``: a random unit-norm ambient element at
   fiber amplification m;
@@ -25,6 +27,7 @@ implements exactly these:
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -43,7 +46,7 @@ from .errors import (
 )
 from .loops import LoopAlg, LoopElem, loop_membership, winding_k1, arc_k0_trivialize
 from .matcore import DEFAULT_TOL, Tol, as_matrix, eye, op_norm
-from .subalg import Subalg, Subspace, amplify, unitize
+from .subalg import Subalg, Subspace, unitize
 from .wedderburn import K0Vec, decompose, k0_class, similarity_witness
 
 
@@ -121,34 +124,26 @@ class MatrixSide:
 
     def __init__(self, alg: Subalg):
         self.alg = alg
-        self._spans: dict = {}
 
     @property
     def ambient_dim(self) -> int:
         return self.alg.ambient_dim
 
-    def span_for(self, k: int, unitized: bool) -> Subalg:
-        key = (k, unitized)
-        if key not in self._spans:
-            base = unitize(self.alg) if unitized else self.alg
-            self._spans[key] = amplify(base, k) if k > 1 else base
-        return self._spans[key]
-
-    def _amp_count(self, x) -> int:
-        n = as_matrix(x).shape[0]
-        if n % self.ambient_dim:
-            raise InvalidInput("element size incompatible with the ambient")
-        return n // self.ambient_dim
+    @functools.cached_property
+    def unitization(self) -> Subalg:
+        """The unitization of the algebra, built on first use."""
+        return unitize(self.alg)
 
     def nearest(self, x, unitized: bool = True):
-        span = self.span_for(self._amp_count(x), unitized)
-        return span.nearest(as_matrix(x))
+        return (self.unitization if unitized else self.alg).nearest(x)
 
     def scalar_part(self, x) -> np.ndarray:
         """Coarse scalar component: s with x ~ kron(s, 1_N) + algebra part."""
         x = as_matrix(x)
         n = self.ambient_dim
-        k = self._amp_count(x)
+        k = x.shape[0] // n
+        if k * n != x.shape[0]:
+            raise InvalidInput("element size incompatible with the ambient")
         blocks = x.reshape(k, n, k, n)
         return np.trace(blocks, axis1=1, axis2=3) / n
 
@@ -537,40 +532,27 @@ def iota_lift(p, q, c, d, tol: Tol = DEFAULT_TOL, seed: int = 0):
 
 
 def boxplus_permutation(sizes: list[int]) -> np.ndarray:
-    """Permutation regrouping interleaved (top_1, bot_1, ..., top_m, bot_m)
-    blocks into (top_1, ..., top_m, bot_1, ..., bot_m)."""
-    total = sum(sizes)
-    s = np.zeros((2 * total, 2 * total))
-    off_int = 0
-    off_top = 0
-    for n_i in sizes:
-        for j in range(n_i):
-            s[off_top + j, off_int + j] = 1.0
-            s[total + off_top + j, off_int + n_i + j] = 1.0
-        off_int += 2 * n_i
-        off_top += n_i
-    return s
+    """Index permutation p regrouping interleaved (top_1, bot_1, ..., top_m,
+    bot_m) blocks into (top_1, ..., top_m, bot_1, ..., bot_m): row i of the
+    regrouped frame is row p[i] of the interleaved one."""
+    starts = np.cumsum([0] + [2 * n_i for n_i in sizes[:-1]])
+    tops = [np.arange(n_i) + o for n_i, o in zip(sizes, starts)]
+    return np.concatenate(tops + [t + n_i for t, n_i in zip(tops, sizes)])
 
 
 def boxplus(lifts, tol: Tol = DEFAULT_TOL):
-    """Block sum of lifts: u = (+) u_i, v = s ((+) v_i) s^T with the
-    regrouping permutation s.  Returns (u, v, cert)."""
+    """Block sum of lifts: u = (+) u_i, v = (+) v_i with rows and columns
+    regrouped by the permutation p.  Returns (u, v, cert)."""
     if not lifts:
         raise InvalidInput("empty lift list")
-    certs = [lf if isinstance(lf, LiftCert) else None for lf in lifts]
-    if any(cc is None for cc in certs):
+    if not all(isinstance(lf, LiftCert) for lf in lifts):
         raise InvalidInput("boxplus expects LiftCert inputs")
-    sizes = [ops.side_size(cc.u) for cc in certs]
-    u = certs[0].u
-    for cc in certs[1:]:
-        u = ops.oplus(u, cc.u)
-    v_sum = certs[0].v
-    for cc in certs[1:]:
-        v_sum = ops.oplus(v_sum, cc.v)
-    s = boxplus_permutation(sizes)
-    v = ops.like(v_sum, s @ ops.arr(v_sum) @ s.T)
-    cert = certify_lift(u, v, certs[0].c_side, certs[0].d_side, tol,
-                        int_side=certs[0].int_side)
+    u = functools.reduce(ops.oplus, [lf.u for lf in lifts])
+    v_sum = functools.reduce(ops.oplus, [lf.v for lf in lifts])
+    p = boxplus_permutation([ops.side_size(lf.u) for lf in lifts])
+    v = ops.like(v_sum, ops.arr(v_sum)[..., p[:, None], p])
+    cert = certify_lift(u, v, lifts[0].c_side, lifts[0].d_side, tol,
+                        int_side=lifts[0].int_side)
     return u, v, cert
 
 
@@ -646,12 +628,8 @@ def discretize_homotopy(u_path, tol: Tol = DEFAULT_TOL, max_step: float = 0.5):
             raise PathTooCoarse(i, f"step {step:.3e} >= {max_step:.3e}")
         inv_norms.append(ops.norm(ops.inv(path[i])))
     m = len(path) - 1
-    a = ops.inv(path[1])
-    for i in range(2, m + 1):
-        a = ops.oplus(a, ops.inv(path[i]))
-    b = path[0]
-    for i in range(1, m + 1):
-        b = ops.oplus(b, path[i])
+    a = functools.reduce(ops.oplus, [ops.inv(x) for x in path[1:]])
+    b = functools.reduce(ops.oplus, path)
     n = ops.side_size(path[0])
     total = 2 * (m + 1) * n
     u0_big = ops.embed_top_left(path[0], total)
@@ -763,16 +741,10 @@ class SigmaReconstruct:
 def _shuffle_embed(v_small, n: int, m: int, total: int):
     """Conjugate an element of the 2mn frame diag(a, a^-1) (+) 1_{2n} into
     the 1_n (+) a (+) a^-1 (+) 1_n layout of the full frame."""
-    mn = m * n
-    pi = np.zeros((total, total))
-    for j in range(n):
-        pi[j, 2 * mn + j] = 1.0
-        pi[n + 2 * mn + j, 2 * mn + n + j] = 1.0
-    for j in range(mn):
-        pi[n + j, j] = 1.0
-        pi[n + mn + j, mn + j] = 1.0
+    mn2 = 2 * m * n
+    p = np.r_[mn2:mn2 + n, :mn2, mn2 + n:total]
     big = ops.embed_top_left(v_small, total)
-    return ops.like(big, pi @ ops.arr(big) @ pi.T)
+    return ops.like(big, ops.arr(big)[..., p[:, None], p])
 
 
 def sigma_reconstruct(u_path, u_c, u_d, h, c, d, tol: Tol = DEFAULT_TOL,
@@ -819,7 +791,7 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d, tol: Tol = DEFAULT_TOL,
     x = one + y
     try:
         x_inv = ops.inv(x)
-    except Exception as err:
+    except np.linalg.LinAlgError as err:
         raise ReconstructionFailed(f"x = 1 + y not invertible: {err}") from err
     if ops.norm(x @ x_inv - one) > 1e-6:
         raise ReconstructionFailed("unstable inverse for x = 1 + y")

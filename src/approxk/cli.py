@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -29,6 +30,19 @@ SCHEMA_VERSION = 1
 
 class SchemaError(Exception):
     pass
+
+
+def _number(table: dict, key: str, default, kind=float, minimum=None):
+    """table[key], or the default, as a finite float (kind=float) or an int
+    (kind=int) no smaller than minimum; SchemaError on any other value."""
+    val = table.get(key, default)
+    what = "an integer" if kind is int else "a finite number"
+    if (isinstance(val, bool) or not isinstance(val, (int, kind))
+            or not math.isfinite(val)
+            or (minimum is not None and val < minimum)):
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise SchemaError(f"{key} must be {what}{at_least}, got {val!r}")
+    return kind(val)
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +90,7 @@ def load_scenario(name_or_path: str, grid_override: int | None = None) -> dict:
         "kind": kind,
         "params": params,
         "checks": checks,
-        "seed": int(raw.get("seed", 0)),
+        "seed": _number(raw, "seed", 0, int, minimum=0),
     }
 
 
@@ -85,23 +99,24 @@ def build_scenario(desc: dict):
     kind = desc["kind"]
     p = desc["params"]
     if kind == "twisted_pair":
-        angle = float(p.get("angle_pi", 0.2)) * np.pi
+        angle = _number(p, "angle_pi", 0.2) * np.pi
         conj = None
         if p.get("conj_seed") is not None:
-            rng = np.random.default_rng(int(p["conj_seed"]))
+            rng = np.random.default_rng(_number(p, "conj_seed", None, int,
+                                                minimum=0))
             conj = scenarios.random_unitary(4, rng)
         return scenarios.twisted_pair(angle=angle, conj=conj)
     if kind == "circle_split":
         return scenarios.circle_split(
-            grid=int(p.get("grid", 720)),
-            fiber=int(p.get("fiber", 1)),
-            winding=int(p.get("winding", 1)),
-            overlap=float(p.get("overlap_pi", 0.1)) * np.pi,
+            grid=_number(p, "grid", 720, int),
+            fiber=_number(p, "fiber", 1, int),
+            winding=_number(p, "winding", 1, int),
+            overlap=_number(p, "overlap_pi", 0.1) * np.pi,
         )
     scn = scenarios.block_ideal_pair()
     h = np.zeros((6, 6), dtype=complex)
     h[:2, :2] = np.eye(2)
-    h[2:4, 2:4] = float(p.get("h_middle", 0.5)) * np.eye(2)
+    h[2:4, 2:4] = _number(p, "h_middle", 0.5) * np.eye(2)
     scn["h"] = h
     scn["x_basis"] = [np.eye(6, dtype=complex)]
     return scn
@@ -127,7 +142,7 @@ def check_ideal_structure(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
         scn["h"], scn["c"], scn["d"], scn["x_basis"], tol, seed=seed
     )
     level = cert.delta_level
-    budget = float(params.get("delta", 1e-6))
+    budget = _number(params, "delta", 1e-6)
     return {
         "check": "check-ideal-structure",
         "measured": [float(m) for m in cert.measured],
@@ -138,11 +153,14 @@ def check_ideal_structure(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
 
 
 def check_boundary(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
+    expected = params.get("expect")
+    if expected is not None and not (isinstance(expected, list) and all(
+            isinstance(a, int) and not isinstance(a, bool) for a in expected)):
+        raise SchemaError(f"expect must be a list of integers, got {expected!r}")
     cert = _lift_for(scn, tol, seed)
     cls = boundary.boundary_class(cert, tol, seed=seed)
     inv_cls = boundary.boundary_class(boundary.inverse_lift(cert, tol), tol,
                                       seed=seed)
-    expected = params.get("expect")
     negated = tuple(-a for a in cls.entries)
     ok = inv_cls.entries == negated
     if expected is not None:
@@ -161,7 +179,7 @@ def check_iota_lift(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
         raise SchemaError("iota-lift runs on idempotent-pair scenarios")
     u, v, cert = boundary.iota_lift(scn["p"], scn["q"], scn["c"], scn["d"],
                                     tol, seed=seed)
-    budget = float(params.get("delta", 1e-9))
+    budget = _number(params, "delta", 1e-9)
     return {
         "check": "iota-lift",
         "residual_c": cert.residual_c,
@@ -175,7 +193,7 @@ def check_iota_lift(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
 
 def check_sigma_witness(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
     cert = _lift_for(scn, tol, seed)
-    eps = float(params.get("eps", 0.05))
+    eps = _number(params, "eps", 0.05)
     wit = boundary.sigma_witness(cert, eps, tol, seed=seed)
     rec = {
         "check": "sigma-witness",
@@ -206,7 +224,7 @@ def check_whitehead(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
                                                     scn["c"].ambient_dim)))
         a = one + x
     cert = boundary.whitehead_split(a, scn["h"], scn["c"], scn["d"], tol)
-    eps = float(params.get("eps", 0.1))
+    eps = _number(params, "eps", 0.1)
     ok = (
         cert.product_residual <= 1e-9
         and cert.endpoint_residual <= 1e-12
@@ -227,17 +245,18 @@ def check_whitehead(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
 
 
 def check_uniformity(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
-    count = int(params.get("samples", 50))
+    count = _number(params, "samples", 50, int, minimum=1)
     rep = boundary.uniformity_probe(scn["c"], scn["d"], sample_count=count,
                                     seed=seed, tol=tol)
-    limit = float(params.get("ratio_max", 3.0))
+    limit = _number(params, "ratio_max", 3.0)
     return {
         "check": "uniformity",
         "samples": len(rep.ratios),
         "b_dims": list(rep.b_dims),
         "ratio_sup": rep.ratio_sup,
         "ratio_max": limit,
-        "passed": rep.ratio_sup <= limit,
+        # a probe that measured nothing certifies nothing
+        "passed": bool(rep.ratios) and rep.ratio_sup <= limit,
     }
 
 
@@ -277,6 +296,9 @@ CHECKS = {
 
 
 def run_checks(desc: dict, check_names, tol: Tol, seed: int) -> dict:
+    if not check_names:
+        # a report of no checks would pass without measuring anything
+        raise SchemaError(f"scenario {desc['name']!r} declares no checks")
     scn = build_scenario(desc)
     records = []
     for item in check_names:
@@ -487,9 +509,13 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         tol = _base_tol(args)
+        if args.seed is not None and args.seed < 0:
+            raise SchemaError(f"--seed must be >= 0, got {args.seed}")
         if args.command == "sweep":
             fmt = args.fmt or "csv"
             seed = args.seed if args.seed is not None else 0
+            if args.count < 1:
+                raise SchemaError(f"--count must be >= 1, got {args.count}")
             header, rows = SWEEPS[args.kind](args.count, seed, tol)
             emit((header, rows), fmt, args.out)
             return 0 if all(r[-1] for r in rows) else 1

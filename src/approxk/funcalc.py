@@ -21,7 +21,7 @@ from .errors import (
     SpectralAmbiguity,
 )
 from .matcore import DEFAULT_TOL, Tol, as_matrix, eye, op_norm
-from .subalg import Subspace
+from .subalg import Subspace, unitize
 
 DELTA_MAX = 1.0 / 16.0
 
@@ -137,7 +137,6 @@ def round_idempotent_in(e, alg, eps: float | None = None,
     algebra generated by b.  The class does not depend on the admissible
     eps: two roundings differ by less than 1 / ||2f - 1|| and are similar.
     """
-    from .subalg import amplify, unitize
     from .wedderburn import decompose, k0_class
 
     e = as_matrix(e)
@@ -148,10 +147,8 @@ def round_idempotent_in(e, alg, eps: float | None = None,
         raise InvalidInput(
             f"eps = {eps:.3e} outside (0, 1/(4c+6)) = (0, {idempotent_eps_max(c):.3e})"
         )
-    k = e.shape[0] // alg.ambient_dim
-    span = amplify(unitize(alg), k) if k > 1 else unitize(alg)
     threshold = eps / 2.0
-    b, resid = span.nearest(e)
+    b, resid = unitize(alg).nearest(e)
     if resid > threshold:
         raise NotCloseEnough(resid, threshold)
     f, cert = riesz_idempotent(b, tol)

@@ -3,7 +3,8 @@
 A subalgebra is stored as an orthonormal basis under the Hilbert-Schmidt
 inner product <a, b> = tr(a* b).  The nearest-point oracle projects in the
 HS geometry and reports the residual in operator norm, which is a certified
-upper bound for the operator-norm distance to the span.
+upper bound for the operator-norm distance to the span.  Membership in M_k(S)
+is computed block by block; intersections come from principal angles.
 """
 
 from __future__ import annotations
@@ -61,16 +62,18 @@ class Subspace:
         n = self.ambient_dim
         return [f.reshape(n, n) for f in self._flats]
 
-    def coefficients(self, x) -> np.ndarray:
-        return np.conj(self._flats) @ as_matrix(x).ravel()
-
     def project(self, x) -> np.ndarray:
-        """HS-orthogonal projection onto the span."""
+        """HS-orthogonal projection onto M_k(span) for x of side k*N: the basis
+        of M_k(span) is orthonormal block by block, so it acts per N x N block."""
         x = as_matrix(x)
-        if x.shape != (self.ambient_dim, self.ambient_dim):
-            raise InvalidInput("dimension mismatch in nearest-point oracle")
-        c = self.coefficients(x)
-        return (c @ self._flats).reshape(x.shape)
+        n = self.ambient_dim
+        k = x.shape[0] // n
+        if x.shape != (k * n, k * n):
+            raise InvalidInput(
+                f"element shape {x.shape} is not a square multiple of {n}")
+        blocks = x.reshape(k, n, k, n).swapaxes(1, 2).reshape(k * k, n * n)
+        p = (blocks @ np.conj(self._flats).T) @ self._flats
+        return p.reshape(k, k, n, n).swapaxes(1, 2).reshape(x.shape)
 
     def nearest(self, x):
         """(HS projection, operator-norm residual).
@@ -177,24 +180,22 @@ def tensor_with_full(s: Subalg, m: int) -> Subalg:
 def intersect(s: Subalg, t: Subalg, tol: Tol = DEFAULT_TOL) -> Subalg:
     """Subspace intersection of the two spans, verified *-closed.
 
-    Computed from the singular vectors of the stacked complement projectors;
-    borderline singular values raise AmbiguousIntersection.
+    The singular values of T's basis minus its projection onto S are the
+    sines of the principal angles between the spans (Bjorck & Golub, 1973);
+    the left singular vectors of the zero sines combine T's basis into one
+    of the intersection.  Sines within a factor 10 of the cut raise
+    AmbiguousIntersection.
     """
     if s.ambient_dim != t.ambient_dim:
         raise InvalidInput("intersection requires a common ambient")
-    n2 = s.ambient_dim * s.ambient_dim
-    ps = s._flats.T @ s._flats.conj()
-    pt = t._flats.T @ t._flats.conj()
-    stacked = np.vstack([np.eye(n2) - ps, np.eye(n2) - pt])
-    _, sv, vh = np.linalg.svd(stacked)
-    # intersection = joint null space of the complements
-    cut = max(sv[0], 1.0) * tol.rank_rel_tol
-    borderline = np.sum((sv > cut / 10) & (sv < cut * 10))
+    n = s.ambient_dim
+    resid = t._flats - (t._flats @ np.conj(s._flats).T) @ s._flats
+    u, sines, _ = np.linalg.svd(resid, full_matrices=False)
+    cut = tol.rank_rel_tol
+    borderline = np.sum((sines > cut / 10) & (sines < cut * 10))
     if borderline:
         raise AmbiguousIntersection(
-            f"{borderline} borderline singular value(s) near cutoff {cut:.3e}"
+            f"{borderline} principal-angle sine(s) near cutoff {cut:.3e}"
         )
-    # kernel vectors are columns of V, i.e. conjugated rows of vh
-    null = np.conj(vh[sv <= cut])
-    basis = [v.reshape(s.ambient_dim, s.ambient_dim) for v in null]
-    return Subalg(s.ambient_dim, basis, tol)
+    null = np.conj(u[:, sines <= cut]).T @ t._flats
+    return Subalg(n, [v.reshape(n, n) for v in null], tol)

@@ -142,8 +142,11 @@ def test_boxplus_adds_classes():
     u2, v2, cert2 = boundary.boxplus([cert, cert])
     assert cert2.valid_at(1e-9)
     assert boundary.boundary_class(cert2).entries == (2, -2)
-    s = boundary.boxplus_permutation([4, 4])
-    assert np.allclose(s @ s.T, np.eye(16))
+    p = boundary.boxplus_permutation([4, 4])
+    # the tops of both lifts first, then their bottoms
+    assert p.tolist() == [0, 1, 2, 3, 8, 9, 10, 11, 4, 5, 6, 7, 12, 13, 14, 15]
+    s = np.eye(16)[p]
+    assert np.array_equal(v2, s @ ops.oplus(cert.v, cert.v) @ s.T)
 
 
 # ---------------------------------------------------------------------------

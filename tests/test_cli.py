@@ -4,7 +4,8 @@ import pathlib
 
 import pytest
 
-from approxk import cli
+from approxk import boundary, cli
+from approxk.matcore import Tol
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -84,6 +85,16 @@ def test_schema_errors_exit_2(tmp_path):
     worse.write_text("not json")
     assert run_cli(["run", str(worse)]) == 2
     assert run_cli(["run", "no_such_scenario"]) == 2
+    for name, text in [
+        ("h_middle", {"kind": "block_pair", "params": {"h_middle": "x"}}),
+        ("seed", {"kind": "twisted_pair", "seed": "x"}),
+        ("expect", {"kind": "twisted_pair",
+                    "checks": [{"check": "boundary", "expect": "abc"}]}),
+    ]:
+        scenario = {"schema": 1, "checks": [{"check": "boundary"}], **text}
+        path = tmp_path / f"bad_{name}.json"
+        path.write_text(json.dumps(scenario))
+        assert run_cli(["run", str(path)]) == 2, name
 
 
 def test_bad_check_name_exits_2(tmp_path):
@@ -93,6 +104,43 @@ def test_bad_check_name_exits_2(tmp_path):
         "checks": [{"check": "not-a-check"}],
     }))
     assert run_cli(["run", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_uniformity_samples_flag_below_one_exits_2(capsys, samples):
+    assert run_cli(["uniformity", "block_pair", "--samples", samples]) == 2
+    assert "samples" in capsys.readouterr().err
+
+
+def test_uniformity_samples_param_below_one_exits_2(tmp_path):
+    path = tmp_path / "no_samples.json"
+    path.write_text(json.dumps({
+        "schema": 1, "kind": "block_pair",
+        "checks": [{"check": "uniformity", "samples": 0}],
+    }))
+    assert run_cli(["run", str(path)]) == 2
+
+
+def test_empty_check_list_exits_2(tmp_path, capsys):
+    path = tmp_path / "no_checks.json"
+    path.write_text(json.dumps({"schema": 1, "kind": "twisted_pair",
+                                "checks": []}))
+    assert run_cli(["run", str(path)]) == 2
+    assert "no checks" in capsys.readouterr().err
+
+
+def test_sweep_count_below_one_exits_2(tmp_path):
+    out = tmp_path / "empty.csv"
+    assert run_cli(["sweep", "riesz", "--count", "0", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_uniformity_without_ratios_fails(monkeypatch):
+    empty = boundary.UniformityReport([], [], 0.0, (1, 2, 3), 0)
+    monkeypatch.setattr(boundary, "uniformity_probe", lambda *a, **k: empty)
+    rec = cli.check_uniformity({"c": None, "d": None}, Tol(), 0, {})
+    assert rec["samples"] == 0
+    assert rec["passed"] is False
 
 
 def test_failing_budget_exits_1(tmp_path):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from approxk import matcore, subalg
-from approxk.errors import ClosureFailure
-from approxk.matcore import matrix_unit
+from approxk.errors import AmbiguousIntersection, ClosureFailure, InvalidInput
+from approxk.matcore import DEFAULT_TOL, matrix_unit
 from approxk.subalg import Subalg, Subspace, from_basis, intersect, unitize
 
 
@@ -84,3 +86,112 @@ def test_intersect_complex_span_is_closed(rng):
                    for b in block_alg(4, [(0, 2), (2, 4)]).basis])
     i = intersect(c, c)
     assert i.dim == c.dim
+
+
+# ---------------------------------------------------------------------------
+# blockwise projection and principal-angle intersection
+
+
+def random_unitary(rng, n):
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def conjugate(alg, u):
+    return Subalg(alg.ambient_dim, [u @ b @ u.conj().T for b in alg.basis])
+
+
+def projector(alg):
+    """The N^2 x N^2 matrix of the HS projection onto the span."""
+    return alg._flats.T @ np.conj(alg._flats)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_blockwise_projection_matches_amplified_basis(rng, k):
+    s = conjugate(block_alg(4, [(0, 2), (2, 3)]), random_unitary(rng, 4))
+    for alg in (s, unitize(s)):
+        x = rng.standard_normal((4 * k, 4 * k)) + 1j * rng.standard_normal((4 * k, 4 * k))
+        want = subalg.amplify(alg, k).project(x)
+        np.testing.assert_allclose(alg.project(x), want, rtol=0, atol=1e-12)
+
+
+def test_projection_rejects_side_not_a_multiple():
+    s = block_alg(4, [(0, 2)])
+    for side in (3, 6, 9):
+        with pytest.raises(InvalidInput):
+            s.project(np.eye(side))
+
+
+def stacked_svd_intersect(s, t, tol=DEFAULT_TOL):
+    """Reference intersection: the joint null space of the stacked
+    complement projectors, from one SVD of a 2N^2 x N^2 matrix."""
+    n2 = s.ambient_dim * s.ambient_dim
+    stacked = np.vstack([np.eye(n2) - projector(s), np.eye(n2) - projector(t)])
+    _, sv, vh = np.linalg.svd(stacked)
+    cut = max(sv[0], 1.0) * tol.rank_rel_tol
+    assert not np.any((sv > cut / 10) & (sv < cut * 10))
+    n = s.ambient_dim
+    return Subalg(n, [v.reshape(n, n) for v in np.conj(vh[sv <= cut])], tol)
+
+
+def assert_same_intersection(s, t):
+    got = intersect(s, t)
+    want = stacked_svd_intersect(s, t)
+    assert got.dim == want.dim
+    assert np.abs(projector(got) - projector(want)).max() <= 1e-10
+
+
+@st.composite
+def block_pairs(draw):
+    """Block subalgebras S, T of M_n (n <= 5) over two partitions, moved by a
+    common random unitary; T is sometimes moved by a second one as well.
+    The zero T is covered by test_intersect_with_zero_algebra."""
+    n = draw(st.integers(2, 5))
+
+    def blocks():
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
+        edges = [0, *cuts, n]
+        intervals = list(zip(edges, edges[1:]))
+        return draw(st.lists(st.sampled_from(intervals), unique=True,
+                             min_size=1))
+
+    s_blocks, t_blocks = blocks(), blocks()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = random_unitary(rng, n)
+    v = u @ random_unitary(rng, n) if draw(st.booleans()) else u
+    return (conjugate(block_alg(n, s_blocks), u),
+            conjugate(block_alg(n, t_blocks), v))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(block_pairs())
+def test_intersect_matches_stacked_svd(pair):
+    s, t = pair
+    assert_same_intersection(s, t)
+    assert_same_intersection(t, s)
+
+
+def test_intersect_with_zero_algebra(rng):
+    s = conjugate(block_alg(4, [(0, 2), (2, 4)]), random_unitary(rng, 4))
+    zero = Subalg(4, [])
+    assert intersect(s, zero).dim == 0
+    assert_same_intersection(s, zero)
+
+
+def corner_pair(theta):
+    """Rank-2 corners of M_4 sharing e_0; their second directions e_1 and
+    cos(theta) e_1 + sin(theta) e_2 meet at principal angle theta."""
+    p = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+    w = np.array([0.0, np.cos(theta), np.sin(theta), 0.0])
+    q = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex) + np.outer(w, w)
+    units = [matrix_unit(4, i, j) for i in range(4) for j in range(4)]
+    return (Subalg(4, [p @ e @ p for e in units]),
+            Subalg(4, [q @ e @ q for e in units]))
+
+
+def test_intersect_ambiguity_band():
+    with pytest.raises(AmbiguousIntersection):
+        intersect(*corner_pair(1e-8))
+    assert intersect(*corner_pair(1e-6)).dim == 1
+    assert intersect(*corner_pair(0.0)).dim == 4
