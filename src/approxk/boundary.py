@@ -70,14 +70,10 @@ def _multiplier(h) -> np.ndarray:
     return as_matrix(h)
 
 
-def _sup_op_norm(a: np.ndarray) -> float:
-    return float(np.max(np.linalg.norm(a, 2, axis=(-2, -1))))
-
-
 def check_contraction(h, slack: float = 1e-9):
     hm = _multiplier(h)
     hm_adj = np.conj(np.swapaxes(hm, -1, -2))
-    if _sup_op_norm(hm - hm_adj) > slack * max(1.0, _sup_op_norm(hm)):
+    if ops.sup_norm(hm - hm_adj) > slack * max(1.0, ops.sup_norm(hm)):
         raise NotAContraction("multiplier is not hermitian")
     w = np.linalg.eigvalsh((hm + hm_adj) / 2)
     if w.min() < -slack or w.max() > 1.0 + slack:
@@ -96,14 +92,19 @@ def h_prod(h1, h2):
 
 
 def h_apply(h, x, side: str = "left"):
-    """Multiply x by (an amplification of) h on the given side."""
+    """Multiply x by (an amplification of) h on the given side; on a stack,
+    the same h acts on every summand."""
     hm = _multiplier(h)
     xa = ops.arr(x)
-    if hm.shape[:-2] != xa.shape[:-2]:
+    stacked = isinstance(x, ops.Stack)
+    lead = xa.shape[:-3] if stacked else xa.shape[:-2]
+    if hm.shape[:-2] != lead:
         raise InvalidInput(
             "multiplier and element live on different sample grids "
             "(loop elements take profile multipliers)"
         )
+    if stacked:
+        hm = hm[..., None, :, :]
     n = hm.shape[-1]
     k = xa.shape[-1] // n
     if k * n != xa.shape[-1]:
@@ -135,7 +136,9 @@ class MatrixSide:
         return unitize(self.alg)
 
     def nearest(self, x, unitized: bool = True):
-        return (self.unitization if unitized else self.alg).nearest(x)
+        xa = ops.arr(x)
+        p = (self.unitization if unitized else self.alg).project(xa)
+        return ops.like(x, p), ops.sup_norm(xa - p)
 
     def scalar_part(self, x) -> np.ndarray:
         """Coarse scalar component: s with x ~ kron(s, 1_N) + algebra part."""
@@ -607,41 +610,51 @@ def sigma_witness(cert: LiftCert, eps: float, tol: Tol = DEFAULT_TOL,
 # homotopy discretization and Whitehead splittings
 
 
+def _homotopy_stacks(u_path, max_step: float = 0.5):
+    """Stacks (a, b, defect) behind discretize_homotopy: a holds the
+    summands path_i^-1 (i >= 1) and b the summands path_i."""
+    if len(u_path) < 2:
+        raise InvalidInput("need at least two path samples")
+    b = ops.stack(u_path)
+    p = ops.arr(b)
+    one = np.eye(p.shape[-1])
+    if ops.sup_norm(p[..., -1, :, :] - one) > 1e-9:
+        raise InvalidInput("path must end at the identity")
+    m = p.shape[-3] - 1
+    steps = np.linalg.norm(p[..., 1:, :, :] - p[..., :-1, :, :], 2, axis=(-2, -1))
+    steps = steps.reshape(-1, m).max(axis=0)
+    coarse = np.flatnonzero(steps >= max_step)
+    if coarse.size:
+        i = int(coarse[0])
+        raise PathTooCoarse(i, f"step {steps[i]:.3e} >= {max_step:.3e}")
+    q = np.linalg.inv(p)
+    # u_0 (+) 1 - (1_n (+) a (+) a^-1 (+) 1_n)(b (+) b^-1) is block diagonal:
+    # 0, then 1 - q_i p_i, 1 - p_i q_(i-1) for i = 1..m, and 1 - q_m
+    blocks = np.concatenate([q[..., 1:, :, :] @ p[..., 1:, :, :],
+                             p[..., 1:, :, :] @ q[..., :-1, :, :],
+                             q[..., -1:, :, :]], axis=-3)
+    defect = ops.sup_norm(one - blocks)
+    c_bound = max(ops.sup_norm(q[..., :-1, :, :]), ops.sup_norm(p[..., 0, :, :]))
+    if defect > max_step * c_bound + 1e-9:
+        raise PathTooCoarse(m - 1,
+                            f"defect {defect:.3e} exceeds {max_step * c_bound:.3e}")
+    return ops.Stack(q[..., 1:, :, :]), b, defect
+
+
 def discretize_homotopy(u_path, tol: Tol = DEFAULT_TOL, max_step: float = 0.5):
     """Block-diagonal witnesses (a, b) that an invertible homotopic to the
     identity is a product of elementary-style blocks, up to a small defect.
 
-    The path must end at the identity; returns (a, b, defect) with a of size
-    m*n, b of size (m+1)*n, and defect the norm of the displayed difference,
-    certified against max_step * c.
+    The path must end at the identity; returns (a, b, defect) with
+    a = (+) path_i^-1 (i >= 1) of size m*n, b = (+) path_i of size (m+1)*n,
+    and defect the norm of u_0 (+) 1 - (1_n (+) a (+) a^-1 (+) 1_n)(b (+) b^-1),
+    certified against max_step * c.  Steps, inverses and the defect are
+    taken summand by summand.
     """
     path = list(u_path)
-    if len(path) < 2:
-        raise InvalidInput("need at least two path samples")
-    one = ops.eye_like(path[-1])
-    if ops.norm(path[-1] - one) > 1e-9:
-        raise InvalidInput("path must end at the identity")
-    inv_norms = []
-    for i in range(len(path) - 1):
-        step = ops.norm(path[i + 1] - path[i])
-        if step >= max_step:
-            raise PathTooCoarse(i, f"step {step:.3e} >= {max_step:.3e}")
-        inv_norms.append(ops.norm(ops.inv(path[i])))
-    m = len(path) - 1
-    a = functools.reduce(ops.oplus, [ops.inv(x) for x in path[1:]])
-    b = functools.reduce(ops.oplus, path)
-    n = ops.side_size(path[0])
-    total = 2 * (m + 1) * n
-    u0_big = ops.embed_top_left(path[0], total)
-    middle = ops.oplus(ops.oplus(ops.eye_like(path[0]), a),
-                       ops.oplus(ops.inv(a), ops.eye_like(path[0])))
-    prod = middle @ ops.oplus(b, ops.inv(b))
-    defect = ops.norm(u0_big - prod)
-    c_bound = max(max(inv_norms), ops.norm(path[0]))
-    if defect > max_step * c_bound + 1e-9:
-        raise PathTooCoarse(m - 1,
-                            f"defect {defect:.3e} exceeds {max_step * c_bound:.3e}")
-    return a, b, float(defect)
+    a, b, defect = _homotopy_stacks(path, max_step)
+    return (ops.like(path[0], ops.direct_sum(a)),
+            ops.like(path[0], ops.direct_sum(b)), defect)
 
 
 @dataclasses.dataclass
@@ -687,17 +700,28 @@ def whitehead_split(a, h, c, d, tol: Tol = DEFAULT_TOL, t_steps: int = 32,
     With keep_paths=False only the t = 0 and t = 1 factors are retained; the
     per-t certificates still cover the whole grid.  This keeps memory flat
     when the carrier is a large sampled loop.
+
+    The split runs on summand stacks; a lone element is a stack of one
+    summand and gets paths in its own carrier.  An internal
+    :class:`ops.Stack` a = (+) a_i is split summand by summand: the factors
+    of a direct sum are the interleaved direct sums of the summands' 2n x 2n
+    factors (regrouped by :func:`boxplus_permutation`), so its paths hold
+    stacks of those factors, and every certificate field, a norm or a
+    membership residual of a block-diagonal element, is the max over the
+    summands.
     """
     check_contraction(h)
     c_side = make_side(c)
     d_side = make_side(d)
-    one = ops.eye_like(a)
-    x = a - one
-    a_inv = ops.inv(a)
-    y = a_inv - one
-    c_norm = max(ops.norm(a), ops.norm(a_inv))
+    lone = not isinstance(a, ops.Stack)
+    s = ops.Stack(ops.arr(a)[..., None, :, :]) if lone else a
+    one = ops.eye_like(s)
+    x = s - one
+    s_inv = ops.inv(s)
+    y = s_inv - one
+    c_norm = max(ops.norm(s), ops.norm(s_inv))
     bound = (3.0 + c_norm) ** 5
-    target = ops.oplus(a, a_inv)
+    target = ops.oplus(s, s_inv)
     big_one = ops.eye_like(target)
     while True:
         vc_path = []
@@ -720,6 +744,9 @@ def whitehead_split(a, h, c, d, tol: Tol = DEFAULT_TOL, t_steps: int = 32,
     prod_resid = ops.norm(vc_path[0] @ vd_path[0] - target)
     end_resid = max(ops.norm(vc_path[-1] - big_one),
                     ops.norm(vd_path[-1] - big_one))
+    if lone:
+        vc_path = [ops.like(a, ops.arr(v)[..., 0, :, :]) for v in vc_path]
+        vd_path = [ops.like(a, ops.arr(v)[..., 0, :, :]) for v in vd_path]
     return WhiteheadCert(vc_path, vd_path, t_steps, float(prod_resid),
                          float(end_resid), mem_c, mem_d, float(norm_max),
                          float(bound))
@@ -736,6 +763,7 @@ class SigmaReconstruct:
     achieved: float
     gap: float
     windings: tuple | None
+    defect: float | None = None  # of the homotopy discretization
 
 
 def _shuffle_embed(v_small, n: int, m: int, total: int):
@@ -747,6 +775,14 @@ def _shuffle_embed(v_small, n: int, m: int, total: int):
     return ops.like(big, ops.arr(big)[..., p[:, None], p])
 
 
+def _regrouped(factors: ops.Stack, carrier):
+    """The Whitehead factor of a direct sum from the stack of its summands'
+    2n x 2n factors, in the carrier of `carrier`."""
+    fa = ops.arr(factors)
+    p = boxplus_permutation([fa.shape[-1] // 2] * fa.shape[-3])
+    return ops.like(carrier, ops.direct_sum(factors)[..., p[:, None], p])
+
+
 def sigma_reconstruct(u_path, u_c, u_d, h, c, d, tol: Tol = DEFAULT_TOL,
                       seed: int = 0, uniform_constant: float = 3.0,
                       eps_floor: float = 1e-6,
@@ -755,34 +791,37 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d, tol: Tol = DEFAULT_TOL,
 
     Composes homotopy discretization with two Whitehead splittings and the
     uniform-pair extraction: the output x = 1 + y has y in the matrices over
-    C cap D, with x close to both v_C^-1 u_C and v_D u_D^-1.
+    C cap D, with x close to both v_C^-1 u_C and v_D u_D^-1.  The homotopy
+    and both splittings run on summand stacks; the 2(m+1)n frame is built
+    only for the final composition.
     """
     c_side = make_side(c)
     d_side = make_side(d)
     int_side = intersect_sides(c_side, d_side, tol)
-    a, b, _defect = discretize_homotopy(u_path, tol)
+    a, b, defect = _homotopy_stacks(u_path)
     n = ops.side_size(u_path[0])
-    m = ops.side_size(a) // n
+    m = ops.arr(a).shape[-3]
     total = 2 * (m + 1) * n
     wc_a = whitehead_split(a, h, c_side, d_side, tol,
                            t_steps=whitehead_t_steps, keep_paths=False)
     wc_b = whitehead_split(b, h, c_side, d_side, tol,
                            t_steps=whitehead_t_steps, keep_paths=False)
-    ca = _shuffle_embed(wc_a.vc_path[0], n, m, total)
-    da = _shuffle_embed(wc_a.vd_path[0], n, m, total)
-    cb = wc_b.vc_path[0]
-    db = wc_b.vd_path[0]
-    v_c = ca @ (da @ cb @ ops.inv(da))
+    u0 = u_path[0]
+    ca, da, da_inv = (_shuffle_embed(_regrouped(f, u0), n, m, total)
+                      for f in (wc_a.vc_path[0], wc_a.vd_path[0],
+                                ops.inv(wc_a.vd_path[0])))
+    cb = _regrouped(wc_b.vc_path[0], u0)
+    db = _regrouped(wc_b.vd_path[0], u0)
+    v_c = ca @ (da @ cb @ da_inv)
     v_d = da @ db
-    u_c1 = ops.embed_top_left(u_c, total)
-    u_d1 = ops.embed_top_left(u_d, total)
     one = ops.eye_like(v_c)
-    r_c = ops.inv(v_c) @ u_c1 - one
-    r_d = v_d @ ops.inv(u_d1) - one
+    r_c = ops.inv(v_c) @ ops.embed_top_left(u_c, total) - one
+    r_d = v_d @ ops.embed_top_left(ops.inv(u_d), total) - one
     gap = ops.norm(r_c - r_d)
     mid = ops.scal(0.5, r_c + r_d)
     y, _ = int_side.nearest(mid, unitized=False)
-    achieved = max(ops.norm(y - r_c), ops.norm(y - r_d))
+    drift_c, drift_d = ops.norm(y - r_c), ops.norm(y - r_d)
+    achieved = max(drift_c, drift_d)
     if achieved > max(uniform_constant * gap, eps_floor):
         raise PairNotUniform(
             f"joint approximation {achieved:.3e} exceeds "
@@ -800,26 +839,28 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d, tol: Tol = DEFAULT_TOL,
         # k1 is () exactly when K_1 is the zero group and there are no
         # windings to book.  The truncation concentrates the winding of x
         # on narrow arcs where sampled determinants alias; read it off the
-        # smooth comparison elements instead, after certifying that x shares
-        # their invertible component via the 1/||t^-1|| margin
+        # smooth comparison elements t = 1 + r instead, after certifying that
+        # x shares their invertible component via the 1/||t^-1|| margin
+        # (x - t = y - r, so the drifts are those of `achieved`)
         t_c = one + r_c
         t_d = one + r_d
-        for name, t_el in (("C", t_c), ("D", t_d)):
+        for name, t_el, drift in (("C", t_c, drift_c), ("D", t_d, drift_d)):
             margin = 1.0 / ops.norm(ops.inv(t_el))
-            drift = ops.norm(x - t_el)
             if drift >= margin:
                 raise ReconstructionFailed(
                     f"x is {drift:.3e} from the {name}-side comparison "
                     f"element, beyond the homotopy margin {margin:.3e}"
                 )
+        # the embedding u (+) 1 keeps the determinant of u
         wx, wx_d, wuc, wud = (int_side.k1(t, tol)[0]
-                              for t in (t_c, t_d, u_c1, u_d1))
+                              for t in (t_c, t_d, u_c, u_d))
         if wx != wx_d or wx != wuc or wx != -wud:
             raise ReconstructionFailed(
                 f"winding mismatch: x {wx}/{wx_d}, u_C {wuc}, u_D {wud}"
             )
         windings = (wx, wuc, wud)
-    return SigmaReconstruct(x, y, float(achieved), float(gap), windings)
+    return SigmaReconstruct(x, y, float(achieved), float(gap), windings,
+                            float(defect))
 
 
 # ---------------------------------------------------------------------------

@@ -220,37 +220,34 @@ def bump(alg: LoopAlg, plateau: tuple[float, float], ramp: float) -> np.ndarray:
 def loop_eps_in(x: LoopElem, ideal: LoopAlg, eps: float):
     """Exact sup-norm epsilon-membership in an arc ideal; the witness is the
     truncation of x to the support mask."""
-    mask = ideal.mask
-    off = x.samples[~mask]
-    resid = 0.0
-    if off.size:
-        resid = float(np.max(np.linalg.norm(off, 2, axis=(1, 2))))
-    witness = LoopElem(np.where(mask[:, None, None], x.samples, 0.0))
+    witness, resid = loop_membership(x, ideal, unitized=False)
     return resid <= eps, witness, resid
 
 
-def loop_membership(x: LoopElem, ideal: LoopAlg, unitized: bool):
+def loop_membership(x, ideal: LoopAlg, unitized: bool):
     """(witness, residual) for membership of x in the (unitized) arc ideal,
-    at any matrix amplification of the fiber."""
+    at any matrix amplification of the fiber.  For a stack of summands the
+    residual is the max over the summands."""
+    xa = ops.arr(x)
     mask = ideal.mask
-    off = x.samples[~mask]
+    off = xa[~mask]
     if off.size == 0:
         return x, 0.0
+    on = mask.reshape(mask.shape + (1,) * (xa.ndim - 1))
     if not unitized:
-        _, witness, resid = loop_eps_in(x, ideal, 0.0)
-        return witness, resid
+        return ops.like(x, np.where(on, xa, 0.0)), ops.sup_norm(off)
     # scalar part: a constant coarse matrix tensored with the fiber identity
     k = ideal.fiber_dim
-    d = x.side
+    d = xa.shape[-1]
     if d % k:
         raise InvalidInput("element side is not a multiple of the fiber dimension")
     n = d // k
-    traced = off.reshape(-1, n, k, n, k)
-    coarse = np.trace(traced, axis1=2, axis2=4) / k
+    traced = off.reshape(off.shape[:-2] + (n, k, n, k))
+    coarse = np.trace(traced, axis1=-3, axis2=-1) / k
     scal = coarse.mean(axis=0)
     const = np.kron(scal, np.eye(k, dtype=complex))
-    resid = float(np.max(np.linalg.norm(off - const, 2, axis=(1, 2))))
-    witness = LoopElem(np.where(mask[:, None, None], x.samples, const))
+    resid = ops.sup_norm(off - const)
+    witness = ops.like(x, np.where(on, xa, const))
     return witness, resid
 
 

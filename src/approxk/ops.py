@@ -6,6 +6,12 @@ around a ``(G, d, d)`` stack, one matrix per grid point.  Every helper here
 is numpy on the trailing two axes, so leading axes broadcast and the lift
 formulas read the same over both carriers.
 
+A direct sum can also be kept as its summands: a :class:`Stack` carries a
+summand axis just before the two matrix axes, ``(m, n, n)`` over matrices
+and ``(G, m, n, n)`` over loops.  Block-diagonal algebra acts summand by
+summand, so the helpers here compute the direct sum's products, inverses and
+2x2 block forms summand by summand, and its norm as the max over summands.
+
 The only place that knows about the carriers is the pair :func:`arr` /
 :func:`like`: ``arr`` unwraps an element to its array and ``like`` wraps a
 result back into the carrier of an exemplar.
@@ -16,27 +22,79 @@ from __future__ import annotations
 import numpy as np
 
 from . import loops, matcore
+from .errors import InvalidInput
+
+
+class Stack:
+    """The summands of a direct sum, on the axis just before the matrix axes.
+
+    Only internal code builds stacks: a raw array with an extra axis that
+    reaches a public entry point is still rejected by :func:`arr`.
+    """
+
+    __slots__ = ("summands",)
+
+    def __init__(self, summands: np.ndarray):
+        self.summands = summands
+
+    def __matmul__(self, other):
+        return Stack(self.summands @ other.summands)
+
+    def __add__(self, other):
+        return Stack(self.summands + other.summands)
+
+    def __sub__(self, other):
+        return Stack(self.summands - other.summands)
 
 
 def arr(x) -> np.ndarray:
-    """The array of x: ``(G, d, d)`` samples for a loop, ``(d, d)`` otherwise."""
+    """The array of x: ``(G, d, d)`` samples for a loop, the summand array of
+    a stack, ``(d, d)`` otherwise."""
     if isinstance(x, loops.LoopElem):
         return x.samples
+    if isinstance(x, Stack):
+        return x.summands
     return matcore.as_matrix(x)
 
 
 def like(x, a):
     """Wrap the array a in the carrier of x."""
-    return loops.LoopElem(a) if isinstance(x, loops.LoopElem) else a
+    if isinstance(x, loops.LoopElem):
+        return loops.LoopElem(a)
+    return Stack(a) if isinstance(x, Stack) else a
+
+
+def stack(elements) -> Stack:
+    """The stack of the summands of the direct sum of elements, which must
+    share a carrier and a size."""
+    arrays = [arr(e) for e in elements]
+    if len({a.shape for a in arrays}) > 1:
+        raise InvalidInput("summands differ in carrier or size")
+    return Stack(np.stack(arrays, axis=-3))
+
+
+def direct_sum(s: Stack) -> np.ndarray:
+    """The block-diagonal array of a stack's summands, in summand order."""
+    a = s.summands
+    m, n = a.shape[-3], a.shape[-1]
+    out = np.zeros(a.shape[:-3] + (m * n, m * n), dtype=complex)
+    for i in range(m):
+        out[..., i * n:(i + 1) * n, i * n:(i + 1) * n] = a[..., i, :, :]
+    return out
 
 
 def _eye(lead: tuple, n: int) -> np.ndarray:
     return np.broadcast_to(np.eye(n, dtype=complex), lead + (n, n)).copy()
 
 
+def sup_norm(a: np.ndarray) -> float:
+    """The largest operator norm over the leading axes of an array."""
+    return float(np.max(np.linalg.norm(a, 2, axis=(-2, -1))))
+
+
 def norm(x) -> float:
     """Operator norm; for a loop, the sup over its samples."""
-    return float(np.max(np.linalg.norm(arr(x), 2, axis=(-2, -1))))
+    return sup_norm(arr(x))
 
 
 def inv(x):

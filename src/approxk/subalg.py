@@ -17,7 +17,7 @@ from .errors import (
     ClosureFailure,
     InvalidInput,
 )
-from .matcore import DEFAULT_TOL, Tol, adjoint, as_matrix, eye, hs_norm, kron, op_norm
+from .matcore import DEFAULT_TOL, Tol, adjoint, as_matrix, eye, kron, op_norm
 
 
 def _orthonormalize(flats: np.ndarray, rel_tol: float) -> np.ndarray:
@@ -29,6 +29,11 @@ def _orthonormalize(flats: np.ndarray, rel_tol: float) -> np.ndarray:
         return flats[:0]
     keep = s > s[0] * rel_tol
     return vh[keep]
+
+
+def _hs_norms(a: np.ndarray) -> np.ndarray:
+    """Hilbert-Schmidt norms over the leading axes."""
+    return np.linalg.norm(a, axis=(-2, -1))
 
 
 class Subspace:
@@ -63,17 +68,22 @@ class Subspace:
         return [f.reshape(n, n) for f in self._flats]
 
     def project(self, x) -> np.ndarray:
-        """HS-orthogonal projection onto M_k(span) for x of side k*N: the basis
-        of M_k(span) is orthonormal block by block, so it acts per N x N block."""
-        x = as_matrix(x)
+        """HS-orthogonal projection onto M_k(span) for x of side k*N, over any
+        leading axes of x: the basis of M_k(span) is orthonormal block by
+        block, so it acts per N x N block, and every block of every leading
+        index goes through one matrix product."""
+        x = np.asarray(x, dtype=complex)
         n = self.ambient_dim
-        k = x.shape[0] // n
-        if x.shape != (k * n, k * n):
+        k = x.shape[-1] // n if x.ndim >= 2 else 0
+        if k < 1 or x.shape[-2:] != (k * n, k * n):
             raise InvalidInput(
                 f"element shape {x.shape} is not a square multiple of {n}")
-        blocks = x.reshape(k, n, k, n).swapaxes(1, 2).reshape(k * k, n * n)
+        if not np.all(np.isfinite(x)):
+            raise InvalidInput("element has non-finite entries")
+        lead = x.shape[:-2]
+        blocks = x.reshape(lead + (k, n, k, n)).swapaxes(-3, -2).reshape(-1, n * n)
         p = (blocks @ np.conj(self._flats).T) @ self._flats
-        return p.reshape(k, k, n, n).swapaxes(1, 2).reshape(x.shape)
+        return p.reshape(lead + (k, k, n, n)).swapaxes(-3, -2).reshape(x.shape)
 
     def nearest(self, x):
         """(HS projection, operator-norm residual).
@@ -81,8 +91,9 @@ class Subspace:
         The residual certifies an upper bound on the operator-norm distance
         d(x, span), since ||.||_op <= ||.||_HS.
         """
+        x = as_matrix(x)
         p = self.project(x)
-        return p, op_norm(as_matrix(x) - p)
+        return p, op_norm(x - p)
 
     def contains(self, x, slack: float | None = None) -> bool:
         _, r = self.nearest(x)
@@ -109,16 +120,20 @@ class Subalg(Subspace):
         self.is_unital_in_ambient = self.dim > 0 and self.contains(one)
 
     def _check_closure(self):
-        # closure residuals measured in HS norm with mild slack for products
+        # closure residuals measured in HS norm with mild slack for products;
+        # all adjoints, then all dim^2 products, are projected in one call
         slack = 64 * max(self.tol.membership_tol, 1e-12)
-        for b in self.basis:
-            if hs_norm(adjoint(b) - self.project(adjoint(b))) > slack * max(1.0, hs_norm(b)):
-                raise ClosureFailure("span not closed under adjoint")
-        for bi in self.basis:
-            for bj in self.basis:
-                p = bi @ bj
-                if hs_norm(p - self.project(p)) > slack * max(1.0, hs_norm(p)):
-                    raise ClosureFailure("span not closed under multiplication")
+        n = self.ambient_dim
+        b = self._flats.reshape(-1, n, n)
+        adj = np.conj(np.swapaxes(b, -1, -2))
+        if np.any(_hs_norms(adj - self.project(adj))
+                  > slack * np.maximum(1.0, _hs_norms(b))):
+            raise ClosureFailure("span not closed under adjoint")
+        for bi in b:
+            prods = bi @ b
+            if np.any(_hs_norms(prods - self.project(prods))
+                      > slack * np.maximum(1.0, _hs_norms(prods))):
+                raise ClosureFailure("span not closed under multiplication")
         if self.dim and self.gram_residual() > 1e-10:
             raise ClosureFailure("basis Gram matrix deviates from identity")
 

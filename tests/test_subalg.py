@@ -47,6 +47,9 @@ def test_zero_subspace_is_legal():
 def test_closure_check_rejects_non_algebra():
     with pytest.raises(ClosureFailure):
         Subalg(2, [matrix_unit(2, 0, 1)])
+    # closed under adjoint, but E01 E10 = E00 leaves the span
+    with pytest.raises(ClosureFailure, match="multiplication"):
+        Subalg(2, [matrix_unit(2, 0, 1), matrix_unit(2, 1, 0)])
 
 
 def test_from_basis_generates_full_block(rng):
