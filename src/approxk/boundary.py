@@ -36,7 +36,6 @@ from .errors import (
     ExactnessViolation,
     InvalidInput,
     IotaNotZero,
-    NeedsHomotopyNormalization,
     NotAContraction,
     NotEquivalent,
     NoWitness,
@@ -449,13 +448,6 @@ def build_lift_v(u, h, c, d, tol: Tol = DEFAULT_TOL):
     y = u - one
     u_inv = ops.inv(u)
     z = u_inv - one
-    base_index = getattr(make_side(c).alg, "basepoint_index", None)
-    if base_index is not None:
-        base = ops.arr(u)[base_index]
-        if op_norm(base - np.eye(ops.side_size(u))) > 1e-8:
-            raise NeedsHomotopyNormalization(
-                "loop is not normalized to 1 at the basepoint"
-            )
     a = one + h_apply(h_one_minus(h), y, "left")
     b = one + h_apply(h_one_minus(h), z, "right")
     ab = a @ b
@@ -641,7 +633,7 @@ def _homotopy_stacks(u_path, max_step: float = 0.5):
     return ops.Stack(q[..., 1:, :, :]), b, defect
 
 
-def discretize_homotopy(u_path, tol: Tol = DEFAULT_TOL, max_step: float = 0.5):
+def discretize_homotopy(u_path, max_step: float = 0.5):
     """Block-diagonal witnesses (a, b) that an invertible homotopic to the
     identity is a product of elementary-style blocks, up to a small defect.
 
@@ -669,6 +661,15 @@ class WhiteheadCert:
     norm_max: float
     norm_bound: float
 
+    @property
+    def certified(self) -> bool:
+        """The guarantees that need no eps: the t = 0 product recovers
+        diag(a, a^-1), the t = 1 factors are the identity, and the norms stay
+        within (3 + c)^5.  The memberships are judged against a caller's eps."""
+        return (self.product_residual <= 1e-9
+                and self.endpoint_residual <= 1e-12
+                and self.norm_max <= self.norm_bound)
+
 
 def _whitehead_factors(x, y, h, t: float):
     one = ops.eye_like(x)
@@ -690,7 +691,6 @@ def _whitehead_factors(x, y, h, t: float):
 
 
 def whitehead_split(a, h, c, d, tol: Tol = DEFAULT_TOL, t_steps: int = 32,
-                    eps: float | None = None, max_t_steps: int = 512,
                     keep_paths: bool = True) -> WhiteheadCert:
     """Split diag(a, a^-1) as a product of a near-C and a near-D invertible,
     with sampled homotopies of both factors to the identity.
@@ -723,24 +723,20 @@ def whitehead_split(a, h, c, d, tol: Tol = DEFAULT_TOL, t_steps: int = 32,
     bound = (3.0 + c_norm) ** 5
     target = ops.oplus(s, s_inv)
     big_one = ops.eye_like(target)
-    while True:
-        vc_path = []
-        vd_path = []
-        mem_c = mem_d = norm_max = 0.0
-        for j_t in range(t_steps + 1):
-            t = j_t / t_steps
-            vc, vd = _whitehead_factors(x, y, h, t)
-            if keep_paths or j_t in (0, t_steps):
-                vc_path.append(vc)
-                vd_path.append(vd)
-            _, rc = c_side.nearest(vc - big_one, unitized=False)
-            _, rd = d_side.nearest(vd - big_one, unitized=False)
-            mem_c = max(mem_c, float(rc))
-            mem_d = max(mem_d, float(rd))
-            norm_max = max(norm_max, ops.norm(vc), ops.norm(vd))
-        if eps is None or max(mem_c, mem_d) <= eps or t_steps >= max_t_steps:
-            break
-        t_steps *= 2
+    vc_path = []
+    vd_path = []
+    mem_c = mem_d = norm_max = 0.0
+    for j_t in range(t_steps + 1):
+        t = j_t / t_steps
+        vc, vd = _whitehead_factors(x, y, h, t)
+        if keep_paths or j_t in (0, t_steps):
+            vc_path.append(vc)
+            vd_path.append(vd)
+        _, rc = c_side.nearest(vc - big_one, unitized=False)
+        _, rd = d_side.nearest(vd - big_one, unitized=False)
+        mem_c = max(mem_c, float(rc))
+        mem_d = max(mem_d, float(rd))
+        norm_max = max(norm_max, ops.norm(vc), ops.norm(vd))
     prod_resid = ops.norm(vc_path[0] @ vd_path[0] - target)
     end_resid = max(ops.norm(vc_path[-1] - big_one),
                     ops.norm(vd_path[-1] - big_one))
@@ -793,7 +789,8 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d, tol: Tol = DEFAULT_TOL,
     uniform-pair extraction: the output x = 1 + y has y in the matrices over
     C cap D, with x close to both v_C^-1 u_C and v_D u_D^-1.  The homotopy
     and both splittings run on summand stacks; the 2(m+1)n frame is built
-    only for the final composition.
+    only for the final composition.  A split that fails
+    :attr:`WhiteheadCert.certified` raises ReconstructionFailed.
     """
     c_side = make_side(c)
     d_side = make_side(d)
@@ -806,6 +803,14 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d, tol: Tol = DEFAULT_TOL,
                            t_steps=whitehead_t_steps, keep_paths=False)
     wc_b = whitehead_split(b, h, c_side, d_side, tol,
                            t_steps=whitehead_t_steps, keep_paths=False)
+    for name, wc in (("a", wc_a), ("b", wc_b)):
+        if not wc.certified:
+            raise ReconstructionFailed(
+                (wc.product_residual, wc.endpoint_residual, wc.norm_max),
+                f"Whitehead split of {name} fails its certificate: product "
+                f"{wc.product_residual:.3e}, endpoint {wc.endpoint_residual:.3e}, "
+                f"norm {wc.norm_max:.3e} against {wc.norm_bound:.3e}",
+            )
     u0 = u_path[0]
     ca, da, da_inv = (_shuffle_embed(_regrouped(f, u0), n, m, total)
                       for f in (wc_a.vc_path[0], wc_a.vd_path[0],

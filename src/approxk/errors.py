@@ -80,10 +80,6 @@ class NotAContraction(ApproxKError):
     pass
 
 
-class NeedsHomotopyNormalization(ApproxKError):
-    pass
-
-
 class ExactnessViolation(ApproxKError):
     pass
 

@@ -54,7 +54,6 @@ class LoopAlg:
     grid_size: int
     fiber_dim: int
     support_mask: np.ndarray | None = None
-    basepoint_index: int | None = None
 
     def __post_init__(self):
         if self.grid_size < 16:
@@ -217,13 +216,6 @@ def bump(alg: LoopAlg, plateau: tuple[float, float], ramp: float) -> np.ndarray:
     return np.clip(vals, 0.0, 1.0)
 
 
-def loop_eps_in(x: LoopElem, ideal: LoopAlg, eps: float):
-    """Exact sup-norm epsilon-membership in an arc ideal; the witness is the
-    truncation of x to the support mask."""
-    witness, resid = loop_membership(x, ideal, unitized=False)
-    return resid <= eps, witness, resid
-
-
 def loop_membership(x, ideal: LoopAlg, unitized: bool):
     """(witness, residual) for membership of x in the (unitized) arc ideal,
     at any matrix amplification of the fiber.  For a stack of summands the
@@ -251,8 +243,7 @@ def loop_membership(x, ideal: LoopAlg, unitized: bool):
     return witness, resid
 
 
-def arc_k0_trivialize(e: LoopElem, ideal: LoopAlg, tol: Tol = DEFAULT_TOL,
-                      steps: int | None = None):
+def arc_k0_trivialize(e: LoopElem, ideal: LoopAlg, tol: Tol = DEFAULT_TOL):
     """Trivialization data for an idempotent loop over the unitized arc ideal.
 
     Returns (scalar_rank, conjugator, const) where conjugator w satisfies
@@ -291,7 +282,7 @@ def arc_k0_trivialize(e: LoopElem, ideal: LoopAlg, tol: Tol = DEFAULT_TOL,
     runs = _circular_runs(mask)
     m = e.grid_size
     max_len = max((length for _, length in runs), default=1)
-    big_t = steps if steps is not None else max(8, max_len)
+    big_t = max(8, max_len)
     path = []
     for s_idx in range(big_t + 1):
         frac = 1.0 - s_idx / big_t

@@ -1,7 +1,11 @@
 """Dense complex linear-algebra kernel.
 
 Matrices are plain complex numpy arrays in row-major order; all tolerance
-constants live in :class:`Tol` and are threaded through explicitly.
+constants live in :class:`Tol` and are threaded through explicitly.  Every
+numerical-rank decision (which singular values count as zero, and the
+ambiguity band around that cut) is made by :func:`rank_cut`, each caller
+passing its own cut; :func:`rank_split` (row space and null space from one
+thin SVD) and :func:`rank` (the values alone) apply it.
 """
 
 from __future__ import annotations
@@ -48,11 +52,6 @@ def op_norm(m) -> float:
     """Operator (spectral) norm: the largest singular value."""
     a = as_matrix(m)
     return float(np.linalg.norm(a, 2))
-
-
-def hs_norm(m) -> float:
-    """Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(np.asarray(m, dtype=complex)))
 
 
 def cond(m) -> float:
@@ -113,23 +112,44 @@ def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
     return e
 
 
-def rank(m, tol: Tol = DEFAULT_TOL, guard: bool = False) -> int:
-    """Numerical rank via SVD with a cutoff relative to the top singular value.
+def rank_cut(s: np.ndarray, rel: float, floor: float = 0.0,
+             band: bool = False) -> float:
+    """The numerical-rank decision for descending singular values s: those
+    above max(s_0 * rel, floor) count, the rest are zero.
 
-    With guard=True, a singular value within a factor 10 of the cutoff raises
+    With band=True a singular value within a factor 10 of the cut raises
     AmbiguousIntersection rather than silently deciding the rank.
     """
-    a = as_matrix(m)
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    # absolute floor so near-zero matrices (top singular value at fp-noise
-    # level) count as rank zero instead of ranking their own noise
-    cut = max(s[0] * tol.rank_rel_tol, max(a.shape) * np.finfo(float).eps * 100)
-    if guard:
+    cut = max(s[0] * rel if s.size else 0.0, floor)
+    if band:
         borderline = np.sum((s > cut / 10) & (s < cut * 10))
         if borderline:
             raise AmbiguousIntersection(
                 f"{borderline} singular value(s) within 10x of rank cutoff {cut:.3e}"
             )
-    return int(np.sum(s > cut))
+    return cut
+
+
+def rank_split(a, rel: float, floor: float = 0.0, null: bool = True):
+    """(rows, null) of a at :func:`rank_cut`: orthonormal rows spanning the
+    row space, and orthonormal rows n with a @ n.T ~ 0 spanning the null space.
+
+    The SVD is thin: its vh holds every null vector unless a is wider than
+    tall, and only then, when the null vectors are asked for, is the full SVD
+    taken.  With null=False the second entry is None.
+    """
+    a = np.asarray(a, dtype=complex)
+    _, s, vh = np.linalg.svd(a, full_matrices=null and a.shape[0] < a.shape[1])
+    r = int(np.sum(s > rank_cut(s, rel, floor)))
+    # null vectors of a = U S V* are columns of V, i.e. conjugated rows of vh
+    return vh[:r], (np.conj(vh[r:]) if null else None)
+
+
+def rank(m, tol: Tol = DEFAULT_TOL) -> int:
+    """Numerical rank: :func:`rank_cut` on the singular values alone, with an
+    absolute floor so near-zero matrices (top singular value at fp-noise
+    level) count as rank zero instead of ranking their own noise."""
+    a = as_matrix(m)
+    s = np.linalg.svd(a, compute_uv=False)
+    floor = max(a.shape) * np.finfo(float).eps * 100
+    return int(np.sum(s > rank_cut(s, tol.rank_rel_tol, floor)))

@@ -4,7 +4,9 @@ A subalgebra is stored as an orthonormal basis under the Hilbert-Schmidt
 inner product <a, b> = tr(a* b).  The nearest-point oracle projects in the
 HS geometry and reports the residual in operator norm, which is a certified
 upper bound for the operator-norm distance to the span.  Membership in M_k(S)
-is computed block by block; intersections come from principal angles.
+is computed block by block; intersections come from principal angles.  Bases
+are orthonormalized, and intersections cut, by the rank decision of
+:mod:`matcore` (:func:`matcore.rank_split`, :func:`matcore.rank_cut`).
 """
 
 from __future__ import annotations
@@ -12,23 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import matcore
-from .errors import (
-    AmbiguousIntersection,
-    ClosureFailure,
-    InvalidInput,
-)
+from .errors import ClosureFailure, InvalidInput
 from .matcore import DEFAULT_TOL, Tol, adjoint, as_matrix, eye, kron, op_norm
-
-
-def _orthonormalize(flats: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Rows spanning a subspace of C^(N^2) -> orthonormal rows of the same span."""
-    if flats.shape[0] == 0:
-        return flats
-    _, s, vh = np.linalg.svd(flats, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return flats[:0]
-    keep = s > s[0] * rel_tol
-    return vh[keep]
 
 
 def _hs_norms(a: np.ndarray) -> np.ndarray:
@@ -55,7 +42,7 @@ class Subspace:
             # in general position
             flats = np.zeros((0, self.ambient_dim * self.ambient_dim), dtype=complex)
         if not _orthonormal:
-            flats = _orthonormalize(flats, tol.rank_rel_tol)
+            flats = matcore.rank_split(flats, tol.rank_rel_tol, null=False)[0]
         self._flats = flats
 
     @property
@@ -198,19 +185,15 @@ def intersect(s: Subalg, t: Subalg, tol: Tol = DEFAULT_TOL) -> Subalg:
     The singular values of T's basis minus its projection onto S are the
     sines of the principal angles between the spans (Bjorck & Golub, 1973);
     the left singular vectors of the zero sines combine T's basis into one
-    of the intersection.  Sines within a factor 10 of the cut raise
-    AmbiguousIntersection.
+    of the intersection.  The cut is rank_rel_tol, absolute, and sines
+    within a factor 10 of it raise AmbiguousIntersection
+    (:func:`matcore.rank_cut` with its band).
     """
     if s.ambient_dim != t.ambient_dim:
         raise InvalidInput("intersection requires a common ambient")
     n = s.ambient_dim
     resid = t._flats - (t._flats @ np.conj(s._flats).T) @ s._flats
     u, sines, _ = np.linalg.svd(resid, full_matrices=False)
-    cut = tol.rank_rel_tol
-    borderline = np.sum((sines > cut / 10) & (sines < cut * 10))
-    if borderline:
-        raise AmbiguousIntersection(
-            f"{borderline} principal-angle sine(s) near cutoff {cut:.3e}"
-        )
+    cut = matcore.rank_cut(sines, 0.0, tol.rank_rel_tol, band=True)
     null = np.conj(u[:, sines <= cut]).T @ t._flats
     return Subalg(n, [v.reshape(n, n) for v in null], tol)

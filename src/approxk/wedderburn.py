@@ -3,7 +3,10 @@
 The K_0 group of a finite-dimensional *-subalgebra of M_N(C) is the free
 abelian group on its Wedderburn blocks; classes are integer vectors of
 normalized ranks (raw rank divided by the block multiplicity).  K_1 is the
-zero group throughout this module.
+zero group throughout this module.  Centers, compressed block dimensions and
+intertwiners are read off singular values through the rank decision of
+:mod:`matcore` (:func:`matcore.rank_split`, :func:`matcore.rank`), each with
+the cut it names.
 """
 
 from __future__ import annotations
@@ -80,10 +83,9 @@ def _center_basis(s: Subalg) -> list[np.ndarray]:
         col = np.concatenate([(basis[k] @ b - b @ basis[k]).ravel() for b in basis])
         cols.append(col)
     a = np.array(cols).T
-    _, sv, vh = np.linalg.svd(a)
-    cut = max(1.0, sv[0] if sv.size else 1.0) * s.tol.rank_rel_tol
-    # null vectors of a = U S V* are columns of V, i.e. conjugated rows of vh
-    null = np.conj(vh[np.concatenate([sv, np.zeros(max(0, d - sv.size))]) <= cut])
+    # cut at max(1, s_0) * rank_rel_tol
+    rel = s.tol.rank_rel_tol
+    _, null = matcore.rank_split(a, rel, floor=rel)
     out = []
     for c in null:
         z = sum(ci * bi for ci, bi in zip(c, basis))
@@ -132,7 +134,8 @@ def decompose(s: Subalg, tol: Tol = DEFAULT_TOL, seed: int = 0) -> WedderburnDat
                     continue
                 if not s.contains(z, slack=1e-7):
                     raise DecompositionFailure("eigenprojection escapes the algebra")
-                comp_dim = _compressed_dim(s, z)
+                comp_dim = matcore.rank(np.array([(z @ b @ z).ravel() for b in s.basis]),
+                                        s.tol)
                 d = int(round(np.sqrt(comp_dim)))
                 if d * d != comp_dim:
                     raise DecompositionFailure("compressed block dimension not a square")
@@ -163,14 +166,6 @@ def _fingerprint(z: np.ndarray) -> tuple:
     # earlier-supported projections sort first (twisted-pair convention: P, Q)
     d = np.real(np.diag(z))
     return tuple(np.round(-d, 6))
-
-
-def _compressed_dim(s: Subalg, z: np.ndarray) -> int:
-    flats = np.array([(z @ b @ z).ravel() for b in s.basis])
-    sv = np.linalg.svd(flats, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0:
-        return 0
-    return int(np.sum(sv > sv[0] * s.tol.rank_rel_tol))
 
 
 def k0_class(e, w: WedderburnData, tol: Tol = DEFAULT_TOL) -> K0Vec:
@@ -207,10 +202,7 @@ def algebra_conjugator(e, f, span: Subspace, tol: Tol = DEFAULT_TOL, seed: int =
         raise NotEquivalent("empty algebra span")
     cols = [((b @ e) - (f @ b)).ravel() for b in basis]
     a = np.array(cols).T
-    _, sv, vh = np.linalg.svd(a)
-    top = sv[0] if sv.size and sv[0] > 0 else 1.0
-    padded = np.concatenate([sv, np.zeros(max(0, len(basis) - sv.size))])
-    null = np.conj(vh[padded <= top * 1e-9])
+    _, null = matcore.rank_split(a, 1e-9)
     if null.shape[0] == 0:
         raise NotEquivalent("no intertwiner in the algebra")
     rng = np.random.default_rng(seed)

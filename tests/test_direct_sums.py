@@ -211,6 +211,21 @@ def test_sigma_reconstruct_coarse_path_fails_margin():
         boundary.sigma_reconstruct(**sigma_case("circle_split_steps48"))
 
 
+@pytest.mark.parametrize("t, scale", [(0.0, 1.0 + 1e-6),   # product residual
+                                      (1.0, 1.0 + 1e-9),   # endpoint residual
+                                      (0.5, 1e6)])         # norm bound
+def test_sigma_reconstruct_gates_whitehead_certificates(monkeypatch, t, scale):
+    real = boundary._whitehead_factors
+
+    def perturbed(x, y, h, t_):
+        vc, vd = real(x, y, h, t_)
+        return (ops.scal(scale, vc) if t_ == t else vc), vd
+
+    monkeypatch.setattr(boundary, "_whitehead_factors", perturbed)
+    with pytest.raises(ReconstructionFailed, match="Whitehead split of a"):
+        boundary.sigma_reconstruct(**sigma_case("block_pair_trivial"))
+
+
 # ---------------------------------------------------------------------------
 # only internal stacks carry the summand axis
 

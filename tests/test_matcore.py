@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from approxk import matcore
 from approxk.errors import (
@@ -8,7 +10,7 @@ from approxk.errors import (
     InvalidInput,
     NotInvertible,
 )
-from approxk.matcore import Tol
+from approxk.matcore import DEFAULT_TOL, Tol
 
 
 def test_as_matrix_rejects_bad_shapes():
@@ -51,8 +53,49 @@ def test_rank_basic_and_zero_floor():
 
 def test_rank_guard_flags_borderline():
     a = np.diag([1.0, 1e-8])
+    rel = DEFAULT_TOL.rank_rel_tol
     with pytest.raises(AmbiguousIntersection):
-        matcore.rank(a, guard=True)
+        matcore.rank_cut(np.linalg.svd(a, compute_uv=False), rel, band=True)
+    # without the band the same value is decided: zero, as it is not above the cut
+    rows, null = matcore.rank_split(a, rel)
+    assert rows.shape[0] == 1 and null.shape[0] == 1
+
+
+def reference_null_projector(a, rel):
+    """Projector onto the null space of a from a full SVD, singular values
+    padded with zeros to the column count and cut at s_0 * rel."""
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    padded = np.concatenate([s, np.zeros(a.shape[1] - s.size)])
+    v = np.conj(vh[padded <= s[0] * rel])
+    return v.T @ np.conj(v)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(rows=st.integers(1, 9), cols=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+def test_rank_split_on_matrices_of_known_rank(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(1, min(rows, cols) + 1))
+
+    def gaussian(m, n):
+        return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+    a = gaussian(rows, r) @ gaussian(r, cols)
+    rel = DEFAULT_TOL.rank_rel_tol
+    kept, null = matcore.rank_split(a, rel)
+    assert kept.shape == (r, cols) and null.shape == (cols - r, cols)
+    for q in (kept, null):
+        assert np.allclose(q @ np.conj(q).T, np.eye(q.shape[0]), atol=1e-12)
+    # the null vectors are orthogonal to the row space, so with it they span C^cols
+    assert np.allclose(kept @ null.T, 0.0, atol=1e-12)
+    assert np.linalg.norm(a @ null.T) <= 1e-12 * np.linalg.norm(a)
+    assert r == matcore.rank(a)
+    want = reference_null_projector(a, rel)
+    assert np.allclose(null.T @ np.conj(null), want, atol=1e-10)
+    # without null vectors a wide matrix gets a thin SVD: the same row space
+    only_rows, none = matcore.rank_split(a, rel, null=False)
+    assert none is None
+    assert np.allclose(np.conj(only_rows).T @ only_rows, np.conj(kept).T @ kept,
+                       atol=1e-10)
 
 
 def test_tol_rejects_nonpositive():

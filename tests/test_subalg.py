@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from approxk import matcore, subalg
+from approxk import subalg
 from approxk.errors import AmbiguousIntersection, ClosureFailure, InvalidInput
 from approxk.matcore import DEFAULT_TOL, matrix_unit
 from approxk.subalg import Subalg, Subspace, from_basis, intersect, unitize
@@ -26,7 +26,7 @@ def test_projection_is_idempotent_and_contractive(rng):
     p2, r2 = s.nearest(p)
     assert np.allclose(p, p2)
     assert r2 < 1e-12
-    assert matcore.hs_norm(p) <= matcore.hs_norm(x) + 1e-12
+    assert subalg._hs_norms(p) <= subalg._hs_norms(x) + 1e-12
 
 
 def test_membership_residual_certifies_distance():

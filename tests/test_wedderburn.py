@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from approxk import scenarios
 from approxk.errors import InvalidInput, NotEquivalent, PathTooCoarse
 from approxk.matcore import matrix_unit
-from approxk.subalg import Subalg
+from approxk.subalg import Subalg, tensor_with_full
 from approxk.wedderburn import (
     K0Vec,
     decompose,
@@ -32,6 +34,20 @@ def test_decompose_two_point_center():
     # central projections sum to the unit of the algebra
     total = sum(w.central_projections)
     assert np.allclose(total, np.eye(4))
+
+
+def test_decompose_tensored_block_pair_in_bounded_memory():
+    # the center comes from a thin SVD of the dim * N^2 x dim commutator
+    # matrix; a full one would build a U of side dim * N^2 (over 300 MB here)
+    c2 = tensor_with_full(scenarios.block_ideal_pair()["c"], 2)
+    tracemalloc.start()
+    try:
+        w = decompose(c2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.blocks == [(4, 1), (4, 1)]
+    assert peak < 50e6
 
 
 def test_decompose_invariant_under_conjugation(rng):
