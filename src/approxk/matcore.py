@@ -130,19 +130,19 @@ def rank_cut(s: np.ndarray, rel: float, floor: float = 0.0,
     return cut
 
 
-def rank_split(a, rel: float, floor: float = 0.0, null: bool = True):
-    """(rows, null) of a at :func:`rank_cut`: orthonormal rows spanning the
-    row space, and orthonormal rows n with a @ n.T ~ 0 spanning the null space.
+def rank_split(a, rel: float, floor: float = 0.0):
+    """(rows, null) of a at :func:`rank_cut` from one thin SVD: orthonormal
+    rows spanning the row space, and orthonormal rows n with a @ n.T ~ 0.
 
-    The SVD is thin: its vh holds every null vector unless a is wider than
-    tall, and only then, when the null vectors are asked for, is the full SVD
-    taken.  With null=False the second entry is None.
+    The null rows span the whole null space only when a has at least as many
+    rows as columns; for a wider matrix they are just the part that a thin vh
+    holds, so pass the null vectors of a wide matrix no further.
     """
     a = np.asarray(a, dtype=complex)
-    _, s, vh = np.linalg.svd(a, full_matrices=null and a.shape[0] < a.shape[1])
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
     r = int(np.sum(s > rank_cut(s, rel, floor)))
     # null vectors of a = U S V* are columns of V, i.e. conjugated rows of vh
-    return vh[:r], (np.conj(vh[r:]) if null else None)
+    return vh[:r], np.conj(vh[r:])
 
 
 def rank(m, tol: Tol = DEFAULT_TOL) -> int:

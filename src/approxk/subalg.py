@@ -42,7 +42,7 @@ class Subspace:
             # in general position
             flats = np.zeros((0, self.ambient_dim * self.ambient_dim), dtype=complex)
         if not _orthonormal:
-            flats = matcore.rank_split(flats, tol.rank_rel_tol, null=False)[0]
+            flats = matcore.rank_split(flats, tol.rank_rel_tol)[0]
         self._flats = flats
 
     @property
