@@ -518,8 +518,8 @@ def iota_lift(p, q, c, d, tol: Tol = DEFAULT_TOL, seed: int = 0):
     except NotEquivalent as err:
         raise IotaNotZero(f"no similarity witness: {err}") from err
     one = eye(p.shape[0])
-    u_c_inv = np.linalg.inv(u_c)
-    u_d_inv = np.linalg.inv(u_d)
+    u_c_inv = matcore.invert(u_c, tol)
+    u_d_inv = matcore.invert(u_d, tol)
     u = (one - p) @ u_c_inv + p @ u_d_inv
     v = ops.block2(p @ u_d_inv, p - one, one - q, u_d @ p)
     cert = certify_lift(u, v, c_side, d_side, tol)
@@ -619,7 +619,7 @@ def _homotopy_stacks(u_path, max_step: float = 0.5):
     if coarse.size:
         i = int(coarse[0])
         raise PathTooCoarse(i, f"step {steps[i]:.3e} >= {max_step:.3e}")
-    q = np.linalg.inv(p)
+    q = matcore.invert(p)
     # u_0 (+) 1 - (1_n (+) a (+) a^-1 (+) 1_n)(b (+) b^-1) is block diagonal:
     # 0, then 1 - q_i p_i, 1 - p_i q_(i-1) for i = 1..m, and 1 - q_m
     blocks = np.concatenate([q[..., 1:, :, :] @ p[..., 1:, :, :],
@@ -833,10 +833,7 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d, tol: Tol = DEFAULT_TOL,
             f"{uniform_constant:.1f} * {gap:.3e}"
         )
     x = one + y
-    try:
-        x_inv = ops.inv(x)
-    except np.linalg.LinAlgError as err:
-        raise ReconstructionFailed(f"x = 1 + y not invertible: {err}") from err
+    x_inv = ops.inv(x)
     if ops.norm(x @ x_inv - one) > 1e-6:
         raise ReconstructionFailed("unstable inverse for x = 1 + y")
     windings = None

@@ -19,7 +19,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import __version__, boundary, funcalc, kprod, scenarios
+from . import __version__, boundary, funcalc, kprod, matcore, scenarios
 from .errors import ApproxKError
 from .matcore import Tol
 
@@ -335,7 +335,7 @@ def sweep_riesz(count: int, seed: int, tol: Tol):
         lam = rng.integers(0, 2, n).astype(complex)
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         s = np.eye(n) + 0.5 * g / np.linalg.norm(g, 2)
-        e0 = s @ np.diag(lam) @ np.linalg.inv(s)
+        e0 = s @ np.diag(lam) @ matcore.invert(s, tol)
         pert = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         target = 10 ** rng.uniform(-6, -2)
         e = e0 + pert / np.linalg.norm(pert, 2) * 0.3 * target
@@ -367,7 +367,7 @@ def sweep_invcut(count: int, seed: int, tol: Tol):
             h = np.diag(h)
         measured, bound = boundary.check_inv_cut(u, h)
         y = u - np.eye(n)
-        z = np.linalg.inv(u) - np.eye(n)
+        z = matcore.invert(u, tol) - np.eye(n)
         dcomm = max(np.linalg.norm(h @ w2 - w2 @ h, 2)
                     for w2 in (y, z))
         rows.append([idx, n, dcomm, measured, bound,

@@ -13,8 +13,10 @@ import dataclasses
 import numpy as np
 import scipy.linalg
 
+from . import matcore
 from .errors import (
     DefectTooLarge,
+    DefectiveMatrix,
     InvalidInput,
     NotCloseEnough,
     RoundingUnstable,
@@ -22,6 +24,7 @@ from .errors import (
 )
 from .matcore import DEFAULT_TOL, Tol, as_matrix, eye, op_norm
 from .subalg import Subspace, unitize
+from .wedderburn import decompose, k0_class
 
 DELTA_MAX = 1.0 / 16.0
 
@@ -51,13 +54,11 @@ def riesz_bound(delta: float, c: float) -> float:
 
 
 def _chi_by_eig(a: np.ndarray, tol: Tol) -> np.ndarray:
-    from . import matcore
-
-    lam, v = matcore.eig(a, tol)
+    lam, v, v_inv = matcore.eig(a, tol)
     if np.any(np.abs(lam.real - 0.5) < 1e-8):
         raise SpectralAmbiguity("eigenvalue on the critical line Re z = 1/2")
     chi = (lam.real > 0.5).astype(complex)
-    return v @ np.diag(chi) @ np.linalg.inv(v)
+    return v @ np.diag(chi) @ v_inv
 
 
 def _chi_by_schur(a: np.ndarray) -> np.ndarray:
@@ -96,8 +97,6 @@ def riesz_idempotent(e, tol: Tol = DEFAULT_TOL):
     c = op_norm(e)
     if delta >= DELTA_MAX:
         raise DefectTooLarge(f"defect {delta:.3e} >= 1/16")
-    from .errors import DefectiveMatrix
-
     try:
         f = _chi_by_eig(e, tol)
         method = "eig"
@@ -137,8 +136,6 @@ def round_idempotent_in(e, alg, eps: float | None = None,
     algebra generated by b.  The class does not depend on the admissible
     eps: two roundings differ by less than 1 / ||2f - 1|| and are similar.
     """
-    from .wedderburn import decompose, k0_class
-
     e = as_matrix(e)
     c = op_norm(e)
     if eps is None:
@@ -165,7 +162,7 @@ def round_invertible_in(u, span: Subspace, eps: float | None = None,
     (v, v_inverse, residual).
     """
     u = as_matrix(u)
-    uinv = np.linalg.inv(u)
+    uinv = matcore.invert(u, tol)
     c = max(op_norm(u), op_norm(uinv))
     eps0 = invertible_eps_max(c)
     if eps is None:
@@ -178,7 +175,7 @@ def round_invertible_in(u, span: Subspace, eps: float | None = None,
     gap = op_norm(eye(u.shape[0]) - uinv @ v)
     if gap >= 0.25:
         raise RoundingUnstable(f"||1 - u^-1 v|| = {gap:.3f} >= 1/4")
-    vinv = np.linalg.inv(v)
+    vinv = matcore.invert(v, tol)
     if op_norm(vinv) > 2.0 * c * (1.0 + 1e-9):
         raise RoundingUnstable("inverse norm bound 2c violated")
     return v, vinv, resid

@@ -116,12 +116,12 @@ def nonunital_class_check(e, a_alg: Subalg, b_alg: Subalg,
     k = e.shape[0] // (n_a * n_b)
     phi_a = _augmentation_functional(a_alg)
     phi_b = _augmentation_functional(b_alg)
-    targets = [(matcore.rank(_apply_left_functional(e, phi_a, n_a, n_b, k), tol),
-                matcore.rank(_apply_right_functional(e, phi_b, n_a, n_b, k), tol))]
+    target = (matcore.rank(_apply_left_functional(e, phi_a, n_a, n_b, k), tol),
+              matcore.rank(_apply_right_functional(e, phi_b, n_a, n_b, k), tol))
     if f is None:
         ref = (0, 0)
     else:
         f = as_matrix(f)
         ref = (matcore.rank(_apply_left_functional(f, phi_a, n_a, n_b, k), tol),
                matcore.rank(_apply_right_functional(f, phi_b, n_a, n_b, k), tol))
-    return targets[0] == ref
+    return target == ref

@@ -263,9 +263,7 @@ def arc_k0_trivialize(e: LoopElem, ideal: LoopAlg, tol: Tol = DEFAULT_TOL):
     if matcore.op_norm(f_inf @ f_inf - f_inf) > 1e-6:
         raise NoWitness("off-support value is not idempotent")
     # constant conjugator g with g f_inf g^-1 = diag(1_r, 0)
-    if r == 0:
-        g = np.eye(d, dtype=complex)
-    elif r == d:
+    if r in (0, d):
         g = np.eye(d, dtype=complex)
     else:
         u_r, _, vh_k = np.linalg.svd(f_inf)
@@ -273,7 +271,7 @@ def arc_k0_trivialize(e: LoopElem, ideal: LoopAlg, tol: Tol = DEFAULT_TOL):
         rng_basis = f_inf @ u_r[:, :r]
         ker_basis = vh_k[r:].conj().T
         ginv = np.concatenate([rng_basis, ker_basis], axis=1)
-        g = np.linalg.inv(ginv)
+        g = matcore.invert(ginv, tol)
     const_mat = np.zeros((d, d), dtype=complex)
     const_mat[:r, :r] = np.eye(r)
     g_loop = LoopElem.constant(g, e.grid_size)

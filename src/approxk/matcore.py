@@ -6,6 +6,13 @@ numerical-rank decision (which singular values count as zero, and the
 ambiguity band around that cut) is made by :func:`rank_cut`, each caller
 passing its own cut; :func:`rank_split` (row space and null space from one
 thin SVD) and :func:`rank` (the values alone) apply it.
+
+Every inverse is taken by :func:`invert`, the one guarded inverse: it
+returns numpy's inverse together with the exact 1-norm condition number
+kappa_1 = ||a||_1 ||a^-1||_1 of that inverse, maximized over any leading
+axes (loop samples, summand stacks), and raises NotInvertible when kappa_1
+exceeds ``Tol.invert_cond_max`` or numpy finds the input exactly singular.
+:func:`eig` takes the inverse of its eigenvector basis from the same kernel.
 """
 
 from __future__ import annotations
@@ -27,8 +34,10 @@ class Tol:
 
     def __post_init__(self):
         for name in ("membership_tol", "rank_rel_tol", "invert_cond_max"):
-            if getattr(self, name) <= 0:
-                raise InvalidInput(f"{name} must be strictly positive")
+            val = getattr(self, name)
+            if not (np.isfinite(val) and val > 0):
+                raise InvalidInput(
+                    f"{name} must be finite and strictly positive, got {val!r}")
 
 
 DEFAULT_TOL = Tol()
@@ -62,35 +71,52 @@ def cond(m) -> float:
     return float(s[0] / s[-1])
 
 
+def _inverse_cond(a: np.ndarray):
+    """(a^-1, kappa_1) over the trailing two axes of a, with kappa_1 the
+    largest ||a||_1 ||a^-1||_1 over the leading axes; (None, inf) when numpy
+    finds a matrix exactly singular."""
+    try:
+        a_inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return None, np.inf
+    # the 1-norm is the largest absolute column sum
+    kappa = (np.abs(a).sum(axis=-2).max(axis=-1)
+             * np.abs(a_inv).sum(axis=-2).max(axis=-1))
+    return a_inv, float(np.max(kappa, initial=0.0))
+
+
 def invert(m, tol: Tol = DEFAULT_TOL) -> np.ndarray:
-    """Inverse with an explicit conditioning guard."""
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise InvalidInput("invert requires a square matrix")
-    c = cond(a)
-    if not np.isfinite(c) or c > tol.invert_cond_max:
-        raise NotInvertible(c)
-    return np.linalg.inv(a)
+    """Inverse of a square matrix, or of each matrix of a stack over the
+    leading axes; NotInvertible when kappa_1 exceeds tol.invert_cond_max."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise InvalidInput(f"invert requires square matrices, got shape {a.shape}")
+    a_inv, kappa = _inverse_cond(a)
+    # a NaN kappa (non-finite entries) fails this comparison too
+    if not kappa <= tol.invert_cond_max:
+        raise NotInvertible(kappa)
+    return a_inv
 
 
 def eig(m, tol: Tol = DEFAULT_TOL):
-    """Eigendecomposition m = V diag(lam) V^-1 with a diagonalizability guard.
+    """Eigendecomposition m = V diag(lam) V^-1 with a diagonalizability guard;
+    returns (lam, V, V^-1).
 
-    Defect is detected through the conditioning of the eigenvector basis and
-    the reconstruction residual.
+    Defect is detected through the 1-norm conditioning of the eigenvector
+    basis and the reconstruction residual.
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise InvalidInput("eig requires a square matrix")
     lam, v = np.linalg.eig(a)
-    cv = cond(v)
-    if not np.isfinite(cv) or cv > tol.invert_cond_max:
+    v_inv, cv = _inverse_cond(v)
+    if not cv <= tol.invert_cond_max:
         raise DefectiveMatrix(f"eigenvector basis condition {cv:.3e}")
-    resid = op_norm(v @ np.diag(lam) @ np.linalg.inv(v) - a)
+    resid = op_norm(v @ np.diag(lam) @ v_inv - a)
     scale = max(1.0, op_norm(a))
     if resid > 1e-8 * scale * max(1.0, cv):
         raise DefectiveMatrix(f"eigendecomposition residual {resid:.3e}")
-    return lam, v
+    return lam, v, v_inv
 
 
 def kron(a, b) -> np.ndarray:

@@ -12,6 +12,11 @@ and ``(G, m, n, n)`` over loops.  Block-diagonal algebra acts summand by
 summand, so the helpers here compute the direct sum's products, inverses and
 2x2 block forms summand by summand, and its norm as the max over summands.
 
+:func:`inv` is the one guarded inverse :func:`matcore.invert` on every
+carrier: it raises NotInvertible when the 1-norm condition number
+||a||_1 ||a^-1||_1, maximized over loop samples and summands, exceeds
+``Tol.invert_cond_max``.
+
 The only place that knows about the carriers is the pair :func:`arr` /
 :func:`like`: ``arr`` unwraps an element to its array and ``like`` wraps a
 result back into the carrier of an exemplar.
@@ -98,7 +103,9 @@ def norm(x) -> float:
 
 
 def inv(x):
-    return like(x, np.linalg.inv(arr(x)))
+    """Inverse through the guarded kernel :func:`matcore.invert`: sample by
+    sample for a loop, summand by summand for a stack."""
+    return like(x, matcore.invert(arr(x)))
 
 
 def adj(x):

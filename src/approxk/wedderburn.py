@@ -233,7 +233,7 @@ def similarity_witness(e, f, s: Subalg, tol: Tol = DEFAULT_TOL, seed: int = 0) -
     k = e.shape[0] // s.ambient_dim
     span = amplify(unitize(s), k)
     wmat = algebra_conjugator(e, f, span, tol, seed=seed)
-    resid = op_norm(wmat @ e @ np.linalg.inv(wmat) - f)
+    resid = op_norm(wmat @ e @ matcore.invert(wmat, tol) - f)
     if resid > 1e-8:
         raise NotEquivalent(f"conjugation residual {resid:.3e} exceeds 1e-8")
     return wmat

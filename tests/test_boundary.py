@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from approxk import boundary, ops, scenarios
+from approxk import boundary, funcalc, ops, scenarios
 from approxk.errors import (
+    ApproxKError,
     InvalidInput,
     IotaNotZero,
     NoWitness,
     NotAContraction,
+    NotInvertible,
     PairNotUniform,
     PathTooCoarse,
 )
-from approxk.loops import LoopElem
+from approxk.loops import LoopAlg, LoopElem
 from approxk.matcore import matrix_unit
-from approxk.subalg import Subalg
+from approxk.subalg import Subalg, Subspace
 from approxk.wedderburn import K0Vec
 
 from conftest import random_invertible
@@ -282,3 +286,67 @@ def test_uniformity_probe_separates_hereditary_angles():
         sups.append(rep.ratio_sup)
     assert sups[0] < sups[1] < sups[2]
     assert sups[2] > 3.0
+
+
+# ---------------------------------------------------------------------------
+# the inverse guard: near-singular inputs on every carrier
+
+
+def near_singular(rng, n, s):
+    """U diag(1, ..., 1, s) V* with random unitaries U, V: kappa_2 = 1/s."""
+    def unitary():
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return np.linalg.qr(z)[0]
+    d = np.ones(n)
+    d[-1] = s
+    return (unitary() * d) @ np.conj(unitary()).T
+
+
+def near_singular_element(carrier, rng, n, s):
+    """(u, h, c, d): a matrix, a grid-16 loop or an (m, n, n) stack over
+    matrices with one near-singular matrix, and a multiplier and algebras
+    on its carrier."""
+    if carrier == "loop":
+        z = rng.standard_normal((16, n, n)) + 1j * rng.standard_normal((16, n, n))
+        z /= np.linalg.norm(z, 2, axis=(1, 2), keepdims=True)
+        samples = np.eye(n) + 0.3 * z
+        samples[rng.integers(16)] = near_singular(rng, n, s)
+        alg = LoopAlg(16, n)
+        return LoopElem(samples), np.full(16, 0.5), alg, alg
+    alg = Subalg(n, [np.eye(n)])
+    h = 0.5 * np.eye(n)
+    if carrier == "matrix":
+        return near_singular(rng, n, s), h, alg, alg
+    summands = np.stack([random_invertible(rng, n, 0.3) for _ in range(3)])
+    summands[rng.integers(3)] = near_singular(rng, n, s)
+    return ops.Stack(summands), h, alg, alg
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(carrier=st.sampled_from(["matrix", "loop", "stack"]), n=st.integers(2, 6),
+       s=st.sampled_from([0.0, 1e-14, 1e-17]), seed=st.integers(0, 2**32 - 1))
+def test_near_singular_inputs_raise_not_invertible(carrier, n, s, seed):
+    """Every inverse is guarded: a near-singular input raises NotInvertible
+    from ops.inv, and an ApproxKError (never numpy's LinAlgError) from the
+    constructions that invert it."""
+    u, h, c, d = near_singular_element(carrier, np.random.default_rng(seed), n, s)
+    with pytest.raises(NotInvertible):
+        ops.inv(u)
+    calls = [lambda: boundary.whitehead_split(u, h, c, d)]
+    if carrier != "stack":
+        one = ops.eye_like(u)
+        path = [ops.scal(1.0 - t, u) + ops.scal(t, one)
+                for t in np.linspace(0.0, 1.0, 6)]
+        calls += [
+            lambda: boundary.check_inv_cut(u, h),
+            lambda: boundary.build_lift_v(u, h, c, d),
+            lambda: boundary.certify_lift(one, ops.oplus(u, one), c, d),
+            lambda: boundary.discretize_homotopy(path),
+        ]
+    if carrier == "matrix":
+        calls.append(lambda: funcalc.round_invertible_in(u, Subspace(n, [np.eye(n)])))
+    if carrier == "loop":
+        calls.append(u.inv)
+    for call in calls:
+        with pytest.raises(ApproxKError):
+            call()

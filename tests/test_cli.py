@@ -185,6 +185,15 @@ def test_env_tolerance_must_parse(monkeypatch):
     assert run_cli(["run", "twisted_pair"]) == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_nonfinite_tolerance_exits_2(monkeypatch, capsys, value):
+    assert run_cli(["run", "twisted_pair", "--tol", value]) == 2
+    assert "membership_tol must be finite" in capsys.readouterr().err
+    monkeypatch.setenv("APPROXK_TOL", value)
+    assert run_cli(["sweep", "riesz", "--count", "1"]) == 2
+    assert "membership_tol must be finite" in capsys.readouterr().err
+
+
 def test_env_tolerance_applies(monkeypatch, tmp_path):
     monkeypatch.setenv("APPROXK_TOL", "1e-8")
     out = tmp_path / "rep.json"

@@ -30,6 +30,28 @@ def test_invert_guards_conditioning():
         matcore.invert(np.diag([1.0, 0.0]))
     a = np.diag([1.0, 2.0]).astype(complex)
     assert np.allclose(matcore.invert(a) @ a, np.eye(2))
+    with pytest.raises(NotInvertible):
+        matcore.invert(np.diag([1.0, 1e-6]), Tol(invert_cond_max=1e5))
+    # a (G, m, n, n) stack of loop samples and summands: one bad matrix
+    # anywhere decides, and kappa_1 is exact
+    stack = np.broadcast_to(a, (16, 3, 2, 2)).copy()
+    assert np.allclose(matcore.invert(stack) @ stack, np.eye(2))
+    stack[5, 1] = np.diag([1.0, 1e-13])
+    with pytest.raises(NotInvertible) as err:
+        matcore.invert(stack)
+    assert err.value.cond_estimate == pytest.approx(1e13)
+    with pytest.raises(InvalidInput):
+        matcore.invert(np.ones((3, 2, 4)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(lead=st.sampled_from([(), (16,), (16, 3)]), n=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_invert_matches_numpy_bits(lead, n, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(lead + (n, n)) + 1j * rng.standard_normal(lead + (n, n))
+    a = np.eye(n) + 0.5 * z / np.linalg.norm(z, 2, axis=(-2, -1), keepdims=True)
+    np.testing.assert_array_equal(matcore.invert(a), np.linalg.inv(a))
 
 
 def test_eig_rejects_defective_matrix():
@@ -40,8 +62,9 @@ def test_eig_rejects_defective_matrix():
 
 def test_eig_reconstructs(rng):
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    lam, v = matcore.eig(a)
-    assert np.allclose(v @ np.diag(lam) @ np.linalg.inv(v), a, atol=1e-8)
+    lam, v, v_inv = matcore.eig(a)
+    np.testing.assert_array_equal(v_inv, np.linalg.inv(v))
+    assert np.allclose(v @ np.diag(lam) @ v_inv, a, atol=1e-8)
 
 
 def test_rank_basic_and_zero_floor():
@@ -100,5 +123,7 @@ def test_rank_split_on_matrices_of_known_rank(rows, cols, seed):
 
 
 def test_tol_rejects_nonpositive():
-    with pytest.raises(InvalidInput):
-        Tol(membership_tol=0.0)
+    for name in ("membership_tol", "rank_rel_tol", "invert_cond_max"):
+        for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidInput):
+                Tol(**{name: bad})
