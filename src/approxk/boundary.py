@@ -43,7 +43,8 @@ from .errors import (
     PathTooCoarse,
     ReconstructionFailed,
 )
-from .loops import LoopAlg, LoopElem, loop_membership, winding_k1, arc_k0_trivialize
+from .loops import (LoopAlg, LoopElem, arc_k0_trivialize, det_winding, loop_membership,
+                    winding_k1)
 from .matcore import DEFAULT_TOL, Tol, as_matrix, eye, op_norm
 from .subalg import Subalg, Subspace, unitize
 from .wedderburn import K0Vec, decompose, k0_class, similarity_witness
@@ -337,6 +338,8 @@ def _dual_constant(x_basis) -> float:
     n = len(x_basis)
     unit = [ops.arr(ops.scal(1.0 / ops.norm(x), x)) for x in x_basis]
     flats = np.array([x.ravel() for x in unit])
+    if matcore.rank(flats) < n:
+        raise InvalidInput("probe basis is linearly dependent")
     gram = np.conj(flats) @ flats.T
     duals = np.linalg.solve(gram, np.conj(flats))
     m_const = 0.0
@@ -594,7 +597,8 @@ def sigma_witness(cert: LiftCert, eps: float, tol: Tol = DEFAULT_TOL,
     k1 = cert.int_side.k1
     wu, wx, wf = k1(cert.u, tol), k1(x, tol), k1(factor, tol)
     if tuple(a + b for a, b in zip(wf, wx)) != wu:
-        raise ReconstructionFailed(f"winding bookkeeping {wf} + {wx} != {wu}")
+        raise ReconstructionFailed((wf, wx, wu),
+                                   f"winding bookkeeping {wf} + {wx} != {wu}")
     return SigmaWitness(0, x, factor, float(r_d), float(r_c), float(offdiag))
 
 
@@ -762,21 +766,28 @@ class SigmaReconstruct:
     defect: float | None = None  # of the homotopy discretization
 
 
-def _shuffle_embed(v_small, n: int, m: int, total: int):
-    """Conjugate an element of the 2mn frame diag(a, a^-1) (+) 1_{2n} into
-    the 1_n (+) a (+) a^-1 (+) 1_n layout of the full frame."""
-    mn2 = 2 * m * n
-    p = np.r_[mn2:mn2 + n, :mn2, mn2 + n:total]
-    big = ops.embed_top_left(v_small, total)
-    return ops.like(big, ops.arr(big)[..., p[:, None], p])
+def _path_order(n: int, m: int) -> np.ndarray:
+    """The indices of the 2(m+1)n frame in path order: its n-blocks taken
+    as 0, m+1, 1, m+2, ..., m, 2m+1."""
+    blocks = np.stack([np.arange(m + 1), np.arange(m + 1) + m + 1], axis=1)
+    return (blocks.reshape(-1, 1) * n + np.arange(n)).ravel()
 
 
-def _regrouped(factors: ops.Stack, carrier):
-    """The Whitehead factor of a direct sum from the stack of its summands'
-    2n x 2n factors, in the carrier of `carrier`."""
+def _path_band(factors: ops.Stack, start: int, size: int) -> matcore.Band:
+    """The Whitehead factor of a direct sum as a band in path order, from the
+    stack of its summands' 2n x 2n factors.
+
+    Summand i of b pairs n-blocks i and m+1+i, which sit at path positions
+    2i and 2i+1, so b's factors are block diagonal on 2n-blocks from index
+    0.  Summand i of a pairs n-blocks i+1 and m+1+i of the frame
+    1_n (+) a (+) a^-1 (+) 1_n, at path positions 2i+2 and 2i+1: a's factors
+    are block diagonal from index n, with each summand's halves swapped.
+    """
     fa = ops.arr(factors)
-    p = boxplus_permutation([fa.shape[-1] // 2] * fa.shape[-3])
-    return ops.like(carrier, ops.direct_sum(factors)[..., p[:, None], p])
+    if start:
+        half = np.roll(np.arange(fa.shape[-1]), start)
+        fa = fa[..., half[:, None], half]
+    return matcore.band_block_diag(fa, start, size)
 
 
 def sigma_reconstruct(u_path, u_c, u_d, h, c, d, tol: Tol = DEFAULT_TOL,
@@ -787,18 +798,25 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d, tol: Tol = DEFAULT_TOL,
 
     Composes homotopy discretization with two Whitehead splittings and the
     uniform-pair extraction: the output x = 1 + y has y in the matrices over
-    C cap D, with x close to both v_C^-1 u_C and v_D u_D^-1.  The homotopy
-    and both splittings run on summand stacks; the 2(m+1)n frame is built
-    only for the final composition.  A split that fails
-    :attr:`WhiteheadCert.certified` raises ReconstructionFailed.
+    C cap D, with x close to both v_C^-1 u_C and v_D u_D^-1.  A split that
+    fails :attr:`WhiteheadCert.certified` raises ReconstructionFailed.
+
+    The homotopy and both splittings run on summand stacks.  The composition
+    lives in the 2(m+1)n frame, taken in path order (its n-blocks as 0, m+1,
+    1, m+2, ..., m, 2m+1), where every factor is banded: the comparison
+    elements, their norms, the inverse of x and the winding determinants
+    are band computations (:class:`matcore.Band`).  The membership
+    projection of y acts on the dense frame, and x and y are returned dense
+    in the frame's own order.
     """
     c_side = make_side(c)
     d_side = make_side(d)
     int_side = intersect_sides(c_side, d_side, tol)
     a, b, defect = _homotopy_stacks(u_path)
-    n = ops.side_size(u_path[0])
+    u0 = u_path[0]
+    n = ops.side_size(u0)
     m = ops.arr(a).shape[-3]
-    total = 2 * (m + 1) * n
+    size = 2 * (m + 1) * n
     wc_a = whitehead_split(a, h, c_side, d_side, tol,
                            t_steps=whitehead_t_steps, keep_paths=False)
     wc_b = whitehead_split(b, h, c_side, d_side, tol,
@@ -811,58 +829,74 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d, tol: Tol = DEFAULT_TOL,
                 f"{wc.product_residual:.3e}, endpoint {wc.endpoint_residual:.3e}, "
                 f"norm {wc.norm_max:.3e} against {wc.norm_bound:.3e}",
             )
-    u0 = u_path[0]
-    ca, da, da_inv = (_shuffle_embed(_regrouped(f, u0), n, m, total)
-                      for f in (wc_a.vc_path[0], wc_a.vd_path[0],
-                                ops.inv(wc_a.vd_path[0])))
-    cb = _regrouped(wc_b.vc_path[0], u0)
-    db = _regrouped(wc_b.vd_path[0], u0)
-    v_c = ca @ (da @ cb @ da_inv)
-    v_d = da @ db
-    one = ops.eye_like(v_c)
-    r_c = ops.inv(v_c) @ ops.embed_top_left(u_c, total) - one
-    r_d = v_d @ ops.embed_top_left(ops.inv(u_d), total) - one
-    gap = ops.norm(r_c - r_d)
-    mid = ops.scal(0.5, r_c + r_d)
-    y, _ = int_side.nearest(mid, unitized=False)
-    drift_c, drift_d = ops.norm(y - r_c), ops.norm(y - r_d)
+    ca, da, ca_inv, da_inv = (_path_band(f, n, size) for f in (
+        wc_a.vc_path[0], wc_a.vd_path[0],
+        ops.inv(wc_a.vc_path[0]), ops.inv(wc_a.vd_path[0])))
+    cb, db, cb_inv, db_inv = (_path_band(f, 0, size) for f in (
+        wc_b.vc_path[0], wc_b.vd_path[0],
+        ops.inv(wc_b.vc_path[0]), ops.inv(wc_b.vd_path[0])))
+
+    def embed(u):
+        # the top-left embedding u (+) 1: n-block 0 leads the path order too
+        return matcore.band_block_diag(ops.arr(u)[..., None, :, :], 0, size)
+
+    # the comparison elements t = 1 + r: t_C = v_C^-1 u_C with
+    # v_C^-1 = da cb^-1 da^-1 ca^-1, and t_D = v_D u_D^-1 with v_D = da db
+    t_c = da @ cb_inv @ da_inv @ ca_inv @ embed(u_c)
+    t_d = da @ db @ embed(ops.inv(u_d))
+    one = matcore.Band(np.ones((1, size), dtype=complex), 0, 0)
+    gap = matcore.band_norm(t_c - t_d)
+    mid = 0.5 * (t_c + t_d) - one
+    # masking a loop, or projecting block by block onto matrices over the
+    # algebra (n is a multiple of the ambient side), keeps the band
+    y, _ = int_side.nearest(ops.like(u0, matcore.band_dense(mid)), unitized=False)
+    x = matcore.band(ops.arr(y), mid.kl, mid.ku) + one
+    drift_c, drift_d = matcore.band_norm(x - t_c), matcore.band_norm(x - t_d)
     achieved = max(drift_c, drift_d)
     if achieved > max(uniform_constant * gap, eps_floor):
         raise PairNotUniform(
             f"joint approximation {achieved:.3e} exceeds "
             f"{uniform_constant:.1f} * {gap:.3e}"
         )
-    x = one + y
-    x_inv = ops.inv(x)
-    if ops.norm(x @ x_inv - one) > 1e-6:
-        raise ReconstructionFailed("unstable inverse for x = 1 + y")
+    resid = matcore.band_matmul(x, matcore.band_invert(x, tol)) - np.eye(size)
+    # sqrt(||R||_1 ||R||_inf) >= ||R||_2
+    unstable = float(np.max(np.sqrt(np.abs(resid).sum(axis=-2).max(axis=-1)
+                                    * np.abs(resid).sum(axis=-1).max(axis=-1))))
+    if unstable > 1e-6:
+        raise ReconstructionFailed(
+            unstable, f"unstable inverse for x = 1 + y: residual {unstable:.3e}")
     windings = None
-    if int_side.k1(one, tol):
+    if int_side.k1(ops.eye_like(u_c), tol):
         # k1 is () exactly when K_1 is the zero group and there are no
         # windings to book.  The truncation concentrates the winding of x
         # on narrow arcs where sampled determinants alias; read it off the
         # smooth comparison elements t = 1 + r instead, after certifying that
         # x shares their invertible component via the 1/||t^-1|| margin
-        # (x - t = y - r, so the drifts are those of `achieved`)
-        t_c = one + r_c
-        t_d = one + r_d
-        for name, t_el, drift in (("C", t_c, drift_c), ("D", t_d, drift_d)):
-            margin = 1.0 / ops.norm(ops.inv(t_el))
+        # (the drifts of `achieved` are ||x - t||), with t_C^-1 = u_C^-1 v_C
+        # and t_D^-1 = u_D db^-1 da^-1
+        t_inv_c = embed(ops.inv(u_c)) @ ca @ da @ cb @ da_inv
+        t_inv_d = embed(u_d) @ db_inv @ da_inv
+        for name, t_inv, drift in (("C", t_inv_c, drift_c), ("D", t_inv_d, drift_d)):
+            margin = 1.0 / matcore.band_norm(t_inv)
             if drift >= margin:
                 raise ReconstructionFailed(
+                    (drift, margin),
                     f"x is {drift:.3e} from the {name}-side comparison "
                     f"element, beyond the homotopy margin {margin:.3e}"
                 )
         # the embedding u (+) 1 keeps the determinant of u
-        wx, wx_d, wuc, wud = (int_side.k1(t, tol)[0]
-                              for t in (t_c, t_d, u_c, u_d))
+        wx, wx_d = (det_winding(matcore.band_det(t)).entries[0] for t in (t_c, t_d))
+        wuc, wud = (int_side.k1(u, tol)[0] for u in (u_c, u_d))
         if wx != wx_d or wx != wuc or wx != -wud:
             raise ReconstructionFailed(
+                (wx, wx_d, wuc, wud),
                 f"winding mismatch: x {wx}/{wx_d}, u_C {wuc}, u_D {wud}"
             )
         windings = (wx, wuc, wud)
-    return SigmaReconstruct(x, y, float(achieved), float(gap), windings,
-                            float(defect))
+    back = np.argsort(_path_order(n, m))
+    y_out = ops.arr(y)[..., back[:, None], back]
+    return SigmaReconstruct(ops.like(u0, np.eye(size) + y_out), ops.like(u0, y_out),
+                            float(achieved), float(gap), windings, float(defect))
 
 
 # ---------------------------------------------------------------------------

@@ -163,7 +163,12 @@ def power_z(alg: LoopAlg, n: int, amp: int = 1) -> LoopElem:
 
 def winding_k1(u: LoopElem, tol: Tol = DEFAULT_TOL) -> K1Vec:
     """Determinant winding number of a loop of invertibles."""
-    dets = np.linalg.det(u.samples)
+    return det_winding(np.linalg.det(u.samples))
+
+
+def det_winding(dets: np.ndarray) -> K1Vec:
+    """Winding number of a loop's sampled determinants, which must stay away
+    from 0 and turn by less than pi/2 between neighbouring samples."""
     if np.min(np.abs(dets)) < 1e-12:
         raise InvalidInput("loop has a non-invertible sample")
     steps = np.angle(np.roll(dets, -1) / dets)

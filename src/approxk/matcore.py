@@ -7,12 +7,24 @@ ambiguity band around that cut) is made by :func:`rank_cut`, each caller
 passing its own cut; :func:`rank_split` (row space and null space from one
 thin SVD) and :func:`rank` (the values alone) apply it.
 
-Every inverse is taken by :func:`invert`, the one guarded inverse: it
+Every dense inverse is taken by :func:`invert`, the one guarded inverse: it
 returns numpy's inverse together with the exact 1-norm condition number
 kappa_1 = ||a||_1 ||a^-1||_1 of that inverse, maximized over any leading
 axes (loop samples, summand stacks), and raises NotInvertible when kappa_1
 exceeds ``Tol.invert_cond_max`` or numpy finds the input exactly singular.
 :func:`eig` takes the inverse of its eigenvector basis from the same kernel.
+
+Banded matrices are :class:`Band` values in LAPACK general band storage,
+over any leading axes.  The band kernels are :func:`band` (from a dense
+array, refusing entries outside the band), :func:`band_block_diag` (square
+blocks along the diagonal of an identity), :func:`band_dense`,
+:func:`band_matmul` (band times band, or band times dense), :func:`band_norm`
+(the operator norm from the top eigenvalue of the band Gram matrix, by
+``scipy.linalg.eig_banded``; Golub & Van Loan, *Matrix Computations*, 8.3),
+:func:`band_det` and :func:`band_invert` (from the band LU ``zgbtrf``, with
+``zgbtrs`` for the inverse; ibid., 4.3).  :func:`band_invert` applies the
+same kappa_1 rule as :func:`invert`.  Every LAPACK call of the package is
+made here.
 """
 
 from __future__ import annotations
@@ -20,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+from scipy.linalg import eig_banded, lapack
 
 from .errors import AmbiguousIntersection, DefectiveMatrix, InvalidInput, NotInvertible
 
@@ -71,18 +84,30 @@ def cond(m) -> float:
     return float(s[0] / s[-1])
 
 
+def _kappa_1(a: np.ndarray, a_inv: np.ndarray) -> float:
+    """The largest ||a||_1 ||a^-1||_1 over the leading axes.  The 1-norm is
+    the largest absolute column sum, so a may also be the storage of a
+    :class:`Band`, whose columns hold exactly the band entries of a's."""
+    kappa = (np.abs(a).sum(axis=-2).max(axis=-1)
+             * np.abs(a_inv).sum(axis=-2).max(axis=-1))
+    return float(np.max(kappa, initial=0.0))
+
+
+def _check_kappa(kappa: float, tol: Tol) -> None:
+    """The conditioning rule of every guarded inverse."""
+    # a NaN kappa (non-finite entries) fails this comparison too
+    if not kappa <= tol.invert_cond_max:
+        raise NotInvertible(kappa)
+
+
 def _inverse_cond(a: np.ndarray):
-    """(a^-1, kappa_1) over the trailing two axes of a, with kappa_1 the
-    largest ||a||_1 ||a^-1||_1 over the leading axes; (None, inf) when numpy
-    finds a matrix exactly singular."""
+    """(a^-1, kappa_1) over the trailing two axes of a; (None, inf) when
+    numpy finds a matrix exactly singular."""
     try:
         a_inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         return None, np.inf
-    # the 1-norm is the largest absolute column sum
-    kappa = (np.abs(a).sum(axis=-2).max(axis=-1)
-             * np.abs(a_inv).sum(axis=-2).max(axis=-1))
-    return a_inv, float(np.max(kappa, initial=0.0))
+    return a_inv, _kappa_1(a, a_inv)
 
 
 def invert(m, tol: Tol = DEFAULT_TOL) -> np.ndarray:
@@ -92,9 +117,7 @@ def invert(m, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise InvalidInput(f"invert requires square matrices, got shape {a.shape}")
     a_inv, kappa = _inverse_cond(a)
-    # a NaN kappa (non-finite entries) fails this comparison too
-    if not kappa <= tol.invert_cond_max:
-        raise NotInvertible(kappa)
+    _check_kappa(kappa, tol)
     return a_inv
 
 
@@ -179,3 +202,182 @@ def rank(m, tol: Tol = DEFAULT_TOL) -> int:
     s = np.linalg.svd(a, compute_uv=False)
     floor = max(a.shape) * np.finfo(float).eps * 100
     return int(np.sum(s > rank_cut(s, tol.rank_rel_tol, floor)))
+
+
+# ---------------------------------------------------------------------------
+# banded matrices
+
+
+@dataclasses.dataclass(frozen=True)
+class Band:
+    """A banded n x n matrix, or a stack of them over leading axes, in LAPACK
+    general band storage: ab[..., ku + i - j, j] = a[..., i, j] for
+    -kl <= j - i <= ku.  Slots of ab outside the matrix hold zeros."""
+
+    ab: np.ndarray
+    kl: int
+    ku: int
+
+    @property
+    def size(self) -> int:
+        return self.ab.shape[-1]
+
+    def _widened(self, kl: int, ku: int) -> np.ndarray:
+        pad = [(0, 0)] * (self.ab.ndim - 2) + [(ku - self.ku, kl - self.kl), (0, 0)]
+        return np.pad(self.ab, pad)
+
+    def __add__(self, other: "Band") -> "Band":
+        kl, ku = max(self.kl, other.kl), max(self.ku, other.ku)
+        return Band(self._widened(kl, ku) + other._widened(kl, ku), kl, ku)
+
+    def __sub__(self, other: "Band") -> "Band":
+        return self + (-1.0) * other
+
+    def __rmul__(self, c) -> "Band":
+        return Band(c * self.ab, self.kl, self.ku)
+
+    def __matmul__(self, other):
+        return band_matmul(self, other)
+
+
+def _band_slots(n: int, kl: int, ku: int):
+    """(rows, cols, inside): the storage slots of the in-band entries of an
+    n x n matrix, and the mask of those entries."""
+    i, j = np.indices((n, n))
+    inside = (j - i <= ku) & (i - j <= kl)
+    return (ku + i - j)[inside], j[inside], inside
+
+
+def _capped(ab: np.ndarray, kl: int, ku: int) -> Band:
+    """The band with widths cut to n - 1; the rows cut hold only slots
+    outside the matrix."""
+    n = ab.shape[-1]
+    kl2, ku2 = min(kl, n - 1), min(ku, n - 1)
+    return Band(ab[..., ku - ku2:ku + kl2 + 1, :], kl2, ku2)
+
+
+def band(a, kl: int, ku: int) -> Band:
+    """The band of a dense array with widths (kl, ku); InvalidInput if an
+    entry outside the band is nonzero."""
+    a = np.asarray(a, dtype=complex)
+    n = a.shape[-1]
+    kl, ku = min(kl, n - 1), min(ku, n - 1)
+    rows, cols, inside = _band_slots(n, kl, ku)
+    if np.any(a[..., ~inside]):
+        raise InvalidInput(f"matrix has nonzero entries outside the band ({kl}, {ku})")
+    ab = np.zeros(a.shape[:-2] + (kl + ku + 1, n), dtype=complex)
+    ab[..., rows, cols] = a[..., inside]
+    return Band(ab, kl, ku)
+
+
+def band_block_diag(blocks, start: int, size: int) -> Band:
+    """The identity of side `size` with the square blocks (..., k, s, s)
+    placed along its diagonal from index `start` on."""
+    blocks = np.asarray(blocks, dtype=complex)
+    k, s = blocks.shape[-3], blocks.shape[-1]
+    ab = np.zeros(blocks.shape[:-3] + (2 * s - 1, size), dtype=complex)
+    ab[..., s - 1, :] = 1.0
+    r, c = np.indices((s, s))
+    ab[..., s - 1 + r - c, start + s * np.arange(k)[:, None, None] + c] = blocks
+    return _capped(ab, s - 1, s - 1)
+
+
+def band_dense(b: Band) -> np.ndarray:
+    n = b.size
+    rows, cols, inside = _band_slots(n, b.kl, b.ku)
+    out = np.zeros(b.ab.shape[:-2] + (n, n), dtype=complex)
+    out[..., inside] = b.ab[..., rows, cols]
+    return out
+
+
+def band_matmul(x: Band, y):
+    """x @ y over broadcast leading axes: a band for a band y, a dense array
+    for a dense y.  Each diagonal of the factor y (or of x) is one shifted
+    elementwise product."""
+    n = x.size
+    if not isinstance(y, Band):
+        y = np.asarray(y, dtype=complex)
+        out = np.zeros(np.broadcast_shapes(x.ab.shape[:-2], y.shape[:-2]) + y.shape[-2:],
+                       dtype=complex)
+        for r in range(x.kl + x.ku + 1):
+            d = x.ku - r  # x[i, i + d] = x.ab[r, i + d]
+            lo, hi = max(0, -d), min(n, n - d)
+            out[..., lo:hi, :] += x.ab[..., r, lo + d:hi + d, None] * y[..., lo + d:hi + d, :]
+        return out
+    kl, ku = x.kl + y.kl, x.ku + y.ku
+    lead = np.broadcast_shapes(x.ab.shape[:-2], y.ab.shape[:-2])
+    out = np.zeros(lead + (kl + ku + 1, n), dtype=complex)
+    rows = x.kl + x.ku + 1
+    for r in range(y.kl + y.ku + 1):
+        d = y.ku - r  # y[j, j + d] = y.ab[r, j + d]
+        lo, hi = max(0, d), min(n, n + d)
+        top = ku - x.ku - d
+        out[..., top:top + rows, lo:hi] += x.ab[..., :, lo - d:hi - d] * y.ab[..., r, None, lo:hi]
+    return _capped(out, kl, ku)
+
+
+def _band_adjoint(b: Band) -> Band:
+    n = b.size
+    out = np.zeros_like(b.ab)
+    for r in range(b.kl + b.ku + 1):
+        d = b.ku - r  # b[i, i + d] becomes entry (i + d, i) of the adjoint
+        lo, hi = max(0, -d), min(n, n - d)
+        out[..., b.kl + d, lo:hi] = np.conj(b.ab[..., r, lo + d:hi + d])
+    return Band(out, b.ku, b.kl)
+
+
+def band_norm(b: Band) -> float:
+    """The largest operator norm over the leading axes: the square root of
+    the top eigenvalue of the band of b* b, from ``eig_banded``.
+
+    The top eigenvalue of a Gram matrix is at most its 1-norm, so the
+    matrices are visited by decreasing 1-norm of their Gram matrix and the
+    visit stops at the first one that cannot beat the maximum found: the
+    skipped matrices leave the maximum unchanged.  Each call asks for the
+    whole spectrum, as bisection for the top eigenvalue alone fails to
+    converge on the tight clusters of near-unitary factors."""
+    g = _band_adjoint(b) @ b
+    lead = g.ab.shape[:-2]
+    bound = np.abs(g.ab).sum(axis=-2).max(axis=-1).reshape(-1)
+    top = 0.0
+    for k in np.argsort(-bound, kind="stable"):
+        if bound[k] <= top:
+            break
+        lam = eig_banded(g.ab[np.unravel_index(k, lead)][:g.ku + 1], eigvals_only=True)
+        top = max(top, float(lam[-1]))
+    return float(np.sqrt(top))
+
+
+def _band_lu(b: Band):
+    """Yield (index, lu, piv, info) of ``zgbtrf`` for each matrix of b, with
+    piv 0-based and U's diagonal in row kl + ku of lu."""
+    work = np.zeros(b.ab.shape[:-2] + (2 * b.kl + b.ku + 1, b.size), dtype=complex)
+    work[..., b.kl:, :] = b.ab
+    for idx in np.ndindex(b.ab.shape[:-2]):
+        lu, piv, info = lapack.zgbtrf(work[idx], b.kl, b.ku)
+        yield idx, lu, piv, info
+
+
+def band_det(b: Band) -> np.ndarray:
+    """Determinants over the leading axes: the product of U's diagonal times
+    the sign of the row interchanges."""
+    dets = np.empty(b.ab.shape[:-2], dtype=complex)
+    swaps = np.arange(b.size)
+    for idx, lu, piv, _ in _band_lu(b):
+        sign = -1.0 if np.count_nonzero(piv != swaps) % 2 else 1.0
+        dets[idx] = sign * np.prod(lu[b.kl + b.ku])
+    return dets
+
+
+def band_invert(b: Band, tol: Tol = DEFAULT_TOL) -> np.ndarray:
+    """The dense inverse of each matrix of b from its band LU; NotInvertible
+    under the kappa_1 rule of :func:`invert`."""
+    n = b.size
+    one = np.eye(n, dtype=complex)
+    out = np.empty(b.ab.shape[:-2] + (n, n), dtype=complex)
+    for idx, lu, piv, info in _band_lu(b):
+        if info > 0:
+            raise NotInvertible(np.inf)
+        out[idx] = lapack.zgbtrs(lu, b.kl, b.ku, one, piv)[0]
+    _check_kappa(_kappa_1(b.ab, out), tol)
+    return out

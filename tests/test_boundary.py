@@ -86,6 +86,16 @@ def test_ideal_cert_sees_noisy_multiplier(rng):
     assert cert2.delta_level <= m_x * cert.delta_level + 1e-9
 
 
+def test_tensor_scale_rejects_dependent_probe_basis():
+    # the dual basis of [x, 2x] does not exist: its Gram matrix is singular
+    scn = scenarios.block_ideal_pair()
+    x = scn["c"].basis[0]
+    cert = boundary.check_delta_ideal_structure(block_h(), scn["c"], scn["d"],
+                                                [x, 2 * x])
+    with pytest.raises(ApproxKError):
+        boundary.tensor_scale_ideal_structure(cert, 2)
+
+
 # ---------------------------------------------------------------------------
 # lifts
 

@@ -2,8 +2,10 @@
 
 The homotopy discretization and the Whitehead splittings of the sigma
 reconstruction run summand by summand.  These tests hold them to the dense
-constructions on the materialized direct sum, kept here as the reference,
-and hold sigma_reconstruct to outputs pinned from the dense implementation.
+constructions on the materialized direct sum, kept here as the reference.
+sigma_reconstruct composes its result on a banded frame; these tests hold
+it to outputs pinned from the dense implementation and to the dense
+composition, also kept here as the reference.
 """
 
 import functools
@@ -15,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from approxk import boundary, cli, ops, scenarios
-from approxk.errors import InvalidInput, ReconstructionFailed
-from approxk.loops import LoopElem
+from approxk import boundary, cli, matcore, ops, scenarios
+from approxk.errors import InvalidInput, PairNotUniform, ReconstructionFailed
+from approxk.loops import LoopElem, power_z
+from approxk.wedderburn import K1Vec
 
 from test_boundary import block_h
 from test_cli import assert_report_matches
@@ -86,6 +89,66 @@ def dense_defect(path, a, b):
     prod = middle @ ops.oplus(b, ops.inv(b))
     assert ops.side_size(prod) == total == 2 * len(path) * n
     return ops.norm(ops.embed_top_left(path[0], total) - prod)
+
+
+def dense_sigma_reconstruct(u_path, u_c, u_d, h, c, d, uniform_constant=3.0,
+                            eps_floor=1e-6, whitehead_t_steps=8):
+    """sigma_reconstruct's composition on the dense 2(m+1)n frame, in the
+    frame's own order: the factors are embedded, multiplied, inverted and
+    normed as dense elements, and windings come from dense determinants."""
+    c_side, d_side = boundary.make_side(c), boundary.make_side(d)
+    int_side = boundary.intersect_sides(c_side, d_side)
+    a, b, defect = boundary._homotopy_stacks(u_path)
+    n = ops.side_size(u_path[0])
+    m = ops.arr(a).shape[-3]
+    total = 2 * (m + 1) * n
+    wc_a, wc_b = (boundary.whitehead_split(s, h, c_side, d_side,
+                                           t_steps=whitehead_t_steps,
+                                           keep_paths=False) for s in (a, b))
+    for name, wc in (("a", wc_a), ("b", wc_b)):
+        if not wc.certified:
+            raise ReconstructionFailed(wc.product_residual,
+                                       f"Whitehead split of {name}")
+    u0 = u_path[0]
+
+    def shuffle_embed(v_small):
+        # diag(a, a^-1) (+) 1_2n into the 1_n (+) a (+) a^-1 (+) 1_n layout
+        mn2 = 2 * m * n
+        p = np.r_[mn2:mn2 + n, :mn2, mn2 + n:total]
+        big = ops.embed_top_left(v_small, total)
+        return ops.like(big, ops.arr(big)[..., p[:, None], p])
+
+    ca, da, da_inv = (shuffle_embed(regroup(f, u0)) for f in (
+        wc_a.vc_path[0], wc_a.vd_path[0], ops.inv(wc_a.vd_path[0])))
+    cb, db = regroup(wc_b.vc_path[0], u0), regroup(wc_b.vd_path[0], u0)
+    v_c = ca @ (da @ cb @ da_inv)
+    v_d = da @ db
+    one = ops.eye_like(v_c)
+    r_c = ops.inv(v_c) @ ops.embed_top_left(u_c, total) - one
+    r_d = v_d @ ops.embed_top_left(ops.inv(u_d), total) - one
+    gap = ops.norm(r_c - r_d)
+    y, _ = int_side.nearest(ops.scal(0.5, r_c + r_d), unitized=False)
+    drift_c, drift_d = ops.norm(y - r_c), ops.norm(y - r_d)
+    achieved = max(drift_c, drift_d)
+    if achieved > max(uniform_constant * gap, eps_floor):
+        raise PairNotUniform(f"joint approximation {achieved:.3e}")
+    x = one + y
+    resid = ops.norm(x @ ops.inv(x) - one)
+    if resid > 1e-6:
+        raise ReconstructionFailed(resid, "unstable inverse")
+    windings = None
+    if int_side.k1(one):
+        t_c, t_d = one + r_c, one + r_d
+        for t_el, drift in ((t_c, drift_c), (t_d, drift_d)):
+            margin = 1.0 / ops.norm(ops.inv(t_el))
+            if drift >= margin:
+                raise ReconstructionFailed((drift, margin), "homotopy margin")
+        wx, wx_d, wuc, wud = (int_side.k1(t)[0] for t in (t_c, t_d, u_c, u_d))
+        if wx != wx_d or wx != wuc or wx != -wud:
+            raise ReconstructionFailed((wx, wx_d, wuc, wud), "winding mismatch")
+        windings = (wx, wuc, wud)
+    return boundary.SigmaReconstruct(x, y, float(achieved), float(gap),
+                                     windings, float(defect))
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +287,124 @@ def test_sigma_reconstruct_gates_whitehead_certificates(monkeypatch, t, scale):
     monkeypatch.setattr(boundary, "_whitehead_factors", perturbed)
     with pytest.raises(ReconstructionFailed, match="Whitehead split of a"):
         boundary.sigma_reconstruct(**sigma_case("block_pair_trivial"))
+
+
+def reconstruct_case(carrier, fiber, spread, wind, m, seed):
+    """sigma_reconstruct inputs: u_C, u_D near 1 (on a loop, times z^wind and
+    z^-wind) and the straight path of m steps from u_C u_D to 1."""
+    rng = np.random.default_rng(seed)
+    if carrier == "matrix":
+        blk = scenarios.block_ideal_pair()
+        near = [np.eye(6) + spread * z / np.linalg.norm(z, 2) for z in
+                rng.standard_normal((2, 6, 6)) + 1j * rng.standard_normal((2, 6, 6))]
+        u_c, u_d, h, c, d = near[0], near[1], block_h(), blk["c"], blk["d"]
+    else:
+        scn = scenarios.circle_split(grid=16, fiber=fiber, overlap=0.25 * np.pi)
+        shape = (2, 16, fiber, fiber)
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        z /= np.linalg.norm(z, 2, axis=(-2, -1), keepdims=True)
+        near = [LoopElem(np.eye(fiber) + spread * zi) for zi in z]
+        u_c = power_z(scn["ambient"], wind) @ near[0]
+        u_d = power_z(scn["ambient"], -wind) @ near[1]
+        h, c, d = scn["h"], scn["c"], scn["d"]
+    u = u_c @ u_d
+    one = ops.eye_like(u)
+    path = [ops.scal(1.0 - t, u) + ops.scal(t, one) for t in np.linspace(0, 1, m + 1)]
+    return dict(u_path=path, u_c=u_c, u_d=u_d, h=h, c=c, d=d, whitehead_t_steps=1)
+
+
+def outcome(fn, case):
+    try:
+        return fn(**case)
+    except Exception as err:  # noqa: BLE001 - the class is what is compared
+        return type(err)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(carrier=st.sampled_from(["matrix", "loop"]), fiber=st.integers(1, 2),
+       spread=st.sampled_from([0.0, 0.05, 0.2, 0.45]), wind=st.integers(0, 1),
+       m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_banded_reconstruct_matches_dense_composition(carrier, fiber, spread,
+                                                      wind, m, seed):
+    case = reconstruct_case(carrier, fiber, spread, wind, m, seed)
+    got = outcome(boundary.sigma_reconstruct, case)
+    want = outcome(dense_sigma_reconstruct, case)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert not isinstance(got, type), got
+    for name in ("x", "y"):
+        g, w = ops.arr(getattr(got, name)), ops.arr(getattr(want, name))
+        assert type(getattr(got, name)) is type(getattr(want, name))
+        assert g.shape == w.shape
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+    for name in ("achieved", "gap", "defect"):
+        assert close(getattr(got, name), getattr(want, name)), name
+    assert got.windings == want.windings
+
+
+def test_banded_reconstruct_takes_no_frame_sized_dense_factorization(monkeypatch):
+    # loop_reconstruct's inputs: frame side 194 over 16 samples.  No inverse
+    # or determinant of a frame-sized matrix is taken, and the one
+    # frame-sized SVD is the membership residual that nearest reports
+    scn = scenarios.circle_split(grid=16, overlap=0.25 * np.pi)
+    path = scenarios.circle_split_homotopy(scn, steps=96)
+    size = 2 * len(path) * ops.side_size(path[0])
+    seen = {"inv": 0, "det": 0, "svd": 0}
+
+    def counted(name, real):
+        def wrapper(a, *args, **kwargs):
+            if np.shape(a)[-1] == size:
+                seen[name] += 1
+            return real(a, *args, **kwargs)
+        return wrapper
+
+    linalg_impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    for mod in {np.linalg, linalg_impl}:
+        for name in seen:
+            monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    rec = boundary.sigma_reconstruct(path, scn["u_c"], scn["u_d"], scn["h"],
+                                     scn["c"], scn["d"], whitehead_t_steps=1)
+    assert rec.windings == (1, 1, -1)
+    assert ops.side_size(rec.x) == size
+    assert seen["inv"] == 0 and seen["det"] == 0
+    assert seen["svd"] <= 1
+
+
+def _fail_by_winding(monkeypatch):
+    # windings that disagree with everything else
+    monkeypatch.setattr(boundary.LoopSide, "k1", lambda self, u, tol=None: (1,))
+    monkeypatch.setattr(boundary, "det_winding", lambda dets: K1Vec((0,)))
+
+
+def _fail_by_inverse(monkeypatch):
+    real = matcore.band_invert
+    monkeypatch.setattr(matcore, "band_invert", lambda b, tol: 2.0 * real(b, tol))
+
+
+def _witness_on_circle():
+    scn = scenarios.circle_split(grid=64)
+    _, cert = boundary.build_lift_v(scn["u"], scn["h"], scn["c"], scn["d"])
+    return boundary.sigma_witness(cert, eps=0.05)
+
+
+@pytest.mark.parametrize("message, patch, call", [
+    ("winding bookkeeping", _fail_by_winding, _witness_on_circle),
+    ("unstable inverse", _fail_by_inverse,
+     lambda: boundary.sigma_reconstruct(**sigma_case("block_pair_trivial"))),
+    ("homotopy margin", None,
+     lambda: boundary.sigma_reconstruct(**sigma_case("circle_split_steps48"))),
+    ("winding mismatch", _fail_by_winding,
+     lambda: boundary.sigma_reconstruct(**sigma_case("circle_split_grid16_steps96"))),
+], ids=["bookkeeping", "unstable", "margin", "mismatch"])
+def test_reconstruction_failed_measures_numbers(monkeypatch, message, patch, call):
+    # the measured slot holds what was measured, and the text is the message
+    if patch:
+        patch(monkeypatch)
+    with pytest.raises(ReconstructionFailed, match=message) as err:
+        call()
+    assert not isinstance(err.value.measured, str)
+    assert "measured" not in str(err.value)
 
 
 # ---------------------------------------------------------------------------

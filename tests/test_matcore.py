@@ -127,3 +127,85 @@ def test_tol_rejects_nonpositive():
         for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
             with pytest.raises(InvalidInput):
                 Tol(**{name: bad})
+
+
+# ---------------------------------------------------------------------------
+# band kernels against their dense references
+
+BAND = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+band_shapes = dict(lead=st.sampled_from([(), (5,)]), n=st.integers(1, 40),
+                   kl=st.integers(0, 6), ku=st.integers(0, 6),
+                   seed=st.integers(0, 2**32 - 1))
+
+
+def random_band(rng, lead, n, kl, ku):
+    z = rng.standard_normal(lead + (n, n)) + 1j * rng.standard_normal(lead + (n, n))
+    i, j = np.indices((n, n))
+    z[..., (j - i > ku) | (i - j > kl)] = 0
+    return z
+
+
+def well_conditioned_band(rng, lead, n, kl, ku):
+    """1 + z/2 with ||z|| = 1 and band (kl, ku), rows swapped in random
+    adjacent pairs so that the LU pivots: kappa_2 <= 3, band (kl+1, ku+1)."""
+    z = random_band(rng, lead, n, kl, ku)
+    a = np.eye(n) + 0.5 * z / np.linalg.norm(z, 2, axis=(-2, -1), keepdims=True)
+    rows = np.arange(n)
+    for r in range(0, n - 1, 2):
+        if rng.random() < 0.5:
+            rows[[r, r + 1]] = rows[[r + 1, r]]
+    return a[..., rows, :]
+
+
+@BAND
+@given(**band_shapes, kl2=st.integers(0, 6), ku2=st.integers(0, 6))
+def test_band_product_matches_dense(lead, n, kl, ku, seed, kl2, ku2):
+    rng = np.random.default_rng(seed)
+    x, y = random_band(rng, lead, n, kl, ku), random_band(rng, (), n, kl2, ku2)
+    bx, by = matcore.band(x, kl, ku), matcore.band(y, kl2, ku2)
+    np.testing.assert_array_equal(matcore.band_dense(bx), x)
+    for got in (matcore.band_dense(bx @ by), bx @ y):
+        np.testing.assert_allclose(got, x @ y, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(matcore.band_dense(bx - by), x - y, rtol=0, atol=1e-15)
+
+
+@BAND
+@given(**band_shapes)
+def test_band_norm_matches_dense(lead, n, kl, ku, seed):
+    x = random_band(np.random.default_rng(seed), lead, n, kl, ku)
+    want = np.max(np.linalg.norm(x, 2, axis=(-2, -1)))
+    assert matcore.band_norm(matcore.band(x, kl, ku)) == pytest.approx(want, rel=1e-13)
+
+
+@BAND
+@given(**band_shapes)
+def test_band_lu_matches_dense(lead, n, kl, ku, seed):
+    a = well_conditioned_band(np.random.default_rng(seed), lead, n, kl, ku)
+    b = matcore.band(a, kl + 1, ku + 1)
+    dets = np.linalg.det(a)
+    assert np.all(np.abs(matcore.band_det(b) - dets) <= 1e-12 * np.abs(dets))
+    np.testing.assert_allclose(matcore.band_invert(b), np.linalg.inv(a),
+                               rtol=0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(lead=st.sampled_from([(), (5,)]), n=st.integers(2, 40),
+       kl=st.integers(0, 6), ku=st.integers(0, 6),
+       s=st.sampled_from([0.0, 1e-14, 1e-17]), seed=st.integers(0, 2**32 - 1))
+def test_band_invert_refuses_near_singular(lead, n, kl, ku, s, seed):
+    rng = np.random.default_rng(seed)
+    a = well_conditioned_band(rng, lead, n, kl, ku)
+    # one matrix of the stack gets a row scaled by s
+    a[(0,) * len(lead) + (int(rng.integers(n)),)] *= s
+    with pytest.raises(NotInvertible):
+        matcore.band_invert(matcore.band(a, kl + 1, ku + 1))
+
+
+def test_band_refuses_entries_outside_the_band():
+    a = np.eye(5, dtype=complex)
+    a[4, 1] = 1e-300
+    matcore.band(a, 3, 0)
+    with pytest.raises(InvalidInput):
+        matcore.band(a, 2, 4)
+    with pytest.raises(InvalidInput):
+        matcore.band(np.broadcast_to(a, (3, 5, 5)), 2, 4)
