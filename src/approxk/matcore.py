@@ -23,8 +23,8 @@ blocks along the diagonal of an identity), :func:`band_dense`,
 ``scipy.linalg.eig_banded``; Golub & Van Loan, *Matrix Computations*, 8.3),
 :func:`band_det` and :func:`band_invert` (from the band LU ``zgbtrf``, with
 ``zgbtrs`` for the inverse; ibid., 4.3).  :func:`band_invert` applies the
-same kappa_1 rule as :func:`invert`.  Every LAPACK call of the package is
-made here.
+same kappa_1 rule as :func:`invert`.  Every call the package makes to
+``scipy.linalg.lapack`` or ``eig_banded`` is made here.
 """
 
 from __future__ import annotations
@@ -208,7 +208,7 @@ def rank(m, tol: Tol = DEFAULT_TOL) -> int:
 # banded matrices
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Band:
     """A banded n x n matrix, or a stack of them over leading axes, in LAPACK
     general band storage: ab[..., ku + i - j, j] = a[..., i, j] for
