@@ -248,14 +248,6 @@ def _band_slots(n: int, kl: int, ku: int):
     return (ku + i - j)[inside], j[inside], inside
 
 
-def _capped(ab: np.ndarray, kl: int, ku: int) -> Band:
-    """The band with widths cut to n - 1; the rows cut hold only slots
-    outside the matrix."""
-    n = ab.shape[-1]
-    kl2, ku2 = min(kl, n - 1), min(ku, n - 1)
-    return Band(ab[..., ku - ku2:ku + kl2 + 1, :], kl2, ku2)
-
-
 def band(a, kl: int, ku: int) -> Band:
     """The band of a dense array with widths (kl, ku); InvalidInput if an
     entry outside the band is nonzero."""
@@ -279,10 +271,11 @@ def band_block_diag(blocks, start: int, size: int) -> Band:
     ab[..., s - 1, :] = 1.0
     r, c = np.indices((s, s))
     ab[..., s - 1 + r - c, start + s * np.arange(k)[:, None, None] + c] = blocks
-    return _capped(ab, s - 1, s - 1)
+    return Band(ab, s - 1, s - 1)
 
 
 def band_dense(b: Band) -> np.ndarray:
+    """The dense array of a band."""
     n = b.size
     rows, cols, inside = _band_slots(n, b.kl, b.ku)
     out = np.zeros(b.ab.shape[:-2] + (n, n), dtype=complex)
@@ -313,7 +306,9 @@ def band_matmul(x: Band, y):
         lo, hi = max(0, d), min(n, n + d)
         top = ku - x.ku - d
         out[..., top:top + rows, lo:hi] += x.ab[..., :, lo - d:hi - d] * y.ab[..., r, None, lo:hi]
-    return _capped(out, kl, ku)
+    # widths beyond n - 1 hold only slots outside the matrix
+    kl2, ku2 = min(kl, n - 1), min(ku, n - 1)
+    return Band(out[..., ku - ku2:ku + kl2 + 1, :], kl2, ku2)
 
 
 def _band_adjoint(b: Band) -> Band:
@@ -362,9 +357,9 @@ def band_det(b: Band) -> np.ndarray:
     """Determinants over the leading axes: the product of U's diagonal times
     the sign of the row interchanges."""
     dets = np.empty(b.ab.shape[:-2], dtype=complex)
-    swaps = np.arange(b.size)
+    unmoved = np.arange(b.size)
     for idx, lu, piv, _ in _band_lu(b):
-        sign = -1.0 if np.count_nonzero(piv != swaps) % 2 else 1.0
+        sign = -1.0 if np.count_nonzero(piv != unmoved) % 2 else 1.0
         dets[idx] = sign * np.prod(lu[b.kl + b.ku])
     return dets
 
