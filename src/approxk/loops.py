@@ -280,23 +280,19 @@ def arc_k0_trivialize(e: LoopElem, ideal: LoopAlg, tol: Tol = DEFAULT_TOL):
     const_mat = np.zeros((d, d), dtype=complex)
     const_mat[:r, :r] = np.eye(r)
     g_loop = LoopElem.constant(g, e.grid_size)
-    e1 = g_loop @ e @ g_loop.inv()
+    e1 = g_loop @ e @ LoopElem.constant(matcore.invert(g), e.grid_size)
 
-    runs = _circular_runs(mask)
+    # step s retracts each support run onto the sample before it: the run's
+    # j-th sample reads the sample round(frac_s * j) past that anchor
     m = e.grid_size
-    max_len = max((length for _, length in runs), default=1)
-    big_t = max(8, max_len)
-    path = []
-    for s_idx in range(big_t + 1):
-        frac = 1.0 - s_idx / big_t
-        samples = e1.samples.copy()
-        for start, length in runs:
-            anchor = (start - 1) % m
-            for off_j in range(length):
-                j = (start + off_j) % m
-                src = (anchor + int(round(frac * (off_j + 1)))) % m
-                samples[j] = e1.samples[src]
-        path.append(LoopElem(samples))
-    z = path_to_similarity(path, tol)
+    runs = _circular_runs(mask)
+    big_t = max(8, max((length for _, length in runs), default=1))
+    frac = 1.0 - np.arange(big_t + 1) / big_t
+    idx = np.tile(np.arange(m), (big_t + 1, 1))
+    for start, length in runs:
+        offs = np.arange(1, length + 1)
+        reach = np.rint(np.outer(frac, offs)).astype(int)
+        idx[:, (start - 1 + offs) % m] = (start - 1 + reach) % m
+    z = path_to_similarity([LoopElem(e1.samples[row]) for row in idx], tol)
     conj = z @ g_loop
     return r, conj, LoopElem.constant(const_mat, e.grid_size)

@@ -239,28 +239,59 @@ def similarity_witness(e, f, s: Subalg, tol: Tol = DEFAULT_TOL, seed: int = 0) -
     return wmat
 
 
+def _moved(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
+    """Positions on the leading axes where cur's matrix differs from prev's in
+    any bit; a 0-d flag for a single matrix."""
+    bits = [np.ascontiguousarray(a).view(np.uint64) for a in (prev, cur)]
+    return np.any(bits[0] != bits[1], axis=(-2, -1))
+
+
 def path_to_similarity(e_path, tol: Tol = DEFAULT_TOL):
     """Telescoping conjugator along a discrete path of idempotents.
 
     Each step uses z_i = ((2 e_{i+1} - 1)(2 e_i - 1) + 1) / 2, which is
-    invertible when the step size beats 1 / (2 max ||2 e_i - 1||).
+    invertible when the step size beats 1 / (2 max ||2 e_i - 1||).  The
+    elements must share a carrier and a size.
+
+    The norms are sup-norms over the samples of a loop (over the summands of a
+    stack), and a path usually moves only a few samples at each step.  So
+    ||2 e_0 - 1|| is taken on every sample of e_0, but ||2 e_{i+1} - 1|| and
+    ||e_{i+1} - e_i|| only on the samples where e_{i+1} differs from e_i in
+    some bit.  Any other sample of 2 e_{i+1} - 1 repeats, bit for bit, one
+    measured earlier, and its difference is 0; so the maximum, every step and
+    the first step that fails are those of the full sup-norms.  The path is
+    walked pair by pair and never stacked.
     """
     from . import ops
 
     path = list(e_path)
     if len(path) < 1:
         raise InvalidInput("empty idempotent path")
-    bound = max(ops.norm(ops.scal(2.0, e) - ops.eye_like(e)) for e in path)
+    arrays = [ops.arr(e) for e in path]
+    if len({a.shape for a in arrays}) > 1:
+        raise InvalidInput("path elements differ in carrier or size")
+    ident = eye(arrays[0].shape[-1])
+    bound = ops.sup_norm(2.0 * arrays[0] - ident)
+    steps = []
+    for prev, cur in zip(arrays, arrays[1:]):
+        moved = _moved(prev, cur)
+        if not moved.any():
+            steps.append(0.0)
+            continue
+        new = cur[moved]
+        bound = max(bound, ops.sup_norm(2.0 * new - ident))
+        steps.append(ops.sup_norm(new - prev[moved]))
     limit = 1.0 / (2.0 * max(bound, 1e-12))
-    z = ops.eye_like(path[0])
-    for i in range(len(path) - 1):
-        step = ops.norm(path[i + 1] - path[i])
+    for i, step in enumerate(steps):
         if step >= limit:
             raise PathTooCoarse(i, f"step {step:.3e} >= {limit:.3e} at index {i}")
-        sym_next = ops.scal(2.0, path[i + 1]) - ops.eye_like(path[i + 1])
-        sym_cur = ops.scal(2.0, path[i]) - ops.eye_like(path[i])
-        zi = ops.scal(0.5, sym_next @ sym_cur + ops.eye_like(path[i]))
-        z = zi @ z
+    one = ops.eye_like(path[0])
+    z = one
+    sym_cur = ops.scal(2.0, path[0]) - one
+    for e in path[1:]:
+        sym_next = ops.scal(2.0, e) - one
+        z = ops.scal(0.5, sym_next @ sym_cur + one) @ z
+        sym_cur = sym_next
     resid = ops.norm(z @ path[0] @ ops.inv(z) - path[-1])
     if resid > 1e-6:
         raise PathTooCoarse(len(path) - 1,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from approxk import boundary, loops, ops, scenarios
 from approxk.errors import GridTooCoarse, InvalidInput
 from approxk.loops import (
     LoopAlg,
@@ -107,3 +108,103 @@ def test_arc_k0_trivialize_moving_idempotent():
     assert r == 1
     resid = (conj @ e @ conj.inv() - const).norm()
     assert resid < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the arc retraction path of arc_k0_trivialize
+
+
+def dense_arc_path(e1: LoopElem, mask: np.ndarray) -> list:
+    """The retraction path of each support run onto the sample before it,
+    built sample by sample; kept as the reference for the gathered path."""
+    runs = loops._circular_runs(mask)
+    m = e1.grid_size
+    max_len = max((length for _, length in runs), default=1)
+    big_t = max(8, max_len)
+    path = []
+    for s_idx in range(big_t + 1):
+        frac = 1.0 - s_idx / big_t
+        samples = e1.samples.copy()
+        for start, length in runs:
+            anchor = (start - 1) % m
+            for off_j in range(length):
+                j = (start + off_j) % m
+                src = (anchor + int(round(frac * (off_j + 1)))) % m
+                samples[j] = e1.samples[src]
+        path.append(LoopElem(samples))
+    return path
+
+
+def retraction_case(grid: int, runs) -> tuple:
+    """An idempotent loop with a distinct rank-1 projection at every support
+    point and 0 off the support runs, and its arc ideal.  With rank 0 off the
+    support the constant conjugator is 1, so the path starts at the loop."""
+    mask = np.zeros(grid, dtype=bool)
+    for start, length in runs:
+        mask[np.arange(start, start + length) % grid] = True
+    turn = 0.01 * np.cumsum(mask)
+    vec = (np.stack([np.cos(turn), np.sin(turn)], axis=-1) * mask[:, None])[:, :, None]
+    return LoopElem(vec @ vec.transpose(0, 2, 1)), LoopAlg(grid, 2, mask)
+
+
+@pytest.mark.parametrize("grid, runs", [
+    (16, [(3, 5)]),              # shorter than the big_t = 8 floor; frac = 1/2 at s = 4
+    (16, [(13, 6)]),             # one run that wraps index 0
+    (24, [(2, 3), (9, 7)]),      # two runs, both under the floor
+    (24, [(21, 5), (8, 1)]),     # two runs, one wrapping, one of length 1
+    (40, [(5, 20)]),             # big_t = 20: frac·k lands on halves at s = 5 and 10
+    (64, [(60, 13), (20, 30)]),  # big_t = 30, both runs above the floor
+    (16, []),                    # no support: the path stands still
+])
+def test_arc_path_matches_sample_loop(monkeypatch, grid, runs):
+    e, ideal = retraction_case(grid, runs)
+    seen = []
+
+    def recorded(path, tol):
+        seen.append(path)
+        return ops.eye_like(path[0])
+
+    monkeypatch.setattr(loops, "path_to_similarity", recorded)
+    assert arc_k0_trivialize(e, ideal)[0] == 0
+    (path,) = seen
+    want = dense_arc_path(e, ideal.mask)
+    assert len(path) == len(want)
+    for got, ref in zip(path, want):
+        assert np.array_equal(got.samples, ref.samples)
+
+
+def test_arc_k0_trivialize_measures_moved_samples_only(monkeypatch):
+    # bundled circle_split: the first trivialization of its boundary class
+    scn = scenarios.circle_split()
+    _, cert = boundary.build_lift_v(scn["u"], scn["h"], scn["c"], scn["d"])
+    calls, paths = [], []
+    monkeypatch.setattr(boundary, "arc_k0_trivialize",
+                        lambda *args: calls.append(args) or arc_k0_trivialize(*args))
+    boundary.boundary_class(cert)
+    e, ideal, tol = calls[0]
+
+    real_path = loops.path_to_similarity
+    monkeypatch.setattr(loops, "path_to_similarity",
+                        lambda path, tol: paths.append(path) or real_path(path, tol))
+    decomposed = [0]
+
+    def counted(real):
+        def svd(a, *args, **kwargs):
+            decomposed[0] += int(np.prod(np.shape(a)[:-2]))
+            return real(a, *args, **kwargs)
+        return svd
+
+    linalg_impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    for mod in {np.linalg, linalg_impl}:
+        monkeypatch.setattr(mod, "svd", counted(mod.svd))
+    arc_k0_trivialize(e, ideal, tol)
+
+    (path,) = paths
+    grid = e.grid_size
+    assert grid == 720 and len(path) > 8
+    moved = sum(int(np.any(a.samples != b.samples, axis=(1, 2)).sum())
+                for a, b in zip(path, path[1:]))
+    off_support = int((~ideal.mask).sum())
+    # e_0 and the residual check take every sample; each moved sample takes
+    # ||2e - 1|| and its step; the off-support check takes its own samples
+    assert decomposed[0] <= 2 * grid + 2 * moved + off_support + 8
