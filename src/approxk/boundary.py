@@ -11,12 +11,13 @@ and :class:`LoopSide`, which implement the same methods; a new carrier
 implements exactly these:
 
 - ``nearest(x, unitized)``: witness and residual of membership at any
-  amplification (a matrix side projects block by block);
+  amplification, the residual of a stack being the max over its summands
+  (a matrix side projects block by block);
 - ``intersect(other, tol)``: the side of the intersection algebra (a
   matrix side reads it off principal angles);
 - ``tensor(m)``: the side of the algebra tensored with M_m;
-- ``random_element(m, rng)``: a random unit-norm ambient element at
-  fiber amplification m;
+- ``random_elements(m, count, rng)``: a stack of count random unit-norm
+  ambient elements at fiber amplification m;
 - ``aug_diff(e, half)``: scalar-rank mismatch of e against 1_half (+) 0;
 - ``boundary_class(e, half, tol, seed)``: the class [e] - [1_half (+) 0];
 - ``trivializer(e, half, tol, seed)``: an invertible w with
@@ -45,7 +46,7 @@ from .errors import (
 )
 from .loops import (LoopAlg, LoopElem, arc_k0_trivialize, det_winding, loop_membership,
                     winding_k1)
-from .matcore import DEFAULT_TOL, Tol, as_matrix, eye, op_norm
+from .matcore import DEFAULT_TOL, Tol, as_matrix, eye
 from .subalg import Subalg, Subspace, unitize
 from .wedderburn import K0Vec, decompose, k0_class, similarity_witness
 
@@ -156,10 +157,11 @@ class MatrixSide:
     def tensor(self, m: int) -> "MatrixSide":
         return MatrixSide(subalg.tensor_with_full(self.alg, m))
 
-    def random_element(self, m: int, rng) -> np.ndarray:
+    def random_elements(self, m: int, count: int, rng) -> ops.Stack:
         n = self.ambient_dim * m
-        r = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        return r / op_norm(r)
+        g = rng.standard_normal((count, 2, n, n))
+        r = ops.Stack(g[:, 0] + 1j * g[:, 1])
+        return ops.Stack(r.summands / ops.summand_norms(r)[:, None, None])
 
     def aug_diff(self, e, half: int) -> int:
         if self.alg.is_unital_in_ambient:
@@ -206,10 +208,11 @@ class LoopSide:
         old = self.alg
         return LoopSide(LoopAlg(old.grid_size, old.fiber_dim * m, old.support_mask))
 
-    def random_element(self, m: int, rng) -> LoopElem:
-        shape = (self.alg.grid_size,) + (self.alg.fiber_dim * m,) * 2
-        el = LoopElem(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        return ops.scal(1.0 / ops.norm(el), el)
+    def random_elements(self, m: int, count: int, rng) -> ops.Stack:
+        shape = (count, 2, self.alg.grid_size) + (self.alg.fiber_dim * m,) * 2
+        g = rng.standard_normal(shape)
+        r = np.moveaxis(g[:, 0] + 1j * g[:, 1], 0, -3)
+        return ops.unit_summands(ops.Stack(r), 0.0)
 
     def aug_diff(self, e: LoopElem, half: int) -> int:
         off = e.samples[~self.alg.mask]
@@ -284,25 +287,14 @@ class IdealCert:
         return self.delta_level <= delta
 
 
-def _probe_elements(x_basis, seed: int, count: int):
-    """Basis elements plus random unit-norm complex combinations."""
-    probes = list(x_basis)
-    rng = np.random.default_rng(seed)
-    d = len(x_basis)
-    for _ in range(count):
-        coeffs = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        x = ops.zero_like(x_basis[0])
-        for cj, bj in zip(coeffs, x_basis):
-            x = x + ops.scal(cj, bj)
-        nx = ops.norm(x)
-        if nx > 1e-12:
-            probes.append(ops.scal(1.0 / nx, x))
-    return probes
-
-
 def check_delta_ideal_structure(h, c, d, x_basis, tol: Tol = DEFAULT_TOL,
                                 seed: int = 0, random_probes: int = 50) -> IdealCert:
-    """Measure how well (h, C, D) splits the subspace spanned by x_basis."""
+    """Measure how well (h, C, D) splits the subspace spanned by x_basis.
+
+    The probes are the basis elements and random_probes random complex
+    combinations of them, each scaled to unit norm, as the summands of one
+    stack; a probe of norm below 1e-12 is dropped.
+    """
     check_contraction(h)
     c_side = make_side(c)
     d_side = make_side(d)
@@ -310,22 +302,25 @@ def check_delta_ideal_structure(h, c, d, x_basis, tol: Tol = DEFAULT_TOL,
     basis = list(x_basis.basis) if isinstance(x_basis, Subspace) else list(x_basis)
     if not basis:
         raise InvalidInput("empty probe subspace")
+    if random_probes < 0:
+        raise InvalidInput(f"random_probes must be >= 0, got {random_probes}")
+    b = ops.arr(ops.stack(basis))
+    g = np.random.default_rng(seed).standard_normal((random_probes, 2, len(basis)))
+    coeffs = g[:, 0] + 1j * g[:, 1]
+    # one basis element at a time, so each probe is rounded as c_0 b_0 + c_1 b_1 + ...
+    mixed = sum(coeffs[:, j, None, None] * b[..., j, None, :, :] for j in range(len(basis)))
+    x = ops.unit_summands(ops.Stack(np.concatenate([b, mixed], axis=-3)), 1e-12)
+    if x.summands.shape[-3] == 0:
+        raise InvalidInput("every probe has norm below 1e-12")
     hbar = h_one_minus(h)
     h_hbar = h_prod(h, hbar)
     h2_hbar = h_prod(h, h_hbar)
-    worst = [0.0] * 5
-    for x in _probe_elements(basis, seed, random_probes):
-        nx = ops.norm(x)
-        if nx < 1e-12:
-            continue
-        comm = ops.norm(h_apply(h, x, "left") - h_apply(h, x, "right")) / nx
-        _, rc = c_side.nearest(h_apply(h, x), unitized=False)
-        _, rd = d_side.nearest(h_apply(hbar, x), unitized=False)
-        _, ri1 = int_side.nearest(h_apply(h_hbar, x), unitized=False)
-        _, ri2 = int_side.nearest(h_apply(h2_hbar, x), unitized=False)
-        for i, val in enumerate((comm, rc / nx, rd / nx, ri1 / nx, ri2 / nx)):
-            worst[i] = max(worst[i], float(val))
-    return IdealCert(h, c_side, d_side, int_side, basis, tuple(worst), seed)
+    measured = (ops.norm(h_apply(h, x, "left") - h_apply(h, x, "right")),
+                c_side.nearest(h_apply(h, x), unitized=False)[1],
+                d_side.nearest(h_apply(hbar, x), unitized=False)[1],
+                int_side.nearest(h_apply(h_hbar, x), unitized=False)[1],
+                int_side.nearest(h_apply(h2_hbar, x), unitized=False)[1])
+    return IdealCert(h, c_side, d_side, int_side, basis, tuple(map(float, measured)), seed)
 
 
 def _dual_constant(x_basis) -> float:
@@ -342,13 +337,9 @@ def _dual_constant(x_basis) -> float:
         raise InvalidInput("probe basis is linearly dependent")
     gram = np.conj(flats) @ flats.T
     duals = np.linalg.solve(gram, np.conj(flats))
-    m_const = 0.0
-    for row in duals:
-        slices = np.conj(row).reshape((-1,) + unit[0].shape[-2:])
-        nuc = float(sum(np.sum(np.linalg.svd(s, compute_uv=False))
-                        for s in slices))
-        m_const = max(m_const, nuc)
-    return n * m_const
+    slices = np.conj(duals).reshape((n, -1) + unit[0].shape[-2:])
+    nuclear = np.linalg.svd(slices, compute_uv=False).sum(axis=(-2, -1))
+    return n * float(nuclear.max())
 
 
 def tensor_scale_ideal_structure(cert: IdealCert, m: int,
@@ -617,8 +608,7 @@ def _homotopy_stacks(u_path, max_step: float = 0.5):
     if ops.sup_norm(p[..., -1, :, :] - one) > 1e-9:
         raise InvalidInput("path must end at the identity")
     m = p.shape[-3] - 1
-    steps = np.linalg.norm(p[..., 1:, :, :] - p[..., :-1, :, :], 2, axis=(-2, -1))
-    steps = steps.reshape(-1, m).max(axis=0)
+    steps = ops.summand_norms(ops.Stack(p[..., 1:, :, :] - p[..., :-1, :, :]))
     coarse = np.flatnonzero(steps >= max_step)
     if coarse.size:
         i = int(coarse[0])
@@ -921,30 +911,23 @@ def uniformity_probe(c, d, sample_count: int = 50, b_dims=(1, 2, 3),
     """
     c_side = make_side(c)
     d_side = make_side(d)
+    if sample_count < 0:
+        raise InvalidInput(f"sample_count must be >= 0, got {sample_count}")
     rng = np.random.default_rng(seed)
     samples = []
     ratios = []
     for m in b_dims:
         cm, dm = (c_side, d_side) if m == 1 else (c_side.tensor(m), d_side.tensor(m))
         im = intersect_sides(cm, dm, tol)
-        for _ in range(sample_count):
-            r = c_side.random_element(m, rng)
-            cc, _ = cm.nearest(r, unitized=False)
-            ncc = ops.norm(cc)
-            if ncc < 1e-9:
-                continue
-            cc = ops.scal(1.0 / ncc, cc)
-            dd, _ = dm.nearest(cc, unitized=False)
-            delta_in = ops.norm(cc - dd)
-            mid = ops.scal(0.5, cc + dd)
-            x, _ = im.nearest(mid, unitized=False)
-            achieved = max(ops.norm(x - cc), ops.norm(x - dd))
-            samples.append((float(delta_in), float(achieved)))
-            if delta_in > 1e-12:
-                ratios.append(float(achieved / delta_in))
-            elif achieved > 1e-9:
-                ratios.append(float("inf"))
-            else:
-                ratios.append(0.0)
+        cc, _ = cm.nearest(c_side.random_elements(m, sample_count, rng), unitized=False)
+        cc = ops.unit_summands(cc, 1e-9)
+        dd, _ = dm.nearest(cc, unitized=False)
+        delta_in = ops.summand_norms(cc - dd)
+        x, _ = im.nearest(ops.scal(0.5, cc + dd), unitized=False)
+        achieved = np.maximum(ops.summand_norms(x - cc), ops.summand_norms(x - dd))
+        ratio = np.where(achieved > 1e-9, np.inf, 0.0)
+        np.divide(achieved, delta_in, out=ratio, where=delta_in > 1e-12)
+        samples.extend(zip(delta_in.tolist(), achieved.tolist()))
+        ratios.extend(ratio.tolist())
     sup = max(ratios) if ratios else 0.0
     return UniformityReport(samples, ratios, float(sup), tuple(b_dims), seed)

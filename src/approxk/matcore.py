@@ -76,14 +76,6 @@ def op_norm(m) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def cond(m) -> float:
-    a = as_matrix(m)
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] == 0.0:
-        return np.inf
-    return float(s[0] / s[-1])
-
-
 def _kappa_1(a: np.ndarray, a_inv: np.ndarray) -> float:
     """The largest ||a||_1 ||a^-1||_1 over the leading axes.  The 1-norm is
     the largest absolute column sum, so a may also be the storage of a

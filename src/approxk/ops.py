@@ -11,6 +11,8 @@ summand axis just before the two matrix axes, ``(m, n, n)`` over matrices
 and ``(G, m, n, n)`` over loops.  Block-diagonal algebra acts summand by
 summand, so the helpers here compute the direct sum's products, inverses and
 2x2 block forms summand by summand, and its norm as the max over summands.
+:func:`summand_norms` gives the norm of each summand, and
+:func:`unit_summands` scales the summands to unit norm.
 
 :func:`inv` is the one guarded inverse :func:`matcore.invert` on every
 carrier: it raises NotInvertible when the 1-norm condition number
@@ -93,13 +95,28 @@ def _eye(lead: tuple, n: int) -> np.ndarray:
 
 
 def sup_norm(a: np.ndarray) -> float:
-    """The largest operator norm over the leading axes of an array."""
-    return float(np.max(np.linalg.norm(a, 2, axis=(-2, -1))))
+    """The largest operator norm over the leading axes of an array; 0 when
+    they are empty."""
+    return float(np.max(np.linalg.norm(a, 2, axis=(-2, -1)), initial=0.0))
 
 
 def norm(x) -> float:
     """Operator norm; for a loop, the sup over its samples."""
     return sup_norm(arr(x))
+
+
+def summand_norms(s: Stack) -> np.ndarray:
+    """The operator norm of each summand of a stack; over loops, the sup over
+    the samples."""
+    norms = np.linalg.norm(s.summands, 2, axis=(-2, -1))
+    return np.max(norms, axis=tuple(range(norms.ndim - 1)))
+
+
+def unit_summands(s: Stack, floor: float) -> Stack:
+    """The summands of norm at least floor, each scaled to unit norm."""
+    norms = summand_norms(s)
+    keep = norms >= floor
+    return Stack(s.summands[..., keep, :, :] * (1.0 / norms[keep])[:, None, None])
 
 
 def inv(x):

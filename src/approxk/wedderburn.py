@@ -16,7 +16,8 @@ import dataclasses
 import numpy as np
 
 from . import matcore
-from .errors import DecompositionFailure, InvalidInput, NotAClass, NotEquivalent, PathTooCoarse
+from .errors import (DecompositionFailure, InvalidInput, NotAClass, NotEquivalent, NotInvertible,
+                     PathTooCoarse)
 from .matcore import DEFAULT_TOL, Tol, adjoint, as_matrix, eye, kron, op_norm
 from .subalg import Subalg, Subspace, amplify, unitize
 
@@ -191,10 +192,11 @@ def k0_class(e, w: WedderburnData, tol: Tol = DEFAULT_TOL) -> K0Vec:
     return K0Vec(tuple(entries), w.signature)
 
 
-def algebra_conjugator(e, f, span: Subspace, tol: Tol = DEFAULT_TOL, seed: int = 0,
-                       cond_max: float = 1e8):
-    """An invertible w in span with w e w^-1 ~ f, found from the null space of
-    w -> w e - f w; raises NotEquivalent when no invertible solution exists."""
+def algebra_conjugator(e, f, span: Subspace, tol: Tol = DEFAULT_TOL, seed: int = 0):
+    """(w, w^-1) for an invertible w in span with w e w^-1 ~ f, found from the
+    null space of w -> w e - f w: the first random intertwiner that the
+    guarded inverse :func:`matcore.invert` accepts.  Raises NotEquivalent when
+    no invertible solution is found."""
     e = as_matrix(e)
     f = as_matrix(f)
     basis = span.basis
@@ -210,8 +212,10 @@ def algebra_conjugator(e, f, span: Subspace, tol: Tol = DEFAULT_TOL, seed: int =
         c = rng.standard_normal(null.shape[0]) + 1j * rng.standard_normal(null.shape[0])
         coeffs = c @ null
         wmat = sum(coeffs[j] * basis[j] for j in range(len(basis)))
-        if matcore.cond(wmat) <= cond_max:
-            return wmat
+        try:
+            return wmat, matcore.invert(wmat, tol)
+        except NotInvertible:
+            continue
     raise NotEquivalent("no invertible intertwiner found in the null space")
 
 
@@ -232,8 +236,8 @@ def similarity_witness(e, f, s: Subalg, tol: Tol = DEFAULT_TOL, seed: int = 0) -
         raise NotEquivalent(f"K0 classes differ: {ce.entries} vs {cf.entries}")
     k = e.shape[0] // s.ambient_dim
     span = amplify(unitize(s), k)
-    wmat = algebra_conjugator(e, f, span, tol, seed=seed)
-    resid = op_norm(wmat @ e @ matcore.invert(wmat, tol) - f)
+    wmat, wmat_inv = algebra_conjugator(e, f, span, tol, seed=seed)
+    resid = op_norm(wmat @ e @ wmat_inv - f)
     if resid > 1e-8:
         raise NotEquivalent(f"conjugation residual {resid:.3e} exceeds 1e-8")
     return wmat

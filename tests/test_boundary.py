@@ -96,6 +96,27 @@ def test_tensor_scale_rejects_dependent_probe_basis():
         boundary.tensor_scale_ideal_structure(cert, 2)
 
 
+@pytest.mark.parametrize("basis, probes", [
+    ([np.zeros((6, 6))], 50),           # no probe survives: nothing measured
+    ([1e-13 * np.eye(6)], 50),
+    ([np.eye(6), np.eye(12)], 50),      # summands of different sizes
+    ([np.eye(6)], -1),
+])
+def test_ideal_cert_rejects_degenerate_probe_sets(basis, probes):
+    scn = scenarios.block_ideal_pair()
+    with pytest.raises(InvalidInput):
+        boundary.check_delta_ideal_structure(block_h(), scn["c"], scn["d"], basis,
+                                             random_probes=probes)
+
+
+def test_uniformity_probe_sample_counts():
+    scn = scenarios.block_ideal_pair()
+    rep = boundary.uniformity_probe(scn["c"], scn["d"], sample_count=0)
+    assert rep.samples == rep.ratios == [] and rep.ratio_sup == 0.0
+    with pytest.raises(InvalidInput):
+        boundary.uniformity_probe(scn["c"], scn["d"], sample_count=-1)
+
+
 # ---------------------------------------------------------------------------
 # lifts
 

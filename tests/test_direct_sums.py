@@ -5,7 +5,9 @@ reconstruction run summand by summand.  These tests hold them to the dense
 constructions on the materialized direct sum, kept here as the reference.
 sigma_reconstruct composes its result on a banded frame; these tests hold
 it to outputs pinned from the dense implementation and to the dense
-composition, also kept here as the reference.
+composition, also kept here as the reference.  The probe sets of
+check_delta_ideal_structure and uniformity_probe are stacks too; these tests
+hold them to the per-probe loops, kept here as the reference.
 """
 
 import functools
@@ -442,3 +444,243 @@ def test_cli_exits_2_on_a_summand_axis(monkeypatch, tmp_path, capsys):
                                 "checks": [{"check": "whitehead"}]}))
     assert cli.main(["run", str(path)]) == 2
     assert "InvalidInput" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# probe sets as stacks: the per-probe loops, kept here as the reference
+
+
+def looped_probe_elements(x_basis, seed: int, count: int):
+    """Basis elements plus random unit-norm complex combinations."""
+    probes = list(x_basis)
+    rng = np.random.default_rng(seed)
+    d = len(x_basis)
+    for _ in range(count):
+        coeffs = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        x = ops.zero_like(x_basis[0])
+        for cj, bj in zip(coeffs, x_basis):
+            x = x + ops.scal(cj, bj)
+        nx = ops.norm(x)
+        if nx > 1e-12:
+            probes.append(ops.scal(1.0 / nx, x))
+    return probes
+
+
+def looped_check_delta_ideal_structure(h, c, d, x_basis, tol=matcore.DEFAULT_TOL,
+                                       seed: int = 0, random_probes: int = 50):
+    """check_delta_ideal_structure one probe at a time; returns measured."""
+    boundary.check_contraction(h)
+    c_side = boundary.make_side(c)
+    d_side = boundary.make_side(d)
+    int_side = boundary.intersect_sides(c_side, d_side, tol)
+    basis = list(x_basis)
+    if not basis:
+        raise InvalidInput("empty probe subspace")
+    h_apply = boundary.h_apply
+    hbar = boundary.h_one_minus(h)
+    h_hbar = boundary.h_prod(h, hbar)
+    h2_hbar = boundary.h_prod(h, h_hbar)
+    worst = [0.0] * 5
+    for x in looped_probe_elements(basis, seed, random_probes):
+        nx = ops.norm(x)
+        if nx < 1e-12:
+            continue
+        comm = ops.norm(h_apply(h, x, "left") - h_apply(h, x, "right")) / nx
+        _, rc = c_side.nearest(h_apply(h, x), unitized=False)
+        _, rd = d_side.nearest(h_apply(hbar, x), unitized=False)
+        _, ri1 = int_side.nearest(h_apply(h_hbar, x), unitized=False)
+        _, ri2 = int_side.nearest(h_apply(h2_hbar, x), unitized=False)
+        for i, val in enumerate((comm, rc / nx, rd / nx, ri1 / nx, ri2 / nx)):
+            worst[i] = max(worst[i], float(val))
+    return tuple(worst)
+
+
+def looped_dual_constant(x_basis) -> float:
+    """_dual_constant with one SVD per slice of each dual row."""
+    n = len(x_basis)
+    unit = [ops.arr(ops.scal(1.0 / ops.norm(x), x)) for x in x_basis]
+    flats = np.array([x.ravel() for x in unit])
+    if matcore.rank(flats) < n:
+        raise InvalidInput("probe basis is linearly dependent")
+    gram = np.conj(flats) @ flats.T
+    duals = np.linalg.solve(gram, np.conj(flats))
+    m_const = 0.0
+    for row in duals:
+        slices = np.conj(row).reshape((-1,) + unit[0].shape[-2:])
+        nuc = float(sum(np.sum(np.linalg.svd(s, compute_uv=False))
+                        for s in slices))
+        m_const = max(m_const, nuc)
+    return n * m_const
+
+
+def looped_random_element(side, m: int, rng):
+    """One random unit-norm ambient element, as each side drew it."""
+    if isinstance(side, boundary.MatrixSide):
+        n = side.ambient_dim * m
+        r = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return r / matcore.op_norm(r)
+    shape = (side.alg.grid_size,) + (side.alg.fiber_dim * m,) * 2
+    el = LoopElem(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return ops.scal(1.0 / ops.norm(el), el)
+
+
+def looped_uniformity_probe(c, d, sample_count: int = 50, b_dims=(1, 2, 3),
+                            seed: int = 0, tol=matcore.DEFAULT_TOL):
+    """uniformity_probe one sample at a time; returns (samples, ratios, sup)."""
+    c_side = boundary.make_side(c)
+    d_side = boundary.make_side(d)
+    rng = np.random.default_rng(seed)
+    samples = []
+    ratios = []
+    for m in b_dims:
+        cm, dm = (c_side, d_side) if m == 1 else (c_side.tensor(m), d_side.tensor(m))
+        im = boundary.intersect_sides(cm, dm, tol)
+        for _ in range(sample_count):
+            r = looped_random_element(c_side, m, rng)
+            cc, _ = cm.nearest(r, unitized=False)
+            ncc = ops.norm(cc)
+            if ncc < 1e-9:
+                continue
+            cc = ops.scal(1.0 / ncc, cc)
+            dd, _ = dm.nearest(cc, unitized=False)
+            delta_in = ops.norm(cc - dd)
+            mid = ops.scal(0.5, cc + dd)
+            x, _ = im.nearest(mid, unitized=False)
+            achieved = max(ops.norm(x - cc), ops.norm(x - dd))
+            samples.append((float(delta_in), float(achieved)))
+            if delta_in > 1e-12:
+                ratios.append(float(achieved / delta_in))
+            elif achieved > 1e-9:
+                ratios.append(float("inf"))
+            else:
+                ratios.append(0.0)
+    sup = max(ratios) if ratios else 0.0
+    return samples, ratios, float(sup)
+
+
+def perturbed(base, rng, spread):
+    """A positive contraction within about spread of the hermitian base."""
+    n = base.shape[0]
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    w, v = np.linalg.eigh(base + spread * (g + g.conj().T) / np.linalg.norm(g, 2) / 2)
+    return (v * np.clip(w, 0.0, 1.0)) @ v.conj().T
+
+
+def probe_case(kind, seed, spread, extra, tiny, foreign=False):
+    """(h, C, D, x_basis) on a scenario; spread perturbs the multiplier,
+    extra adds random basis elements and tiny one of norm 1e-13.  A foreign
+    multiplier lives on the other carrier, which h_apply refuses."""
+    rng = np.random.default_rng(seed)
+    if kind == "circle_split":
+        scn = scenarios.circle_split(grid=int(rng.integers(16, 65)),
+                                     fiber=int(rng.integers(1, 3)))
+        h = np.clip(scn["h"] + spread * rng.uniform(-1, 1, scn["h"].shape), 0.0, 1.0)
+        basis = list(scn["x_basis"])
+        shape = basis[0].samples.shape
+
+        def draw():
+            return LoopElem(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    else:
+        if kind == "block_pair":
+            scn, base = scenarios.block_ideal_pair(), block_h()
+        else:
+            scn = scenarios.twisted_pair(conj=scenarios.random_unitary(4, rng))
+            base = np.diag(rng.integers(0, 2, 4)).astype(complex)
+        n = base.shape[0]
+        h = perturbed(base, rng, spread) if spread else base
+        basis = [np.eye(n, dtype=complex)]
+
+        def draw():
+            return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    basis += [draw() for _ in range(extra)]
+    if tiny:
+        basis.append(ops.scal(1e-13, draw()))
+    if foreign:
+        h = np.eye(2) if kind == "circle_split" else np.full(16, 0.5)
+    return h, scn["c"], scn["d"], basis
+
+
+def result(fn, *args, **kwargs):
+    """fn's return value, or the class of the exception it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as err:  # the class is the result
+        return type(err)
+
+
+def same_floats(got, want):
+    """Equal within 1e-12 relative to the unit-norm probes, zeros staying zero."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g == 0) == (w == 0), (got, want)
+        assert g == w or close(g, w), (got, want)
+
+
+KINDS = ["block_pair", "twisted_pair", "circle_split"]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**16),
+       spread=st.sampled_from([0.0, 1e-3, 0.2]), extra=st.integers(0, 2),
+       tiny=st.booleans(), foreign=st.sampled_from([False] * 7 + [True]),
+       probes=st.integers(0, 8))
+def test_stacked_probes_match_probe_loop(kind, seed, spread, extra, tiny, foreign,
+                                         probes):
+    h, c, d, basis = probe_case(kind, seed, spread, extra, tiny, foreign)
+    got = result(boundary.check_delta_ideal_structure, h, c, d, basis,
+                 seed=seed, random_probes=probes)
+    want = result(looped_check_delta_ideal_structure, h, c, d, basis,
+                  seed=seed, random_probes=probes)
+    if isinstance(want, type):
+        assert got is want
+        return
+    same_floats(got.measured, want)
+    got_m, want_m = (result(f, basis) for f in (boundary._dual_constant,
+                                                looped_dual_constant))
+    assert got_m is want_m if isinstance(want_m, type) else close(got_m, want_m)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**16),
+       count=st.integers(0, 6), same=st.booleans(),
+       b_dims=st.lists(st.sampled_from([1, 2, 3, 1, 2, 3, 0]), min_size=1, max_size=3))
+def test_stacked_uniformity_matches_sample_loop(kind, seed, count, same, b_dims):
+    # C paired with itself takes the zero-ratio branch; b_dims 0 raises
+    _, c, d, _ = probe_case(kind, seed, 0.0, 0, False)
+    d = c if same else d
+    got = result(boundary.uniformity_probe, c, d, sample_count=count,
+                 b_dims=tuple(b_dims), seed=seed)
+    want = result(looped_uniformity_probe, c, d, sample_count=count,
+                  b_dims=tuple(b_dims), seed=seed)
+    if isinstance(want, type):
+        assert got is want
+        return
+    samples, ratios, sup = want
+    assert len(got.samples) == len(samples)
+    for pair, ref in zip(got.samples, samples):
+        same_floats(pair, ref)
+    same_floats(got.ratios, ratios)
+    same_floats([got.ratio_sup], [sup])
+
+
+def test_probe_work_does_not_grow_with_the_probe_count(monkeypatch):
+    h, c, d, basis = probe_case("block_pair", 5, 1e-3, 1, False)
+    calls = [0]
+
+    def counted(real):
+        def svd(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+        return svd
+
+    linalg_impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    for mod in {np.linalg, linalg_impl}:
+        monkeypatch.setattr(mod, "svd", counted(mod.svd))
+    counts = []
+    for probes in (5, 50):
+        calls[0] = 0
+        boundary.check_delta_ideal_structure(h, c, d, basis, random_probes=probes)
+        counts.append(calls[0])
+    # one SVD call per norm: the probe norms and the five residuals, plus
+    # the setup, whatever the number of probes
+    assert counts[0] == counts[1] <= 12, counts
