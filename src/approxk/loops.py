@@ -131,7 +131,7 @@ class LoopElem:
         return ops.eye_like(self)
 
     def __matmul__(self, other):
-        return LoopElem(self.samples @ other.samples)
+        return LoopElem(matcore.matmul(self.samples, other.samples))
 
     def __add__(self, other):
         if isinstance(other, LoopElem):
@@ -260,7 +260,7 @@ def arc_k0_trivialize(e: LoopElem, ideal: LoopAlg, tol: Tol = DEFAULT_TOL):
         raise NoWitness("not a proper arc ideal: no off-support samples")
     off = e.samples[~mask]
     f_inf = off.mean(axis=0)
-    dev = float(np.max(np.linalg.norm(off - f_inf, 2, axis=(1, 2))))
+    dev = ops.sup_norm(off - f_inf)
     if dev > 1e-6:
         raise NoWitness(f"off-support samples vary by {dev:.3e}; not in the unitized ideal")
     d = e.side

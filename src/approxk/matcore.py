@@ -14,6 +14,22 @@ axes (loop samples, summand stacks), and raises NotInvertible when kappa_1
 exceeds ``Tol.invert_cond_max`` or numpy finds the input exactly singular.
 :func:`eig` takes the inverse of its eigenvector basis from the same kernel.
 
+Every operator norm is taken by :func:`op_norms`, over any leading axes,
+and :func:`op_norm` is its one-matrix case.  The samples of loops over
+small fibers are 1 x 1 or 2 x 2, where a LAPACK SVD per matrix costs far
+more than the arithmetic, so those two sides have closed forms: |a| for
+side 1, and for side 2 s sqrt(lam), where s is the largest entry modulus
+and lam = (p + q)/2 + hypot((p - q)/2, |r|) is the top eigenvalue of the
+Gram matrix [[p, r], [r*, q]] of a / s.  Its error is a few ulps at any
+scale: a / s has an entry of modulus 1 and none larger, so p + q lies in
+[1, 4] and nothing over- or underflows; p and q are sums of nonnegative
+terms, so their relative error is O(eps), and r's absolute error is
+O(eps); lam is the sum of two nonnegative terms and at least (p + q)/2, so
+these absolute errors are O(eps) relative to lam, and sqrt halves them.
+Other sides take the SVD.  :func:`matmul` is the product over leading
+axes; for 2 x 2 factors it is the sum of two broadcast outer products, with
+no BLAS call per matrix.
+
 Banded matrices are :class:`Band` values in LAPACK general band storage,
 over any leading axes.  The band kernels are :func:`band` (from a dense
 array, refusing entries outside the band), :func:`band_block_diag` (square
@@ -70,10 +86,40 @@ def adjoint(m: np.ndarray) -> np.ndarray:
     return np.conj(m).T
 
 
+def op_norms(a) -> np.ndarray:
+    """The operator norm of every matrix over the leading axes of a.
+
+    Side 1 is |a|.  Side 2 scales each matrix by s, its largest entry
+    modulus, and reads s sqrt(lam) off the top eigenvalue lam of the Gram
+    matrix [[p, r], [r*, q]] of the scaled matrix; any other shape takes a
+    LAPACK SVD per matrix."""
+    a = np.asarray(a)
+    if a.shape[-2:] == (1, 1):
+        return np.abs(a[..., 0, 0])
+    if a.shape[-2:] != (2, 2):
+        return np.linalg.norm(a, 2, axis=(-2, -1))
+    mod = np.abs(a)
+    s = mod.max(axis=(-2, -1))
+    safe = np.where(s > 0, s, 1.0)[..., None, None]
+    sq = (mod / safe) ** 2
+    b = a / safe
+    p, q = sq[..., 0, 0] + sq[..., 1, 0], sq[..., 0, 1] + sq[..., 1, 1]
+    r = np.abs(np.conj(b[..., 0, 0]) * b[..., 0, 1] + np.conj(b[..., 1, 0]) * b[..., 1, 1])
+    return s * np.sqrt((p + q) / 2 + np.hypot((p - q) / 2, r))
+
+
 def op_norm(m) -> float:
     """Operator (spectral) norm: the largest singular value."""
-    a = as_matrix(m)
-    return float(np.linalg.norm(a, 2))
+    return float(op_norms(as_matrix(m)))
+
+
+def matmul(a, b) -> np.ndarray:
+    """a @ b over broadcast leading axes; 2 x 2 factors are multiplied
+    entrywise, as the sum of two outer products of a's columns and b's rows,
+    with no BLAS call per matrix."""
+    if a.shape[-2:] == b.shape[-2:] == (2, 2):
+        return a[..., :, 0, None] * b[..., None, 0, :] + a[..., :, 1, None] * b[..., None, 1, :]
+    return a @ b
 
 
 def _kappa_1(a: np.ndarray, a_inv: np.ndarray) -> float:

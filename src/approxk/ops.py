@@ -14,6 +14,12 @@ summand, so the helpers here compute the direct sum's products, inverses and
 :func:`summand_norms` gives the norm of each summand, and
 :func:`unit_summands` scales the summands to unit norm.
 
+Norms come from the kernel :func:`matcore.op_norms` and products of loops
+and stacks from :func:`matcore.matmul`.  Both have closed forms for the
+1x1 and 2x2 samples that loops over small fibers consist of, where a LAPACK
+or BLAS call per sample would cost most of the time; see :mod:`matcore` for
+their error argument.
+
 :func:`inv` is the one guarded inverse :func:`matcore.invert` on every
 carrier: it raises NotInvertible when the 1-norm condition number
 ||a||_1 ||a^-1||_1, maximized over loop samples and summands, exceeds
@@ -45,7 +51,7 @@ class Stack:
         self.summands = summands
 
     def __matmul__(self, other):
-        return Stack(self.summands @ other.summands)
+        return Stack(matcore.matmul(self.summands, other.summands))
 
     def __add__(self, other):
         return Stack(self.summands + other.summands)
@@ -97,7 +103,7 @@ def _eye(lead: tuple, n: int) -> np.ndarray:
 def sup_norm(a: np.ndarray) -> float:
     """The largest operator norm over the leading axes of an array; 0 when
     they are empty."""
-    return float(np.max(np.linalg.norm(a, 2, axis=(-2, -1)), initial=0.0))
+    return float(np.max(matcore.op_norms(a), initial=0.0))
 
 
 def norm(x) -> float:
@@ -108,7 +114,7 @@ def norm(x) -> float:
 def summand_norms(s: Stack) -> np.ndarray:
     """The operator norm of each summand of a stack; over loops, the sup over
     the samples."""
-    norms = np.linalg.norm(s.summands, 2, axis=(-2, -1))
+    norms = matcore.op_norms(s.summands)
     return np.max(norms, axis=tuple(range(norms.ndim - 1)))
 
 

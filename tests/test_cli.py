@@ -1,7 +1,9 @@
+import inspect
 import json
 import os
 import pathlib
 
+import numpy as np
 import pytest
 
 from approxk import boundary, cli
@@ -66,6 +68,27 @@ def test_bundled_reports_match_pinned(tmp_path, name):
     assert run_cli(["run", name, "--seed", "7", "--out", str(out)]) == 0
     want = json.loads((DATA / f"{name}.seed7.json").read_text())
     assert_report_matches(json.loads(out.read_text()), want)
+
+
+def test_circle_split_report_takes_no_small_svds(tmp_path, monkeypatch):
+    # operator norms of 1x1 and 2x2 samples are closed forms, so the only
+    # small SVDs left are of off-support means: the rank in aug_diff, and the
+    # rank and decomposition of f_inf in arc_k0_trivialize, 3 calls each
+    svd = np.linalg.svd
+    small = []
+
+    def counting(a, *args, **kwargs):
+        a = np.asarray(a)
+        if max(a.shape[-2:]) <= 2:
+            small.append(int(np.prod(a.shape[:-2])))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    # np.linalg.norm looks svd up in the module that defines it
+    monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", counting)
+    out = tmp_path / "circle_split.json"
+    assert run_cli(["run", "circle_split", "--seed", "7", "--out", str(out)]) == 0
+    assert sum(small) <= 9
 
 
 def test_single_check_subcommand(tmp_path):

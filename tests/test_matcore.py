@@ -25,6 +25,53 @@ def test_op_norm_matches_largest_singular_value(rng):
     assert matcore.op_norm(a) == pytest.approx(np.linalg.svd(a, compute_uv=False)[0])
 
 
+KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@KERNEL
+@given(lead=st.sampled_from([(), (5,), (3, 4)]), n=st.integers(1, 4),
+       kind=st.sampled_from(["random", "near_unitary", "rank_one", "zero"]),
+       exponent=st.integers(-200, 200), seed=st.integers(0, 2**32 - 1))
+def test_op_norms_match_lapack(lead, n, kind, exponent, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(lead + (n, n)) + 1j * rng.standard_normal(lead + (n, n))
+    if kind == "near_unitary":
+        z = np.linalg.qr(z)[0] + 1e-9 * z
+    elif kind == "rank_one":
+        z = z[..., :, :1] * z[..., :1, :]
+    elif kind == "zero":
+        z = np.zeros_like(z)
+    a = 10.0 ** exponent * z
+    got = matcore.op_norms(a)
+    want = np.linalg.norm(a, 2, axis=(-2, -1))
+    assert np.shape(got) == np.shape(want)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    if kind == "zero":
+        assert np.all(got == 0)
+
+
+@KERNEL
+@given(shapes=st.sampled_from([
+    ((2, 2), (9, 2, 2)),            # matrix x loop
+    ((9, 2, 2), (2, 2)),            # loop x matrix
+    ((9, 2, 2), (9, 2, 2)),         # loop x loop
+    ((9, 3, 2, 2), (9, 3, 2, 2)),   # (G, m, 2, 2) summand stacks
+    ((9, 3, 2, 2), (3, 2, 2)),
+    ((9, 1, 1), (9, 1, 1)),
+    ((3, 3), (9, 3, 3)),
+]), exponents=st.tuples(st.integers(-100, 100), st.integers(-100, 100)),
+    seed=st.integers(0, 2**32 - 1))
+def test_matmul_matches_numpy(shapes, exponents, seed):
+    rng = np.random.default_rng(seed)
+    a, b = (10.0 ** e * (rng.standard_normal(s) + 1j * rng.standard_normal(s))
+            for s, e in zip(shapes, exponents))
+    got, want = matcore.matmul(a, b), np.matmul(a, b)
+    assert got.shape == want.shape
+    scale = (np.linalg.norm(a, 2, axis=(-2, -1))[..., None, None]
+             * np.linalg.norm(b, 2, axis=(-2, -1))[..., None, None])
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
 def test_invert_guards_conditioning():
     with pytest.raises(NotInvertible):
         matcore.invert(np.diag([1.0, 0.0]))
