@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import scipy.linalg
 
 from . import matcore
 from .errors import (
@@ -64,8 +63,9 @@ def _chi_by_eig(a: np.ndarray, tol: Tol) -> np.ndarray:
 def _chi_by_schur(a: np.ndarray) -> np.ndarray:
     """Spectral projector onto {Re z > 1/2} via an ordered Schur form and a
     Sylvester solve; handles defective matrices."""
-    t, q, sdim = scipy.linalg.schur(a, output="complex",
-                                    sort=lambda z: z.real > 0.5)
+    linalg = matcore.scipy_linalg()
+    t, q, sdim = linalg.schur(a, output="complex",
+                             sort=lambda z: z.real > 0.5)
     n = a.shape[0]
     diag = np.diag(t)
     if np.any(np.abs(diag.real - 0.5) < 1e-8):
@@ -77,7 +77,7 @@ def _chi_by_schur(a: np.ndarray) -> np.ndarray:
     t11 = t[:sdim, :sdim]
     t12 = t[:sdim, sdim:]
     t22 = t[sdim:, sdim:]
-    y = scipy.linalg.solve_sylvester(t11, -t22, t12)
+    y = linalg.solve_sylvester(t11, -t22, t12)
     p = np.zeros((n, n), dtype=complex)
     p[:sdim, :sdim] = np.eye(sdim)
     p[:sdim, sdim:] = y
@@ -180,19 +180,3 @@ def round_invertible_in(u, span: Subspace, eps: float | None = None,
         raise RoundingUnstable("inverse norm bound 2c violated")
     return v, vinv, resid
 
-
-def idempotent_similarity_step(f, f2):
-    """One-step conjugator between idempotents with ||f - f2|| < 1/||2f - 1||.
-
-    Returns invertible z with z f z^-1 = f2 exactly (up to numerics); this is
-    the step that makes rounded classes independent of the chosen rounding.
-    """
-    f = as_matrix(f)
-    f2 = as_matrix(f2)
-    sym = 2.0 * f - eye(f.shape[0])
-    gap = op_norm(f - f2)
-    limit = 1.0 / op_norm(sym)
-    if gap >= limit:
-        raise NotCloseEnough(gap, limit)
-    z = ((2.0 * f2 - eye(f.shape[0])) @ sym + eye(f.shape[0])) / 2.0
-    return z

@@ -264,14 +264,14 @@ def arc_k0_trivialize(e: LoopElem, ideal: LoopAlg, tol: Tol = DEFAULT_TOL):
     if dev > 1e-6:
         raise NoWitness(f"off-support samples vary by {dev:.3e}; not in the unitized ideal")
     d = e.side
-    r = matcore.rank(f_inf, tol)
+    u_r, s, vh_k = np.linalg.svd(f_inf)
+    r = matcore.rank_of_values(s, f_inf.shape, tol)
     if matcore.op_norm(f_inf @ f_inf - f_inf) > 1e-6:
         raise NoWitness("off-support value is not idempotent")
     # constant conjugator g with g f_inf g^-1 = diag(1_r, 0)
     if r in (0, d):
         g = np.eye(d, dtype=complex)
     else:
-        u_r, _, vh_k = np.linalg.svd(f_inf)
         # range columns (f_inf acts as identity there) and kernel columns
         rng_basis = f_inf @ u_r[:, :r]
         ker_basis = vh_k[r:].conj().T

@@ -5,7 +5,8 @@ constants live in :class:`Tol` and are threaded through explicitly.  Every
 numerical-rank decision (which singular values count as zero, and the
 ambiguity band around that cut) is made by :func:`rank_cut`, each caller
 passing its own cut; :func:`rank_split` (row space and null space from one
-thin SVD) and :func:`rank` (the values alone) apply it.
+thin SVD) and :func:`rank` (the values alone, by :func:`rank_of_values`)
+apply it.
 
 Every dense inverse is taken by :func:`invert`, the one guarded inverse: it
 returns numpy's inverse together with the exact 1-norm condition number
@@ -41,6 +42,10 @@ blocks along the diagonal of an identity), :func:`band_dense`,
 ``zgbtrs`` for the inverse; ibid., 4.3).  :func:`band_invert` applies the
 same kappa_1 rule as :func:`invert`.  Every call the package makes to
 ``scipy.linalg.lapack`` or ``eig_banded`` is made here.
+
+scipy is imported on first use: :func:`scipy_linalg` imports and returns
+``scipy.linalg`` when a band kernel or the Schur fallback of Riesz rounding
+first runs, so a run that reaches neither never loads it.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.linalg import eig_banded, lapack
 
 from .errors import AmbiguousIntersection, DefectiveMatrix, InvalidInput, NotInvertible
 
@@ -70,6 +74,13 @@ class Tol:
 
 
 DEFAULT_TOL = Tol()
+
+
+def scipy_linalg():
+    """The ``scipy.linalg`` module, imported on the first call."""
+    import scipy.linalg
+
+    return scipy.linalg
 
 
 def as_matrix(m) -> np.ndarray:
@@ -233,12 +244,17 @@ def rank_split(a, rel: float, floor: float = 0.0):
 
 
 def rank(m, tol: Tol = DEFAULT_TOL) -> int:
-    """Numerical rank: :func:`rank_cut` on the singular values alone, with an
-    absolute floor so near-zero matrices (top singular value at fp-noise
-    level) count as rank zero instead of ranking their own noise."""
+    """Numerical rank: :func:`rank_of_values` of the singular values alone."""
     a = as_matrix(m)
-    s = np.linalg.svd(a, compute_uv=False)
-    floor = max(a.shape) * np.finfo(float).eps * 100
+    return rank_of_values(np.linalg.svd(a, compute_uv=False), a.shape, tol)
+
+
+def rank_of_values(s: np.ndarray, shape: tuple, tol: Tol = DEFAULT_TOL) -> int:
+    """The numerical rank of a matrix of the given shape from its descending
+    singular values s: :func:`rank_cut` with an absolute floor, so near-zero
+    matrices (top singular value at fp-noise level) count as rank zero
+    instead of ranking their own noise."""
+    floor = max(shape) * np.finfo(float).eps * 100
     return int(np.sum(s > rank_cut(s, tol.rank_rel_tol, floor)))
 
 
@@ -372,6 +388,7 @@ def band_norm(b: Band) -> float:
     g = _band_adjoint(b) @ b
     lead = g.ab.shape[:-2]
     bound = np.abs(g.ab).sum(axis=-2).max(axis=-1).reshape(-1)
+    eig_banded = scipy_linalg().eig_banded
     top = 0.0
     for k in np.argsort(-bound, kind="stable"):
         if bound[k] <= top:
@@ -386,6 +403,7 @@ def _band_lu(b: Band):
     piv 0-based and U's diagonal in row kl + ku of lu."""
     work = np.zeros(b.ab.shape[:-2] + (2 * b.kl + b.ku + 1, b.size), dtype=complex)
     work[..., b.kl:, :] = b.ab
+    lapack = scipy_linalg().lapack
     for idx in np.ndindex(b.ab.shape[:-2]):
         lu, piv, info = lapack.zgbtrf(work[idx], b.kl, b.ku)
         yield idx, lu, piv, info
@@ -408,6 +426,7 @@ def band_invert(b: Band, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     n = b.size
     one = np.eye(n, dtype=complex)
     out = np.empty(b.ab.shape[:-2] + (n, n), dtype=complex)
+    lapack = scipy_linalg().lapack
     for idx, lu, piv, info in _band_lu(b):
         if info > 0:
             raise NotInvertible(np.inf)

@@ -198,15 +198,3 @@ def rotation_j(x):
 def side_size(x) -> int:
     return arr(x).shape[-1]
 
-
-def embed_top_left(x, total: int):
-    """Top-left corner embedding of x into a size-`total` identity."""
-    a = arr(x)
-    n = a.shape[-1]
-    if n == total:
-        return x
-    if n > total:
-        raise ValueError("cannot embed into a smaller size")
-    out = _eye(a.shape[:-2], total)
-    out[..., :n, :n] = a
-    return like(x, out)

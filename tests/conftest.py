@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from approxk import ops
+
 
 @pytest.fixture
 def rng():
@@ -17,3 +19,14 @@ def random_idempotent(rng, n, spread=0.5):
     lam = rng.integers(0, 2, n).astype(complex)
     s = random_invertible(rng, n, spread)
     return s @ np.diag(lam) @ np.linalg.inv(s)
+
+
+def embed_top_left(x, total):
+    """Top-left corner embedding of x into a size-`total` identity, on any
+    carrier: the dense reference for composing on a larger frame."""
+    a = ops.arr(x)
+    n = a.shape[-1]
+    out = np.broadcast_to(np.eye(total, dtype=complex),
+                          a.shape[:-2] + (total, total)).copy()
+    out[..., :n, :n] = a
+    return ops.like(x, out)

@@ -24,6 +24,7 @@ from approxk.errors import InvalidInput, PairNotUniform, ReconstructionFailed
 from approxk.loops import LoopElem, power_z
 from approxk.wedderburn import K1Vec
 
+from conftest import embed_top_left
 from test_boundary import block_h
 from test_cli import assert_report_matches
 
@@ -90,7 +91,7 @@ def dense_defect(path, a, b):
     middle = ops.oplus(ops.oplus(one_n, a), ops.oplus(ops.inv(a), one_n))
     prod = middle @ ops.oplus(b, ops.inv(b))
     assert ops.side_size(prod) == total == 2 * len(path) * n
-    return ops.norm(ops.embed_top_left(path[0], total) - prod)
+    return ops.norm(embed_top_left(path[0], total) - prod)
 
 
 def dense_sigma_reconstruct(u_path, u_c, u_d, h, c, d, uniform_constant=3.0,
@@ -117,7 +118,7 @@ def dense_sigma_reconstruct(u_path, u_c, u_d, h, c, d, uniform_constant=3.0,
         # diag(a, a^-1) (+) 1_2n into the 1_n (+) a (+) a^-1 (+) 1_n layout
         mn2 = 2 * m * n
         p = np.r_[mn2:mn2 + n, :mn2, mn2 + n:total]
-        big = ops.embed_top_left(v_small, total)
+        big = embed_top_left(v_small, total)
         return ops.like(big, ops.arr(big)[..., p[:, None], p])
 
     ca, da, da_inv = (shuffle_embed(regroup(f, u0)) for f in (
@@ -126,8 +127,8 @@ def dense_sigma_reconstruct(u_path, u_c, u_d, h, c, d, uniform_constant=3.0,
     v_c = ca @ (da @ cb @ da_inv)
     v_d = da @ db
     one = ops.eye_like(v_c)
-    r_c = ops.inv(v_c) @ ops.embed_top_left(u_c, total) - one
-    r_d = v_d @ ops.embed_top_left(ops.inv(u_d), total) - one
+    r_c = ops.inv(v_c) @ embed_top_left(u_c, total) - one
+    r_d = v_d @ embed_top_left(ops.inv(u_d), total) - one
     gap = ops.norm(r_c - r_d)
     y, _ = int_side.nearest(ops.scal(0.5, r_c + r_d), unitized=False)
     drift_c, drift_d = ops.norm(y - r_c), ops.norm(y - r_d)

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from approxk import boundary, ops
 from approxk.loops import LoopElem
 
+from conftest import embed_top_left
+
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None,
                     database=None)
 
@@ -47,8 +49,8 @@ def test_helpers_act_samplewise(data):
     assert_per_sample(
         ops.oplus(a, ops.oplus(b, c)),
         lambda i: ops.oplus(a.samples[i], ops.oplus(b.samples[i], c.samples[i])))
-    assert_per_sample(ops.embed_top_left(a, d + 2),
-                      lambda i: ops.embed_top_left(a.samples[i], d + 2))
+    assert_per_sample(embed_top_left(a, d + 2),
+                      lambda i: embed_top_left(a.samples[i], d + 2))
     big = ops.block2(a, b, c, e)
     for j, corner in enumerate(ops.corner_blocks(big, d)):
         assert_per_sample(corner,
