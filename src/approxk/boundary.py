@@ -10,9 +10,10 @@ between the carriers lives in the two membership sides, :class:`MatrixSide`
 and :class:`LoopSide`, which implement the same methods; a new carrier
 implements exactly these:
 
-- ``nearest(x, unitized)``: witness and residual of membership at any
-  amplification, the residual of a stack being the max over its summands
-  (a matrix side projects block by block);
+- ``project(x, unitized)``: the witness of membership alone, at any
+  amplification (a matrix side projects block by block, a loop side masks);
+- ``nearest(x, unitized)``: the witness of ``project`` and the residual of
+  membership, the residual of a stack being the max over its summands;
 - ``intersect(other, tol)``: the side of the intersection algebra (a
   matrix side reads it off principal angles);
 - ``tensor(m)``: the side of the algebra tensored with M_m;
@@ -43,9 +44,10 @@ from .errors import (
     PairNotUniform,
     PathTooCoarse,
     ReconstructionFailed,
+    RoundingUnstable,
 )
 from .loops import (LoopAlg, LoopElem, arc_k0_trivialize, det_winding, loop_membership,
-                    winding_k1)
+                    loop_project, winding_k1)
 from .matcore import DEFAULT_TOL, Tol, as_matrix, eye
 from .subalg import Subalg, Subspace, unitize
 from .wedderburn import K0Vec, decompose, k0_class, similarity_witness
@@ -136,10 +138,13 @@ class MatrixSide:
         """The unitization of the algebra, built on first use."""
         return unitize(self.alg)
 
+    def project(self, x, unitized: bool = True):
+        alg = self.unitization if unitized else self.alg
+        return ops.like(x, alg.project(ops.arr(x)))
+
     def nearest(self, x, unitized: bool = True):
-        xa = ops.arr(x)
-        p = (self.unitization if unitized else self.alg).project(xa)
-        return ops.like(x, p), ops.sup_norm(xa - p)
+        w = self.project(x, unitized)
+        return w, ops.sup_norm(ops.arr(x) - ops.arr(w))
 
     def scalar_part(self, x) -> np.ndarray:
         """Coarse scalar component: s with x ~ kron(s, 1_N) + algebra part."""
@@ -169,9 +174,13 @@ class MatrixSide:
         return matcore.rank(self.scalar_part(e)) - half // self.ambient_dim
 
     def _rounded(self, e, tol: Tol) -> np.ndarray:
-        """Riesz rounding of the nearest point of e in the unitized algebra."""
-        wit, _ = self.nearest(e)
-        f, _cert = funcalc.riesz_idempotent(wit, tol)
+        """Riesz rounding of the nearest point of e in the unitized algebra;
+        RoundingUnstable when the rounding breaks its certified bound."""
+        f, cert = funcalc.riesz_idempotent(self.project(e), tol)
+        if not cert.passed:
+            raise RoundingUnstable(
+                f"rounding moved e by {cert.distance:.3e}, beyond its bound "
+                f"{cert.bound:.3e}")
         return f
 
     def boundary_class(self, e, half: int, tol: Tol = DEFAULT_TOL,
@@ -197,6 +206,9 @@ class LoopSide:
 
     def __init__(self, alg: LoopAlg):
         self.alg = alg
+
+    def project(self, x: LoopElem, unitized: bool = True):
+        return loop_project(x, self.alg, unitized)
 
     def nearest(self, x: LoopElem, unitized: bool = True):
         return loop_membership(x, self.alg, unitized)
@@ -796,8 +808,11 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d, tol: Tol = DEFAULT_TOL,
     1, m+2, ..., m, 2m+1), where every factor is banded: the comparison
     elements, their norms, the inverse of x and the winding determinants
     are band computations (:class:`matcore.Band`).  The membership
-    projection of y acts on the dense frame, and x and y are returned dense
-    in the frame's own order.
+    projection of y acts on the dense frame and takes no membership
+    residual, and x and y are returned dense in the frame's own order.  The
+    stability check of x (kappa_1 and the residual of x x^-1 - 1) runs only
+    on the samples where x differs from the identity: elsewhere x^-1 = 1
+    exactly, so the maxima and every raise are those of the whole frame.
     """
     c_side = make_side(c)
     d_side = make_side(d)
@@ -838,8 +853,9 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d, tol: Tol = DEFAULT_TOL,
     gap = matcore.band_norm(t_c - t_d)
     mid = 0.5 * (t_c + t_d) - one
     # masking a loop, or projecting block by block onto matrices over the
-    # algebra (n is a multiple of the ambient side), keeps the band
-    y, _ = int_side.nearest(ops.like(u0, matcore.band_dense(mid)), unitized=False)
+    # algebra (n is a multiple of the ambient side), keeps the band; the
+    # dense frame lives only for the projection
+    y = int_side.project(ops.like(u0, matcore.band_dense(mid)), unitized=False)
     x = matcore.band(ops.arr(y), mid.kl, mid.ku) + one
     drift_c, drift_d = matcore.band_norm(x - t_c), matcore.band_norm(x - t_d)
     achieved = max(drift_c, drift_d)
@@ -848,10 +864,16 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d, tol: Tol = DEFAULT_TOL,
             f"joint approximation {achieved:.3e} exceeds "
             f"{uniform_constant:.1f} * {gap:.3e}"
         )
-    resid = matcore.band_matmul(x, matcore.band_invert(x, tol)) - np.eye(size)
+    # where x is exactly the identity, x^-1 = 1, R = 0 and kappa_1 = 1: the
+    # stability check runs on the samples where x moves
+    eye_ab = np.zeros(x.ab.shape[-2:])
+    eye_ab[x.ku] = 1.0
+    moved = matcore.Band(x.ab[np.any(x.ab != eye_ab, axis=(-2, -1))], x.kl, x.ku)
+    resid = matcore.band_matmul(moved, matcore.band_invert(moved, tol)) - np.eye(size)
     # sqrt(||R||_1 ||R||_inf) >= ||R||_2
     unstable = float(np.max(np.sqrt(np.abs(resid).sum(axis=-2).max(axis=-1)
-                                    * np.abs(resid).sum(axis=-1).max(axis=-1))))
+                                    * np.abs(resid).sum(axis=-1).max(axis=-1)),
+                            initial=0.0))
     if unstable > 1e-6:
         raise ReconstructionFailed(
             unstable, f"unstable inverse for x = 1 + y: residual {unstable:.3e}")
@@ -919,11 +941,11 @@ def uniformity_probe(c, d, sample_count: int = 50, b_dims=(1, 2, 3),
     for m in b_dims:
         cm, dm = (c_side, d_side) if m == 1 else (c_side.tensor(m), d_side.tensor(m))
         im = intersect_sides(cm, dm, tol)
-        cc, _ = cm.nearest(c_side.random_elements(m, sample_count, rng), unitized=False)
+        cc = cm.project(c_side.random_elements(m, sample_count, rng), unitized=False)
         cc = ops.unit_summands(cc, 1e-9)
-        dd, _ = dm.nearest(cc, unitized=False)
+        dd = dm.project(cc, unitized=False)
         delta_in = ops.summand_norms(cc - dd)
-        x, _ = im.nearest(ops.scal(0.5, cc + dd), unitized=False)
+        x = im.project(ops.scal(0.5, cc + dd), unitized=False)
         achieved = np.maximum(ops.summand_norms(x - cc), ops.summand_norms(x - dd))
         ratio = np.where(achieved > 1e-9, np.inf, 0.0)
         np.divide(achieved, delta_in, out=ratio, where=delta_in > 1e-12)

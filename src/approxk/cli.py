@@ -220,8 +220,7 @@ def check_whitehead(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
     a = scn.get("u_c", scn.get("u"))
     if a is None:
         one = np.eye(scn["c"].ambient_dim, dtype=complex)
-        x, _ = scn["c"].nearest(np.diag(np.linspace(0.1, 0.3,
-                                                    scn["c"].ambient_dim)))
+        x = scn["c"].project(np.diag(np.linspace(0.1, 0.3, scn["c"].ambient_dim)))
         a = one + x
     cert = boundary.whitehead_split(a, scn["h"], scn["c"], scn["d"], tol)
     eps = _number(params, "eps", 0.1)

@@ -221,31 +221,39 @@ def bump(alg: LoopAlg, plateau: tuple[float, float], ramp: float) -> np.ndarray:
     return np.clip(vals, 0.0, 1.0)
 
 
-def loop_membership(x, ideal: LoopAlg, unitized: bool):
-    """(witness, residual) for membership of x in the (unitized) arc ideal,
-    at any matrix amplification of the fiber.  For a stack of summands the
-    residual is the max over the summands."""
+def loop_project(x, ideal: LoopAlg, unitized: bool):
+    """The witness of membership of x in the (unitized) arc ideal, at any
+    matrix amplification of the fiber: x on the support and, off it, 0 or
+    (unitized) the mean scalar part of the off-support samples."""
     xa = ops.arr(x)
     mask = ideal.mask
-    off = xa[~mask]
-    if off.size == 0:
-        return x, 0.0
+    if mask.all():
+        return x
     on = mask.reshape(mask.shape + (1,) * (xa.ndim - 1))
     if not unitized:
-        return ops.like(x, np.where(on, xa, 0.0)), ops.sup_norm(off)
+        return ops.like(x, np.where(on, xa, 0.0))
     # scalar part: a constant coarse matrix tensored with the fiber identity
     k = ideal.fiber_dim
     d = xa.shape[-1]
     if d % k:
         raise InvalidInput("element side is not a multiple of the fiber dimension")
     n = d // k
+    off = xa[~mask]
     traced = off.reshape(off.shape[:-2] + (n, k, n, k))
     coarse = np.trace(traced, axis1=-3, axis2=-1) / k
     scal = coarse.mean(axis=0)
     const = np.kron(scal, np.eye(k, dtype=complex))
-    resid = ops.sup_norm(off - const)
-    witness = ops.like(x, np.where(on, xa, const))
-    return witness, resid
+    return ops.like(x, np.where(on, xa, const))
+
+
+def loop_membership(x, ideal: LoopAlg, unitized: bool):
+    """(witness, residual) for membership of x in the (unitized) arc ideal:
+    the witness of :func:`loop_project` and its distance from x, taken on
+    the off-support samples, where the two differ.  For a stack of summands
+    the residual is the max over the summands."""
+    w = loop_project(x, ideal, unitized)
+    off = ~ideal.mask
+    return w, ops.sup_norm(ops.arr(x)[off] - ops.arr(w)[off])
 
 
 def arc_k0_trivialize(e: LoopElem, ideal: LoopAlg, tol: Tol = DEFAULT_TOL):

@@ -13,6 +13,7 @@ from approxk.errors import (
     NotInvertible,
     PairNotUniform,
     PathTooCoarse,
+    RoundingUnstable,
 )
 from approxk.loops import LoopAlg, LoopElem
 from approxk.matcore import matrix_unit
@@ -115,6 +116,55 @@ def test_uniformity_probe_sample_counts():
     assert rep.samples == rep.ratios == [] and rep.ratio_sup == 0.0
     with pytest.raises(InvalidInput):
         boundary.uniformity_probe(scn["c"], scn["d"], sample_count=-1)
+
+
+# ---------------------------------------------------------------------------
+# membership sides
+
+
+def membership_side(carrier, which):
+    """The side of C, D or C cap D of block_pair or of circle_split's grid-16
+    carrier."""
+    if carrier == "matrix":
+        scn = scenarios.block_ideal_pair()
+    else:
+        scn = scenarios.circle_split(grid=16, overlap=0.25 * np.pi)
+    c, d = boundary.make_side(scn["c"]), boundary.make_side(scn["d"])
+    return {"c": c, "d": d, "int": boundary.intersect_sides(c, d)}[which]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(carrier=st.sampled_from(["matrix", "loop"]),
+       which=st.sampled_from(["c", "d", "int"]), amp=st.integers(1, 2),
+       k=st.integers(1, 2), lone=st.booleans(), unitized=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_project_is_the_witness_of_nearest(carrier, which, amp, k, lone,
+                                           unitized, seed):
+    # over a side tensored with M_amp, on elements amplified k times more
+    side = membership_side(carrier, which)
+    if amp > 1:
+        side = side.tensor(amp)
+    x = side.random_elements(k, 3, np.random.default_rng(seed))
+    if lone:
+        first = ops.arr(x)[..., 0, :, :]
+        x = first if carrier == "matrix" else LoopElem(first)
+    got = side.project(x, unitized)
+    want, _ = side.nearest(x, unitized)
+    assert type(got) is type(want)
+    assert ops.arr(got).shape == ops.arr(want).shape
+    assert ops.arr(got).tobytes() == ops.arr(want).tobytes()
+
+
+def test_rounding_that_breaks_its_bound_raises(monkeypatch):
+    # e = (1 + 1e-6) (1 (+) 0) rounds to 1 (+) 0, 1e-6 away: inside the
+    # Riesz bound, beyond a planted bound of 0
+    side = boundary.make_side(scenarios.block_ideal_pair()["c"])
+    e = (1.0 + 1e-6) * np.diag([1.0] * 6 + [0.0] * 6).astype(complex)
+    assert not any(side.boundary_class(e, 6).entries)
+    monkeypatch.setattr(funcalc, "riesz_bound", lambda delta, c: 0.0)
+    for call in (side.boundary_class, side.trivializer):
+        with pytest.raises(RoundingUnstable, match="beyond its bound"):
+            call(e, 6)
 
 
 # ---------------------------------------------------------------------------

@@ -347,9 +347,9 @@ def test_banded_reconstruct_matches_dense_composition(carrier, fiber, spread,
 
 
 def test_banded_reconstruct_takes_no_frame_sized_dense_factorization(monkeypatch):
-    # loop_reconstruct's inputs: frame side 194 over 16 samples.  No inverse
-    # or determinant of a frame-sized matrix is taken, and the one
-    # frame-sized SVD is the membership residual that nearest reports
+    # loop_reconstruct's inputs: frame side 194 over 16 samples.  No inverse,
+    # determinant or SVD of a frame-sized matrix is taken: the membership
+    # projection of y takes no residual
     scn = scenarios.circle_split(grid=16, overlap=0.25 * np.pi)
     path = scenarios.circle_split_homotopy(scn, steps=96)
     size = 2 * len(path) * ops.side_size(path[0])
@@ -370,8 +370,24 @@ def test_banded_reconstruct_takes_no_frame_sized_dense_factorization(monkeypatch
                                      scn["c"], scn["d"], whitehead_t_steps=1)
     assert rec.windings == (1, 1, -1)
     assert ops.side_size(rec.x) == size
-    assert seen["inv"] == 0 and seen["det"] == 0
-    assert seen["svd"] <= 1
+    assert seen == {"inv": 0, "det": 0, "svd": 0}
+
+
+def test_reconstruct_checks_stability_only_where_x_moves(monkeypatch):
+    # loop_reconstruct's inputs: y is 0 on 10 of the 16 samples, where x is
+    # exactly the identity, so only the other 6 are inverted
+    seen = []
+    real = matcore.band_invert
+
+    def recorded(b, tol):
+        seen.append(b.ab.shape[:-2])
+        return real(b, tol)
+
+    monkeypatch.setattr(matcore, "band_invert", recorded)
+    rec = boundary.sigma_reconstruct(**sigma_case("circle_split_grid16_steps96"))
+    moved = np.any(ops.arr(rec.y) != 0, axis=(-2, -1))
+    assert moved.shape == (16,) and moved.sum() == 6
+    assert seen == [(6,)]
 
 
 def _fail_by_winding(monkeypatch):
@@ -394,7 +410,7 @@ def _witness_on_circle():
 @pytest.mark.parametrize("message, patch, call", [
     ("winding bookkeeping", _fail_by_winding, _witness_on_circle),
     ("unstable inverse", _fail_by_inverse,
-     lambda: boundary.sigma_reconstruct(**sigma_case("block_pair_trivial"))),
+     lambda: boundary.sigma_reconstruct(**sigma_case("circle_split_grid16_steps96"))),
     ("homotopy margin", None,
      lambda: boundary.sigma_reconstruct(**sigma_case("circle_split_steps48"))),
     ("winding mismatch", _fail_by_winding,
