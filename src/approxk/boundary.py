@@ -16,7 +16,10 @@ implements exactly these:
   membership, the residual of a stack being the max over its summands;
 - ``intersect(other, tol)``: the side of the intersection algebra (a
   matrix side reads it off principal angles);
-- ``tensor(m)``: the side of the algebra tensored with M_m;
+- ``tensor(m)``: the side of the algebra tensored with M_m.  Tensoring
+  keeps intersections, (C (x) M_m) cap (D (x) M_m) = (C cap D) (x) M_m, so
+  the side of a tensored pair's intersection is the tensored intersection
+  side;
 - ``random_elements(m, count, rng)``: a stack of count random unit-norm
   ambient elements at fiber amplification m;
 - ``aug_diff(e, half)``: scalar-rank mismatch of e against 1_half (+) 0;
@@ -300,17 +303,21 @@ class IdealCert:
 
 
 def check_delta_ideal_structure(h, c, d, x_basis, tol: Tol = DEFAULT_TOL,
-                                seed: int = 0, random_probes: int = 50) -> IdealCert:
+                                seed: int = 0, random_probes: int = 50,
+                                int_side=None) -> IdealCert:
     """Measure how well (h, C, D) splits the subspace spanned by x_basis.
 
     The probes are the basis elements and random_probes random complex
     combinations of them, each scaled to unit norm, as the summands of one
-    stack; a probe of norm below 1e-12 is dropped.
+    stack; a probe of norm below 1e-12 is dropped.  int_side is the side of
+    C cap D when the caller already holds it, as in certify_lift; without it
+    the intersection is computed from the two sides.
     """
     check_contraction(h)
     c_side = make_side(c)
     d_side = make_side(d)
-    int_side = intersect_sides(c_side, d_side, tol)
+    if int_side is None:
+        int_side = intersect_sides(c_side, d_side, tol)
     basis = list(x_basis.basis) if isinstance(x_basis, Subspace) else list(x_basis)
     if not basis:
         raise InvalidInput("empty probe subspace")
@@ -361,6 +368,13 @@ def tensor_scale_ideal_structure(cert: IdealCert, m: int,
     Returns (new_cert, m_x) and asserts the new residuals stay within
     m_x * delta of the input level, where m_x = n * M is computed from a
     dual basis of the probe subspace.
+
+    The intersection side is the input's tensored, by
+    (C (x) M_m) cap (D (x) M_m) = (C cap D) (x) M_m, so no intersection is
+    computed here.  The base intersection already passed its checks: the
+    principal angles of the tensored pair are the base angles, each m^2
+    times, so the rank cut and its ambiguity band decide as on the base, and
+    (C cap D) (x) M_m is closed exactly when C cap D is.
     """
     m_x = _dual_constant(cert.x_basis)
     h2 = np.kron(_multiplier(cert.h), eye(m))
@@ -368,7 +382,8 @@ def tensor_scale_ideal_structure(cert: IdealCert, m: int,
     basis2 = [ops.like(x, np.kron(ops.arr(x), u)) for x in cert.x_basis for u in units]
     cert2 = check_delta_ideal_structure(h2, cert.c_side.tensor(m),
                                         cert.d_side.tensor(m), basis2, tol,
-                                        seed=cert.seed)
+                                        seed=cert.seed,
+                                        int_side=cert.int_side.tensor(m))
     budget = m_x * cert.delta_level + 1e-9
     if cert2.delta_level > budget:
         raise ExactnessViolation(
@@ -930,17 +945,24 @@ def uniformity_probe(c, d, sample_count: int = 50, b_dims=(1, 2, 3),
 
     Draws c in C (tensor M_m), its projection d in D, and measures how well
     the HS midpoint projection into the intersection approximates both.
+
+    The intersection is computed once, for m = 1, and tensored for each
+    m > 1, by (C (x) M_m) cap (D (x) M_m) = (C cap D) (x) M_m.  That is
+    exact: the principal angles of the tensored pair are the base angles,
+    each m^2 times, so the rank cut and its ambiguity band decide as on the
+    base, and (C cap D) (x) M_m is closed exactly when C cap D is.
     """
     c_side = make_side(c)
     d_side = make_side(d)
     if sample_count < 0:
         raise InvalidInput(f"sample_count must be >= 0, got {sample_count}")
+    int_side = intersect_sides(c_side, d_side, tol)
     rng = np.random.default_rng(seed)
     samples = []
     ratios = []
     for m in b_dims:
-        cm, dm = (c_side, d_side) if m == 1 else (c_side.tensor(m), d_side.tensor(m))
-        im = intersect_sides(cm, dm, tol)
+        cm, dm, im = ((c_side, d_side, int_side) if m == 1 else
+                      (c_side.tensor(m), d_side.tensor(m), int_side.tensor(m)))
         cc = cm.project(c_side.random_elements(m, sample_count, rng), unitized=False)
         cc = ops.unit_summands(cc, 1e-9)
         dd = dm.project(cc, unitized=False)

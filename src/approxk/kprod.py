@@ -41,6 +41,16 @@ def k0_product(p, q, w: WedderburnData, tol: Tol = DEFAULT_TOL) -> K0Vec:
 
 @dataclasses.dataclass
 class ProductCheck:
+    """The two sides of the product formula over the tensored pair.
+
+    The tensored lift is certified, and its class taken, over
+    (C cap D) (x) M_m.  intersection_gap is the dimension of the tensored
+    pair's intersection from principal angles minus that of
+    (C cap D) (x) M_m: the one principal-angle intersection of a tensored
+    pair that is kept, so the identity is measured here and is 0 when it
+    holds.
+    """
+
     lhs_entries: tuple
     rhs_entries: tuple
     equal: bool
@@ -67,12 +77,11 @@ def boundary_product_check(cert: LiftCert, p, m: int, tol: Tol = DEFAULT_TOL,
 
     c2 = cert.c_side.tensor(m)
     d2 = cert.d_side.tensor(m)
+    i2_direct = cert.int_side.tensor(m)
     u2 = box_times(cert.u, p)
     v2 = box_times(cert.v, p)
-    cert2 = certify_lift(u2, v2, c2, d2, tol)
-
-    i2_direct = cert.int_side.tensor(m)
-    gap = cert2.int_side.alg.dim - i2_direct.alg.dim
+    cert2 = certify_lift(u2, v2, c2, d2, tol, int_side=i2_direct)
+    gap = c2.intersect(d2, tol).alg.dim - i2_direct.alg.dim
     rhs_class = boundary.boundary_class(cert2, tol, seed=seed)
     rhs = rhs_class.entries
     return ProductCheck(lhs, tuple(rhs), tuple(lhs) == tuple(rhs), cert2, int(gap))

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import matcore
 from .errors import ClosureFailure, InvalidInput
-from .matcore import DEFAULT_TOL, Tol, adjoint, as_matrix, eye, kron, op_norm
+from .matcore import DEFAULT_TOL, Tol, adjoint, as_matrix, eye, op_norm
 
 
 def _hs_norms(a: np.ndarray) -> np.ndarray:
@@ -29,18 +29,22 @@ class Subspace:
     def __init__(self, ambient_dim: int, basis, tol: Tol = DEFAULT_TOL, _orthonormal=False):
         self.ambient_dim = int(ambient_dim)
         self.tol = tol
-        mats = [as_matrix(b) for b in basis]
-        for b in mats:
-            if b.shape != (self.ambient_dim, self.ambient_dim):
-                raise InvalidInput(
-                    f"basis element shape {b.shape} != ambient ({self.ambient_dim},)*2"
-                )
-        if mats:
-            flats = np.array([b.ravel() for b in mats]).reshape(len(mats), -1)
+        n = self.ambient_dim
+        if isinstance(basis, np.ndarray) and basis.ndim == 3:
+            # a (count, N, N) array is checked as one array
+            mats = np.asarray(basis, dtype=complex)
+            if not np.all(np.isfinite(mats)):
+                raise InvalidInput("basis has non-finite entries")
+            shapes = {mats.shape[1:]} if len(mats) else set()
         else:
-            # the zero subspace: legal, e.g. the intersection of two corners
-            # in general position
-            flats = np.zeros((0, self.ambient_dim * self.ambient_dim), dtype=complex)
+            mats = [as_matrix(b) for b in basis]
+            shapes = {b.shape for b in mats}
+        bad = shapes - {(n, n)}
+        if bad:
+            raise InvalidInput(f"basis element shape {bad.pop()} != ambient ({n},)*2")
+        # no elements is the zero subspace: legal, e.g. the intersection of
+        # two corners in general position
+        flats = np.asarray(mats, dtype=complex).reshape(len(mats), n * n)
         if not _orthonormal:
             flats = matcore.rank_split(flats, tol.rank_rel_tol)[0]
         self._flats = flats
@@ -153,30 +157,40 @@ def unitize(s: Subalg) -> Subalg:
     return Subalg(s.ambient_dim, s.basis + [eye(s.ambient_dim)], s.tol)
 
 
+def _kron_basis(s: Subalg, m: int, s_left: bool) -> Subalg:
+    """S (x) M_m with the S factor on the left, basis b (x) e_ij in b-major
+    order (s_left), or M_m(S), basis e_ij (x) b in (i, j)-major order.
+
+    The basis is written into one array.  Its entries are copies of the
+    entries of S's basis, so it equals the np.kron basis bit for bit but for
+    the sign of zeros (np.kron writes -0.0 where 0 meets a negative entry),
+    and it is HS-orthonormal and *-closed exactly when S's basis is.
+    """
+    n = s.ambient_dim
+    b = s._flats.reshape(-1, n, n)
+    i, j = np.indices((m, m))
+    if s_left:  # (b (x) e_ij)[a*m + i, c*m + j] = b[a, c]
+        out = np.zeros((s.dim, m, m, n, m, n, m), dtype=complex)
+        out[:, i, j, :, i, :, j] = b
+    else:  # (e_ij (x) b)[i*n + a, j*n + c] = b[a, c]
+        out = np.zeros((m, m, s.dim, m, n, m, n), dtype=complex)
+        out[i, j, :, i, :, j, :] = b
+    return Subalg(n * m, out.reshape(-1, n * m, n * m), s.tol, _orthonormal=True,
+                  check=False)
+
+
 def amplify(s: Subalg, n: int) -> Subalg:
     """M_n(S) inside M_{nN}(C), coarse block factor on the left."""
     if n < 1:
         raise InvalidInput("amplification count must be >= 1")
-    basis = [
-        kron(matcore.matrix_unit(n, i, j), b)
-        for i in range(n)
-        for j in range(n)
-        for b in s.basis
-    ]
-    return Subalg(s.ambient_dim * n, basis, s.tol, _orthonormal=True, check=False)
+    return _kron_basis(s, n, s_left=False)
 
 
 def tensor_with_full(s: Subalg, m: int) -> Subalg:
     """S tensor M_m, realized with the S factor on the left."""
     if m < 1:
         raise InvalidInput("tensor factor size must be >= 1")
-    basis = [
-        kron(b, matcore.matrix_unit(m, i, j))
-        for b in s.basis
-        for i in range(m)
-        for j in range(m)
-    ]
-    return Subalg(s.ambient_dim * m, basis, s.tol, _orthonormal=True, check=False)
+    return _kron_basis(s, m, s_left=True)
 
 
 def intersect(s: Subalg, t: Subalg, tol: Tol = DEFAULT_TOL) -> Subalg:

@@ -10,9 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from approxk import boundary, cli, funcalc, kprod, ops, scenarios
+from approxk import boundary, cli, funcalc, kprod, ops, scenarios, subalg
 from approxk.loops import winding_k1
-from approxk.matcore import matrix_unit
+from approxk.matcore import DEFAULT_TOL, matrix_unit
 from approxk.subalg import Subalg
 from approxk.wedderburn import decompose
 
@@ -180,19 +180,48 @@ def test_criterion_07_additivity_and_negation():
     assert report(7, "boxplus additivity and inverse negation", ok)
 
 
-def test_criterion_08_product_compatibility():
+PRODUCT_ROWS = {
+    "zero": (np.zeros((2, 2), dtype=complex), (0, 0)),
+    "rank1": (np.diag([1.0, 0.0]).astype(complex), (1, -1)),
+    "full": (np.eye(2, dtype=complex), (2, -2)),
+}
+
+
+def twisted_lift():
     scn = scenarios.twisted_pair()
-    _, _, cert = boundary.iota_lift(scn["p"], scn["q"], scn["c"], scn["d"])
-    expect = {
-        "zero": (np.zeros((2, 2), dtype=complex), (0, 0)),
-        "rank1": (np.diag([1.0, 0.0]).astype(complex), (1, -1)),
-        "full": (np.eye(2, dtype=complex), (2, -2)),
-    }
+    return boundary.iota_lift(scn["p"], scn["q"], scn["c"], scn["d"])[2]
+
+
+def product_rows_hold(cert) -> bool:
     ok = True
-    for _label, (p, lhs) in expect.items():
+    for p, lhs in PRODUCT_ROWS.values():
         pc = kprod.boundary_product_check(cert, p, 2)
-        ok = ok and pc.equal and pc.lhs_entries == lhs
+        ok = (ok and pc.equal and pc.lhs_entries == lhs
+              and pc.intersection_gap == 0)
+    return ok
+
+
+def test_criterion_08_product_compatibility():
+    ok = product_rows_hold(twisted_lift())
     assert report(8, "boundary product compatibility", ok)
+
+
+def test_planted_intersection_gap_fails_criterion_08(monkeypatch):
+    # a principal-angle intersection that loses a basis vector leaves the
+    # classes equal, since they are taken over (C cap D) (x) M_2; the gap
+    # must catch it
+    cert = twisted_lift()
+    real = subalg.intersect
+
+    def short(s, t, tol=DEFAULT_TOL):
+        full = real(s, t, tol)
+        return Subalg(full.ambient_dim, full.basis[:-1], full.tol,
+                      _orthonormal=True, check=False)
+
+    monkeypatch.setattr(subalg, "intersect", short)
+    pc = kprod.boundary_product_check(cert, PRODUCT_ROWS["rank1"][0], 2)
+    assert pc.equal and pc.intersection_gap == -1
+    assert not product_rows_hold(cert)
 
 
 def test_criterion_09_loop_factorization():

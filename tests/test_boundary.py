@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from approxk import boundary, funcalc, ops, scenarios
 from approxk.errors import (
+    AmbiguousIntersection,
     ApproxKError,
     InvalidInput,
     IotaNotZero,
@@ -20,7 +21,7 @@ from approxk.matcore import matrix_unit
 from approxk.subalg import Subalg, Subspace
 from approxk.wedderburn import K0Vec
 
-from conftest import random_invertible
+from conftest import corner_pair, random_invertible
 
 
 def block_h(middle: float = 0.5) -> np.ndarray:
@@ -431,3 +432,43 @@ def test_near_singular_inputs_raise_not_invertible(carrier, n, s, seed):
     for call in calls:
         with pytest.raises(ApproxKError):
             call()
+
+
+TENSOR_PAIRS = {
+    "block_pair": scenarios.block_ideal_pair,
+    "twisted_pair": scenarios.twisted_pair,
+    "twisted_pair_conj": lambda: scenarios.twisted_pair(
+        conj=scenarios.random_unitary(4, np.random.default_rng(13))),
+    "circle_split": lambda: scenarios.circle_split(grid=64, fiber=1),
+}
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("name", sorted(TENSOR_PAIRS))
+def test_tensored_intersection_is_the_tensored_base(name, m):
+    # (C (x) M_m) cap (D (x) M_m) = (C cap D) (x) M_m on both carriers
+    scn = TENSOR_PAIRS[name]()
+    c, d = boundary.make_side(scn["c"]), boundary.make_side(scn["d"])
+    base = boundary.intersect_sides(c, d)
+    tensored = base.tensor(m)
+    direct = boundary.intersect_sides(c.tensor(m), d.tensor(m))
+    if isinstance(c, boundary.MatrixSide):
+        assert tensored.alg.dim == direct.alg.dim == m * m * base.alg.dim > 0
+    else:
+        assert tensored.alg.fiber_dim == direct.alg.fiber_dim == m
+        assert np.array_equal(tensored.alg.mask, base.alg.mask)
+        assert np.array_equal(direct.alg.mask, base.alg.mask)
+        assert not base.alg.mask.all()
+    x = c.random_elements(m, 8, np.random.default_rng(m))
+    for unitized in (False, True):
+        gap = ops.arr(tensored.project(x, unitized)) - ops.arr(direct.project(x, unitized))
+        assert np.abs(gap).max() <= 1e-12
+
+
+@pytest.mark.parametrize("b_dims", [(1, 2), (2, 3)])
+def test_uniformity_probe_keeps_the_ambiguity_band(b_dims):
+    # the tensored intersections are the base one tensored, so the base's
+    # ambiguity band must still raise
+    c, d = corner_pair(1e-8)
+    with pytest.raises(AmbiguousIntersection):
+        boundary.uniformity_probe(c, d, sample_count=3, b_dims=b_dims)

@@ -72,26 +72,17 @@ def test_bundled_reports_match_pinned(tmp_path, name):
     assert_report_matches(json.loads(out.read_text()), want)
 
 
-def test_circle_split_report_takes_no_small_svds(tmp_path, monkeypatch):
+def test_circle_split_report_takes_no_small_svds(tmp_path, count_calls):
     # operator norms of 1x1 and 2x2 samples are closed forms, so the only
     # small SVDs left are of off-support means: the rank in aug_diff, and the
     # one SVD of f_inf in arc_k0_trivialize, which gives both its rank and
     # its decomposition, 3 calls each
-    svd = np.linalg.svd
-    small = []
-
-    def counting(a, *args, **kwargs):
-        a = np.asarray(a)
-        if max(a.shape[-2:]) <= 2:
-            small.append(int(np.prod(a.shape[:-2])))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
     # np.linalg.norm looks svd up in the module that defines it
-    monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", counting)
+    calls = count_calls("svd", np.linalg, inspect.unwrap(np.linalg.norm).__globals__)
     out = tmp_path / "circle_split.json"
     assert run_cli(["run", "circle_split", "--seed", "7", "--out", str(out)]) == 0
-    assert sum(small) <= 6
+    shapes = [np.shape(args[0]) for args in calls]
+    assert sum(int(np.prod(s[:-2])) for s in shapes if max(s[-2:]) <= 2) <= 6
 
 
 def test_scipy_loads_on_first_use(tmp_path):

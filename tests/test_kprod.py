@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from approxk import boundary, kprod, scenarios
+from approxk import boundary, kprod, scenarios, subalg
 from approxk.errors import InvalidInput, NotAClass
 from approxk.loops import LoopAlg, power_z
 from approxk.matcore import matrix_unit
@@ -107,3 +107,22 @@ def test_nonunital_class_check():
 def test_nonunital_check_needs_nonunital_algebras():
     with pytest.raises(InvalidInput):
         kprod.nonunital_class_check(np.eye(4), full_alg(2), corner_alg())
+
+
+def test_tensored_pairs_take_one_principal_angle_intersection(count_calls):
+    # tensored pairs reuse their base intersection; the product check keeps
+    # one principal-angle intersection, which measures intersection_gap
+    blk = scenarios.block_ideal_pair()
+    h = np.diag([1.0, 1.0, 0.5, 0.5, 0.0, 0.0]).astype(complex)
+    ideal = boundary.check_delta_ideal_structure(
+        h, blk["c"], blk["d"], [np.eye(6)], random_probes=2)
+    scn = scenarios.twisted_pair()
+    _, _, lift = boundary.iota_lift(scn["p"], scn["q"], scn["c"], scn["d"])
+    calls = count_calls("intersect", subalg)
+    boundary.uniformity_probe(blk["c"], blk["d"], sample_count=5, b_dims=(1, 2, 3))
+    assert len(calls) == 1
+    boundary.tensor_scale_ideal_structure(ideal, 2)
+    assert len(calls) == 1
+    pc = kprod.boundary_product_check(lift, np.diag([1.0, 0.0]).astype(complex), 2)
+    assert len(calls) == 2
+    assert pc.equal and pc.intersection_gap == 0

@@ -6,7 +6,10 @@ from hypothesis import strategies as st
 from approxk import subalg
 from approxk.errors import AmbiguousIntersection, ClosureFailure, InvalidInput
 from approxk.matcore import DEFAULT_TOL, matrix_unit
+from approxk import scenarios
 from approxk.subalg import Subalg, Subspace, from_basis, intersect, unitize
+
+from conftest import corner_pair
 
 
 def block_alg(n, blocks):
@@ -182,19 +185,37 @@ def test_intersect_with_zero_algebra(rng):
     assert_same_intersection(s, zero)
 
 
-def corner_pair(theta):
-    """Rank-2 corners of M_4 sharing e_0; their second directions e_1 and
-    cos(theta) e_1 + sin(theta) e_2 meet at principal angle theta."""
-    p = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
-    w = np.array([0.0, np.cos(theta), np.sin(theta), 0.0])
-    q = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex) + np.outer(w, w)
-    units = [matrix_unit(4, i, j) for i in range(4) for j in range(4)]
-    return (Subalg(4, [p @ e @ p for e in units]),
-            Subalg(4, [q @ e @ q for e in units]))
-
-
 def test_intersect_ambiguity_band():
     with pytest.raises(AmbiguousIntersection):
         intersect(*corner_pair(1e-8))
     assert intersect(*corner_pair(1e-6)).dim == 1
     assert intersect(*corner_pair(0.0)).dim == 4
+
+
+KRON_CASES = {
+    "block_pair C": lambda: scenarios.block_ideal_pair()["c"],
+    "block_pair D": lambda: scenarios.block_ideal_pair()["d"],
+    "twisted_pair C": lambda: scenarios.twisted_pair()["c"],
+    # np.kron writes -0.0 where a zero meets a negative entry, a copy 0.0
+    "conjugated twisted_pair C": lambda: scenarios.twisted_pair(
+        conj=scenarios.random_unitary(4, np.random.default_rng(3)))["c"],
+}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("case", list(KRON_CASES))
+def test_kron_bases_are_the_kron_list(case, m):
+    # both bases are written into one array; they must be the kron list they
+    # replace, bit for bit and in basis order
+    s = KRON_CASES[case]()
+    units = [matrix_unit(m, i, j) for i in range(m) for j in range(m)]
+    for build, old in ((subalg.tensor_with_full, [np.kron(b, u) for b in s.basis for u in units]),
+                       (subalg.amplify, [np.kron(u, b) for u in units for b in s.basis])):
+        got = build(s, m)
+        want = Subalg(s.ambient_dim * m, old, s.tol, _orthonormal=True, check=False)
+        got_bytes, old_bytes = (np.array(a).tobytes() for a in (got.basis, old))
+        if case.startswith("conjugated"):
+            got_bytes, old_bytes = ((np.array(a) + 0.0).tobytes() for a in (got.basis, old))
+        assert got_bytes == old_bytes
+        assert got.dim == want.dim == m * m * s.dim
+        assert got.is_unital_in_ambient == want.is_unital_in_ambient
