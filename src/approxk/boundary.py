@@ -22,7 +22,8 @@ implements exactly these:
   side;
 - ``random_elements(m, count, rng)``: a stack of count random unit-norm
   ambient elements at fiber amplification m;
-- ``aug_diff(e, half)``: scalar-rank mismatch of e against 1_half (+) 0;
+- ``aug_diff(e, half)``: scalar-rank mismatch of e against 1_half (+) 0,
+  the scalar part read by the augmentation of the unitized algebra;
 - ``boundary_class(e, half, tol, seed)``: the class [e] - [1_half (+) 0];
 - ``trivializer(e, half, tol, seed)``: an invertible w with
   w e w^-1 ~ 1_half (+) 0, or NoWitness;
@@ -76,7 +77,8 @@ def _multiplier(h) -> np.ndarray:
     return as_matrix(h)
 
 
-def check_contraction(h, slack: float = 1e-9):
+def check_contraction(h):
+    slack = 1e-9
     hm = _multiplier(h)
     hm_adj = np.conj(np.swapaxes(hm, -1, -2))
     if ops.sup_norm(hm - hm_adj) > slack * max(1.0, ops.sup_norm(hm)):
@@ -149,16 +151,6 @@ class MatrixSide:
         w = self.project(x, unitized)
         return w, ops.sup_norm(ops.arr(x) - ops.arr(w))
 
-    def scalar_part(self, x) -> np.ndarray:
-        """Coarse scalar component: s with x ~ kron(s, 1_N) + algebra part."""
-        x = as_matrix(x)
-        n = self.ambient_dim
-        k = x.shape[0] // n
-        if k * n != x.shape[0]:
-            raise InvalidInput("element size incompatible with the ambient")
-        blocks = x.reshape(k, n, k, n)
-        return np.trace(blocks, axis1=1, axis2=3) / n
-
     def intersect(self, other: "MatrixSide", tol: Tol = DEFAULT_TOL) -> "MatrixSide":
         return MatrixSide(subalg.intersect(self.alg, other.alg, tol))
 
@@ -174,7 +166,10 @@ class MatrixSide:
     def aug_diff(self, e, half: int) -> int:
         if self.alg.is_unital_in_ambient:
             return 0
-        return matcore.rank(self.scalar_part(e)) - half // self.ambient_dim
+        n = self.ambient_dim
+        k = len(e) // n
+        scalars = np.einsum("pq,ipjq->ij", self.alg.augmentation, e.reshape(k, n, k, n))
+        return matcore.rank(scalars) - half // n
 
     def _rounded(self, e, tol: Tol) -> np.ndarray:
         """Riesz rounding of the nearest point of e in the unitized algebra;
@@ -403,14 +398,15 @@ class LiftCert:
 
     residual_d, residual_c, residual_int are the membership defects of v in
     the matrices over unitized D, of v * diag(u^-1, u) in unitized C, and of
-    v * diag(1, 0) * v^-1 in the unitized intersection.  aug_diff is the
-    scalar-rank mismatch that must vanish for the boundary class to live in
-    the non-unitized K_0 group.
+    the boundary idempotent e = v * diag(1, 0) * v^-1 in the unitized
+    intersection.  aug_diff is the scalar-rank mismatch that must vanish for
+    the boundary class to live in the non-unitized K_0 group.
     """
 
     u: object
     v: object
     v_inv: object
+    e: object
     c: float
     residual_d: float
     residual_c: float
@@ -442,8 +438,8 @@ def certify_lift(u, v, c, d, tol: Tol = DEFAULT_TOL, h=None,
     d_side = make_side(d)
     if int_side is None:
         int_side = intersect_sides(c_side, d_side, tol)
-    v_inv = ops.inv(v)
-    u_inv = ops.inv(u)
+    v_inv = ops.inv(v, tol)
+    u_inv = ops.inv(u, tol)
     norm_c = max(ops.norm(v), ops.norm(v_inv), ops.norm(u), ops.norm(u_inv))
     _, r_d = d_side.nearest(v)
     _, r_c = c_side.nearest(v @ ops.oplus(u_inv, u))
@@ -452,7 +448,7 @@ def certify_lift(u, v, c, d, tol: Tol = DEFAULT_TOL, h=None,
     # the scalar-rank mismatch decides whether the boundary class lands in
     # the non-unitized subgroup
     aug = int_side.aug_diff(e, ops.side_size(u))
-    return LiftCert(u, v, v_inv, float(norm_c), float(r_d), float(r_c),
+    return LiftCert(u, v, v_inv, e, float(norm_c), float(r_d), float(r_c),
                     float(r_int), int(aug), c_side, d_side, int_side, h)
 
 
@@ -467,7 +463,7 @@ def build_lift_v(u, h, c, d, tol: Tol = DEFAULT_TOL):
     check_contraction(h)
     one = ops.eye_like(u)
     y = u - one
-    u_inv = ops.inv(u)
+    u_inv = ops.inv(u, tol)
     z = u_inv - one
     a = one + h_apply(h_one_minus(h), y, "left")
     b = one + h_apply(h_one_minus(h), z, "right")
@@ -509,14 +505,13 @@ def check_inv_cut(u, h):
 def boundary_class(cert: LiftCert, tol: Tol = DEFAULT_TOL, seed: int = 0) -> K0Vec:
     """The boundary class of a certified lift, with the exactness assertion
     that its pushforwards into K_0(C) and K_0(D) vanish."""
-    e = cert.v @ _top_projection(cert.u) @ cert.v_inv
     half = ops.side_size(cert.u)
-    out = cert.int_side.boundary_class(e, half, tol, seed)
+    out = cert.int_side.boundary_class(cert.e, half, tol, seed)
     if not out.blocks:
         # a class in the zero group has zero pushforwards
         return out
     for side in (cert.c_side, cert.d_side):
-        push = side.boundary_class(e, half, tol, seed)
+        push = side.boundary_class(cert.e, half, tol, seed)
         if any(push.entries):
             raise ExactnessViolation(f"pushforward {push.entries} is nonzero")
     return out
@@ -574,7 +569,7 @@ def boxplus(lifts, tol: Tol = DEFAULT_TOL):
 
 def inverse_lift(cert: LiftCert, tol: Tol = DEFAULT_TOL) -> LiftCert:
     """Certificate for v^-1 as a lift of u^-1."""
-    return certify_lift(ops.inv(cert.u), cert.v_inv, cert.c_side, cert.d_side,
+    return certify_lift(ops.inv(cert.u, tol), cert.v_inv, cert.c_side, cert.d_side,
                         tol, h=cert.h, int_side=cert.int_side)
 
 
@@ -600,13 +595,12 @@ def sigma_witness(cert: LiftCert, eps: float, tol: Tol = DEFAULT_TOL,
     u x^-1 in_eps unitized C, following the trivialize-then-cut-corners
     construction.
     """
-    e = cert.v @ _top_projection(cert.u) @ cert.v_inv
     n = ops.side_size(cert.u)
-    w = cert.int_side.trivializer(e, n, tol, seed)
+    w = cert.int_side.trivializer(cert.e, n, tol, seed)
     wv = w @ cert.v
     x, top_right, bot_left, _y = ops.corner_blocks(wv, n)
     offdiag = max(ops.norm(top_right), ops.norm(bot_left))
-    x_inv = ops.inv(x)
+    x_inv = ops.inv(x, tol)
     factor = cert.u @ x_inv
     _, r_d = cert.d_side.nearest(x)
     _, r_c = cert.c_side.nearest(factor)
@@ -624,9 +618,10 @@ def sigma_witness(cert: LiftCert, eps: float, tol: Tol = DEFAULT_TOL,
 # homotopy discretization and Whitehead splittings
 
 
-def _homotopy_stacks(u_path, max_step: float = 0.5):
+def _homotopy_stacks(u_path):
     """Stacks (a, b, defect) behind discretize_homotopy: a holds the
     summands path_i^-1 (i >= 1) and b the summands path_i."""
+    max_step = 0.5
     if len(u_path) < 2:
         raise InvalidInput("need at least two path samples")
     b = ops.stack(u_path)
@@ -654,18 +649,18 @@ def _homotopy_stacks(u_path, max_step: float = 0.5):
     return ops.Stack(q[..., 1:, :, :]), b, defect
 
 
-def discretize_homotopy(u_path, max_step: float = 0.5):
+def discretize_homotopy(u_path):
     """Block-diagonal witnesses (a, b) that an invertible homotopic to the
     identity is a product of elementary-style blocks, up to a small defect.
 
     The path must end at the identity; returns (a, b, defect) with
     a = (+) path_i^-1 (i >= 1) of size m*n, b = (+) path_i of size (m+1)*n,
     and defect the norm of u_0 (+) 1 - (1_n (+) a (+) a^-1 (+) 1_n)(b (+) b^-1),
-    certified against max_step * c.  Steps, inverses and the defect are
-    taken summand by summand.
+    certified against 0.5 * c, where 0.5 also bounds every step.  Steps,
+    inverses and the defect are taken summand by summand.
     """
     path = list(u_path)
-    a, b, defect = _homotopy_stacks(path, max_step)
+    a, b, defect = _homotopy_stacks(path)
     return (ops.like(path[0], ops.direct_sum(a)),
             ops.like(path[0], ops.direct_sum(b)), defect)
 
@@ -711,16 +706,15 @@ def _whitehead_factors(x, y, h, t: float):
     return vc, vd
 
 
-def whitehead_split(a, h, c, d, tol: Tol = DEFAULT_TOL, t_steps: int = 32,
-                    keep_paths: bool = True) -> WhiteheadCert:
+def whitehead_split(a, h, c, d, tol: Tol = DEFAULT_TOL,
+                    t_steps: int = 32) -> WhiteheadCert:
     """Split diag(a, a^-1) as a product of a near-C and a near-D invertible,
     with sampled homotopies of both factors to the identity.
 
     Endpoints are exact: the t = 0 product recovers diag(a, a^-1) and the
     t = 1 factors are the identity.  Norms are certified against (3 + c)^5.
-    With keep_paths=False only the t = 0 and t = 1 factors are retained; the
-    per-t certificates still cover the whole grid.  This keeps memory flat
-    when the carrier is a large sampled loop.
+    The paths hold only the t = 0 and t = 1 factors, so memory stays flat on
+    large loops; the certificates cover every t of the grid.
 
     The split runs on summand stacks; a lone element is a stack of one
     summand and gets paths in its own carrier.  An internal
@@ -735,22 +729,22 @@ def whitehead_split(a, h, c, d, tol: Tol = DEFAULT_TOL, t_steps: int = 32,
     c_side = make_side(c)
     d_side = make_side(d)
     lone = not isinstance(a, ops.Stack)
+    # a lone element runs as a stack of one: results held on a Stack skip the
+    # input validation that LoopElem and as_matrix repeat on every operation
     s = ops.Stack(ops.arr(a)[..., None, :, :]) if lone else a
     one = ops.eye_like(s)
     x = s - one
-    s_inv = ops.inv(s)
+    s_inv = ops.inv(s, tol)
     y = s_inv - one
     c_norm = max(ops.norm(s), ops.norm(s_inv))
     bound = (3.0 + c_norm) ** 5
     target = ops.oplus(s, s_inv)
     big_one = ops.eye_like(target)
-    vc_path = []
-    vd_path = []
+    vc_path, vd_path = [], []
     mem_c = mem_d = norm_max = 0.0
     for j_t in range(t_steps + 1):
-        t = j_t / t_steps
-        vc, vd = _whitehead_factors(x, y, h, t)
-        if keep_paths or j_t in (0, t_steps):
+        vc, vd = _whitehead_factors(x, y, h, j_t / t_steps)
+        if j_t in (0, t_steps):
             vc_path.append(vc)
             vd_path.append(vd)
         _, rc = c_side.nearest(vc - big_one, unitized=False)
@@ -809,7 +803,6 @@ def _path_band(factors: ops.Stack, start: int, size: int) -> matcore.Band:
 
 def sigma_reconstruct(u_path, u_c, u_d, h, c, d, tol: Tol = DEFAULT_TOL,
                       seed: int = 0, uniform_constant: float = 3.0,
-                      eps_floor: float = 1e-6,
                       whitehead_t_steps: int = 8) -> SigmaReconstruct:
     """Reconstruct a class over the intersection inducing (u_C, u_D).
 
@@ -837,10 +830,8 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d, tol: Tol = DEFAULT_TOL,
     n = ops.side_size(u0)
     m = ops.arr(a).shape[-3]
     size = 2 * (m + 1) * n
-    wc_a = whitehead_split(a, h, c_side, d_side, tol,
-                           t_steps=whitehead_t_steps, keep_paths=False)
-    wc_b = whitehead_split(b, h, c_side, d_side, tol,
-                           t_steps=whitehead_t_steps, keep_paths=False)
+    wc_a, wc_b = (whitehead_split(s, h, c_side, d_side, tol, t_steps=whitehead_t_steps)
+                  for s in (a, b))
     for name, wc in (("a", wc_a), ("b", wc_b)):
         if not wc.certified:
             raise ReconstructionFailed(
@@ -851,10 +842,10 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d, tol: Tol = DEFAULT_TOL,
             )
     ca, da, ca_inv, da_inv = (_path_band(f, n, size) for f in (
         wc_a.vc_path[0], wc_a.vd_path[0],
-        ops.inv(wc_a.vc_path[0]), ops.inv(wc_a.vd_path[0])))
+        ops.inv(wc_a.vc_path[0], tol), ops.inv(wc_a.vd_path[0], tol)))
     cb, db, cb_inv, db_inv = (_path_band(f, 0, size) for f in (
         wc_b.vc_path[0], wc_b.vd_path[0],
-        ops.inv(wc_b.vc_path[0]), ops.inv(wc_b.vd_path[0])))
+        ops.inv(wc_b.vc_path[0], tol), ops.inv(wc_b.vd_path[0], tol)))
 
     def embed(u):
         # the top-left embedding u (+) 1: n-block 0 leads the path order too
@@ -863,7 +854,7 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d, tol: Tol = DEFAULT_TOL,
     # the comparison elements t = 1 + r: t_C = v_C^-1 u_C with
     # v_C^-1 = da cb^-1 da^-1 ca^-1, and t_D = v_D u_D^-1 with v_D = da db
     t_c = da @ cb_inv @ da_inv @ ca_inv @ embed(u_c)
-    t_d = da @ db @ embed(ops.inv(u_d))
+    t_d = da @ db @ embed(ops.inv(u_d, tol))
     one = matcore.Band(np.ones((1, size), dtype=complex), 0, 0)
     gap = matcore.band_norm(t_c - t_d)
     mid = 0.5 * (t_c + t_d) - one
@@ -874,7 +865,7 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d, tol: Tol = DEFAULT_TOL,
     x = matcore.band(ops.arr(y), mid.kl, mid.ku) + one
     drift_c, drift_d = matcore.band_norm(x - t_c), matcore.band_norm(x - t_d)
     achieved = max(drift_c, drift_d)
-    if achieved > max(uniform_constant * gap, eps_floor):
+    if achieved > max(uniform_constant * gap, 1e-6):
         raise PairNotUniform(
             f"joint approximation {achieved:.3e} exceeds "
             f"{uniform_constant:.1f} * {gap:.3e}"
@@ -901,7 +892,7 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d, tol: Tol = DEFAULT_TOL,
         # x shares their invertible component via the 1/||t^-1|| margin
         # (the drifts of `achieved` are ||x - t||), with t_C^-1 = u_C^-1 v_C
         # and t_D^-1 = u_D db^-1 da^-1
-        t_inv_c = embed(ops.inv(u_c)) @ ca @ da @ cb @ da_inv
+        t_inv_c = embed(ops.inv(u_c, tol)) @ ca @ da @ cb @ da_inv
         t_inv_d = embed(u_d) @ db_inv @ da_inv
         for name, t_inv, drift in (("C", t_inv_c, drift_c), ("D", t_inv_d, drift_d)):
             margin = 1.0 / matcore.band_norm(t_inv)

@@ -87,16 +87,6 @@ def boundary_product_check(cert: LiftCert, p, m: int, tol: Tol = DEFAULT_TOL,
     return ProductCheck(lhs, tuple(rhs), tuple(lhs) == tuple(rhs), cert2, int(gap))
 
 
-def _augmentation_functional(alg: Subalg) -> np.ndarray:
-    """Matrix functional extracting the scalar coefficient in S + C1."""
-    n = alg.ambient_dim
-    one = eye(n)
-    if alg.is_unital_in_ambient:
-        raise InvalidInput("augmentation needs a non-unital algebra")
-    w = one - alg.project(one)
-    return np.conj(w) / np.vdot(w, one)
-
-
 def _apply_left_functional(e: np.ndarray, f: np.ndarray, n_a: int, n_b: int,
                            k: int) -> np.ndarray:
     t = e.reshape(k, n_a, n_b, k, n_a, n_b)
@@ -123,8 +113,7 @@ def nonunital_class_check(e, a_alg: Subalg, b_alg: Subalg,
     if e.shape[0] % (n_a * n_b):
         raise InvalidInput("element size incompatible with the tensor ambient")
     k = e.shape[0] // (n_a * n_b)
-    phi_a = _augmentation_functional(a_alg)
-    phi_b = _augmentation_functional(b_alg)
+    phi_a, phi_b = a_alg.augmentation, b_alg.augmentation
     target = (matcore.rank(_apply_left_functional(e, phi_a, n_a, n_b, k), tol),
               matcore.rank(_apply_right_functional(e, phi_b, n_a, n_b, k), tol))
     if f is None:

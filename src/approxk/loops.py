@@ -288,7 +288,7 @@ def arc_k0_trivialize(e: LoopElem, ideal: LoopAlg, tol: Tol = DEFAULT_TOL):
     const_mat = np.zeros((d, d), dtype=complex)
     const_mat[:r, :r] = np.eye(r)
     g_loop = LoopElem.constant(g, e.grid_size)
-    e1 = g_loop @ e @ LoopElem.constant(matcore.invert(g), e.grid_size)
+    e1 = g_loop @ e @ LoopElem.constant(matcore.invert(g, tol), e.grid_size)
 
     # step s retracts each support run onto the sample before it: the run's
     # j-th sample reads the sample round(frac_s * j) past that anchor

@@ -125,10 +125,10 @@ def unit_summands(s: Stack, floor: float) -> Stack:
     return Stack(s.summands[..., keep, :, :] * (1.0 / norms[keep])[:, None, None])
 
 
-def inv(x):
+def inv(x, tol: matcore.Tol = matcore.DEFAULT_TOL):
     """Inverse through the guarded kernel :func:`matcore.invert`: sample by
     sample for a loop, summand by summand for a stack."""
-    return like(x, matcore.invert(arr(x)))
+    return like(x, matcore.invert(arr(x), tol))
 
 
 def adj(x):

@@ -7,9 +7,16 @@ upper bound for the operator-norm distance to the span.  Membership in M_k(S)
 is computed block by block; intersections come from principal angles.  Bases
 are orthonormalized, and intersections cut, by the rank decision of
 :mod:`matcore` (:func:`matcore.rank_split`, :func:`matcore.rank_cut`).
+
+The unitization S + C1 is read off one matrix, r = 1 - P_S(1), taken on
+first use: S is unital when ||r||_op <= membership_tol; otherwise
+r / ||r||_HS completes S's basis to one of S + C1 (:func:`unitize`), and
+conj(r) / <r, 1> is the augmentation s + c1 -> c (r is HS-orthogonal to S).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -107,8 +114,24 @@ class Subalg(Subspace):
         super().__init__(ambient_dim, basis, tol, _orthonormal=_orthonormal)
         if check:
             self._check_closure()
+
+    @functools.cached_property
+    def unit_residual(self) -> np.ndarray:
+        """r = 1 - P_S(1), the part of the ambient unit outside S."""
         one = eye(self.ambient_dim)
-        self.is_unital_in_ambient = self.dim > 0 and self.contains(one)
+        return one - self.project(one)
+
+    @functools.cached_property
+    def is_unital_in_ambient(self) -> bool:
+        return self.dim > 0 and op_norm(self.unit_residual) <= self.tol.membership_tol
+
+    @functools.cached_property
+    def augmentation(self) -> np.ndarray:
+        """The augmentation as the matrix f with value sum(f * x) at x."""
+        if self.is_unital_in_ambient:
+            raise InvalidInput("augmentation needs a non-unital algebra")
+        r = self.unit_residual
+        return np.conj(r) / np.vdot(r, eye(self.ambient_dim))
 
     def _check_closure(self):
         # closure residuals measured in HS norm with mild slack for products;
@@ -151,10 +174,13 @@ def from_basis(ambient_dim: int, generators, tol: Tol = DEFAULT_TOL) -> Subalg:
 
 
 def unitize(s: Subalg) -> Subalg:
-    """Span of S and the ambient unit; idempotent."""
+    """Span of S and the ambient unit; idempotent.  Its basis is S's and
+    r / ||r||_HS, unchecked: S + C1 is a *-algebra whenever S is."""
     if s.is_unital_in_ambient:
         return s
-    return Subalg(s.ambient_dim, s.basis + [eye(s.ambient_dim)], s.tol)
+    n, r = s.ambient_dim, s.unit_residual
+    basis = np.concatenate([s._flats.reshape(-1, n, n), r[None] / np.linalg.norm(r)])
+    return Subalg(n, basis, s.tol, _orthonormal=True, check=False)
 
 
 def _kron_basis(s: Subalg, m: int, s_left: bool) -> Subalg:

@@ -296,7 +296,7 @@ def path_to_similarity(e_path, tol: Tol = DEFAULT_TOL):
         sym_next = ops.scal(2.0, e) - one
         z = ops.scal(0.5, sym_next @ sym_cur + one) @ z
         sym_cur = sym_next
-    resid = ops.norm(z @ path[0] @ ops.inv(z) - path[-1])
+    resid = ops.norm(z @ path[0] @ ops.inv(z, tol) - path[-1])
     if resid > 1e-6:
         raise PathTooCoarse(len(path) - 1,
                             f"telescoped conjugation residual {resid:.3e} > 1e-6")

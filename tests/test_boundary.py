@@ -17,7 +17,7 @@ from approxk.errors import (
     RoundingUnstable,
 )
 from approxk.loops import LoopAlg, LoopElem
-from approxk.matcore import matrix_unit
+from approxk.matcore import Tol, matrix_unit
 from approxk.subalg import Subalg, Subspace
 from approxk.wedderburn import K0Vec
 
@@ -201,6 +201,34 @@ def test_loop_lift_is_exact_and_boundary_trivial():
     assert boundary.boundary_class(cert).entries == ()
 
 
+def test_block_pair_exact_lift_has_no_augmentation_mismatch():
+    # u is block diagonal on M_2 (+) M_2 (+) M_2, so the lift is exact; the
+    # augmentation of the middle block, not trace / N, reads its scalar part
+    scn = scenarios.block_ideal_pair()
+    rng = np.random.default_rng(0)
+    for _ in range(6):
+        u = np.zeros((6, 6), dtype=complex)
+        for b in range(3):
+            u[2 * b:2 * b + 2, 2 * b:2 * b + 2] = scenarios.random_unitary(2, rng)
+        _, cert = boundary.build_lift_v(u, block_h(), scn["c"], scn["d"])
+        assert cert.delta_level < 1e-12
+        assert cert.aug_diff == 0
+        assert cert.valid_at(1e-9)
+
+
+def test_inverses_use_the_callers_tol(rng):
+    # kappa_1 is 2.44 for circle_split's lift v: a Tol that allows no
+    # conditioning must stop it, and likewise the Whitehead split's a^-1
+    tight = Tol(invert_cond_max=1.0 + 1e-9)
+    scn = scenarios.circle_split(grid=64)
+    with pytest.raises(NotInvertible):
+        boundary.build_lift_v(scn["u"], scn["h"], scn["c"], scn["d"], tight)
+    blk = scenarios.block_ideal_pair()
+    a = random_invertible(rng, 6, spread=0.3)
+    with pytest.raises(NotInvertible):
+        boundary.whitehead_split(a, block_h(), blk["c"], blk["d"], tight)
+
+
 # ---------------------------------------------------------------------------
 # boundary classes over the twisted pair
 
@@ -300,9 +328,21 @@ def test_whitehead_split_memory_lean_mode(rng):
     alg = full_alg(2)
     a = random_invertible(rng, 2, spread=0.3)
     cert = boundary.whitehead_split(a, np.eye(2, dtype=complex), alg, alg,
-                                    keep_paths=False, t_steps=16)
+                                    t_steps=16)
     assert len(cert.vc_path) == 2 and len(cert.vd_path) == 2
     assert cert.product_residual < 1e-10
+
+
+def test_whitehead_split_keeps_the_end_factors():
+    # by default, on a lone loop and on a stack of loops
+    scn = scenarios.circle_split(grid=64)
+    u_c = scn["u_c"]
+    for a in (u_c, ops.stack([u_c, u_c])):
+        cert = boundary.whitehead_split(a, scn["h"], scn["c"], scn["d"])
+        assert cert.t_steps == 32
+        assert len(cert.vc_path) == 2 and len(cert.vd_path) == 2
+        assert cert.endpoint_residual == 0.0
+    assert isinstance(cert.vc_path[0], ops.Stack)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from approxk import subalg
+from approxk import matcore, subalg
 from approxk.errors import AmbiguousIntersection, ClosureFailure, InvalidInput
 from approxk.matcore import DEFAULT_TOL, matrix_unit
 from approxk import scenarios
@@ -67,6 +67,50 @@ def test_unitize_adds_ambient_unit():
     assert su.dim == s.dim + 1
     assert su.contains(np.eye(4))
     assert unitize(su) is su
+
+
+AUGMENTED = {
+    "block_pair C": lambda: scenarios.block_ideal_pair()["c"],
+    "block_pair D": lambda: scenarios.block_ideal_pair()["d"],
+    "block_pair C cap D": lambda: intersect(*(scenarios.block_ideal_pair()[k]
+                                              for k in ("c", "d"))),
+    "hereditary_pair C": lambda: scenarios.hereditary_pair(0.3)["c"],
+    "hereditary_pair D": lambda: scenarios.hereditary_pair(0.3)["d"],
+}
+
+
+@pytest.mark.parametrize("case", list(AUGMENTED))
+def test_augmentation_is_one_on_the_unit_and_zero_on_the_algebra(case):
+    s = AUGMENTED[case]()
+    f = s.augmentation
+    assert not s.is_unital_in_ambient
+    assert abs(np.sum(f * np.eye(s.ambient_dim)) - 1.0) < 1e-12
+    for b in s.basis:
+        assert abs(np.sum(f * b)) < 1e-12
+    # the unitization's basis is S's, then the normalized unit residual
+    su = unitize(s)
+    assert su.gram_residual() < 1e-12
+    assert su.nearest(np.eye(s.ambient_dim))[1] < 1e-12
+
+
+def test_augmentation_needs_a_non_unital_algebra():
+    with pytest.raises(InvalidInput):
+        unitize(block_alg(4, [(0, 2)])).augmentation
+
+
+def test_tensored_algebras_and_unitization_skip_repeated_work(count_calls):
+    # S (x) M_m and M_m(S) are unital exactly when S is, and S + C1 is a
+    # *-algebra whenever S is: neither question is asked again on building
+    s = scenarios.block_ideal_pair()["c"]
+    norms = count_calls("op_norms", matcore)
+    closures = count_calls("_check_closure", Subalg)
+    for m in (1, 2, 3):
+        subalg.tensor_with_full(s, m)
+        subalg.amplify(s, m)
+    assert norms == []
+    su = unitize(s)
+    assert closures == []
+    assert su.dim == s.dim + 1
 
 
 def test_amplify_and_tensor_dims():
