@@ -200,10 +200,25 @@ class MatrixSide:
 
 
 class LoopSide:
-    """Membership oracle for a loop arc ideal."""
+    """Membership oracle for a loop arc ideal.
+
+    boundary_class and trivializer share one arc_k0_trivialize result for the
+    same e and Tol, as a lift's boundary class and its sigma witness do.  The
+    memo is keyed by the identity of e and holds e, so an id is not reused
+    while its entry lives.  It lives on the side, which only the lifts that
+    share it hold; a lift and its inverse_lift share the side but not e.
+    """
 
     def __init__(self, alg: LoopAlg):
         self.alg = alg
+        self._trivialized = {}
+
+    def _trivialize(self, e: LoopElem, tol: Tol):
+        """arc_k0_trivialize(e, self.alg, tol), made once per e and tol."""
+        key = (id(e), tol)
+        if key not in self._trivialized:
+            self._trivialized[key] = (e, arc_k0_trivialize(e, self.alg, tol))
+        return self._trivialized[key][1]
 
     def project(self, x: LoopElem, unitized: bool = True):
         return loop_project(x, self.alg, unitized)
@@ -232,7 +247,7 @@ class LoopSide:
 
     def boundary_class(self, e: LoopElem, half: int, tol: Tol = DEFAULT_TOL,
                        seed: int = 0) -> K0Vec:
-        r, _conj, _const = arc_k0_trivialize(e, self.alg, tol)
+        r, _conj, _const = self._trivialize(e, tol)
         if r != half:
             raise ExactnessViolation(
                 f"off-support rank {r} != {half}: class escapes the trivial group"
@@ -243,7 +258,7 @@ class LoopSide:
 
     def trivializer(self, e: LoopElem, half: int, tol: Tol = DEFAULT_TOL,
                     seed: int = 0) -> LoopElem:
-        r, conj, _const = arc_k0_trivialize(e, self.alg, tol)
+        r, conj, _const = self._trivialize(e, tol)
         if r != half:
             raise NoWitness(f"boundary class nonzero: off-support rank {r} != {half}")
         return conj

@@ -127,12 +127,19 @@ def build_scenario(desc: dict):
 
 
 def _lift_for(scn: dict, tol: Tol, seed: int):
-    if scn["name"] == "twisted_pair":
-        u, v, cert = boundary.iota_lift(scn["p"], scn["q"], scn["c"], scn["d"],
-                                        tol, seed=seed)
-        return cert
-    _, cert = boundary.build_lift_v(scn["u"], scn["h"], scn["c"], scn["d"], tol)
-    return cert
+    """The scenario's lift certificate, built on first use and kept in scn.
+
+    run_checks builds scn for one report, whose tol and seed are fixed, so
+    every check of the report reads the same lift.
+    """
+    if "lift" not in scn:
+        if scn["name"] == "twisted_pair":
+            _, _, scn["lift"] = boundary.iota_lift(scn["p"], scn["q"], scn["c"],
+                                                   scn["d"], tol, seed=seed)
+        else:
+            _, scn["lift"] = boundary.build_lift_v(scn["u"], scn["h"], scn["c"],
+                                                   scn["d"], tol)
+    return scn["lift"]
 
 
 def check_ideal_structure(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
@@ -177,8 +184,7 @@ def check_boundary(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
 def check_iota_lift(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
     if scn["name"] != "twisted_pair":
         raise SchemaError("iota-lift runs on idempotent-pair scenarios")
-    u, v, cert = boundary.iota_lift(scn["p"], scn["q"], scn["c"], scn["d"],
-                                    tol, seed=seed)
+    cert = _lift_for(scn, tol, seed)
     budget = _number(params, "delta", 1e-9)
     return {
         "check": "iota-lift",

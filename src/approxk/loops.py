@@ -262,6 +262,13 @@ def arc_k0_trivialize(e: LoopElem, ideal: LoopAlg, tol: Tol = DEFAULT_TOL):
     Returns (scalar_rank, conjugator, const) where conjugator w satisfies
     w e w^-1 ~ const, and const is the constant scalar idempotent
     diag(1_r, 0) matching e off the support arcs.
+
+    A constant g first takes f_inf, the off-support value, to const; then
+    each support run is retracted onto the sample before it, and the
+    conjugator of that path comes from :func:`wedderburn.path_to_similarity`,
+    which multiplies each step only on the samples the step moves.  Every
+    call does this work anew: a lift's boundary class and its sigma witness
+    share one call through the memo of :class:`boundary.LoopSide`.
     """
     mask = ideal.mask
     if mask.all():

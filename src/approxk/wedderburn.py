@@ -265,6 +265,16 @@ def path_to_similarity(e_path, tol: Tol = DEFAULT_TOL):
     measured earlier, and its difference is 0; so the maximum, every step and
     the first step that fails are those of the full sup-norms.  The path is
     walked pair by pair and never stacked.
+
+    The product is taken on the same samples.  Where a step leaves a sample
+    where it is, its factor is ((2 e - 1)^2 + 1) / 2 = 1 + 2 (e^2 - e), which
+    is exactly the identity for an idempotent e (in floating point it would
+    only round near it).  So a step multiplies z only on the samples it
+    moves, and a lone matrix skips a step that does not move it.  On a sample
+    that no step moves, z is exactly 1 and z e_0 z^-1 - e_last is exactly 0,
+    so the closing residual, which still gates the result, is taken on the
+    moved samples only.  A lone matrix is multiplied with numpy's ``@``,
+    loops and stacks with :func:`matcore.matmul`.
     """
     from . import ops
 
@@ -277,8 +287,10 @@ def path_to_similarity(e_path, tol: Tol = DEFAULT_TOL):
     ident = eye(arrays[0].shape[-1])
     bound = ops.sup_norm(2.0 * arrays[0] - ident)
     steps = []
+    moves = []
     for prev, cur in zip(arrays, arrays[1:]):
         moved = _moved(prev, cur)
+        moves.append(moved)
         if not moved.any():
             steps.append(0.0)
             continue
@@ -289,15 +301,20 @@ def path_to_similarity(e_path, tol: Tol = DEFAULT_TOL):
     for i, step in enumerate(steps):
         if step >= limit:
             raise PathTooCoarse(i, f"step {step:.3e} >= {limit:.3e} at index {i}")
-    one = ops.eye_like(path[0])
-    z = one
-    sym_cur = ops.scal(2.0, path[0]) - one
-    for e in path[1:]:
-        sym_next = ops.scal(2.0, e) - one
-        z = ops.scal(0.5, sym_next @ sym_cur + one) @ z
-        sym_cur = sym_next
-    resid = ops.norm(z @ path[0] @ ops.inv(z, tol) - path[-1])
-    if resid > 1e-6:
-        raise PathTooCoarse(len(path) - 1,
-                            f"telescoped conjugation residual {resid:.3e} > 1e-6")
-    return z
+    mul = np.matmul if arrays[0].ndim == 2 else matcore.matmul
+    z = np.broadcast_to(ident, arrays[0].shape).copy()
+    touched = np.zeros(arrays[0].shape[:-2], dtype=bool)
+    for prev, cur, moved in zip(arrays, arrays[1:], moves):
+        if not moved.any():
+            continue
+        touched |= moved
+        sym_prod = mul(2.0 * cur[moved] - ident, 2.0 * prev[moved] - ident)
+        z[moved] = mul(0.5 * (sym_prod + ident), z[moved])
+    if touched.any():
+        zt = z[touched]
+        conj = mul(mul(zt, arrays[0][touched]), matcore.invert(zt, tol))
+        resid = ops.sup_norm(conj - arrays[-1][touched])
+        if resid > 1e-6:
+            raise PathTooCoarse(len(path) - 1,
+                                f"telescoped conjugation residual {resid:.3e} > 1e-6")
+    return ops.like(path[0], z)

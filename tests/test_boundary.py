@@ -275,6 +275,24 @@ def test_sigma_witness_circle_split():
     assert wit.offdiag < 1e-9
 
 
+def test_loop_side_trivializes_each_idempotent_once_per_tol(count_calls):
+    # a lift's boundary class and sigma witness share one trivialization of
+    # its e; the inverse lift shares the int side but not e, and another Tol
+    # is another trivialization
+    scn = scenarios.circle_split(grid=64)
+    _, cert = boundary.build_lift_v(scn["u"], scn["h"], scn["c"], scn["d"])
+    calls = count_calls("arc_k0_trivialize", boundary)
+    assert boundary.boundary_class(cert).entries == ()
+    boundary.sigma_witness(cert, eps=0.05)
+    assert len(calls) == 1 and calls[0][0] is cert.e
+    inv = boundary.inverse_lift(cert)
+    assert inv.int_side is cert.int_side
+    assert boundary.boundary_class(inv).entries == ()
+    assert len(calls) == 2 and calls[1][0] is inv.e
+    boundary.boundary_class(cert, Tol(membership_tol=1e-10))
+    assert len(calls) == 3 and calls[2][0] is cert.e
+
+
 def test_sigma_witness_refuses_nontrivial_class():
     scn = scenarios.twisted_pair()
     _, _, cert = boundary.iota_lift(scn["p"], scn["q"], scn["c"], scn["d"])

@@ -74,15 +74,32 @@ def test_bundled_reports_match_pinned(tmp_path, name):
 
 def test_circle_split_report_takes_no_small_svds(tmp_path, count_calls):
     # operator norms of 1x1 and 2x2 samples are closed forms, so the only
-    # small SVDs left are of off-support means: the rank in aug_diff, and the
-    # one SVD of f_inf in arc_k0_trivialize, which gives both its rank and
-    # its decomposition, 3 calls each
+    # small SVDs left are of off-support means: the rank in aug_diff, once
+    # for the lift and once for its inverse, and the one SVD of f_inf in
+    # arc_k0_trivialize, which gives both its rank and its decomposition,
+    # once for each of the two boundary idempotents
     # np.linalg.norm looks svd up in the module that defines it
     calls = count_calls("svd", np.linalg, inspect.unwrap(np.linalg.norm).__globals__)
     out = tmp_path / "circle_split.json"
     assert run_cli(["run", "circle_split", "--seed", "7", "--out", str(out)]) == 0
     shapes = [np.shape(args[0]) for args in calls]
-    assert sum(int(np.prod(s[:-2])) for s in shapes if max(s[-2:]) <= 2) <= 6
+    assert sum(int(np.prod(s[:-2])) for s in shapes if max(s[-2:]) <= 2) <= 4
+
+
+def test_report_builds_one_lift_and_trivializes_each_idempotent_once(
+        tmp_path, count_calls):
+    # every check of a report reads the one lift that the first check built;
+    # circle_split trivializes the lift's e once, for its boundary class and
+    # its sigma witness, and its inverse lift's e once
+    builds = count_calls("build_lift_v", boundary)
+    iotas = count_calls("iota_lift", boundary)
+    arcs = count_calls("arc_k0_trivialize", boundary)
+    assert run_cli(["run", "circle_split", "--seed", "7",
+                    "--out", str(tmp_path / "circle_split.json")]) == 0
+    assert (len(builds), len(iotas), len(arcs)) == (1, 0, 2)
+    assert run_cli(["run", "twisted_pair", "--seed", "7",
+                    "--out", str(tmp_path / "twisted_pair.json")]) == 0
+    assert (len(builds), len(iotas), len(arcs)) == (1, 1, 2)
 
 
 def test_scipy_loads_on_first_use(tmp_path):

@@ -205,6 +205,7 @@ def test_arc_k0_trivialize_measures_moved_samples_only(monkeypatch):
     moved = sum(int(np.any(a.samples != b.samples, axis=(1, 2)).sum())
                 for a, b in zip(path, path[1:]))
     off_support = int((~ideal.mask).sum())
-    # e_0 and the residual check take every sample; each moved sample takes
-    # ||2e - 1|| and its step; the off-support check takes its own samples
+    # e_0 takes every sample; each moved sample takes ||2e - 1|| and its
+    # step; the residual check takes the moved samples, and the off-support
+    # check its own
     assert decomposed[0] <= 2 * grid + 2 * moved + off_support + 8

@@ -125,14 +125,26 @@ def test_path_to_similarity_rejects_mixed_sizes():
 
 
 # ---------------------------------------------------------------------------
-# path_to_similarity against the full sup-norms it replaced
+# path_to_similarity against the full sup-norms and products it replaced
+
+
+def bits(x) -> np.ndarray:
+    return np.ascontiguousarray(ops.arr(x)).view(np.uint64)
+
+
+def moved_samples(prev, cur) -> np.ndarray:
+    """Where cur's matrix differs from prev's in some bit, per sample of a
+    loop; a 0-d flag for a lone matrix."""
+    return np.any(bits(prev) != bits(cur), axis=(-2, -1))
 
 
 def dense_path_to_similarity(e_path, tol: Tol = DEFAULT_TOL):
     """Telescoping conjugator along a discrete path of idempotents.
 
     Each step uses z_i = ((2 e_{i+1} - 1)(2 e_i - 1) + 1) / 2, which is
-    invertible when the step size beats 1 / (2 max ||2 e_i - 1||).
+    invertible when the step size beats 1 / (2 max ||2 e_i - 1||).  A step
+    multiplies z by z_i on the samples it moves, where e_{i+1} differs from
+    e_i in some bit, and keeps z on the others.
     """
     path = list(e_path)
     if len(path) < 1:
@@ -147,7 +159,8 @@ def dense_path_to_similarity(e_path, tol: Tol = DEFAULT_TOL):
         sym_next = ops.scal(2.0, path[i + 1]) - ops.eye_like(path[i + 1])
         sym_cur = ops.scal(2.0, path[i]) - ops.eye_like(path[i])
         zi = ops.scal(0.5, sym_next @ sym_cur + ops.eye_like(path[i]))
-        z = zi @ z
+        moved = moved_samples(path[i], path[i + 1])[..., None, None]
+        z = ops.like(z, np.where(moved, ops.arr(zi @ z), ops.arr(z)))
     resid = ops.norm(z @ path[0] @ ops.inv(z) - path[-1])
     if resid > 1e-6:
         raise PathTooCoarse(len(path) - 1,
@@ -202,10 +215,6 @@ def idempotent_paths(draw):
     return [a[0] for a in path]
 
 
-def bits(x) -> np.ndarray:
-    return np.ascontiguousarray(ops.arr(x)).view(np.uint64)
-
-
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(idempotent_paths())
 def test_path_to_similarity_matches_dense_reference(path):
@@ -222,3 +231,25 @@ def test_path_to_similarity_matches_dense_reference(path):
         return
     assert type(got) is type(want)
     assert np.array_equal(bits(got), bits(want))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(idempotent_paths(), st.data())
+def test_path_to_similarity_multiplies_only_moved_samples(path, data):
+    # a repeated element moves no sample, so it leaves z bit-identical; a
+    # sample that no step moves gets exactly the identity
+    at = data.draw(st.integers(0, len(path) - 1))
+    again = ops.like(path[at], ops.arr(path[at]).copy())
+    longer = path[:at + 1] + [again] + path[at + 1:]
+    try:
+        want = path_to_similarity(path)
+    except PathTooCoarse:
+        with pytest.raises(PathTooCoarse):
+            path_to_similarity(longer)
+        return
+    assert np.array_equal(bits(path_to_similarity(longer)), bits(want))
+    z = ops.arr(want)
+    still = np.ones(z.shape[:-2], dtype=bool)
+    for a, b in zip(path, path[1:]):
+        still &= ~moved_samples(a, b)
+    assert np.array_equal(z[still], np.broadcast_to(np.eye(z.shape[-1]), z[still].shape))
