@@ -9,7 +9,7 @@ sampled loop algebras.
 
 from .errors import ApproxKError
 from .matcore import DEFAULT_TOL, Tol
-from .subalg import Subalg, Subspace, amplify, from_basis, intersect, unitize
+from .subalg import Subalg, Subspace, amplify, from_basis, intersect
 from .wedderburn import (
     K0Vec,
     K1Vec,
@@ -68,7 +68,6 @@ __all__ = [
     "amplify",
     "from_basis",
     "intersect",
-    "unitize",
     "K0Vec",
     "K1Vec",
     "WedderburnData",

@@ -22,9 +22,11 @@ implements exactly these:
   side;
 - ``random_elements(m, count, rng)``: a stack of count random unit-norm
   ambient elements at fiber amplification m;
-- ``aug_diff(e, half)``: scalar-rank mismatch of e against 1_half (+) 0,
-  the scalar part read by the augmentation of the unitized algebra;
-- ``boundary_class(e, half, tol, seed)``: the class [e] - [1_half (+) 0];
+- ``aug_diff(e, half, tol)``: scalar-rank mismatch of e against
+  1_half (+) 0, the scalar part read by the augmentation of the unitized
+  algebra;
+- ``boundary_class(e, half, tol)``: the class [e] - [1_half (+) 0], read
+  against the algebra's own Wedderburn data;
 - ``trivializer(e, half, tol, seed)``: an invertible w with
   w e w^-1 ~ 1_half (+) 0, or NoWitness;
 - ``k1(u, tol)``: the K_1 class of an invertible, ``()`` when K_1 is zero.
@@ -53,8 +55,8 @@ from .errors import (
 from .loops import (LoopAlg, LoopElem, arc_k0_trivialize, det_winding, loop_membership,
                     loop_project, winding_k1)
 from .matcore import DEFAULT_TOL, Tol, as_matrix, eye
-from .subalg import Subalg, Subspace, unitize
-from .wedderburn import K0Vec, decompose, k0_class, similarity_witness
+from .subalg import Subalg, Subspace
+from .wedderburn import K0Vec, k0_class, similarity_witness
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +140,8 @@ class MatrixSide:
     def ambient_dim(self) -> int:
         return self.alg.ambient_dim
 
-    @functools.cached_property
-    def unitization(self) -> Subalg:
-        """The unitization of the algebra, built on first use."""
-        return unitize(self.alg)
-
     def project(self, x, unitized: bool = True):
-        alg = self.unitization if unitized else self.alg
+        alg = self.alg.unitization if unitized else self.alg
         return ops.like(x, alg.project(ops.arr(x)))
 
     def nearest(self, x, unitized: bool = True):
@@ -163,13 +160,13 @@ class MatrixSide:
         r = ops.Stack(g[:, 0] + 1j * g[:, 1])
         return ops.Stack(r.summands / ops.summand_norms(r)[:, None, None])
 
-    def aug_diff(self, e, half: int) -> int:
+    def aug_diff(self, e, half: int, tol: Tol = DEFAULT_TOL) -> int:
         if self.alg.is_unital_in_ambient:
             return 0
         n = self.ambient_dim
         k = len(e) // n
         scalars = np.einsum("pq,ipjq->ij", self.alg.augmentation, e.reshape(k, n, k, n))
-        return matcore.rank(scalars) - half // n
+        return matcore.rank(scalars, tol) - half // n
 
     def _rounded(self, e, tol: Tol) -> np.ndarray:
         """Riesz rounding of the nearest point of e in the unitized algebra;
@@ -181,9 +178,8 @@ class MatrixSide:
                 f"{cert.bound:.3e}")
         return f
 
-    def boundary_class(self, e, half: int, tol: Tol = DEFAULT_TOL,
-                       seed: int = 0) -> K0Vec:
-        w = decompose(self.alg, tol, seed=seed)
+    def boundary_class(self, e, half: int, tol: Tol = DEFAULT_TOL) -> K0Vec:
+        w = self.alg.wedderburn
         f = self._rounded(e, tol)
         return k0_class(f, w, tol) - k0_class(_top_projection(eye(half)), w, tol)
 
@@ -239,14 +235,13 @@ class LoopSide:
         r = np.moveaxis(g[:, 0] + 1j * g[:, 1], 0, -3)
         return ops.unit_summands(ops.Stack(r), 0.0)
 
-    def aug_diff(self, e: LoopElem, half: int) -> int:
+    def aug_diff(self, e: LoopElem, half: int, tol: Tol = DEFAULT_TOL) -> int:
         off = e.samples[~self.alg.mask]
         if off.size == 0:
             return 0
-        return matcore.rank(off.mean(axis=0)) - half
+        return matcore.rank(off.mean(axis=0), tol) - half
 
-    def boundary_class(self, e: LoopElem, half: int, tol: Tol = DEFAULT_TOL,
-                       seed: int = 0) -> K0Vec:
+    def boundary_class(self, e: LoopElem, half: int, tol: Tol = DEFAULT_TOL) -> K0Vec:
         r, _conj, _const = self._trivialize(e, tol)
         if r != half:
             raise ExactnessViolation(
@@ -306,7 +301,8 @@ class IdealCert:
 
     @property
     def delta_level(self) -> float:
-        return float(max(self.measured))
+        # np.max keeps a NaN, which then fails valid_at
+        return float(np.max(self.measured))
 
     def valid_at(self, delta: float) -> bool:
         return self.delta_level <= delta
@@ -352,7 +348,7 @@ def check_delta_ideal_structure(h, c, d, x_basis, tol: Tol = DEFAULT_TOL,
     return IdealCert(h, c_side, d_side, int_side, basis, tuple(map(float, measured)), seed)
 
 
-def _dual_constant(x_basis) -> float:
+def _dual_constant(x_basis, tol: Tol = DEFAULT_TOL) -> float:
     """n * M for the probe subspace: n = dim, M = max norm of the HS-realized
     dual functionals as functionals on the operator-norm space.
 
@@ -362,7 +358,7 @@ def _dual_constant(x_basis) -> float:
     n = len(x_basis)
     unit = [ops.arr(ops.scal(1.0 / ops.norm(x), x)) for x in x_basis]
     flats = np.array([x.ravel() for x in unit])
-    if matcore.rank(flats) < n:
+    if matcore.rank(flats, tol) < n:
         raise InvalidInput("probe basis is linearly dependent")
     gram = np.conj(flats) @ flats.T
     duals = np.linalg.solve(gram, np.conj(flats))
@@ -386,7 +382,7 @@ def tensor_scale_ideal_structure(cert: IdealCert, m: int,
     times, so the rank cut and its ambiguity band decide as on the base, and
     (C cap D) (x) M_m is closed exactly when C cap D is.
     """
-    m_x = _dual_constant(cert.x_basis)
+    m_x = _dual_constant(cert.x_basis, tol)
     h2 = np.kron(_multiplier(cert.h), eye(m))
     units = [matcore.matrix_unit(m, i, j) for i in range(m) for j in range(m)]
     basis2 = [ops.like(x, np.kron(ops.arr(x), u)) for x in cert.x_basis for u in units]
@@ -434,7 +430,8 @@ class LiftCert:
 
     @property
     def delta_level(self) -> float:
-        return float(max(self.residual_d, self.residual_c, self.residual_int))
+        # np.max keeps a NaN, which then fails valid_at
+        return float(np.max([self.residual_d, self.residual_c, self.residual_int]))
 
     def valid_at(self, delta: float) -> bool:
         return self.delta_level <= delta and self.aug_diff == 0
@@ -462,7 +459,7 @@ def certify_lift(u, v, c, d, tol: Tol = DEFAULT_TOL, h=None,
     _, r_int = int_side.nearest(e)
     # the scalar-rank mismatch decides whether the boundary class lands in
     # the non-unitized subgroup
-    aug = int_side.aug_diff(e, ops.side_size(u))
+    aug = int_side.aug_diff(e, ops.side_size(u), tol)
     return LiftCert(u, v, v_inv, e, float(norm_c), float(r_d), float(r_c),
                     float(r_int), int(aug), c_side, d_side, int_side, h)
 
@@ -501,14 +498,12 @@ def check_inv_cut(u, h):
     b = one + h_apply(hbar, z, "right")
     h_hbar = h_prod(h, hbar)
     target = h_apply(h_hbar, y + z, "right")
-    measured = max(ops.norm(a @ b - one - target), ops.norm(b @ a - one - target))
-    cc = max(ops.norm(y), ops.norm(z))
-    comm = 0.0
-    for w in (y, z):
-        nw = ops.norm(w)
-        if nw > 1e-14:
-            comm = max(comm, ops.norm(h_apply(h, w, "left")
-                                      - h_apply(h, w, "right")) / nw)
+    # maxima by np.max, which keeps a NaN, so that measured <= bound fails
+    measured = np.max([ops.norm(a @ b - one - target), ops.norm(b @ a - one - target)])
+    norms = [ops.norm(y), ops.norm(z)]
+    cc = np.max(norms)
+    comm = np.max([ops.norm(h_apply(h, w, "left") - h_apply(h, w, "right")) / nw
+                   for w, nw in zip((y, z), norms) if nw > 1e-14], initial=0.0)
     bound = 2.0 * (cc * cc + cc) * comm
     return float(measured), float(bound)
 
@@ -519,14 +514,18 @@ def check_inv_cut(u, h):
 
 def boundary_class(cert: LiftCert, tol: Tol = DEFAULT_TOL, seed: int = 0) -> K0Vec:
     """The boundary class of a certified lift, with the exactness assertion
-    that its pushforwards into K_0(C) and K_0(D) vanish."""
+    that its pushforwards into K_0(C) and K_0(D) vanish.
+
+    Every class is read against an algebra's own Wedderburn data, which do
+    not depend on a seed: seed reaches nothing and is kept for callers that
+    pass it."""
     half = ops.side_size(cert.u)
-    out = cert.int_side.boundary_class(cert.e, half, tol, seed)
+    out = cert.int_side.boundary_class(cert.e, half, tol)
     if not out.blocks:
         # a class in the zero group has zero pushforwards
         return out
     for side in (cert.c_side, cert.d_side):
-        push = side.boundary_class(cert.e, half, tol, seed)
+        push = side.boundary_class(cert.e, half, tol)
         if any(push.entries):
             raise ExactnessViolation(f"pushforward {push.entries} is nonzero")
     return out
@@ -756,17 +755,17 @@ def whitehead_split(a, h, c, d, tol: Tol = DEFAULT_TOL,
     target = ops.oplus(s, s_inv)
     big_one = ops.eye_like(target)
     vc_path, vd_path = [], []
-    mem_c = mem_d = norm_max = 0.0
+    mems_c, mems_d, norms = [], [], []
     for j_t in range(t_steps + 1):
         vc, vd = _whitehead_factors(x, y, h, j_t / t_steps)
         if j_t in (0, t_steps):
             vc_path.append(vc)
             vd_path.append(vd)
-        _, rc = c_side.nearest(vc - big_one, unitized=False)
-        _, rd = d_side.nearest(vd - big_one, unitized=False)
-        mem_c = max(mem_c, float(rc))
-        mem_d = max(mem_d, float(rd))
-        norm_max = max(norm_max, ops.norm(vc), ops.norm(vd))
+        mems_c.append(c_side.nearest(vc - big_one, unitized=False)[1])
+        mems_d.append(d_side.nearest(vd - big_one, unitized=False)[1])
+        norms += [ops.norm(vc), ops.norm(vd)]
+    # np.max keeps a NaN, so that a gate on these fails
+    mem_c, mem_d, norm_max = (float(np.max(v)) for v in (mems_c, mems_d, norms))
     prod_resid = ops.norm(vc_path[0] @ vd_path[0] - target)
     end_resid = max(ops.norm(vc_path[-1] - big_one),
                     ops.norm(vd_path[-1] - big_one))
@@ -774,7 +773,7 @@ def whitehead_split(a, h, c, d, tol: Tol = DEFAULT_TOL,
         vc_path = [ops.like(a, ops.arr(v)[..., 0, :, :]) for v in vc_path]
         vd_path = [ops.like(a, ops.arr(v)[..., 0, :, :]) for v in vd_path]
     return WhiteheadCert(vc_path, vd_path, t_steps, float(prod_resid),
-                         float(end_resid), mem_c, mem_d, float(norm_max),
+                         float(end_resid), mem_c, mem_d, norm_max,
                          float(bound))
 
 
@@ -836,6 +835,9 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d, tol: Tol = DEFAULT_TOL,
     stability check of x (kappa_1 and the residual of x x^-1 - 1) runs only
     on the samples where x differs from the identity: elsewhere x^-1 = 1
     exactly, so the maxima and every raise are those of the whole frame.
+
+    seed reaches nothing: no step of the reconstruction is random.  It is
+    kept for callers that pass it.
     """
     c_side = make_side(c)
     d_side = make_side(d)

@@ -165,9 +165,8 @@ def check_boundary(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
             isinstance(a, int) and not isinstance(a, bool) for a in expected)):
         raise SchemaError(f"expect must be a list of integers, got {expected!r}")
     cert = _lift_for(scn, tol, seed)
-    cls = boundary.boundary_class(cert, tol, seed=seed)
-    inv_cls = boundary.boundary_class(boundary.inverse_lift(cert, tol), tol,
-                                      seed=seed)
+    cls = boundary.boundary_class(cert, tol)
+    inv_cls = boundary.boundary_class(boundary.inverse_lift(cert, tol), tol)
     negated = tuple(-a for a in cls.entries)
     ok = inv_cls.entries == negated
     if expected is not None:
@@ -230,7 +229,7 @@ def check_whitehead(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
         a = one + x
     cert = boundary.whitehead_split(a, scn["h"], scn["c"], scn["d"], tol)
     eps = _number(params, "eps", 0.1)
-    ok = cert.certified and max(cert.membership_c, cert.membership_d) <= eps
+    ok = cert.certified and cert.membership_c <= eps and cert.membership_d <= eps
     return {
         "check": "whitehead",
         "t_steps": cert.t_steps,
@@ -272,7 +271,7 @@ def check_product(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
     rows = []
     ok = True
     for label, p in reps.items():
-        pc = kprod.boundary_product_check(cert, p, 2, tol, seed=seed)
+        pc = kprod.boundary_product_check(cert, p, 2, tol)
         rows.append({
             "p": label,
             "lhs": list(pc.lhs_entries),

@@ -22,8 +22,8 @@ from .errors import (
     SpectralAmbiguity,
 )
 from .matcore import DEFAULT_TOL, Tol, as_matrix, eye, op_norm
-from .subalg import Subspace, unitize
-from .wedderburn import decompose, k0_class
+from .subalg import Subspace
+from .wedderburn import k0_class
 
 DELTA_MAX = 1.0 / 16.0
 
@@ -125,7 +125,7 @@ def invertible_eps_max(c: float) -> float:
 
 
 def round_idempotent_in(e, alg, eps: float | None = None,
-                        tol: Tol = DEFAULT_TOL, seed: int = 0):
+                        tol: Tol = DEFAULT_TOL):
     """Round an almost-idempotent close to (matrices over the unitization of)
     an algebra into an exact idempotent there, and compute its class.
 
@@ -145,11 +145,11 @@ def round_idempotent_in(e, alg, eps: float | None = None,
             f"eps = {eps:.3e} outside (0, 1/(4c+6)) = (0, {idempotent_eps_max(c):.3e})"
         )
     threshold = eps / 2.0
-    b, resid = unitize(alg).nearest(e)
+    b, resid = alg.unitization.nearest(e)
     if resid > threshold:
         raise NotCloseEnough(resid, threshold)
     f, cert = riesz_idempotent(b, tol)
-    cls = k0_class(f, decompose(alg, tol, seed=seed), tol)
+    cls = k0_class(f, alg.wedderburn, tol)
     return f, cls, cert
 
 

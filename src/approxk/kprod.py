@@ -64,7 +64,9 @@ def boundary_product_check(cert: LiftCert, p, m: int, tol: Tol = DEFAULT_TOL,
 
     Both sides are computed in K_0((C cap D) (x) M_m); the left side is the
     boundary class of the input lift scaled by the rank of p, the right side
-    is the boundary class of the tensored lift.
+    is the boundary class of the tensored lift.  Both are read against the
+    algebras' own Wedderburn data: seed reaches nothing and is kept for
+    callers that pass it.
     """
     if not isinstance(cert.c_side, MatrixSide):
         raise InvalidInput("product checks run over matrix carriers")
@@ -72,7 +74,7 @@ def boundary_product_check(cert: LiftCert, p, m: int, tol: Tol = DEFAULT_TOL,
     if p.shape != (m, m):
         raise InvalidInput(f"p must be {m}x{m}")
     rank_p = matcore.rank(p, tol)
-    base = boundary.boundary_class(cert, tol, seed=seed)
+    base = boundary.boundary_class(cert, tol)
     lhs = tuple(entry * rank_p for entry in base.entries)
 
     c2 = cert.c_side.tensor(m)
@@ -82,7 +84,7 @@ def boundary_product_check(cert: LiftCert, p, m: int, tol: Tol = DEFAULT_TOL,
     v2 = box_times(cert.v, p)
     cert2 = certify_lift(u2, v2, c2, d2, tol, int_side=i2_direct)
     gap = c2.intersect(d2, tol).alg.dim - i2_direct.alg.dim
-    rhs_class = boundary.boundary_class(cert2, tol, seed=seed)
+    rhs_class = boundary.boundary_class(cert2, tol)
     rhs = rhs_class.entries
     return ProductCheck(lhs, tuple(rhs), tuple(lhs) == tuple(rhs), cert2, int(gap))
 

@@ -384,7 +384,9 @@ def band_norm(b: Band) -> float:
     visit stops at the first one that cannot beat the maximum found: the
     skipped matrices leave the maximum unchanged.  Each call asks for the
     whole spectrum, as bisection for the top eigenvalue alone fails to
-    converge on the tight clusters of near-unitary factors."""
+    converge on the tight clusters of near-unitary factors.  A NaN
+    eigenvalue is kept (np.maximum, unlike max, propagates it) and ends no
+    visit early, so the norm is NaN."""
     g = _band_adjoint(b) @ b
     lead = g.ab.shape[:-2]
     bound = np.abs(g.ab).sum(axis=-2).max(axis=-1).reshape(-1)
@@ -394,7 +396,7 @@ def band_norm(b: Band) -> float:
         if bound[k] <= top:
             break
         lam = eig_banded(g.ab[np.unravel_index(k, lead)][:g.ku + 1], eigvals_only=True)
-        top = max(top, float(lam[-1]))
+        top = np.maximum(top, lam[-1])
     return float(np.sqrt(top))
 
 

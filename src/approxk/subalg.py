@@ -8,21 +8,28 @@ is computed block by block; intersections come from principal angles.  Bases
 are orthonormalized, and intersections cut, by the rank decision of
 :mod:`matcore` (:func:`matcore.rank_split`, :func:`matcore.rank_cut`).
 
-The unitization S + C1 is read off one matrix, r = 1 - P_S(1), taken on
-first use: S is unital when ||r||_op <= membership_tol; otherwise
-r / ||r||_HS completes S's basis to one of S + C1 (:func:`unitize`), and
-conj(r) / <r, 1> is the augmentation s + c1 -> c (r is HS-orthogonal to S).
+An algebra holds the structure derived from it, each built on first use
+and kept: the unitization S + C1 (:attr:`Subalg.unitization`) and the
+Wedderburn data (:attr:`Subalg.wedderburn`), which depend on the algebra
+alone.  The unitization is read off one matrix, r = 1 - P_S(1): S is unital
+when ||r||_op <= membership_tol; otherwise r / ||r||_HS completes S's basis
+to one of S + C1, and conj(r) / <r, 1> is the augmentation s + c1 -> c (r is
+HS-orthogonal to S).
 """
 
 from __future__ import annotations
 
 import functools
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import matcore
 from .errors import ClosureFailure, InvalidInput
 from .matcore import DEFAULT_TOL, Tol, adjoint, as_matrix, eye, op_norm
+
+if TYPE_CHECKING:
+    from .wedderburn import WedderburnData
 
 
 def _hs_norms(a: np.ndarray) -> np.ndarray:
@@ -133,6 +140,25 @@ class Subalg(Subspace):
         r = self.unit_residual
         return np.conj(r) / np.vdot(r, eye(self.ambient_dim))
 
+    @functools.cached_property
+    def unitization(self) -> Subalg:
+        """Span of S and the ambient unit: S itself when S is unital, else a
+        basis of S's and r / ||r||_HS, unchecked, since S + C1 is a *-algebra
+        whenever S is."""
+        if self.is_unital_in_ambient:
+            return self
+        n, r = self.ambient_dim, self.unit_residual
+        basis = np.concatenate([self._flats.reshape(-1, n, n), r[None] / np.linalg.norm(r)])
+        return Subalg(n, basis, self.tol, _orthonormal=True, check=False)
+
+    @functools.cached_property
+    def wedderburn(self) -> WedderburnData:
+        """The Wedderburn data of S, decomposed at the default seed: the
+        blocks do not depend on the seed of the random central element."""
+        from .wedderburn import decompose
+
+        return decompose(self)
+
     def _check_closure(self):
         # closure residuals measured in HS norm with mild slack for products;
         # all adjoints, then all dim^2 products, are projected in one call
@@ -171,16 +197,6 @@ def from_basis(ambient_dim: int, generators, tol: Tol = DEFAULT_TOL) -> Subalg:
             return Subalg(ambient_dim, grown.basis, tol, _orthonormal=True)
         span = grown
     raise ClosureFailure(f"span dimension failed to stabilize within {cap} iterations")
-
-
-def unitize(s: Subalg) -> Subalg:
-    """Span of S and the ambient unit; idempotent.  Its basis is S's and
-    r / ||r||_HS, unchecked: S + C1 is a *-algebra whenever S is."""
-    if s.is_unital_in_ambient:
-        return s
-    n, r = s.ambient_dim, s.unit_residual
-    basis = np.concatenate([s._flats.reshape(-1, n, n), r[None] / np.linalg.norm(r)])
-    return Subalg(n, basis, s.tol, _orthonormal=True, check=False)
 
 
 def _kron_basis(s: Subalg, m: int, s_left: bool) -> Subalg:

@@ -7,6 +7,11 @@ zero group throughout this module.  Centers, compressed block dimensions and
 intertwiners are read off singular values through the rank decision of
 :mod:`matcore` (:func:`matcore.rank_split`, :func:`matcore.rank`), each with
 the cut it names.
+
+An algebra is decomposed once: :attr:`Subalg.wedderburn` runs
+:func:`decompose` on first read and keeps the result, and every class in
+this package is read against it.  The decomposition's rank decisions read
+the algebra's own ``s.tol``.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from . import matcore
 from .errors import (DecompositionFailure, InvalidInput, NotAClass, NotEquivalent, NotInvertible,
                      PathTooCoarse)
 from .matcore import DEFAULT_TOL, Tol, adjoint, as_matrix, eye, kron, op_norm
-from .subalg import Subalg, Subspace, amplify, unitize
+from .subalg import Subalg, Subspace, amplify
 
 
 @dataclasses.dataclass(frozen=True)
@@ -105,9 +110,12 @@ def _cluster(values: np.ndarray, gap: float) -> list[np.ndarray]:
     return [np.array(g) for g in groups]
 
 
-def decompose(s: Subalg, tol: Tol = DEFAULT_TOL, seed: int = 0) -> WedderburnData:
+def decompose(s: Subalg, seed: int = 0) -> WedderburnData:
     """Wedderburn data of S via eigenspace splitting of a random self-adjoint
-    central element; reseeded on near-degenerate spectra."""
+    central element; reseeded on near-degenerate spectra.  The seed picks
+    the central element only: the blocks and their order do not depend on
+    it, nor, up to rounding, the central projections.  Callers read
+    :attr:`Subalg.wedderburn`, which runs this once per algebra."""
     if s.dim == 0:
         raise InvalidInput("cannot decompose the zero algebra")
     zc = _center_basis(s)
@@ -229,13 +237,13 @@ def similarity_witness(e, f, s: Subalg, tol: Tol = DEFAULT_TOL, seed: int = 0) -
     f = as_matrix(f)
     if e.shape != f.shape:
         raise InvalidInput("idempotent shapes differ")
-    w = decompose(s, tol, seed=seed)
+    w = s.wedderburn
     ce = k0_class(e, w, tol)
     cf = k0_class(f, w, tol)
     if ce.entries != cf.entries:
         raise NotEquivalent(f"K0 classes differ: {ce.entries} vs {cf.entries}")
     k = e.shape[0] // s.ambient_dim
-    span = amplify(unitize(s), k)
+    span = amplify(s.unitization, k)
     wmat, wmat_inv = algebra_conjugator(e, f, span, tol, seed=seed)
     resid = op_norm(wmat @ e @ wmat_inv - f)
     if resid > 1e-8:

@@ -1,9 +1,12 @@
+import itertools
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from approxk import boundary, funcalc, ops, scenarios
+from approxk import boundary, cli, funcalc, matcore, ops, scenarios
 from approxk.errors import (
     AmbiguousIntersection,
     ApproxKError,
@@ -227,6 +230,119 @@ def test_inverses_use_the_callers_tol(rng):
     a = random_invertible(rng, 6, spread=0.3)
     with pytest.raises(NotInvertible):
         boundary.whitehead_split(a, block_h(), blk["c"], blk["d"], tight)
+
+
+COARSE = Tol(rank_rel_tol=1e-4)
+
+
+def _matrix_aug_diffs():
+    # the augmentation of block_pair's middle block is 1 on the unit, so the
+    # scalar part of diag(1, 1e-6) (x) 1_6 is diag(1, 1e-6)
+    blk = scenarios.block_ideal_pair()
+    side = boundary.intersect_sides(*(boundary.make_side(blk[k]) for k in "cd"))
+    e = np.kron(np.diag([1.0, 1e-6]), np.eye(6)).astype(complex)
+    return side.aug_diff(e, 6), side.aug_diff(e, 6, COARSE)
+
+
+def _loop_aug_diffs():
+    side = boundary.make_side(scenarios.circle_split(grid=16, fiber=2)["inter"])
+    e = LoopElem(np.tile(np.diag([1.0, 1e-6]).astype(complex), (16, 1, 1)))
+    return side.aug_diff(e, 1), side.aug_diff(e, 1, COARSE)
+
+
+AUG_SITES = {"MatrixSide.aug_diff": _matrix_aug_diffs, "LoopSide.aug_diff": _loop_aug_diffs}
+
+
+@pytest.mark.parametrize("site", list(AUG_SITES))
+def test_aug_diff_uses_the_callers_tol(site):
+    # the scalar part's singular values are (1, 1e-6): rank 2 at the default
+    # rank_rel_tol 1e-8, and rank 1 at the caller's 1e-4
+    assert AUG_SITES[site]() == (1, 0)
+
+
+def test_tensor_scale_uses_the_callers_tol():
+    # the unit-scaled probes x and x + 1e-6 y are independent at the default
+    # cut only; dependent probes have no dual basis
+    blk = scenarios.block_ideal_pair()
+    x, y = matrix_unit(6, 0, 0), matrix_unit(6, 1, 1)
+    cert = boundary.check_delta_ideal_structure(block_h(), blk["c"], blk["d"],
+                                                [x, x + 1e-6 * y])
+    boundary.tensor_scale_ideal_structure(cert, 2)
+    with pytest.raises(InvalidInput):
+        boundary.tensor_scale_ideal_structure(cert, 2, COARSE)
+
+
+def _nan_at(call, fn):
+    """fn whose call-th call, counted from 1, returns NaN for its result."""
+    count = itertools.count(1)
+
+    def planted(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        return np.nan if next(count) == call else out
+    return planted
+
+
+class _NaNResidualSide(boundary.MatrixSide):
+    """A matrix side whose call-th membership residual is NaN."""
+
+    def __init__(self, alg, call):
+        super().__init__(alg)
+        self._residual = _nan_at(call, lambda r: r)
+
+    def nearest(self, x, unitized=True):
+        w, r = super().nearest(x, unitized)
+        return w, self._residual(r)
+
+
+def _whitehead_passes(monkeypatch, which):
+    # block_pair's bundled whitehead check, which passes unplanted; the NaN
+    # lands on the 5th t-sample of a membership, or on the 5th norm: after
+    # ||a||, ||a^-1|| and the two factor norms at t = 0, that of vc at t = 1/32
+    scn = cli.build_scenario({"kind": "block_pair", "params": {}})
+    if which == "norm_max":
+        monkeypatch.setattr(ops, "norm", _nan_at(5, ops.norm))
+    else:
+        scn[which] = _NaNResidualSide(scn[which], 5)
+    return cli.check_whitehead(scn, Tol(), 0, {"eps": 0.1})["passed"]
+
+
+def _inv_cut_passes(monkeypatch, call):
+    u = random_invertible(np.random.default_rng(5), 6, spread=0.4)
+    monkeypatch.setattr(ops, "norm", _nan_at(call, ops.norm))
+    measured, bound = boundary.check_inv_cut(u, block_h())
+    return measured <= bound
+
+
+def _band_norm_passes(monkeypatch):
+    # the one matrix's eigenvalues come back NaN; the running maximum starts
+    # at 0.0, so max(0.0, NaN) would drop them
+    real = matcore.scipy_linalg().eig_banded
+    monkeypatch.setattr(matcore, "scipy_linalg", lambda: types.SimpleNamespace(
+        eig_banded=lambda *args, **kwargs: np.nan * real(*args, **kwargs)))
+    return matcore.band_norm(matcore.band(np.eye(4), 1, 1)) <= 1e300
+
+
+NAN_SITES = {
+    "LiftCert.delta_level": lambda mp: boundary.LiftCert(
+        None, None, None, None, 1.0, 0.0, np.nan, 0.0, 0, None, None, None).valid_at(1e-9),
+    "IdealCert.delta_level": lambda mp: boundary.IdealCert(
+        None, None, None, None, [], (0.0, np.nan, 0.0, 0.0, 0.0), 0).valid_at(1e-9),
+    "whitehead_split.mem_c": lambda mp: _whitehead_passes(mp, "c"),
+    "whitehead_split.mem_d": lambda mp: _whitehead_passes(mp, "d"),
+    "whitehead_split.norm_max": lambda mp: _whitehead_passes(mp, "norm_max"),
+    # the norms of check_inv_cut: ab - 1 - target and ba - 1 - target for
+    # measured, ||y|| and ||z||, then the commutators of h with y and with z
+    "check_inv_cut.measured": lambda mp: _inv_cut_passes(mp, 2),
+    "check_inv_cut.comm": lambda mp: _inv_cut_passes(mp, 6),
+    "band_norm.top": _band_norm_passes,
+}
+
+
+@pytest.mark.parametrize("site", list(NAN_SITES))
+def test_planted_nan_fails_its_gate(monkeypatch, site):
+    # Python's max drops a NaN that is not its first argument; each maximum
+    # keeps it, so the gate that reads the maximum fails
+    assert not NAN_SITES[site](monkeypatch)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from approxk import boundary, cli
+from approxk import boundary, cli, wedderburn
 from approxk.matcore import Tol
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -100,6 +100,19 @@ def test_report_builds_one_lift_and_trivializes_each_idempotent_once(
     assert run_cli(["run", "twisted_pair", "--seed", "7",
                     "--out", str(tmp_path / "twisted_pair.json")]) == 0
     assert (len(builds), len(iotas), len(arcs)) == (1, 1, 2)
+
+
+def test_report_decomposes_each_algebra_once(tmp_path, count_calls):
+    # an algebra holds its Wedderburn data: twisted_pair decomposes C, D and
+    # C cap D, and the three tensored with M_2 for each of the 3 product rows,
+    # once each; the other bundled reports read no class over a matrix algebra
+    calls = count_calls("decompose", wedderburn)
+    for name, want in (("twisted_pair", 12), ("block_pair", 0), ("circle_split", 0)):
+        calls.clear()
+        assert run_cli(["run", name, "--seed", "7",
+                        "--out", str(tmp_path / f"{name}.json")]) == 0
+        assert len(calls) == want, name
+        assert len({id(args[0]) for args in calls}) == want, name
 
 
 def test_scipy_loads_on_first_use(tmp_path):

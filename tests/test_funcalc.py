@@ -9,7 +9,6 @@ from approxk.errors import (
     SpectralAmbiguity,
 )
 from approxk.matcore import DEFAULT_TOL, matrix_unit, op_norm
-from approxk.subalg import unitize
 
 from conftest import random_idempotent
 
@@ -71,7 +70,7 @@ def test_round_idempotent_in_algebra():
     e = scn["p"] + 1e-4 * scn["c"].basis[1]
     f, cls, cert = funcalc.round_idempotent_in(e, scn["c"])
     assert np.linalg.norm(f @ f - f, 2) < 1e-8
-    assert unitize(scn["c"]).nearest(f)[1] <= 1e-6
+    assert scn["c"].unitization.nearest(f)[1] <= 1e-6
     assert cls.entries == (1,)
 
 
@@ -91,7 +90,7 @@ def test_round_idempotent_eps_window():
 
 def test_round_invertible_in_span(rng):
     scn = scenarios.block_ideal_pair()
-    span = unitize(scn["c"])
+    span = scn["c"].unitization
     base, _ = span.nearest(np.diag([1.1, 0.9, 1.2, 1.0, 1.0, 1.0]))
     noise = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     u = base + 1e-4 * noise / np.linalg.norm(noise, 2)
@@ -103,7 +102,7 @@ def test_round_invertible_in_span(rng):
 
 def test_round_invertible_rejects_far_element():
     scn = scenarios.block_ideal_pair()
-    span = unitize(scn["c"])
+    span = scn["c"].unitization
     u = np.eye(6) + 0.9 * (matrix_unit(6, 0, 5) + matrix_unit(6, 5, 0))
     with pytest.raises(NotCloseEnough):
         funcalc.round_invertible_in(u, span)

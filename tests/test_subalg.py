@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from approxk import matcore, subalg
+from approxk import matcore, subalg, wedderburn
 from approxk.errors import AmbiguousIntersection, ClosureFailure, InvalidInput
 from approxk.matcore import DEFAULT_TOL, matrix_unit
 from approxk import scenarios
-from approxk.subalg import Subalg, Subspace, from_basis, intersect, unitize
+from approxk.subalg import Subalg, Subspace, from_basis, intersect
 
 from conftest import corner_pair
 
@@ -63,10 +63,10 @@ def test_from_basis_generates_full_block(rng):
 
 def test_unitize_adds_ambient_unit():
     s = block_alg(4, [(0, 2)])
-    su = unitize(s)
+    su = s.unitization
     assert su.dim == s.dim + 1
     assert su.contains(np.eye(4))
-    assert unitize(su) is su
+    assert su.unitization is su
 
 
 AUGMENTED = {
@@ -88,14 +88,14 @@ def test_augmentation_is_one_on_the_unit_and_zero_on_the_algebra(case):
     for b in s.basis:
         assert abs(np.sum(f * b)) < 1e-12
     # the unitization's basis is S's, then the normalized unit residual
-    su = unitize(s)
+    su = s.unitization
     assert su.gram_residual() < 1e-12
     assert su.nearest(np.eye(s.ambient_dim))[1] < 1e-12
 
 
 def test_augmentation_needs_a_non_unital_algebra():
     with pytest.raises(InvalidInput):
-        unitize(block_alg(4, [(0, 2)])).augmentation
+        block_alg(4, [(0, 2)]).unitization.augmentation
 
 
 def test_tensored_algebras_and_unitization_skip_repeated_work(count_calls):
@@ -108,9 +108,21 @@ def test_tensored_algebras_and_unitization_skip_repeated_work(count_calls):
         subalg.tensor_with_full(s, m)
         subalg.amplify(s, m)
     assert norms == []
-    su = unitize(s)
+    su = s.unitization
     assert closures == []
     assert su.dim == s.dim + 1
+
+
+def test_derived_structure_is_held_on_the_algebra(count_calls):
+    # the unitization and the Wedderburn data are built on the first read and
+    # kept: a second read builds no algebra and decomposes nothing
+    s = scenarios.block_ideal_pair()["c"]
+    decomposed = count_calls("decompose", wedderburn)
+    built = count_calls("__init__", Subalg)
+    su, w = s.unitization, s.wedderburn
+    assert (len(built), len(decomposed)) == (1, 1)
+    assert s.unitization is su and s.wedderburn is w
+    assert (len(built), len(decomposed)) == (1, 1)
 
 
 def test_amplify_and_tensor_dims():
@@ -160,7 +172,7 @@ def projector(alg):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_blockwise_projection_matches_amplified_basis(rng, k):
     s = conjugate(block_alg(4, [(0, 2), (2, 3)]), random_unitary(rng, 4))
-    for alg in (s, unitize(s)):
+    for alg in (s, s.unitization):
         x = rng.standard_normal((4 * k, 4 * k)) + 1j * rng.standard_normal((4 * k, 4 * k))
         want = subalg.amplify(alg, k).project(x)
         np.testing.assert_allclose(alg.project(x), want, rtol=0, atol=1e-12)

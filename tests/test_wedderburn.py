@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from approxk import ops, scenarios
+from approxk import boundary, ops, scenarios
 from approxk.errors import InvalidInput, NotEquivalent, PathTooCoarse
 from approxk.loops import LoopElem
 from approxk.matcore import DEFAULT_TOL, Tol, matrix_unit
@@ -61,6 +61,41 @@ def test_decompose_invariant_under_conjugation(rng):
         assert sorted(decompose(scn["c"], seed=i).blocks) == [(2, 2)]
         assert sorted(decompose(scn["inter"], seed=i).blocks) == [(1, 2), (1, 2)]
     assert sorted(decompose(base["d"]).blocks) == [(2, 2)]
+
+
+def _scenario_lift(kind, rng):
+    """A lift over a twisted_pair conjugate, or an exact block_pair lift."""
+    if kind == "twisted_pair":
+        scn = scenarios.twisted_pair(conj=scenarios.random_unitary(4, rng))
+        return boundary.iota_lift(scn["p"], scn["q"], scn["c"], scn["d"])[2]
+    scn = scenarios.block_ideal_pair()
+    u = np.zeros((6, 6), dtype=complex)
+    for b in range(3):
+        u[2 * b:2 * b + 2, 2 * b:2 * b + 2] = scenarios.random_unitary(2, rng)
+    h = np.diag([1.0, 1.0, 0.5, 0.5, 0.0, 0.0]).astype(complex)
+    return boundary.build_lift_v(u, h, scn["c"], scn["d"])[1]
+
+
+@settings(derandomize=True, max_examples=10, deadline=None, database=None)
+@given(kind=st.sampled_from(["twisted_pair", "block_pair"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_held_wedderburn_data_do_not_depend_on_the_seed(kind, seed):
+    # Subalg.wedderburn decomposes at one seed; every seed gives the same
+    # blocks in the same order, and the lift's boundary class, exactness
+    # check included, reads the same against the data of any seed
+    cert = _scenario_lift(kind, np.random.default_rng(seed))
+    held = boundary.boundary_class(cert)
+    algs = [side.alg for side in (cert.c_side, cert.d_side, cert.int_side)]
+    held_data = [alg.wedderburn for alg in algs]
+    for k in range(5):
+        for alg, held_w in zip(algs, held_data):
+            w = decompose(alg, seed=k)
+            assert w.blocks == held_w.blocks
+            for z, z_held in zip(w.central_projections, held_w.central_projections):
+                assert np.linalg.norm(z - z_held, 2) < 1e-8
+            # the instance's own attribute overrides the cached property
+            alg.wedderburn = w
+        assert boundary.boundary_class(cert) == held
 
 
 def test_k0_class_counts_normalized_ranks():
