@@ -34,5 +34,6 @@ print("windings: u =", winding_k1(scn["u"]).entries[0],
 wh = boundary.whitehead_split(scn["u_c"], scn["h"], scn["c"], scn["d"])
 print("whitehead split of the C-side ramp: product residual",
       f"{wh.product_residual:.1e},", "memberships",
-      f"{wh.membership_c:.1e} / {wh.membership_d:.1e},",
-      f"norms {wh.norm_max:.3f} <= {wh.norm_bound:.0f}")
+      f"{wh.membership_c_upper:.1e} / {wh.membership_d_upper:.1e} over all t,",
+      f"norms {wh.norm_max:.3f} sampled, {wh.norm_upper:.3f} over all t",
+      f"<= {wh.norm_bound:.0f}")

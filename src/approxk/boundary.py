@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 
 import numpy as np
 
@@ -618,7 +619,8 @@ def sigma_witness(cert: LiftCert, eps: float, tol: Tol = DEFAULT_TOL,
     factor = cert.u @ x_inv
     _, r_d = cert.d_side.nearest(x)
     _, r_c = cert.c_side.nearest(factor)
-    if max(r_d, r_c) > eps:
+    # np.max keeps a NaN, and the gate is written so that a NaN fails it
+    if not np.max([r_d, r_c]) <= eps:
         raise ReconstructionFailed((float(r_d), float(r_c)))
     k1 = cert.int_side.k1
     wu, wx, wf = k1(cert.u, tol), k1(x, tol), k1(factor, tol)
@@ -681,6 +683,28 @@ def discretize_homotopy(u_path):
 
 @dataclasses.dataclass
 class WhiteheadCert:
+    """Certificates of a Whitehead split and its homotopies over t in [0, 1].
+
+    Bounds over every t in [0, 1]: ``norm_upper``, ``membership_c_upper``
+    and ``membership_d_upper``.  With s = 1 - t both factors are matrix
+    polynomials of degree at most 5 in s, each the convex combination
+    sum_j B_j(s) b_j of its 6 Bernstein coefficients b_j, with weights
+    B_j(s) >= 0 that sum to 1.  So a seminorm of a factor v, or of v - 1
+    (whose coefficients are the b_j - 1), is at most its largest value over
+    the coefficients: the operator norm of v and the membership residual of
+    v - 1 alike (Farouki & Rajan, *CAGD* 4(3), 1987).  The maxima run over
+    the samples too, which in exact arithmetic never exceed that value, so
+    each bound is at least its sampled estimate.  They bound the polynomials
+    of the computed coefficients: the rounding of the coefficient build, a
+    few ulps of the factor norms, is not added.
+
+    Sampled lower estimates: ``norm_max``, ``membership_c`` and
+    ``membership_d``, maxima over the t_steps + 1 equispaced t.
+
+    Endpoints: ``product_residual`` measures the t = 0 product against
+    diag(a, a^-1), and ``endpoint_residual`` the t = 1 factors against 1.
+    """
+
     vc_path: list
     vd_path: list
     t_steps: int
@@ -690,45 +714,130 @@ class WhiteheadCert:
     membership_d: float
     norm_max: float
     norm_bound: float
+    norm_upper: float
+    membership_c_upper: float
+    membership_d_upper: float
 
     @property
     def certified(self) -> bool:
         """The guarantees that need no eps: the t = 0 product recovers
         diag(a, a^-1), the t = 1 factors are the identity, and the norms stay
-        within (3 + c)^5.  The memberships are judged against a caller's eps."""
+        within (3 + c)^5 over all of [0, 1].  The memberships are judged
+        against a caller's eps."""
         return (self.product_residual <= 1e-9
                 and self.endpoint_residual <= 1e-12
-                and self.norm_max <= self.norm_bound)
+                and self.norm_upper <= self.norm_bound)
 
 
-def _whitehead_factors(x, y, h, t: float):
-    one = ops.eye_like(x)
-    s = 1.0 - t
-    xc = one + ops.scal(s, h_apply(h, x, "left"))
-    xd = ops.scal(s, h_apply(h_one_minus(h), x, "left"))
-    yc = one + ops.scal(s, h_apply(h, y, "left"))
-    yd = ops.scal(s, h_apply(h_one_minus(h), y, "left"))
-    j = ops.rotation_j(x)
-    j_neg = ops.scal(-1.0, j)
-    vc = (ops.upper_unipotent(xd) @ ops.upper_unipotent(xc)
-          @ ops.lower_unipotent(ops.scal(-1.0, yc)) @ ops.upper_unipotent(xc)
-          @ j @ ops.upper_unipotent(ops.scal(-1.0, xd)))
-    vd = (ops.upper_unipotent(xd) @ j_neg
-          @ ops.upper_unipotent(ops.scal(-1.0, xc))
-          @ ops.lower_unipotent(ops.scal(-1.0, yd))
-          @ ops.upper_unipotent(xc) @ ops.upper_unipotent(xd) @ j)
-    return vc, vd
+# the Bernstein coefficients on [0, 1] of a polynomial of degree 5 from its
+# power coefficients: b_j = sum_(k <= j) C(j, k) / C(5, k) c_k, so b_0 = c_0
+# is its value at s = 0 and b_5 = sum_k c_k its value at s = 1
+_BERNSTEIN = np.array([[math.comb(j, k) / math.comb(5, k) for k in range(6)]
+                       for j in range(6)])
+
+
+def _add_times_affine(p: np.ndarray, col: np.ndarray, z0: float,
+                      z1: np.ndarray) -> np.ndarray:
+    """p + col (z0 + s z1) for polynomials p and col (coefficients on axis
+    0), a scalar z0 and an element z1: col_k enters coefficient k times z0
+    and coefficient k + 1 times z1."""
+    out = np.zeros((max(len(p), len(col) + 1),) + col.shape[1:], dtype=complex)
+    out[:len(p)] = p
+    out[:len(col)] += z0 * col
+    out[1:len(col) + 1] += matcore.matmul(col, z1)
+    return out
+
+
+def _factor_coefficients(steps, one: np.ndarray) -> np.ndarray:
+    """The 6 power coefficients in s of a product of 2 x 2 block factors:
+    ("U", z0, z1) is [[1, z], [0, 1]] and ("L", z0, z1) is [[1, 0], [z, 1]]
+    with z = z0 + s z1, and ("J", sign, None) is sign * [[0, -1], [1, 0]].
+
+    The product is built from the identity by right multiplications on its
+    block columns c1 and c2, each a polynomial over the stacked blocks
+    (top, bottom): U(z) adds c1 z to c2, L(z) adds c2 z to c1, and sign * J
+    takes (c1, c2) to sign * (c2, -c1).  A step costs one n x n product per
+    block and coefficient of the column it reads; at most 5 factors are
+    affine, so no coefficient beyond s^5 arises.  Every z0 is 0 or +-1, so
+    the s^0 coefficient, sums of 0 and +-1 blocks alone, is exact."""
+    zero = np.zeros_like(one)
+    c1, c2 = np.stack([one, zero])[None], np.stack([zero, one])[None]
+    for kind, z0, z1 in steps:
+        if kind == "U":
+            c2 = _add_times_affine(c2, c1, z0, z1)
+        elif kind == "L":
+            c1 = _add_times_affine(c1, c2, z0, z1)
+        else:
+            c1, c2 = z0 * c2, -z0 * c1
+    n = one.shape[-1]
+    out = np.zeros((6,) + one.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    for col, cols in ((c1, slice(None, n)), (c2, slice(n, None))):
+        out[:len(col), ..., :n, cols] = col[:, 0]
+        out[:len(col), ..., n:, cols] = col[:, 1]
+    return out
+
+
+def _whitehead_coefficients(x, y, h) -> tuple[np.ndarray, np.ndarray]:
+    """The power coefficients in s = 1 - t of the Whitehead factors
+
+        vc = U(xd) U(xc) L(-yc) U(xc) J U(-xd),
+        vd = U(xd) (-J) U(-xc) L(-yd) U(xc) U(xd) J,
+
+    with xc = 1 + s h x, xd = s (1 - h) x, yc = 1 + s h y and
+    yd = s (1 - h) y, as two arrays (6, ..., 2n, 2n) over the stacks x and
+    y, the coefficient of s^k at index k."""
+    hbar = h_one_minus(h)
+    hx, hbx, hy, hby = (ops.arr(h_apply(m, v)) for v in (x, y) for m in (h, hbar))
+    one = ops.arr(ops.eye_like(x))
+    vc = (("U", 0, hbx), ("U", 1, hx), ("L", -1, -hy), ("U", 1, hx),
+          ("J", 1, None), ("U", 0, -hbx))
+    vd = (("U", 0, hbx), ("J", -1, None), ("U", -1, -hx), ("L", 0, -hby),
+          ("U", 1, hx), ("U", 0, hbx), ("J", 1, None))
+    return _factor_coefficients(vc, one), _factor_coefficients(vd, one)
+
+
+# entries of the rows that one product and one norm call of _row_norms take
+_ROW_CHUNK = 2 ** 15
+
+
+def _row_norms(weights: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """For each row w of weights, the largest operator norm of
+    sum_k w_k coefs_k over its samples and summands.  The rows are taken a
+    few at a time, about _ROW_CHUNK entries per product and norm call, so
+    that the rows of a long loop never fill memory at once.  Coefficients
+    that are all zero, as the membership residuals of an exact split are,
+    give zero rows without a norm call."""
+    if not coefs.any():
+        return np.zeros(len(weights))
+    step = max(1, _ROW_CHUNK // coefs[0].size)
+    return np.concatenate([
+        np.max(matcore.op_norms(np.tensordot(w, coefs, 1)).reshape(len(w), -1), axis=1)
+        for w in np.split(weights, range(step, len(weights), step))])
+
+
+def _maxima(rows: np.ndarray) -> tuple[float, float]:
+    """(sampled, upper) from per-row maxima laid out as b_0, ..., b_5 and
+    then the inner samples, b_0 and b_5 being the samples at t = 1 and
+    t = 0.  np.max keeps a NaN, so that a gate on either fails."""
+    return float(np.max(np.delete(rows, np.s_[1:5]))), float(np.max(rows))
 
 
 def whitehead_split(a, h, c, d, tol: Tol = DEFAULT_TOL,
                     t_steps: int = 32) -> WhiteheadCert:
     """Split diag(a, a^-1) as a product of a near-C and a near-D invertible,
-    with sampled homotopies of both factors to the identity.
+    with polynomial homotopies of both factors to the identity.
 
     Endpoints are exact: the t = 0 product recovers diag(a, a^-1) and the
-    t = 1 factors are the identity.  Norms are certified against (3 + c)^5.
-    The paths hold only the t = 0 and t = 1 factors, so memory stays flat on
-    large loops; the certificates cover every t of the grid.
+    t = 1 factors are the identity.  Each factor is built once, as its power
+    coefficients in s = 1 - t (:func:`_whitehead_coefficients`).  One
+    product with those gives its 6 Bernstein coefficients and its values at
+    the t_steps - 1 inner samples of the equispaced t-grid; the coefficients
+    b_0 and b_5 are its values at t = 1 and t = 0.  The membership residual
+    is linear in the element, so one projection of the coefficients gives
+    it at every row.  The Bernstein coefficients bound the norms and the
+    memberships over all of [0, 1] (see :class:`WhiteheadCert`), and the
+    norms are certified against (3 + c)^5.  The paths hold only the t = 0
+    and t = 1 factors, so memory stays flat on large loops.
 
     The split runs on summand stacks; a lone element is a stack of one
     summand and gets paths in its own carrier.  An internal
@@ -739,6 +848,8 @@ def whitehead_split(a, h, c, d, tol: Tol = DEFAULT_TOL,
     membership residual of a block-diagonal element, is the max over the
     summands.
     """
+    if t_steps < 1:
+        raise InvalidInput(f"t_steps must be >= 1, got {t_steps}")
     check_contraction(h)
     c_side = make_side(c)
     d_side = make_side(d)
@@ -747,34 +858,37 @@ def whitehead_split(a, h, c, d, tol: Tol = DEFAULT_TOL,
     # input validation that LoopElem and as_matrix repeat on every operation
     s = ops.Stack(ops.arr(a)[..., None, :, :]) if lone else a
     one = ops.eye_like(s)
-    x = s - one
     s_inv = ops.inv(s, tol)
-    y = s_inv - one
     c_norm = max(ops.norm(s), ops.norm(s_inv))
     bound = (3.0 + c_norm) ** 5
-    target = ops.oplus(s, s_inv)
-    big_one = ops.eye_like(target)
-    vc_path, vd_path = [], []
-    mems_c, mems_d, norms = [], [], []
-    for j_t in range(t_steps + 1):
-        vc, vd = _whitehead_factors(x, y, h, j_t / t_steps)
-        if j_t in (0, t_steps):
-            vc_path.append(vc)
-            vd_path.append(vd)
-        mems_c.append(c_side.nearest(vc - big_one, unitized=False)[1])
-        mems_d.append(d_side.nearest(vd - big_one, unitized=False)[1])
-        norms += [ops.norm(vc), ops.norm(vd)]
-    # np.max keeps a NaN, so that a gate on these fails
-    mem_c, mem_d, norm_max = (float(np.max(v)) for v in (mems_c, mems_d, norms))
-    prod_resid = ops.norm(vc_path[0] @ vd_path[0] - target)
-    end_resid = max(ops.norm(vc_path[-1] - big_one),
-                    ops.norm(vd_path[-1] - big_one))
-    if lone:
-        vc_path = [ops.like(a, ops.arr(v)[..., 0, :, :]) for v in vc_path]
-        vd_path = [ops.like(a, ops.arr(v)[..., 0, :, :]) for v in vd_path]
-    return WhiteheadCert(vc_path, vd_path, t_steps, float(prod_resid),
-                         float(end_resid), mem_c, mem_d, norm_max,
-                         float(bound))
+    target = ops.arr(ops.oplus(s, s_inv))
+    big_one = ops.arr(ops.eye_like(ops.Stack(target)))
+    # rows b_0, ..., b_5, then s^k at the inner samples s = 1 - j / t_steps
+    inner = 1.0 - np.arange(1, t_steps) / t_steps
+    weights = np.concatenate([_BERNSTEIN, inner[:, None] ** np.arange(6)])
+    lead = target.ndim - 3  # a loop's sample axis leads its stacks
+    ends, norms, mems = [], [], []
+    factors = _whitehead_coefficients(s - one, s_inv - one, h)
+    for side, coefs in zip((c_side, d_side), factors):
+        ends.append(np.tensordot(_BERNSTEIN[[5, 0]], coefs, 1))
+        norms.append(_maxima(_row_norms(weights, coefs)))
+        off = coefs.copy()
+        off[0] -= big_one
+        w = side.project(ops.Stack(np.moveaxis(off, 0, lead)), unitized=False)
+        resid = off - np.moveaxis(ops.arr(w), lead, 0)
+        mems.append(_maxima(_row_norms(weights, resid)))
+    (vc0, vc1), (vd0, vd1) = ends
+    norm_max, norm_upper = (float(np.max(v)) for v in zip(*norms))
+    prod_resid = ops.sup_norm(matcore.matmul(vc0, vd0) - target)
+    end_resid = np.max([ops.sup_norm(vc1 - big_one), ops.sup_norm(vd1 - big_one)])
+    def path(*factors):
+        return [ops.like(a, v[..., 0, :, :]) if lone else ops.Stack(v) for v in factors]
+
+    (mem_c, mem_c_upper), (mem_d, mem_d_upper) = mems
+    return WhiteheadCert(path(vc0, vc1), path(vd0, vd1), t_steps,
+                         float(prod_resid), float(end_resid), mem_c, mem_d,
+                         norm_max, float(bound), norm_upper, mem_c_upper,
+                         mem_d_upper)
 
 
 # ---------------------------------------------------------------------------
@@ -852,10 +966,10 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d, tol: Tol = DEFAULT_TOL,
     for name, wc in (("a", wc_a), ("b", wc_b)):
         if not wc.certified:
             raise ReconstructionFailed(
-                (wc.product_residual, wc.endpoint_residual, wc.norm_max),
+                (wc.product_residual, wc.endpoint_residual, wc.norm_upper),
                 f"Whitehead split of {name} fails its certificate: product "
                 f"{wc.product_residual:.3e}, endpoint {wc.endpoint_residual:.3e}, "
-                f"norm {wc.norm_max:.3e} against {wc.norm_bound:.3e}",
+                f"norm bound {wc.norm_upper:.3e} against {wc.norm_bound:.3e}",
             )
     ca, da, ca_inv, da_inv = (_path_band(f, n, size) for f in (
         wc_a.vc_path[0], wc_a.vd_path[0],
@@ -881,8 +995,9 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d, tol: Tol = DEFAULT_TOL,
     y = int_side.project(ops.like(u0, matcore.band_dense(mid)), unitized=False)
     x = matcore.band(ops.arr(y), mid.kl, mid.ku) + one
     drift_c, drift_d = matcore.band_norm(x - t_c), matcore.band_norm(x - t_d)
-    achieved = max(drift_c, drift_d)
-    if achieved > max(uniform_constant * gap, 1e-6):
+    # np.max keeps a NaN, and each gate is written so that a NaN fails it
+    achieved = np.max([drift_c, drift_d])
+    if not achieved <= max(uniform_constant * gap, 1e-6):
         raise PairNotUniform(
             f"joint approximation {achieved:.3e} exceeds "
             f"{uniform_constant:.1f} * {gap:.3e}"
@@ -897,7 +1012,7 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d, tol: Tol = DEFAULT_TOL,
     unstable = float(np.max(np.sqrt(np.abs(resid).sum(axis=-2).max(axis=-1)
                                     * np.abs(resid).sum(axis=-1).max(axis=-1)),
                             initial=0.0))
-    if unstable > 1e-6:
+    if not unstable <= 1e-6:
         raise ReconstructionFailed(
             unstable, f"unstable inverse for x = 1 + y: residual {unstable:.3e}")
     windings = None

@@ -229,7 +229,9 @@ def check_whitehead(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
         a = one + x
     cert = boundary.whitehead_split(a, scn["h"], scn["c"], scn["d"], tol)
     eps = _number(params, "eps", 0.1)
-    ok = cert.certified and cert.membership_c <= eps and cert.membership_d <= eps
+    # the gates read the bounds over all t in [0, 1]
+    ok = (cert.certified and cert.membership_c_upper <= eps
+          and cert.membership_d_upper <= eps)
     return {
         "check": "whitehead",
         "t_steps": cert.t_steps,
@@ -239,6 +241,9 @@ def check_whitehead(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
         "membership_d": cert.membership_d,
         "norm_max": cert.norm_max,
         "norm_bound": cert.norm_bound,
+        "norm_upper": cert.norm_upper,
+        "membership_c_upper": cert.membership_c_upper,
+        "membership_d_upper": cert.membership_d_upper,
         "passed": bool(ok),
     }
 

@@ -110,7 +110,10 @@ def op_norms(a) -> np.ndarray:
     if a.shape[-2:] != (2, 2):
         return np.linalg.norm(a, 2, axis=(-2, -1))
     mod = np.abs(a)
-    s = mod.max(axis=(-2, -1))
+    # the entrywise maximum of the four moduli: a reduction over the two
+    # small matrix axes costs more than the rest of the closed form
+    s = np.maximum(np.maximum(mod[..., 0, 0], mod[..., 0, 1]),
+                   np.maximum(mod[..., 1, 0], mod[..., 1, 1]))
     safe = np.where(s > 0, s, 1.0)[..., None, None]
     sq = (mod / safe) ** 2
     b = a / safe

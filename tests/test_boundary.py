@@ -17,6 +17,7 @@ from approxk.errors import (
     NotInvertible,
     PairNotUniform,
     PathTooCoarse,
+    ReconstructionFailed,
     RoundingUnstable,
 )
 from approxk.loops import LoopAlg, LoopElem
@@ -273,7 +274,8 @@ def test_tensor_scale_uses_the_callers_tol():
 
 
 def _nan_at(call, fn):
-    """fn whose call-th call, counted from 1, returns NaN for its result."""
+    """fn whose call-th call, counted from 1, returns NaN for its result;
+    call None plants nothing."""
     count = itertools.count(1)
 
     def planted(*args, **kwargs):
@@ -282,27 +284,38 @@ def _nan_at(call, fn):
     return planted
 
 
-class _NaNResidualSide(boundary.MatrixSide):
-    """A matrix side whose call-th membership residual is NaN."""
+class _NaNResidualSide:
+    """A membership side whose call-th membership residual is NaN."""
 
-    def __init__(self, alg, call):
-        super().__init__(alg)
+    def __init__(self, side, call):
+        self._side = side
         self._residual = _nan_at(call, lambda r: r)
 
+    def __getattr__(self, name):
+        return getattr(self._side, name)
+
     def nearest(self, x, unitized=True):
-        w, r = super().nearest(x, unitized)
+        w, r = self._side.nearest(x, unitized)
         return w, self._residual(r)
 
 
-def _whitehead_passes(monkeypatch, which):
-    # block_pair's bundled whitehead check, which passes unplanted; the NaN
-    # lands on the 5th t-sample of a membership, or on the 5th norm: after
-    # ||a||, ||a^-1|| and the two factor norms at t = 0, that of vc at t = 1/32
+def _whitehead_passes(monkeypatch, plant, call, row):
+    # block_pair's bundled whitehead check.  _row_norms runs on vc's values,
+    # vc's membership residuals, vd's values and vd's residuals, in that
+    # order; its rows are b_0, ..., b_5 (b_0 and b_5 the samples at t = 1
+    # and t = 0), then the 31 inner samples.  The NaN lands on one row of
+    # one call.
+    if plant:
+        real = boundary._row_norms
+        count = itertools.count(1)
+
+        def planted(weights, coefs):
+            rows = real(weights, coefs)
+            if next(count) == call:
+                rows[row] = np.nan
+            return rows
+        monkeypatch.setattr(boundary, "_row_norms", planted)
     scn = cli.build_scenario({"kind": "block_pair", "params": {}})
-    if which == "norm_max":
-        monkeypatch.setattr(ops, "norm", _nan_at(5, ops.norm))
-    else:
-        scn[which] = _NaNResidualSide(scn[which], 5)
     return cli.check_whitehead(scn, Tol(), 0, {"eps": 0.1})["passed"]
 
 
@@ -313,36 +326,93 @@ def _inv_cut_passes(monkeypatch, call):
     return measured <= bound
 
 
-def _band_norm_passes(monkeypatch):
+def _band_norm_passes(monkeypatch, plant):
     # the one matrix's eigenvalues come back NaN; the running maximum starts
     # at 0.0, so max(0.0, NaN) would drop them
-    real = matcore.scipy_linalg().eig_banded
-    monkeypatch.setattr(matcore, "scipy_linalg", lambda: types.SimpleNamespace(
-        eig_banded=lambda *args, **kwargs: np.nan * real(*args, **kwargs)))
+    if plant:
+        real = matcore.scipy_linalg().eig_banded
+        monkeypatch.setattr(matcore, "scipy_linalg", lambda: types.SimpleNamespace(
+            eig_banded=lambda *args, **kwargs: np.nan * real(*args, **kwargs)))
     return matcore.band_norm(matcore.band(np.eye(4), 1, 1)) <= 1e300
 
 
+def _sigma_witness_passes(plant):
+    # circle_split's lift has a zero boundary class; the NaN lands on the
+    # C-side residual, the second argument of the gate's maximum
+    scn = scenarios.circle_split(grid=90)
+    _, cert = boundary.build_lift_v(scn["u"], scn["h"], scn["c"], scn["d"])
+    cert.c_side = _NaNResidualSide(cert.c_side, 1 if plant else None)
+    try:
+        boundary.sigma_witness(cert, eps=0.05)
+    except ReconstructionFailed:
+        return False
+    return True
+
+
+def _reconstruct_passes(monkeypatch, plant, site):
+    # a trivial matrix reconstruction, where x = 1 and nothing else can
+    # fail, for the drifts; the grid-16 loop reconstruction, where x moves,
+    # for the stability of x^-1.  band_norm runs for the gap, then for the
+    # drifts of x from t_C and from t_D; the NaN lands on the latter, the
+    # second argument of achieved's maximum
+    if site == "achieved":
+        one = np.eye(6, dtype=complex)
+        blk = scenarios.block_ideal_pair()
+        args = ([one, one, one], one, one, block_h(), blk["c"], blk["d"])
+        kwargs = {}
+        if plant:
+            monkeypatch.setattr(matcore, "band_norm", _nan_at(3, matcore.band_norm))
+    else:
+        scn = scenarios.circle_split(grid=16, overlap=0.25 * np.pi)
+        args = (scenarios.circle_split_homotopy(scn, steps=96), scn["u_c"],
+                scn["u_d"], scn["h"], scn["c"], scn["d"])
+        kwargs = {"whitehead_t_steps": 1}
+        if plant:
+            real = matcore.band_invert
+            monkeypatch.setattr(matcore, "band_invert",
+                                lambda *a, **k: np.nan * real(*a, **k))
+    try:
+        boundary.sigma_reconstruct(*args, **kwargs)
+    except (PairNotUniform, ReconstructionFailed):
+        return False
+    return True
+
+
 NAN_SITES = {
-    "LiftCert.delta_level": lambda mp: boundary.LiftCert(
-        None, None, None, None, 1.0, 0.0, np.nan, 0.0, 0, None, None, None).valid_at(1e-9),
-    "IdealCert.delta_level": lambda mp: boundary.IdealCert(
-        None, None, None, None, [], (0.0, np.nan, 0.0, 0.0, 0.0), 0).valid_at(1e-9),
-    "whitehead_split.mem_c": lambda mp: _whitehead_passes(mp, "c"),
-    "whitehead_split.mem_d": lambda mp: _whitehead_passes(mp, "d"),
-    "whitehead_split.norm_max": lambda mp: _whitehead_passes(mp, "norm_max"),
+    "LiftCert.delta_level": lambda mp, plant: boundary.LiftCert(
+        None, None, None, None, 1.0, 0.0, np.nan if plant else 0.0, 0.0, 0,
+        None, None, None).valid_at(1e-9),
+    "IdealCert.delta_level": lambda mp, plant: boundary.IdealCert(
+        None, None, None, None, [], (0.0, np.nan if plant else 0.0, 0.0, 0.0, 0.0),
+        0).valid_at(1e-9),
+    # a sampled row also enters its bound, so a NaN on a sample fails the
+    # gate that reads the bound
+    "whitehead_split.norm_max": lambda mp, plant: _whitehead_passes(mp, plant, 1, 6),
+    "whitehead_split.norm_upper": lambda mp, plant: _whitehead_passes(mp, plant, 3, 2),
+    "whitehead_split.mem_c": lambda mp, plant: _whitehead_passes(mp, plant, 2, 7),
+    "whitehead_split.mem_c_upper": lambda mp, plant: _whitehead_passes(mp, plant, 2, 3),
+    "whitehead_split.mem_d": lambda mp, plant: _whitehead_passes(mp, plant, 4, 5),
+    "whitehead_split.mem_d_upper": lambda mp, plant: _whitehead_passes(mp, plant, 4, 1),
     # the norms of check_inv_cut: ab - 1 - target and ba - 1 - target for
     # measured, ||y|| and ||z||, then the commutators of h with y and with z
-    "check_inv_cut.measured": lambda mp: _inv_cut_passes(mp, 2),
-    "check_inv_cut.comm": lambda mp: _inv_cut_passes(mp, 6),
+    "check_inv_cut.measured": lambda mp, plant: _inv_cut_passes(mp, 2 if plant else None),
+    "check_inv_cut.comm": lambda mp, plant: _inv_cut_passes(mp, 6 if plant else None),
     "band_norm.top": _band_norm_passes,
+    "sigma_witness.residual": lambda mp, plant: _sigma_witness_passes(plant),
+    "sigma_reconstruct.achieved":
+        lambda mp, plant: _reconstruct_passes(mp, plant, "achieved"),
+    "sigma_reconstruct.unstable":
+        lambda mp, plant: _reconstruct_passes(mp, plant, "unstable"),
 }
 
 
 @pytest.mark.parametrize("site", list(NAN_SITES))
 def test_planted_nan_fails_its_gate(monkeypatch, site):
-    # Python's max drops a NaN that is not its first argument; each maximum
-    # keeps it, so the gate that reads the maximum fails
-    assert not NAN_SITES[site](monkeypatch)
+    # Python's max drops a NaN that is not its first argument, and a gate
+    # x > limit passes one; each maximum keeps it, and each gate is written
+    # so that it fails.  Unplanted, every site passes.
+    assert NAN_SITES[site](monkeypatch, False)
+    assert not NAN_SITES[site](monkeypatch, True)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +516,9 @@ def test_whitehead_split_full_algebra(rng):
     assert cert.product_residual < 1e-10
     assert cert.endpoint_residual == 0.0
     assert cert.membership_c < 1e-12 and cert.membership_d < 1e-12
-    assert cert.norm_max <= cert.norm_bound
+    assert cert.norm_max <= cert.norm_upper <= cert.norm_bound
+    with pytest.raises(InvalidInput):
+        boundary.whitehead_split(a, np.eye(3, dtype=complex), alg, alg, t_steps=0)
 
 
 def test_whitehead_split_circle(rng):

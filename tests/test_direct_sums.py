@@ -41,46 +41,85 @@ def close(got, want, rel=1e-12):
 # dense references: the constructions on the materialized direct sum
 
 
-def dense_whitehead(a, h, c, d, t_steps):
-    """Whitehead split of diag(a, a^-1) on the dense element a."""
-    c_side, d_side = boundary.make_side(c), boundary.make_side(d)
+def dense_factors(a, h, s):
+    """The Whitehead factors vc and vd of the dense element a as stacks, one
+    summand per column of s (5, count): summand k multiplies out the
+    unipotents of
+
+        vc = U(xd) U(xc) L(-yc) U(xc) J U(-xd),
+        vd = U(xd) (-J) U(-xc) L(-yd) U(xc) U(xd) J,
+
+    the i-th affine unipotent of each taken at s = s[i, k]."""
     one = ops.eye_like(a)
+    zero = ops.zero_like(a)
     x = a - one
+    y = ops.inv(a) - one
+    hbar = boundary.h_one_minus(h)
+
+    def ramp(i, z0, z):
+        # the summands z0 + s[i, k] z
+        sk = s[i][:, None, None]
+        return ops.Stack(ops.arr(z0)[..., None, :, :] + sk * ops.arr(z)[..., None, :, :])
+
+    hx, hbx = boundary.h_apply(h, x), boundary.h_apply(hbar, x)
+    hy, hby = boundary.h_apply(h, y), boundary.h_apply(hbar, y)
+    up, low, neg = ops.upper_unipotent, ops.lower_unipotent, lambda v: ops.scal(-1.0, v)
+    j = ops.rotation_j(ramp(0, one, hx))
+    vc = (up(ramp(0, zero, hbx)) @ up(ramp(1, one, hx)) @ low(neg(ramp(2, one, hy)))
+          @ up(ramp(3, one, hx)) @ j @ up(neg(ramp(4, zero, hbx))))
+    vd = (up(ramp(0, zero, hbx)) @ neg(j) @ up(neg(ramp(1, one, hx)))
+          @ low(neg(ramp(2, zero, hby))) @ up(ramp(3, one, hx)) @ up(ramp(4, zero, hbx))
+          @ j)
+    return vc, vd
+
+
+def dense_whitehead(a, h, c, d, t_steps):
+    """Whitehead split of diag(a, a^-1) on the dense element a, the factors
+    at each t of the grid multiplied out from their unipotents.  The grid is
+    the summand axis of one stack, so every t is computed at once."""
+    c_side, d_side = boundary.make_side(c), boundary.make_side(d)
     a_inv = ops.inv(a)
-    y = a_inv - one
     target = ops.oplus(a, a_inv)
     big_one = ops.eye_like(target)
-    hbar = boundary.h_one_minus(h)
-    vc_path, vd_path = [], []
-    mem_c = mem_d = norm_max = 0.0
-    for j_t in range(t_steps + 1):
-        s = 1.0 - j_t / t_steps
-        xc = one + ops.scal(s, boundary.h_apply(h, x))
-        xd = ops.scal(s, boundary.h_apply(hbar, x))
-        yc = one + ops.scal(s, boundary.h_apply(h, y))
-        yd = ops.scal(s, boundary.h_apply(hbar, y))
-        up, low = ops.upper_unipotent, ops.lower_unipotent
-        j = ops.rotation_j(x)
-        vc = (up(xd) @ up(xc) @ low(ops.scal(-1.0, yc)) @ up(xc) @ j
-              @ up(ops.scal(-1.0, xd)))
-        vd = (up(xd) @ ops.scal(-1.0, j) @ up(ops.scal(-1.0, xc))
-              @ low(ops.scal(-1.0, yd)) @ up(xc) @ up(xd) @ j)
-        vc_path.append(vc)
-        vd_path.append(vd)
-        mem_c = max(mem_c, c_side.nearest(vc - big_one, unitized=False)[1])
-        mem_d = max(mem_d, d_side.nearest(vd - big_one, unitized=False)[1])
-        norm_max = max(norm_max, ops.norm(vc), ops.norm(vd))
+    s = np.broadcast_to(1.0 - np.arange(t_steps + 1) / t_steps, (5, t_steps + 1))
+    vc, vd = dense_factors(a, h, s)
+    vc_path, vd_path = ([ops.like(a, ops.arr(v)[..., i, :, :]) for i in range(t_steps + 1)]
+                        for v in (vc, vd))
+    grid_one = ops.eye_like(vc)
     fields = {
         "t_steps": t_steps,
         "product_residual": ops.norm(vc_path[0] @ vd_path[0] - target),
         "endpoint_residual": max(ops.norm(vc_path[-1] - big_one),
                                  ops.norm(vd_path[-1] - big_one)),
-        "membership_c": mem_c,
-        "membership_d": mem_d,
-        "norm_max": norm_max,
+        "membership_c": c_side.nearest(vc - grid_one, unitized=False)[1],
+        "membership_d": d_side.nearest(vd - grid_one, unitized=False)[1],
+        "norm_max": max(ops.norm(vc), ops.norm(vd)),
         "norm_bound": (3.0 + max(ops.norm(a), ops.norm(a_inv))) ** 5,
     }
     return vc_path, vd_path, fields
+
+
+def dense_bernstein_bounds(a, h, c, d):
+    """The Bernstein bounds of the Whitehead factors in s = 1 - t, from their
+    blossoms: a product p(s) of 5 affine factors has j-th Bernstein
+    coefficient b_j, the mean of the C(5, j) products with j of the factors
+    at s = 1 and the others at s = 0 (Ramshaw, "Blossoms are polar forms",
+    CAGD 6(4), 1989)."""
+    c_side, d_side = boundary.make_side(c), boundary.make_side(d)
+    subsets = (np.arange(32)[None, :] >> np.arange(5)[:, None]) & 1
+    vc, vd = dense_factors(a, h, subsets.astype(float))
+    size = subsets.sum(axis=0)
+    mean = (size[None, :] == np.arange(6)[:, None]) / np.bincount(size)[:, None]
+
+    def bernstein(v):
+        return ops.Stack(np.einsum("jk,...kab->...jab", mean, ops.arr(v)))
+
+    bc, bd = bernstein(vc), bernstein(vd)
+    return {
+        "norm_upper": max(ops.norm(bc), ops.norm(bd)),
+        "membership_c_upper": c_side.nearest(bc - ops.eye_like(bc), unitized=False)[1],
+        "membership_d_upper": d_side.nearest(bd - ops.eye_like(bd), unitized=False)[1],
+    }
 
 
 def dense_defect(path, a, b):
@@ -213,6 +252,48 @@ def test_stacked_whitehead_matches_dense_split(carrier, m, t_steps, seed):
                                            rtol=0, atol=1e-12)
 
 
+WHITEHEAD_BOUNDS = (("norm_upper", "norm_max"), ("membership_c_upper", "membership_c"),
+                    ("membership_d_upper", "membership_d"))
+
+
+def whitehead_case(kind, middle, spread, seed):
+    """(a, h, C, D): a random invertible near 1 with a block_pair multiplier
+    h = 1 (+) middle (+) 0, a random loop near 1, or circle_split's u_C or
+    u_D on a 16-point grid; the multiplier perturbed by spread.  Off the
+    block structure the memberships are nonzero, and on circle_split's
+    elements a middle Bernstein coefficient can carry the norm bound."""
+    rng = np.random.default_rng(seed)
+    if kind == "block_pair":
+        (a,), _, c, d = matrix_summands(rng, 1)
+        h = block_h(middle)
+        return a, perturbed(h, rng, spread) if spread else h, c, d
+    if kind == "loop":
+        (a,), h, c, d = loop_summands(rng, 1)
+    else:
+        scn = scenarios.circle_split(grid=16)
+        a, h, c, d = scn[kind.rsplit(".", 1)[1]], scn["h"], scn["c"], scn["d"]
+    return a, np.clip(h + spread * rng.uniform(-1.0, 1.0, h.shape), 0.0, 1.0), c, d
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["block_pair", "loop", "circle_split.u_c", "circle_split.u_d"]),
+       middle=st.floats(0.0, 1.0), spread=st.sampled_from([0.0, 1e-3, 0.2]),
+       t_steps=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_whitehead_bounds_enclose_every_t(kind, middle, spread, t_steps, seed):
+    a, h, c, d = whitehead_case(kind, middle, spread, seed)
+    cert = boundary.whitehead_split(a, h, c, d, t_steps=t_steps)
+    sampled = dense_whitehead(a, h, c, d, t_steps)[2]
+    fine = dense_whitehead(a, h, c, d, 256)[2]
+    bounds = dense_bernstein_bounds(a, h, c, d)
+    for upper, name in WHITEHEAD_BOUNDS:
+        got = getattr(cert, upper)
+        assert close(getattr(cert, name), sampled[name]), name
+        # an end value, computed here in another order, may differ in its
+        # last bits
+        assert got >= fine[name] or close(got, fine[name]), (upper, got, fine[name])
+        assert close(got, bounds[upper]), (upper, got, bounds[upper])
+
+
 @PROPERTY
 @given(carrier=st.sampled_from(sorted(CARRIERS)), m=st.integers(2, 6),
        seed=st.integers(0, 2**32 - 1))
@@ -279,19 +360,44 @@ def test_sigma_reconstruct_coarse_path_fails_margin():
         boundary.sigma_reconstruct(**sigma_case("circle_split_steps48"))
 
 
+def plant_whitehead(c, t, scale):
+    """Perturb the power coefficients c of a Whitehead factor in s = 1 - t
+    so that only one certificate leaves its limit."""
+    if t == 0.0:
+        # the t = 0 factor, the sum of the coefficients, times scale
+        c[5] += (scale - 1.0) * c.sum(axis=0)
+    elif t == 1.0:
+        # the t = 1 factor, the s^0 term, times scale, with the sum kept
+        c[1] -= (scale - 1.0) * c[0]
+        c[0] *= scale
+    else:
+        # a middle term of scale * c_0 * s^2 (1 - s), zero at both ends
+        c[2] += scale * c[0]
+        c[3] -= scale * c[0]
+
+
 @pytest.mark.parametrize("t, scale", [(0.0, 1.0 + 1e-6),   # product residual
                                       (1.0, 1.0 + 1e-9),   # endpoint residual
                                       (0.5, 1e6)])         # norm bound
 def test_sigma_reconstruct_gates_whitehead_certificates(monkeypatch, t, scale):
-    real = boundary._whitehead_factors
+    # at one t-step the samples are the two ends, so only the bound over
+    # [0, 1] sees the middle term
+    case = dict(sigma_case("block_pair_trivial"), whitehead_t_steps=1)
+    boundary.sigma_reconstruct(**case)
+    real = boundary._whitehead_coefficients
 
-    def perturbed(x, y, h, t_):
-        vc, vd = real(x, y, h, t_)
-        return (ops.scal(scale, vc) if t_ == t else vc), vd
+    def perturbed(x, y, h):
+        vc, vd = real(x, y, h)
+        plant_whitehead(vc, t, scale)
+        return vc, vd
 
-    monkeypatch.setattr(boundary, "_whitehead_factors", perturbed)
-    with pytest.raises(ReconstructionFailed, match="Whitehead split of a"):
-        boundary.sigma_reconstruct(**sigma_case("block_pair_trivial"))
+    monkeypatch.setattr(boundary, "_whitehead_coefficients", perturbed)
+    with pytest.raises(ReconstructionFailed, match="Whitehead split of a") as err:
+        boundary.sigma_reconstruct(**case)
+    # measured is (product, endpoint, norm bound), against 1e-9, 1e-12 and
+    # (3 + ||1||)^5
+    failing = [m > limit for m, limit in zip(err.value.measured, (1e-9, 1e-12, 1024.0))]
+    assert failing == [t == 0.0, t == 1.0, t == 0.5]
 
 
 def reconstruct_case(carrier, fiber, spread, wind, m, seed):

@@ -59,6 +59,8 @@ def test_op_norms_match_lapack(lead, n, kind, exponent, seed):
     ((9, 3, 2, 2), (3, 2, 2)),
     ((9, 1, 1), (9, 1, 1)),
     ((3, 3), (9, 3, 3)),
+    ((4, 2, 9, 3, 1, 1), (9, 3, 1, 1)),   # polynomial coefficients x stack
+    ((4, 2, 9, 3, 2, 2), (9, 3, 2, 2)),
 ]), exponents=st.tuples(st.integers(-100, 100), st.integers(-100, 100)),
     seed=st.integers(0, 2**32 - 1))
 def test_matmul_matches_numpy(shapes, exponents, seed):
