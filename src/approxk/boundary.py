@@ -25,9 +25,12 @@ implements exactly these:
 - ``aug_diff(e, half, tol)``: scalar-rank mismatch of e against
   1_half (+) 0, the scalar part read by the augmentation of the unitized
   algebra;
-- ``boundary_class(e, half, tol)``: the class [e] - [1_half (+) 0], read
+- ``trivialize(e, tol)``: the carrier's one step on a boundary idempotent e
+  (a matrix side rounds its nearest point by Riesz, a loop side runs
+  arc_k0_trivialize); a lift holds the result t, which these two read:
+- ``boundary_class(t, half, tol)``: the class [e] - [1_half (+) 0], read
   against the algebra's own Wedderburn data;
-- ``trivializer(e, half, tol, seed)``: an invertible w with
+- ``trivializer(t, half, tol, seed)``: an invertible w with
   w e w^-1 ~ 1_half (+) 0, or NoWitness;
 - ``k1(u, tol)``: the K_1 class of an invertible, ``()`` when K_1 is zero.
 """
@@ -169,9 +172,9 @@ class MatrixSide:
         scalars = np.einsum("pq,ipjq->ij", self.alg.augmentation, e.reshape(k, n, k, n))
         return matcore.rank(scalars, tol) - half // n
 
-    def _rounded(self, e, tol: Tol) -> np.ndarray:
-        """Riesz rounding of the nearest point of e in the unitized algebra;
-        RoundingUnstable when the rounding breaks its certified bound."""
+    def trivialize(self, e, tol: Tol) -> np.ndarray:
+        """The Riesz rounding of the nearest point of e in the unitized
+        algebra; RoundingUnstable when the rounding breaks its certified bound."""
         f, cert = funcalc.riesz_idempotent(self.project(e), tol)
         if not cert.passed:
             raise RoundingUnstable(
@@ -179,13 +182,11 @@ class MatrixSide:
                 f"{cert.bound:.3e}")
         return f
 
-    def boundary_class(self, e, half: int, tol: Tol = DEFAULT_TOL) -> K0Vec:
+    def boundary_class(self, f, half: int, tol: Tol = DEFAULT_TOL) -> K0Vec:
         w = self.alg.wedderburn
-        f = self._rounded(e, tol)
         return k0_class(f, w, tol) - k0_class(_top_projection(eye(half)), w, tol)
 
-    def trivializer(self, e, half: int, tol: Tol = DEFAULT_TOL, seed: int = 0):
-        f = self._rounded(e, tol)
+    def trivializer(self, f, half: int, tol: Tol = DEFAULT_TOL, seed: int = 0):
         try:
             return similarity_witness(f, _top_projection(eye(half)), self.alg,
                                       tol, seed=seed)
@@ -197,25 +198,10 @@ class MatrixSide:
 
 
 class LoopSide:
-    """Membership oracle for a loop arc ideal.
-
-    boundary_class and trivializer share one arc_k0_trivialize result for the
-    same e and Tol, as a lift's boundary class and its sigma witness do.  The
-    memo is keyed by the identity of e and holds e, so an id is not reused
-    while its entry lives.  It lives on the side, which only the lifts that
-    share it hold; a lift and its inverse_lift share the side but not e.
-    """
+    """Membership oracle for a loop arc ideal."""
 
     def __init__(self, alg: LoopAlg):
         self.alg = alg
-        self._trivialized = {}
-
-    def _trivialize(self, e: LoopElem, tol: Tol):
-        """arc_k0_trivialize(e, self.alg, tol), made once per e and tol."""
-        key = (id(e), tol)
-        if key not in self._trivialized:
-            self._trivialized[key] = (e, arc_k0_trivialize(e, self.alg, tol))
-        return self._trivialized[key][1]
 
     def project(self, x: LoopElem, unitized: bool = True):
         return loop_project(x, self.alg, unitized)
@@ -242,8 +228,12 @@ class LoopSide:
             return 0
         return matcore.rank(off.mean(axis=0), tol) - half
 
-    def boundary_class(self, e: LoopElem, half: int, tol: Tol = DEFAULT_TOL) -> K0Vec:
-        r, _conj, _const = self._trivialize(e, tol)
+    def trivialize(self, e: LoopElem, tol: Tol):
+        """arc_k0_trivialize(e, self.alg, tol): (rank, conjugator, constant)."""
+        return arc_k0_trivialize(e, self.alg, tol)
+
+    def boundary_class(self, t, half: int, tol: Tol = DEFAULT_TOL) -> K0Vec:
+        r, _conj, _const = t
         if r != half:
             raise ExactnessViolation(
                 f"off-support rank {r} != {half}: class escapes the trivial group"
@@ -252,9 +242,8 @@ class LoopSide:
         # trivialization is the constructive witness that the class is zero.
         return K0Vec((), ())
 
-    def trivializer(self, e: LoopElem, half: int, tol: Tol = DEFAULT_TOL,
-                    seed: int = 0) -> LoopElem:
-        r, conj, _const = self._trivialize(e, tol)
+    def trivializer(self, t, half: int, tol: Tol = DEFAULT_TOL, seed: int = 0) -> LoopElem:
+        r, conj, _const = t
         if r != half:
             raise NoWitness(f"boundary class nonzero: off-support rank {r} != {half}")
         return conj
@@ -289,7 +278,8 @@ class IdealCert:
 
     measured = (commutator, C-membership, D-membership, and the two
     intersection-membership residuals), each normalized by the operator norm
-    of the probed element and maximized over the probe set.
+    of the probed element and maximized over the probe set.  tol is the Tol
+    they were measured at, which tensor_scale_ideal_structure reads too.
     """
 
     h: object
@@ -299,6 +289,7 @@ class IdealCert:
     x_basis: list
     measured: tuple
     seed: int
+    tol: Tol
 
     @property
     def delta_level(self) -> float:
@@ -346,7 +337,8 @@ def check_delta_ideal_structure(h, c, d, x_basis, tol: Tol = DEFAULT_TOL,
                 d_side.nearest(h_apply(hbar, x), unitized=False)[1],
                 int_side.nearest(h_apply(h_hbar, x), unitized=False)[1],
                 int_side.nearest(h_apply(h2_hbar, x), unitized=False)[1])
-    return IdealCert(h, c_side, d_side, int_side, basis, tuple(map(float, measured)), seed)
+    measured = tuple(map(float, measured))
+    return IdealCert(h, c_side, d_side, int_side, basis, measured, seed, tol)
 
 
 def _dual_constant(x_basis, tol: Tol = DEFAULT_TOL) -> float:
@@ -368,9 +360,9 @@ def _dual_constant(x_basis, tol: Tol = DEFAULT_TOL) -> float:
     return n * float(nuclear.max())
 
 
-def tensor_scale_ideal_structure(cert: IdealCert, m: int,
-                                 tol: Tol = DEFAULT_TOL):
-    """Tensor an ideal structure with a full matrix factor M_m and recheck.
+def tensor_scale_ideal_structure(cert: IdealCert, m: int):
+    """Tensor an ideal structure with a full matrix factor M_m and recheck
+    at the certificate's Tol.
 
     Returns (new_cert, m_x) and asserts the new residuals stay within
     m_x * delta of the input level, where m_x = n * M is computed from a
@@ -383,12 +375,12 @@ def tensor_scale_ideal_structure(cert: IdealCert, m: int,
     times, so the rank cut and its ambiguity band decide as on the base, and
     (C cap D) (x) M_m is closed exactly when C cap D is.
     """
-    m_x = _dual_constant(cert.x_basis, tol)
+    m_x = _dual_constant(cert.x_basis, cert.tol)
     h2 = np.kron(_multiplier(cert.h), eye(m))
     units = [matcore.matrix_unit(m, i, j) for i in range(m) for j in range(m)]
     basis2 = [ops.like(x, np.kron(ops.arr(x), u)) for x in cert.x_basis for u in units]
     cert2 = check_delta_ideal_structure(h2, cert.c_side.tensor(m),
-                                        cert.d_side.tensor(m), basis2, tol,
+                                        cert.d_side.tensor(m), basis2, cert.tol,
                                         seed=cert.seed,
                                         int_side=cert.int_side.tensor(m))
     budget = m_x * cert.delta_level + 1e-9
@@ -412,7 +404,15 @@ class LiftCert:
     the matrices over unitized D, of v * diag(u^-1, u) in unitized C, and of
     the boundary idempotent e = v * diag(1, 0) * v^-1 in the unitized
     intersection.  aug_diff is the scalar-rank mismatch that must vanish for
-    the boundary class to live in the non-unitized K_0 group.
+    the boundary class to live in the non-unitized K_0 group.  tol is the
+    Tol they were measured at; everything derived from the certificate
+    reads it.
+
+    The certificate holds what is derived from it, as cached properties
+    that are neither compared nor in the repr (dataclasses.replace gives a
+    fresh holder): ``trivialization``, the intersection side's trivialize
+    of e, which the boundary class and the sigma witness share, and
+    ``boundary_class``.
     """
 
     u: object
@@ -427,7 +427,7 @@ class LiftCert:
     c_side: object
     d_side: object
     int_side: object
-    h: object = None
+    tol: Tol
 
     @property
     def delta_level(self) -> float:
@@ -437,6 +437,25 @@ class LiftCert:
     def valid_at(self, delta: float) -> bool:
         return self.delta_level <= delta and self.aug_diff == 0
 
+    @functools.cached_property
+    def trivialization(self):
+        return self.int_side.trivialize(self.e, self.tol)
+
+    @functools.cached_property
+    def boundary_class(self) -> K0Vec:
+        """[e] - [1 (+) 0] in K_0(C cap D), with the exactness assertion that
+        its pushforwards into K_0(C) and K_0(D) vanish."""
+        half = ops.side_size(self.u)
+        out = self.int_side.boundary_class(self.trivialization, half, self.tol)
+        if not out.blocks:
+            # a class in the zero group has zero pushforwards
+            return out
+        for side in (self.c_side, self.d_side):
+            push = side.boundary_class(side.trivialize(self.e, self.tol), half, self.tol)
+            if any(push.entries):
+                raise ExactnessViolation(f"pushforward {push.entries} is nonzero")
+        return out
+
 
 def _top_projection(u):
     one = ops.eye_like(u)
@@ -444,8 +463,7 @@ def _top_projection(u):
     return ops.block2(one, zero, zero, zero)
 
 
-def certify_lift(u, v, c, d, tol: Tol = DEFAULT_TOL, h=None,
-                 int_side=None) -> LiftCert:
+def certify_lift(u, v, c, d, tol: Tol = DEFAULT_TOL, int_side=None) -> LiftCert:
     """Measure the lift conditions for v against u over the pair (C, D)."""
     c_side = make_side(c)
     d_side = make_side(d)
@@ -462,7 +480,7 @@ def certify_lift(u, v, c, d, tol: Tol = DEFAULT_TOL, h=None,
     # the non-unitized subgroup
     aug = int_side.aug_diff(e, ops.side_size(u), tol)
     return LiftCert(u, v, v_inv, e, float(norm_c), float(r_d), float(r_c),
-                    float(r_int), int(aug), c_side, d_side, int_side, h)
+                    float(r_int), int(aug), c_side, d_side, int_side, tol)
 
 
 def build_lift_v(u, h, c, d, tol: Tol = DEFAULT_TOL):
@@ -484,7 +502,7 @@ def build_lift_v(u, h, c, d, tol: Tol = DEFAULT_TOL):
     ba = b @ a
     two = ops.scal(2.0, one)
     v = ops.block2(a @ (two - ba), ab - one, one - ba, b)
-    cert = certify_lift(u, v, c, d, tol, h=h)
+    cert = certify_lift(u, v, c, d, tol)
     return v, cert
 
 
@@ -513,23 +531,12 @@ def check_inv_cut(u, h):
 # boundary classes
 
 
-def boundary_class(cert: LiftCert, tol: Tol = DEFAULT_TOL, seed: int = 0) -> K0Vec:
-    """The boundary class of a certified lift, with the exactness assertion
-    that its pushforwards into K_0(C) and K_0(D) vanish.
-
-    Every class is read against an algebra's own Wedderburn data, which do
-    not depend on a seed: seed reaches nothing and is kept for callers that
-    pass it."""
-    half = ops.side_size(cert.u)
-    out = cert.int_side.boundary_class(cert.e, half, tol)
-    if not out.blocks:
-        # a class in the zero group has zero pushforwards
-        return out
-    for side in (cert.c_side, cert.d_side):
-        push = side.boundary_class(cert.e, half, tol)
-        if any(push.entries):
-            raise ExactnessViolation(f"pushforward {push.entries} is nonzero")
-    return out
+def boundary_class(cert: LiftCert, seed: int = 0) -> K0Vec:
+    """The boundary class that a certified lift holds,
+    :attr:`LiftCert.boundary_class`.  It is read against the algebras' own
+    Wedderburn data: seed reaches nothing and is kept for callers that pass
+    it."""
+    return cert.boundary_class
 
 
 def iota_lift(p, q, c, d, tol: Tol = DEFAULT_TOL, seed: int = 0):
@@ -566,13 +573,17 @@ def boxplus_permutation(sizes: list[int]) -> np.ndarray:
     return np.concatenate(tops + [t + n_i for t, n_i in zip(tops, sizes)])
 
 
-def boxplus(lifts, tol: Tol = DEFAULT_TOL):
+def boxplus(lifts):
     """Block sum of lifts: u = (+) u_i, v = (+) v_i with rows and columns
-    regrouped by the permutation p.  Returns (u, v, cert)."""
+    regrouped by the permutation p, certified at the lifts' common Tol.
+    Returns (u, v, cert)."""
     if not lifts:
         raise InvalidInput("empty lift list")
     if not all(isinstance(lf, LiftCert) for lf in lifts):
         raise InvalidInput("boxplus expects LiftCert inputs")
+    tol = lifts[0].tol
+    if any(lf.tol != tol for lf in lifts):
+        raise InvalidInput("boxplus expects lifts certified at one Tol")
     u = functools.reduce(ops.oplus, [lf.u for lf in lifts])
     v_sum = functools.reduce(ops.oplus, [lf.v for lf in lifts])
     p = boxplus_permutation([ops.side_size(lf.u) for lf in lifts])
@@ -582,10 +593,10 @@ def boxplus(lifts, tol: Tol = DEFAULT_TOL):
     return u, v, cert
 
 
-def inverse_lift(cert: LiftCert, tol: Tol = DEFAULT_TOL) -> LiftCert:
-    """Certificate for v^-1 as a lift of u^-1."""
-    return certify_lift(ops.inv(cert.u, tol), cert.v_inv, cert.c_side, cert.d_side,
-                        tol, h=cert.h, int_side=cert.int_side)
+def inverse_lift(cert: LiftCert) -> LiftCert:
+    """Certificate for v^-1 as a lift of u^-1, at the certificate's Tol."""
+    return certify_lift(ops.inv(cert.u, cert.tol), cert.v_inv, cert.c_side,
+                        cert.d_side, cert.tol, int_side=cert.int_side)
 
 
 # ---------------------------------------------------------------------------
@@ -602,16 +613,16 @@ class SigmaWitness:
     offdiag: float
 
 
-def sigma_witness(cert: LiftCert, eps: float, tol: Tol = DEFAULT_TOL,
-                  seed: int = 0) -> SigmaWitness:
+def sigma_witness(cert: LiftCert, eps: float, seed: int = 0) -> SigmaWitness:
     """Factorization witness for a lift with vanishing boundary class.
 
     Produces invertible x with x in_eps (matrices over) unitized D and
     u x^-1 in_eps unitized C, following the trivialize-then-cut-corners
-    construction.
+    construction on the lift's held trivialization, at its Tol.
     """
+    tol = cert.tol
     n = ops.side_size(cert.u)
-    w = cert.int_side.trivializer(cert.e, n, tol, seed)
+    w = cert.int_side.trivializer(cert.trivialization, n, tol, seed)
     wv = w @ cert.v
     x, top_right, bot_left, _y = ops.corner_blocks(wv, n)
     offdiag = max(ops.norm(top_right), ops.norm(bot_left))

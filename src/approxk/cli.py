@@ -51,8 +51,11 @@ def _number(table: dict, key: str, default, kind=float, minimum=None):
 
 def _load_scenario_text(name_or_path: str) -> str:
     if os.path.exists(name_or_path):
-        with open(name_or_path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(name_or_path, "r", encoding="utf-8") as fh:
+                return fh.read()
+        except (OSError, UnicodeDecodeError) as err:
+            raise SchemaError(f"cannot read scenario {name_or_path!r}: {err}") from err
     stem = name_or_path.removesuffix(".json")
     if stem in BUNDLED:
         ref = resources.files("approxk").joinpath(f"data/{stem}.json")
@@ -130,15 +133,18 @@ def _lift_for(scn: dict, tol: Tol, seed: int):
     """The scenario's lift certificate, built on first use and kept in scn.
 
     run_checks builds scn for one report, whose tol and seed are fixed, so
-    every check of the report reads the same lift.
+    every check of the report reads the same lift.  A scenario with neither
+    an idempotent pair nor a unitary u has no lift: SchemaError.
     """
     if "lift" not in scn:
         if scn["name"] == "twisted_pair":
             _, _, scn["lift"] = boundary.iota_lift(scn["p"], scn["q"], scn["c"],
                                                    scn["d"], tol, seed=seed)
-        else:
+        elif "u" in scn:
             _, scn["lift"] = boundary.build_lift_v(scn["u"], scn["h"], scn["c"],
                                                    scn["d"], tol)
+        else:
+            raise SchemaError(f"scenario {scn['name']} has no lift")
     return scn["lift"]
 
 
@@ -165,8 +171,8 @@ def check_boundary(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
             isinstance(a, int) and not isinstance(a, bool) for a in expected)):
         raise SchemaError(f"expect must be a list of integers, got {expected!r}")
     cert = _lift_for(scn, tol, seed)
-    cls = boundary.boundary_class(cert, tol)
-    inv_cls = boundary.boundary_class(boundary.inverse_lift(cert, tol), tol)
+    cls = boundary.boundary_class(cert)
+    inv_cls = boundary.boundary_class(boundary.inverse_lift(cert))
     negated = tuple(-a for a in cls.entries)
     ok = inv_cls.entries == negated
     if expected is not None:
@@ -199,7 +205,7 @@ def check_iota_lift(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
 def check_sigma_witness(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
     cert = _lift_for(scn, tol, seed)
     eps = _number(params, "eps", 0.05)
-    wit = boundary.sigma_witness(cert, eps, tol, seed=seed)
+    wit = boundary.sigma_witness(cert, eps, seed=seed)
     rec = {
         "check": "sigma-witness",
         "eps": eps,
@@ -209,12 +215,12 @@ def check_sigma_witness(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
         "passed": max(wit.residual_d, wit.residual_c) <= eps,
     }
     k1 = cert.int_side.k1
-    wx = k1(wit.x, tol)
+    wx = k1(wit.x, cert.tol)
     if wx:
         rec["windings"] = {
             "x": wx[0],
-            "factor": k1(wit.factor, tol)[0],
-            "u": k1(cert.u, tol)[0],
+            "factor": k1(wit.factor, cert.tol)[0],
+            "u": k1(cert.u, cert.tol)[0],
         }
     return rec
 
@@ -276,7 +282,7 @@ def check_product(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
     rows = []
     ok = True
     for label, p in reps.items():
-        pc = kprod.boundary_product_check(cert, p, 2, tol)
+        pc = kprod.boundary_product_check(cert, p, 2)
         rows.append({
             "p": label,
             "lhs": list(pc.lhs_entries),

@@ -58,23 +58,24 @@ class ProductCheck:
     intersection_gap: int
 
 
-def boundary_product_check(cert: LiftCert, p, m: int, tol: Tol = DEFAULT_TOL,
-                           seed: int = 0) -> ProductCheck:
-    """Compare d_v(u) x [p] with d_{v box p}(u box p) over the tensored pair.
+def boundary_product_check(cert: LiftCert, p, m: int, seed: int = 0) -> ProductCheck:
+    """Compare d_v(u) x [p] with d_{v box p}(u box p) over the tensored pair,
+    at the certificate's Tol.
 
     Both sides are computed in K_0((C cap D) (x) M_m); the left side is the
-    boundary class of the input lift scaled by the rank of p, the right side
-    is the boundary class of the tensored lift.  Both are read against the
-    algebras' own Wedderburn data: seed reaches nothing and is kept for
-    callers that pass it.
+    boundary class that the input lift holds, scaled by the rank of p, the
+    right side is the boundary class of the tensored lift.  Both are read
+    against the algebras' own Wedderburn data: seed reaches nothing and is
+    kept for callers that pass it.
     """
     if not isinstance(cert.c_side, MatrixSide):
         raise InvalidInput("product checks run over matrix carriers")
     p = as_matrix(p)
     if p.shape != (m, m):
         raise InvalidInput(f"p must be {m}x{m}")
+    tol = cert.tol
     rank_p = matcore.rank(p, tol)
-    base = boundary.boundary_class(cert, tol)
+    base = boundary.boundary_class(cert)
     lhs = tuple(entry * rank_p for entry in base.entries)
 
     c2 = cert.c_side.tensor(m)
@@ -84,8 +85,7 @@ def boundary_product_check(cert: LiftCert, p, m: int, tol: Tol = DEFAULT_TOL,
     v2 = box_times(cert.v, p)
     cert2 = certify_lift(u2, v2, c2, d2, tol, int_side=i2_direct)
     gap = c2.intersect(d2, tol).alg.dim - i2_direct.alg.dim
-    rhs_class = boundary.boundary_class(cert2, tol)
-    rhs = rhs_class.entries
+    rhs = boundary.boundary_class(cert2).entries
     return ProductCheck(lhs, tuple(rhs), tuple(lhs) == tuple(rhs), cert2, int(gap))
 
 

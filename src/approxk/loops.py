@@ -267,8 +267,8 @@ def arc_k0_trivialize(e: LoopElem, ideal: LoopAlg, tol: Tol = DEFAULT_TOL):
     each support run is retracted onto the sample before it, and the
     conjugator of that path comes from :func:`wedderburn.path_to_similarity`,
     which multiplies each step only on the samples the step moves.  Every
-    call does this work anew: a lift's boundary class and its sigma witness
-    share one call through the memo of :class:`boundary.LoopSide`.
+    call does this work anew: a lift's class and sigma witness share the
+    result, held by the lift (:attr:`boundary.LiftCert.trivialization`).
     """
     mask = ideal.mask
     if mask.all():

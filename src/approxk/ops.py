@@ -176,25 +176,6 @@ def corner_blocks(x, n_top: int):
     )
 
 
-def upper_unipotent(z):
-    """X(z) = [[1, z], [0, 1]]."""
-    one = eye_like(z)
-    return block2(one, z, zero_like(z), one)
-
-
-def lower_unipotent(z):
-    """Y(z) = [[1, 0], [z, 1]]."""
-    one = eye_like(z)
-    return block2(one, zero_like(z), z, one)
-
-
-def rotation_j(x):
-    """J = [[0, -1], [1, 0]] sized to match x's 2x2 block structure."""
-    one = eye_like(x)
-    zero = zero_like(x)
-    return block2(zero, scal(-1.0, one), one, zero)
-
-
 def side_size(x) -> int:
     return arr(x).shape[-1]
 

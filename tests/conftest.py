@@ -56,6 +56,26 @@ def embed_top_left(x, total):
     return ops.like(x, out)
 
 
+def upper_unipotent(z):
+    """X(z) = [[1, z], [0, 1]], on any carrier: the unipotent factors of
+    the Whitehead identity, multiplied out as a reference."""
+    one = ops.eye_like(z)
+    return ops.block2(one, z, ops.zero_like(z), one)
+
+
+def lower_unipotent(z):
+    """Y(z) = [[1, 0], [z, 1]]."""
+    one = ops.eye_like(z)
+    return ops.block2(one, ops.zero_like(z), z, one)
+
+
+def rotation_j(x):
+    """J = [[0, -1], [1, 0]] sized to match x's 2x2 block structure."""
+    one = ops.eye_like(x)
+    zero = ops.zero_like(x)
+    return ops.block2(zero, ops.scal(-1.0, one), one, zero)
+
+
 def corner_pair(theta):
     """Rank-2 corners of M_4 sharing e_0; their second directions e_1 and
     cos(theta) e_1 + sin(theta) e_2 meet at principal angle theta."""

@@ -16,6 +16,8 @@ from approxk.matcore import DEFAULT_TOL, matrix_unit
 from approxk.subalg import Subalg
 from approxk.wedderburn import decompose
 
+from conftest import lower_unipotent, rotation_j, upper_unipotent
+
 
 def report(num: int, name: str, ok: bool) -> bool:
     print(f"criterion {num:02d} {name}: {'PASS' if ok else 'FAIL'}",
@@ -60,8 +62,8 @@ def test_criterion_02_whitehead_identity():
         if np.linalg.cond(u) > 100:
             continue
         u_inv = np.linalg.inv(u)
-        prod = (ops.upper_unipotent(u) @ ops.lower_unipotent(-u_inv)
-                @ ops.upper_unipotent(u) @ ops.rotation_j(u))
+        prod = (upper_unipotent(u) @ lower_unipotent(-u_inv)
+                @ upper_unipotent(u) @ rotation_j(u))
         worst = max(worst, np.linalg.norm(prod - ops.oplus(u, u_inv), 2))
         done += 1
     ok = worst <= 1e-10

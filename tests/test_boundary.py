@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import itertools
 import types
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from approxk import boundary, cli, funcalc, matcore, ops, scenarios
+from approxk import boundary, cli, funcalc, kprod, matcore, ops, scenarios
 from approxk.errors import (
     AmbiguousIntersection,
     ApproxKError,
@@ -165,11 +167,10 @@ def test_rounding_that_breaks_its_bound_raises(monkeypatch):
     # Riesz bound, beyond a planted bound of 0
     side = boundary.make_side(scenarios.block_ideal_pair()["c"])
     e = (1.0 + 1e-6) * np.diag([1.0] * 6 + [0.0] * 6).astype(complex)
-    assert not any(side.boundary_class(e, 6).entries)
+    assert not any(side.boundary_class(side.trivialize(e, Tol()), 6).entries)
     monkeypatch.setattr(funcalc, "riesz_bound", lambda delta, c: 0.0)
-    for call in (side.boundary_class, side.trivializer):
-        with pytest.raises(RoundingUnstable, match="beyond its bound"):
-            call(e, 6)
+    with pytest.raises(RoundingUnstable, match="beyond its bound"):
+        side.trivialize(e, Tol())
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +262,7 @@ def test_aug_diff_uses_the_callers_tol(site):
     assert AUG_SITES[site]() == (1, 0)
 
 
-def test_tensor_scale_uses_the_callers_tol():
+def test_tensor_scale_uses_the_certificates_tol():
     # the unit-scaled probes x and x + 1e-6 y are independent at the default
     # cut only; dependent probes have no dual basis
     blk = scenarios.block_ideal_pair()
@@ -270,7 +271,25 @@ def test_tensor_scale_uses_the_callers_tol():
                                                 [x, x + 1e-6 * y])
     boundary.tensor_scale_ideal_structure(cert, 2)
     with pytest.raises(InvalidInput):
-        boundary.tensor_scale_ideal_structure(cert, 2, COARSE)
+        boundary.tensor_scale_ideal_structure(dataclasses.replace(cert, tol=COARSE), 2)
+
+
+@pytest.mark.parametrize("fn", [
+    boundary.boundary_class, boundary.sigma_witness, boundary.inverse_lift,
+    boundary.boxplus, kprod.boundary_product_check,
+    boundary.tensor_scale_ideal_structure])
+def test_derived_from_a_certificate_reads_its_tol(fn):
+    # a certificate records the Tol it was measured at; what is derived
+    # from it takes no second one
+    assert "tol" not in inspect.signature(fn).parameters
+
+
+def test_boxplus_refuses_lifts_at_different_tols():
+    scn = scenarios.twisted_pair()
+    _, _, cert = boundary.iota_lift(scn["p"], scn["q"], scn["c"], scn["d"])
+    boundary.boxplus([cert, dataclasses.replace(cert)])
+    with pytest.raises(InvalidInput, match="one Tol"):
+        boundary.boxplus([cert, dataclasses.replace(cert, tol=COARSE)])
 
 
 def _nan_at(call, fn):
@@ -381,10 +400,10 @@ def _reconstruct_passes(monkeypatch, plant, site):
 NAN_SITES = {
     "LiftCert.delta_level": lambda mp, plant: boundary.LiftCert(
         None, None, None, None, 1.0, 0.0, np.nan if plant else 0.0, 0.0, 0,
-        None, None, None).valid_at(1e-9),
+        None, None, None, Tol()).valid_at(1e-9),
     "IdealCert.delta_level": lambda mp, plant: boundary.IdealCert(
         None, None, None, None, [], (0.0, np.nan if plant else 0.0, 0.0, 0.0, 0.0),
-        0).valid_at(1e-9),
+        0, Tol()).valid_at(1e-9),
     # a sampled row also enters its bound, so a NaN on a sample fails the
     # gate that reads the bound
     "whitehead_split.norm_max": lambda mp, plant: _whitehead_passes(mp, plant, 1, 6),
@@ -461,22 +480,26 @@ def test_sigma_witness_circle_split():
     assert wit.offdiag < 1e-9
 
 
-def test_loop_side_trivializes_each_idempotent_once_per_tol(count_calls):
-    # a lift's boundary class and sigma witness share one trivialization of
-    # its e; the inverse lift shares the int side but not e, and another Tol
-    # is another trivialization
+def test_loop_side_trivializes_each_idempotent_once_per_lift(count_calls):
+    # a lift holds its trivialization: its boundary class and sigma witness
+    # share one trivialization of its e.  The inverse lift shares the int
+    # side but is another lift, and a fresh holder of the same lift, here at
+    # another Tol, trivializes again
     scn = scenarios.circle_split(grid=64)
     _, cert = boundary.build_lift_v(scn["u"], scn["h"], scn["c"], scn["d"])
     calls = count_calls("arc_k0_trivialize", boundary)
     assert boundary.boundary_class(cert).entries == ()
+    boundary.sigma_witness(cert, eps=0.05)
     boundary.sigma_witness(cert, eps=0.05)
     assert len(calls) == 1 and calls[0][0] is cert.e
     inv = boundary.inverse_lift(cert)
     assert inv.int_side is cert.int_side
     assert boundary.boundary_class(inv).entries == ()
     assert len(calls) == 2 and calls[1][0] is inv.e
-    boundary.boundary_class(cert, Tol(membership_tol=1e-10))
+    fresh = dataclasses.replace(cert, tol=Tol(membership_tol=1e-10))
+    assert boundary.boundary_class(fresh).entries == ()
     assert len(calls) == 3 and calls[2][0] is cert.e
+    assert calls[2][2] == Tol(membership_tol=1e-10)
 
 
 def test_sigma_witness_refuses_nontrivial_class():

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from approxk import boundary, cli, wedderburn
+from approxk import boundary, cli, funcalc, wedderburn
 from approxk.matcore import Tol
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -102,6 +102,23 @@ def test_report_builds_one_lift_and_trivializes_each_idempotent_once(
     assert (len(builds), len(iotas), len(arcs)) == (1, 1, 2)
 
 
+def test_lift_holds_its_class_and_trivialization(tmp_path, count_calls):
+    # a lift holds its boundary class and its intersection's trivialization.
+    # twisted_pair reads 5 classes (the lift, its inverse and the 3 tensored
+    # lifts), each rounding e in C cap D, C and D: 15 Riesz roundings, and
+    # still one decomposition per algebra.  circle_split's lift shares one
+    # trivialization between its class and its sigma witness
+    roundings = count_calls("riesz_idempotent", funcalc)
+    decomposes = count_calls("decompose", wedderburn)
+    arcs = count_calls("arc_k0_trivialize", boundary)
+    assert run_cli(["run", "twisted_pair", "--seed", "7",
+                    "--out", str(tmp_path / "twisted_pair.json")]) == 0
+    assert (len(roundings), len(decomposes), len(arcs)) == (15, 12, 0)
+    assert run_cli(["run", "circle_split", "--seed", "7",
+                    "--out", str(tmp_path / "circle_split.json")]) == 0
+    assert (len(roundings), len(decomposes), len(arcs)) == (15, 12, 2)
+
+
 def test_report_decomposes_each_algebra_once(tmp_path, count_calls):
     # an algebra holds its Wedderburn data: twisted_pair decomposes C, D and
     # C cap D, and the three tensored with M_2 for each of the 3 product rows,
@@ -166,6 +183,26 @@ def test_schema_errors_exit_2(tmp_path):
         path = tmp_path / f"bad_{name}.json"
         path.write_text(json.dumps(scenario))
         assert run_cli(["run", str(path)]) == 2, name
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"schema": 1, "name": "caf\u00e9"}'.encode("latin-1"))
+    return ["run", str(path)]
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp_path: ["boundary", "block_pair"],
+    lambda tmp_path: ["sigma-witness", "block_pair"],
+    _not_utf8,
+    lambda tmp_path: ["run", str(tmp_path)],
+], ids=["boundary-without-lift", "sigma-witness-without-lift", "not-utf8",
+        "directory"])
+def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
+    # block_pair has a multiplier but no unitary to lift; a scenario file
+    # must be readable UTF-8 text
+    assert run_cli(argv(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_bad_check_name_exits_2(tmp_path):

@@ -24,7 +24,7 @@ from approxk.errors import InvalidInput, PairNotUniform, ReconstructionFailed
 from approxk.loops import LoopElem, power_z
 from approxk.wedderburn import K1Vec
 
-from conftest import embed_top_left
+from conftest import embed_top_left, lower_unipotent, rotation_j, upper_unipotent
 from test_boundary import block_h
 from test_cli import assert_report_matches
 
@@ -63,8 +63,8 @@ def dense_factors(a, h, s):
 
     hx, hbx = boundary.h_apply(h, x), boundary.h_apply(hbar, x)
     hy, hby = boundary.h_apply(h, y), boundary.h_apply(hbar, y)
-    up, low, neg = ops.upper_unipotent, ops.lower_unipotent, lambda v: ops.scal(-1.0, v)
-    j = ops.rotation_j(ramp(0, one, hx))
+    up, low, neg = upper_unipotent, lower_unipotent, lambda v: ops.scal(-1.0, v)
+    j = rotation_j(ramp(0, one, hx))
     vc = (up(ramp(0, zero, hbx)) @ up(ramp(1, one, hx)) @ low(neg(ramp(2, one, hy)))
           @ up(ramp(3, one, hx)) @ j @ up(neg(ramp(4, zero, hbx))))
     vd = (up(ramp(0, zero, hbx)) @ neg(j) @ up(neg(ramp(1, one, hx)))

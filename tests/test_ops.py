@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from approxk import boundary, ops
 from approxk.loops import LoopElem
 
-from conftest import embed_top_left
+from conftest import embed_top_left, lower_unipotent, rotation_j, upper_unipotent
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None,
                     database=None)
@@ -40,8 +40,7 @@ def test_helpers_act_samplewise(data):
     g, d, (a, b, c, e) = data
 
     assert ops.norm(a) == max(ops.norm(a.samples[i]) for i in range(g))
-    for fn in (ops.inv, ops.adj, ops.upper_unipotent, ops.lower_unipotent,
-               ops.rotation_j):
+    for fn in (ops.inv, ops.adj, upper_unipotent, lower_unipotent, rotation_j):
         assert_per_sample(fn(a), lambda i: fn(a.samples[i]))
     assert_per_sample(
         ops.block2(a, b, c, e),
