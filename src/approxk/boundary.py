@@ -575,21 +575,26 @@ def boxplus_permutation(sizes: list[int]) -> np.ndarray:
 
 def boxplus(lifts):
     """Block sum of lifts: u = (+) u_i, v = (+) v_i with rows and columns
-    regrouped by the permutation p, certified at the lifts' common Tol.
-    Returns (u, v, cert)."""
+    regrouped by the permutation p, certified at the lifts' common Tol over
+    their common pair (C, D).  Returns (u, v, cert)."""
     if not lifts:
         raise InvalidInput("empty lift list")
     if not all(isinstance(lf, LiftCert) for lf in lifts):
         raise InvalidInput("boxplus expects LiftCert inputs")
-    tol = lifts[0].tol
+    first = lifts[0]
+    tol = first.tol
     if any(lf.tol != tol for lf in lifts):
         raise InvalidInput("boxplus expects lifts certified at one Tol")
+    # C and D only: each lift may hold its own C cap D object
+    if any(lf.c_side.alg is not first.c_side.alg or lf.d_side.alg is not first.d_side.alg
+           for lf in lifts):
+        raise InvalidInput("boxplus expects lifts over one pair (C, D)")
     u = functools.reduce(ops.oplus, [lf.u for lf in lifts])
     v_sum = functools.reduce(ops.oplus, [lf.v for lf in lifts])
     p = boxplus_permutation([ops.side_size(lf.u) for lf in lifts])
     v = ops.like(v_sum, ops.arr(v_sum)[..., p[:, None], p])
-    cert = certify_lift(u, v, lifts[0].c_side, lifts[0].d_side, tol,
-                        int_side=lifts[0].int_side)
+    cert = certify_lift(u, v, first.c_side, first.d_side, tol,
+                        int_side=first.int_side)
     return u, v, cert
 
 

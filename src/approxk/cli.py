@@ -90,6 +90,8 @@ def load_scenario(name_or_path: str, grid_override: int | None = None) -> dict:
         params = dict(params, grid=grid_override)
     return {
         "name": raw.get("name", kind),
+        # the scenario as the user named it: a bundled name or a path
+        "given": name_or_path,
         "kind": kind,
         "params": params,
         "checks": checks,
@@ -98,7 +100,11 @@ def load_scenario(name_or_path: str, grid_override: int | None = None) -> dict:
 
 
 def build_scenario(desc: dict):
-    """Instantiate the concrete algebras and elements for a description."""
+    """Instantiate the concrete algebras and elements for a description.
+
+    scn["name"] is the scenarios module's name, which the checks dispatch
+    on; scn["given"] is the scenario as the user named it, which their
+    error messages name."""
     kind = desc["kind"]
     p = desc["params"]
     if kind == "twisted_pair":
@@ -108,20 +114,22 @@ def build_scenario(desc: dict):
             rng = np.random.default_rng(_number(p, "conj_seed", None, int,
                                                 minimum=0))
             conj = scenarios.random_unitary(4, rng)
-        return scenarios.twisted_pair(angle=angle, conj=conj)
-    if kind == "circle_split":
-        return scenarios.circle_split(
+        scn = scenarios.twisted_pair(angle=angle, conj=conj)
+    elif kind == "circle_split":
+        scn = scenarios.circle_split(
             grid=_number(p, "grid", 720, int),
             fiber=_number(p, "fiber", 1, int),
             winding=_number(p, "winding", 1, int),
             overlap=_number(p, "overlap_pi", 0.1) * np.pi,
         )
-    scn = scenarios.block_ideal_pair()
-    h = np.zeros((6, 6), dtype=complex)
-    h[:2, :2] = np.eye(2)
-    h[2:4, 2:4] = _number(p, "h_middle", 0.5) * np.eye(2)
-    scn["h"] = h
-    scn["x_basis"] = [np.eye(6, dtype=complex)]
+    else:
+        scn = scenarios.block_ideal_pair()
+        h = np.zeros((6, 6), dtype=complex)
+        h[:2, :2] = np.eye(2)
+        h[2:4, 2:4] = _number(p, "h_middle", 0.5) * np.eye(2)
+        scn["h"] = h
+        scn["x_basis"] = [np.eye(6, dtype=complex)]
+    scn["given"] = desc.get("given", kind)
     return scn
 
 
@@ -144,13 +152,13 @@ def _lift_for(scn: dict, tol: Tol, seed: int):
             _, scn["lift"] = boundary.build_lift_v(scn["u"], scn["h"], scn["c"],
                                                    scn["d"], tol)
         else:
-            raise SchemaError(f"scenario {scn['name']} has no lift")
+            raise SchemaError(f"scenario {scn['given']} has no lift")
     return scn["lift"]
 
 
 def check_ideal_structure(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
     if "h" not in scn:
-        raise SchemaError(f"scenario {scn['name']} has no multiplier h")
+        raise SchemaError(f"scenario {scn['given']} has no multiplier h")
     cert = boundary.check_delta_ideal_structure(
         scn["h"], scn["c"], scn["d"], scn["x_basis"], tol, seed=seed
     )
@@ -227,7 +235,7 @@ def check_sigma_witness(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
 
 def check_whitehead(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
     if "h" not in scn:
-        raise SchemaError(f"scenario {scn['name']} has no multiplier h")
+        raise SchemaError(f"scenario {scn['given']} has no multiplier h")
     a = scn.get("u_c", scn.get("u"))
     if a is None:
         one = np.eye(scn["c"].ambient_dim, dtype=complex)
@@ -308,7 +316,8 @@ CHECKS = {
 def run_checks(desc: dict, check_names, tol: Tol, seed: int) -> dict:
     if not check_names:
         # a report of no checks would pass without measuring anything
-        raise SchemaError(f"scenario {desc['name']!r} declares no checks")
+        given = desc.get("given", desc["name"])
+        raise SchemaError(f"scenario {given!r} declares no checks")
     scn = build_scenario(desc)
     records = []
     for item in check_names:

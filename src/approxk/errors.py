@@ -44,6 +44,10 @@ class NotEquivalent(ApproxKError):
 
 
 class PathTooCoarse(ApproxKError):
+    """A discrete path whose steps are too long for its construction.
+    ``index`` is the failing step of a path, or for
+    :func:`loops.arc_k0_trivialize` the grid sample where it fails."""
+
     def __init__(self, index, msg=""):
         self.index = index
         super().__init__(msg or f"homotopy step {index} too coarse")

@@ -19,9 +19,10 @@ from .errors import (
     InvalidInput,
     NotQuantized,
     NoWitness,
+    PathTooCoarse,
 )
 from .matcore import DEFAULT_TOL, Tol
-from .wedderburn import K1Vec, path_to_similarity
+from .wedderburn import K1Vec
 
 
 def _circular_runs(flags: np.ndarray) -> list[tuple[int, int]]:
@@ -256,21 +257,11 @@ def loop_membership(x, ideal: LoopAlg, unitized: bool):
     return w, ops.sup_norm(ops.arr(x)[off] - ops.arr(w)[off])
 
 
-def arc_k0_trivialize(e: LoopElem, ideal: LoopAlg, tol: Tol = DEFAULT_TOL):
-    """Trivialization data for an idempotent loop over the unitized arc ideal.
-
-    Returns (scalar_rank, conjugator, const) where conjugator w satisfies
-    w e w^-1 ~ const, and const is the constant scalar idempotent
-    diag(1_r, 0) matching e off the support arcs.
-
-    A constant g first takes f_inf, the off-support value, to const; then
-    each support run is retracted onto the sample before it, and the
-    conjugator of that path comes from :func:`wedderburn.path_to_similarity`,
-    which multiplies each step only on the samples the step moves.  Every
-    call does this work anew: a lift's class and sigma witness share the
-    result, held by the lift (:attr:`boundary.LiftCert.trivialization`).
-    """
-    mask = ideal.mask
+def _constant_frame(e: LoopElem, mask: np.ndarray, tol: Tol):
+    """(r, g) for an idempotent loop over the unitized arc ideal of mask: the
+    scalar rank r of f_inf, e's value off the support, and a constant g with
+    g f_inf g^-1 = diag(1_r, 0).  NoWitness when the off-support samples vary
+    or f_inf is not idempotent."""
     if mask.all():
         raise NoWitness("not a proper arc ideal: no off-support samples")
     off = e.samples[~mask]
@@ -283,31 +274,88 @@ def arc_k0_trivialize(e: LoopElem, ideal: LoopAlg, tol: Tol = DEFAULT_TOL):
     r = matcore.rank_of_values(s, f_inf.shape, tol)
     if matcore.op_norm(f_inf @ f_inf - f_inf) > 1e-6:
         raise NoWitness("off-support value is not idempotent")
-    # constant conjugator g with g f_inf g^-1 = diag(1_r, 0)
     if r in (0, d):
-        g = np.eye(d, dtype=complex)
-    else:
-        # range columns (f_inf acts as identity there) and kernel columns
-        rng_basis = f_inf @ u_r[:, :r]
-        ker_basis = vh_k[r:].conj().T
-        ginv = np.concatenate([rng_basis, ker_basis], axis=1)
-        g = matcore.invert(ginv, tol)
+        return r, np.eye(d, dtype=complex)
+    # range columns (f_inf acts as identity there) and kernel columns
+    rng_basis = f_inf @ u_r[:, :r]
+    ker_basis = vh_k[r:].conj().T
+    return r, matcore.invert(np.concatenate([rng_basis, ker_basis], axis=1), tol)
+
+
+def _prefix_products(f: np.ndarray) -> np.ndarray:
+    """f_0, f_0 f_1, ..., f_0 f_1 ... f_(L-1) over the leading axis of a
+    stack, by doubling: log2(L) batched products, each taking the earlier
+    partial product on the left."""
+    z = f.copy()
+    k = 1
+    while k < len(z):
+        z[k:] = matcore.matmul(z[:-k], z[k:])
+        k *= 2
+    return z
+
+
+def arc_k0_trivialize(e: LoopElem, ideal: LoopAlg, tol: Tol = DEFAULT_TOL):
+    """Trivialization data for an idempotent loop over the unitized arc ideal.
+
+    Returns (scalar_rank, conjugator, const) where conjugator w satisfies
+    w e w^-1 ~ const, and const is the constant scalar idempotent
+    diag(1_r, 0) matching e off the support arcs.
+
+    A constant g first takes f_inf, the off-support value, to const; let
+    E = g e g^-1.  Then each support run is retracted onto its anchor, the
+    sample just before it: the run's sample j walks through E_j, E_(j-1),
+    ..., E_0, with E_0 the anchor.  Telescoping the similarity of close
+    idempotents along that walk gives the conjugator Z_j = S_1 S_2 ... S_j
+    with S_i = ((2 E_(i-1) - 1)(2 E_i - 1) + 1) / 2, so Z_j E_j Z_j^-1 = E_0.
+    That is a prefix product, Z_j = Z_(j-1) S_j, taken once per run from one
+    batch of its L factors.  The conjugator is Z g, with Z = 1 off the runs.
+    Four gates guard it:
+
+    - every neighbour step ||E_i - E_(i-1)|| stays below
+      1 / (2 max ||2 E - 1||), the maximum over all samples of E;
+    - a neighbour pair that is equal entry for entry contributes an exact
+      identity factor, so a sample whose walk never moves keeps Z = 1;
+    - the composed residual ||Z_j E_j Z_j^-1 - E_0|| is at most 1e-6 on
+      every run sample;
+    - each Z_j is inverted under :func:`matcore.invert`'s kappa_1 guard.
+
+    A failing step or residual raises PathTooCoarse, whose ``index`` is the
+    grid sample of the first failure in the run: the sample E_i of the first
+    failing neighbour pair, or the first sample whose residual fails.  Every
+    call does this work anew: a lift's class and sigma witness share the
+    result, held by the lift (:attr:`boundary.LiftCert.trivialization`).
+    """
+    mask = ideal.mask
+    r, g = _constant_frame(e, mask, tol)
+    d = e.side
+    ident = np.eye(d, dtype=complex)
+    e1 = matcore.matmul(matcore.matmul(g, e.samples), matcore.invert(g, tol))
+    sym = 2.0 * e1 - ident
+    limit = 1.0 / (2.0 * max(ops.sup_norm(sym), 1e-12))
+    m = e.grid_size
+    z = np.broadcast_to(ident, e1.shape).copy()
+    for start, length in _circular_runs(mask):
+        # the anchor, then the run: pair i joins sample at[i - 1] to at[i]
+        at = (start - 1 + np.arange(length + 1)) % m
+        run = e1[at]
+        steps = matcore.op_norms(run[1:] - run[:-1])
+        # both gates are written so that a NaN fails them
+        bad = np.flatnonzero(~(steps < limit))
+        if bad.size:
+            i = bad[0]
+            raise PathTooCoarse(int(at[i + 1]),
+                                f"step {steps[i]:.3e} >= {limit:.3e} at sample {at[i + 1]}")
+        factors = 0.5 * (matcore.matmul(sym[at[:-1]], sym[at[1:]]) + ident)
+        factors[np.all(run[1:] == run[:-1], axis=(-2, -1))] = ident
+        zr = _prefix_products(factors)
+        conj = matcore.matmul(matcore.matmul(zr, run[1:]), matcore.invert(zr, tol))
+        resid = matcore.op_norms(conj - run[0])
+        bad = np.flatnonzero(~(resid <= 1e-6))
+        if bad.size:
+            i = bad[0]
+            raise PathTooCoarse(int(at[i + 1]), f"telescoped conjugation residual "
+                                f"{resid[i]:.3e} > 1e-6 at sample {at[i + 1]}")
+        z[at[1:]] = zr
     const_mat = np.zeros((d, d), dtype=complex)
     const_mat[:r, :r] = np.eye(r)
-    g_loop = LoopElem.constant(g, e.grid_size)
-    e1 = g_loop @ e @ LoopElem.constant(matcore.invert(g, tol), e.grid_size)
-
-    # step s retracts each support run onto the sample before it: the run's
-    # j-th sample reads the sample round(frac_s * j) past that anchor
-    m = e.grid_size
-    runs = _circular_runs(mask)
-    big_t = max(8, max((length for _, length in runs), default=1))
-    frac = 1.0 - np.arange(big_t + 1) / big_t
-    idx = np.tile(np.arange(m), (big_t + 1, 1))
-    for start, length in runs:
-        offs = np.arange(1, length + 1)
-        reach = np.rint(np.outer(frac, offs)).astype(int)
-        idx[:, (start - 1 + offs) % m] = (start - 1 + reach) % m
-    z = path_to_similarity([LoopElem(e1.samples[row]) for row in idx], tol)
-    conj = z @ g_loop
-    return r, conj, LoopElem.constant(const_mat, e.grid_size)
+    return r, LoopElem(matcore.matmul(z, g)), LoopElem.constant(const_mat, e.grid_size)

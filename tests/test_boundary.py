@@ -292,6 +292,25 @@ def test_boxplus_refuses_lifts_at_different_tols():
         boundary.boxplus([cert, dataclasses.replace(cert, tol=COARSE)])
 
 
+def test_boxplus_refuses_lifts_over_different_algebras():
+    # two twisted pairs at different angles: the block sum would be
+    # certified over the first pair only.  Lifts built by separate
+    # iota_lift calls on one pair hold distinct C cap D objects and add
+    scn = scenarios.twisted_pair()
+    other = scenarios.twisted_pair(angle=0.3 * np.pi)
+    _, _, cert = boundary.iota_lift(scn["p"], scn["q"], scn["c"], scn["d"])
+    _, _, again = boundary.iota_lift(scn["p"], scn["q"], scn["c"], scn["d"])
+    _, _, apart = boundary.iota_lift(other["p"], other["q"], other["c"], other["d"])
+    assert again.int_side.alg is not cert.int_side.alg
+    _, _, total = boundary.boxplus([cert, again, boundary.inverse_lift(cert)])
+    assert total.valid_at(1e-9)
+    assert boundary.boundary_class(total).entries == (1, -1)
+    with pytest.raises(InvalidInput, match="one pair"):
+        boundary.boxplus([cert, apart])
+    with pytest.raises(InvalidInput, match="one pair"):
+        boundary.boxplus([apart, cert, cert])
+
+
 def _nan_at(call, fn):
     """fn whose call-th call, counted from 1, returns NaN for its result;
     call None plants nothing."""

@@ -205,6 +205,32 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _file_without_h(tmp_path):
+    path = tmp_path / "my_pair.json"
+    path.write_text(json.dumps({"schema": 1, "name": "twisted_pair",
+                                "kind": "twisted_pair", "checks": []}))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (lambda tmp_path: ["boundary", "block_pair"], "scenario block_pair has no lift"),
+    (lambda tmp_path: ["sigma-witness", "block_pair.json"],
+     "scenario block_pair.json has no lift"),
+    (lambda tmp_path: ["check-ideal-structure", _file_without_h(tmp_path)],
+     "my_pair.json has no multiplier h"),
+    (lambda tmp_path: ["whitehead", _file_without_h(tmp_path)],
+     "my_pair.json has no multiplier h"),
+    (lambda tmp_path: ["run", _file_without_h(tmp_path)],
+     "my_pair.json' declares no checks"),
+], ids=["bundled-boundary", "bundled-sigma-witness", "file-ideal-structure",
+        "file-whitehead", "file-run"])
+def test_errors_name_the_scenario_given(tmp_path, capsys, argv, message):
+    # bundled block_pair is named block_ideal_pair inside, and the file
+    # names itself twisted_pair: the message names what the user gave
+    assert run_cli(argv(tmp_path)) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_bad_check_name_exits_2(tmp_path):
     bad = tmp_path / "bad_check.json"
     bad.write_text(json.dumps({
