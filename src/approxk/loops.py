@@ -32,20 +32,13 @@ def _circular_runs(flags: np.ndarray) -> list[tuple[int, int]]:
         return [(0, m)]
     if not flags.any():
         return []
-    # rotate so position 0 is False, then read off linear runs
+    # rotate so position 0 is False; a run then starts after each rise of
+    # the rotated mask and ends after each fall, or at its end
     start0 = int(np.argmin(flags))
-    rot = np.roll(flags, -start0)
-    runs = []
-    j = 0
-    while j < m:
-        if rot[j]:
-            j0 = j
-            while j < m and rot[j]:
-                j += 1
-            runs.append(((j0 + start0) % m, j - j0))
-        else:
-            j += 1
-    return runs
+    steps = np.diff(np.roll(flags, -start0).astype(np.int8), append=0)
+    starts = np.flatnonzero(steps == 1) + 1
+    ends = np.flatnonzero(steps == -1) + 1
+    return [(int(a + start0) % m, int(b - a)) for a, b in zip(starts, ends)]
 
 
 @dataclasses.dataclass(frozen=True)

@@ -11,9 +11,13 @@ are orthonormalized, and intersections cut, by the rank decision of
 An algebra holds the structure derived from it, each built on first use
 and kept: the unitization S + C1 (:attr:`Subalg.unitization`) and the
 Wedderburn data (:attr:`Subalg.wedderburn`), which depend on the algebra
-alone.  The unitization is read off one matrix, r = 1 - P_S(1): S is unital
-when ||r||_op <= membership_tol; otherwise r / ||r||_HS completes S's basis
-to one of S + C1, and conj(r) / <r, 1> is the augmentation s + c1 -> c (r is
+alone.  An algebra built by :func:`tensor_with_full` records its base S and
+m, and derives its Wedderburn data from the base's instead of decomposing:
+the center of S (x) M_m is Z(S) (x) 1, so its blocks are (d_i m, m_i) and its
+minimal central projections z_i (x) 1_m, in the base's order.  The
+unitization is read off one matrix, r = 1 - P_S(1): S is unital when
+||r||_op <= membership_tol; otherwise r / ||r||_HS completes S's basis to one
+of S + C1, and conj(r) / <r, 1> is the augmentation s + c1 -> c (r is
 HS-orthogonal to S).
 """
 
@@ -116,6 +120,9 @@ class Subspace:
 class Subalg(Subspace):
     """A *-closed, multiplicatively closed subspace of M_N(C)."""
 
+    # (S, m) on the S (x) M_m that tensor_with_full builds, else None
+    tensor_of: tuple[Subalg, int] | None = None
+
     def __init__(self, ambient_dim, basis, tol: Tol = DEFAULT_TOL, _orthonormal=False,
                  check: bool = True):
         super().__init__(ambient_dim, basis, tol, _orthonormal=_orthonormal)
@@ -154,9 +161,20 @@ class Subalg(Subspace):
     @functools.cached_property
     def wedderburn(self) -> WedderburnData:
         """The Wedderburn data of S, decomposed at the default seed: the
-        blocks do not depend on the seed of the random central element."""
-        from .wedderburn import decompose
+        blocks do not depend on the seed of the random central element.
 
+        S (x) M_m built by :func:`tensor_with_full` derives its data from its
+        base's (:func:`wedderburn.tensored`), through every level of a chain
+        such as (S (x) M_2) (x) M_3, and decomposes nothing.  The blocks come
+        in the order :func:`wedderburn.decompose` gives: it sorts by trace,
+        block dimension and the diagonal of z_i; traces and d_i scale by m,
+        and the diagonal of z_i (x) 1_m repeats each entry of z_i's m times,
+        which keeps the lexicographic order."""
+        from .wedderburn import decompose, tensored
+
+        if self.tensor_of is not None:
+            base, m = self.tensor_of
+            return tensored(base.wedderburn, m, self)
         return decompose(self)
 
     def _check_closure(self):
@@ -229,10 +247,13 @@ def amplify(s: Subalg, n: int) -> Subalg:
 
 
 def tensor_with_full(s: Subalg, m: int) -> Subalg:
-    """S tensor M_m, realized with the S factor on the left."""
+    """S tensor M_m, realized with the S factor on the left; it records S and
+    m, from which it derives its Wedderburn data."""
     if m < 1:
         raise InvalidInput("tensor factor size must be >= 1")
-    return _kron_basis(s, m, s_left=True)
+    out = _kron_basis(s, m, s_left=True)
+    out.tensor_of = (s, m)
+    return out
 
 
 def intersect(s: Subalg, t: Subalg, tol: Tol = DEFAULT_TOL) -> Subalg:

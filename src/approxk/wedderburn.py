@@ -8,10 +8,16 @@ intertwiners are read off singular values through the rank decision of
 :mod:`matcore` (:func:`matcore.rank_split`, :func:`matcore.rank`), each with
 the cut it names.
 
-An algebra is decomposed once: :attr:`Subalg.wedderburn` runs
+An algebra is decomposed at most once: :attr:`Subalg.wedderburn` runs
 :func:`decompose` on first read and keeps the result, and every class in
 this package is read against it.  The decomposition's rank decisions read
-the algebra's own ``s.tol``.
+the algebra's own ``s.tol``.  An algebra S (x) M_m built by
+:func:`subalg.tensor_with_full` is not decomposed: the center of S (x) M_m is
+Z(S) (x) 1, so :func:`tensored` reads its data off S's, blocks (d_i m, m_i)
+and projections z_i (x) 1_m.  That is the block order :func:`decompose`
+would give, since traces and d_i scale by m and the diagonal of z_i (x) 1_m
+repeats each entry of z_i's m times, which keeps the lexicographic order of
+the fingerprint.
 """
 
 from __future__ import annotations
@@ -115,7 +121,8 @@ def decompose(s: Subalg, seed: int = 0) -> WedderburnData:
     central element; reseeded on near-degenerate spectra.  The seed picks
     the central element only: the blocks and their order do not depend on
     it, nor, up to rounding, the central projections.  Callers read
-    :attr:`Subalg.wedderburn`, which runs this once per algebra."""
+    :attr:`Subalg.wedderburn`, which runs this once per algebra, except on
+    S (x) M_m built by :func:`subalg.tensor_with_full` (see :func:`tensored`)."""
     if s.dim == 0:
         raise InvalidInput("cannot decompose the zero algebra")
     zc = _center_basis(s)
@@ -169,6 +176,13 @@ def decompose(s: Subalg, seed: int = 0) -> WedderburnData:
             last_err = err
             continue
     raise DecompositionFailure(f"unresolved after 5 reseeds: {last_err}")
+
+
+def tensored(w: WedderburnData, m: int, algebra: Subalg) -> WedderburnData:
+    """The Wedderburn data of algebra = S (x) M_m, from the data w of S: blocks
+    (d_i m, m_i) and minimal central projections z_i (x) 1_m, in w's order."""
+    return WedderburnData(algebra, [(d * m, k) for d, k in w.blocks],
+                          [np.kron(z, eye(m)) for z in w.central_projections])
 
 
 def _fingerprint(z: np.ndarray) -> tuple:

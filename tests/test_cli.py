@@ -106,25 +106,27 @@ def test_lift_holds_its_class_and_trivialization(tmp_path, count_calls):
     # a lift holds its boundary class and its intersection's trivialization.
     # twisted_pair reads 5 classes (the lift, its inverse and the 3 tensored
     # lifts), each rounding e in C cap D, C and D: 15 Riesz roundings, and
-    # still one decomposition per algebra.  circle_split's lift shares one
-    # trivialization between its class and its sigma witness
+    # 3 decompositions, of C, D and C cap D; the tensored algebras derive
+    # their data from these.  circle_split's lift shares one trivialization
+    # between its class and its sigma witness
     roundings = count_calls("riesz_idempotent", funcalc)
     decomposes = count_calls("decompose", wedderburn)
     arcs = count_calls("arc_k0_trivialize", boundary)
     assert run_cli(["run", "twisted_pair", "--seed", "7",
                     "--out", str(tmp_path / "twisted_pair.json")]) == 0
-    assert (len(roundings), len(decomposes), len(arcs)) == (15, 12, 0)
+    assert (len(roundings), len(decomposes), len(arcs)) == (15, 3, 0)
     assert run_cli(["run", "circle_split", "--seed", "7",
                     "--out", str(tmp_path / "circle_split.json")]) == 0
-    assert (len(roundings), len(decomposes), len(arcs)) == (15, 12, 2)
+    assert (len(roundings), len(decomposes), len(arcs)) == (15, 3, 2)
 
 
 def test_report_decomposes_each_algebra_once(tmp_path, count_calls):
     # an algebra holds its Wedderburn data: twisted_pair decomposes C, D and
-    # C cap D, and the three tensored with M_2 for each of the 3 product rows,
-    # once each; the other bundled reports read no class over a matrix algebra
+    # C cap D once each, and the 9 algebras tensored with M_2 for its 3
+    # product rows derive their data from these; the other bundled reports
+    # read no class over a matrix algebra
     calls = count_calls("decompose", wedderburn)
-    for name, want in (("twisted_pair", 12), ("block_pair", 0), ("circle_split", 0)):
+    for name, want in (("twisted_pair", 3), ("block_pair", 0), ("circle_split", 0)):
         calls.clear()
         assert run_cli(["run", name, "--seed", "7",
                         "--out", str(tmp_path / f"{name}.json")]) == 0

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from approxk import boundary, loops, matcore, scenarios
@@ -112,6 +112,67 @@ def test_arc_k0_trivialize_moving_idempotent():
     assert r == 1
     resid = (conj @ e @ conj.inv() - const).norm()
     assert resid < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# _circular_runs against the sample loop it replaced
+
+
+def loop_circular_runs(flags: np.ndarray) -> list[tuple[int, int]]:
+    """Maximal circular runs of True as (start, length) pairs, read off the
+    mask rotated to start at a False sample, one sample at a time."""
+    m = len(flags)
+    if flags.all():
+        return [(0, m)]
+    if not flags.any():
+        return []
+    start0 = int(np.argmin(flags))
+    rot = np.roll(flags, -start0)
+    runs = []
+    j = 0
+    while j < m:
+        if rot[j]:
+            j0 = j
+            while j < m and rot[j]:
+                j += 1
+            runs.append(((j0 + start0) % m, j - j0))
+        else:
+            j += 1
+    return runs
+
+
+@st.composite
+def circular_masks(draw):
+    """A support mask on a grid of 16 to 720 samples: all True, all False, a
+    few arcs (each may wrap past the last sample or be one sample long), or
+    scattered samples."""
+    grid = draw(st.integers(16, 720))
+    kind = draw(st.sampled_from(["all", "none", "arcs", "scatter"]))
+    if kind == "all":
+        return np.ones(grid, dtype=bool)
+    mask = np.zeros(grid, dtype=bool)
+    if kind == "arcs":
+        for _ in range(draw(st.integers(1, 4))):
+            start = draw(st.integers(0, grid - 1))
+            length = draw(st.one_of(st.just(1), st.integers(1, grid)))
+            mask[(start + np.arange(length)) % grid] = True
+    elif kind == "scatter":
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        mask = rng.random(grid) < draw(st.floats(0.05, 0.95))
+    return mask
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(circular_masks())
+@example(np.r_[True, np.zeros(14, dtype=bool), True])
+@example(np.r_[np.zeros(15, dtype=bool), True])
+@example(np.r_[True, np.zeros(15, dtype=bool)])
+@example(np.r_[np.ones(719, dtype=bool), False])
+def test_circular_runs_match_the_sample_loop(mask):
+    # the same (start, length) pairs, as Python ints, in the same order
+    runs = loops._circular_runs(mask)
+    assert runs == loop_circular_runs(mask)
+    assert all(type(v) is int for run in runs for v in run)
 
 
 # ---------------------------------------------------------------------------
