@@ -11,15 +11,15 @@ from approxk import boundary, scenarios
 from approxk.loops import winding_k1
 
 scn = scenarios.circle_split(grid=720, winding=1)
+pair = boundary.Pair(scn["c"], scn["d"])
 print("arc supports: C has", int(scn["c"].mask.sum()), "samples,",
       "D has", int(scn["d"].mask.sum()), "samples,",
-      "overlap", int(scn["inter"].mask.sum()))
+      "overlap", int(pair.inter.alg.mask.sum()))
 
-cert_ideal = boundary.check_delta_ideal_structure(
-    scn["h"], scn["c"], scn["d"], scn["x_basis"])
+cert_ideal = boundary.check_delta_ideal_structure(scn["h"], pair, None, scn["x_basis"])
 print("ideal-structure residuals:", [f"{m:.1e}" for m in cert_ideal.measured])
 
-v, cert = boundary.build_lift_v(scn["u"], scn["h"], scn["c"], scn["d"])
+v, cert = boundary.build_lift_v(scn["u"], scn["h"], pair)
 print("lift residual level:", f"{cert.delta_level:.2e}")
 print("boundary class:", boundary.boundary_class(cert).entries,
       "(the empty class of a union of arcs)")
@@ -31,7 +31,7 @@ print("windings: u =", winding_k1(scn["u"]).entries[0],
       " x =", winding_k1(wit.x).entries[0],
       " u x^-1 =", winding_k1(wit.factor).entries[0])
 
-wh = boundary.whitehead_split(scn["u_c"], scn["h"], scn["c"], scn["d"])
+wh = boundary.whitehead_split(scn["u_c"], scn["h"], pair)
 print("whitehead split of the C-side ramp: product residual",
       f"{wh.product_residual:.1e},", "memberships",
       f"{wh.membership_c_upper:.1e} / {wh.membership_d_upper:.1e} over all t,",

@@ -11,9 +11,10 @@ import numpy as np
 from approxk import boundary, scenarios
 
 scn = scenarios.twisted_pair(angle=np.pi / 5)
-print("intersection dimension:", scn["inter"].dim)
+pair = boundary.Pair(scn["c"], scn["d"])
+print("intersection dimension:", pair.inter.alg.dim)
 
-u, v, cert = boundary.iota_lift(scn["p"], scn["q"], scn["c"], scn["d"])
+u, v, cert = boundary.iota_lift(scn["p"], scn["q"], pair)
 print("lift residuals (D, C, intersection):",
       f"{cert.residual_d:.2e}, {cert.residual_c:.2e}, {cert.residual_int:.2e}")
 print("augmentation mismatch:", cert.aug_diff)

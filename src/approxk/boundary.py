@@ -16,10 +16,7 @@ implements exactly these:
   membership, the residual of a stack being the max over its summands;
 - ``intersect(other, tol)``: the side of the intersection algebra (a
   matrix side reads it off principal angles);
-- ``tensor(m)``: the side of the algebra tensored with M_m.  Tensoring
-  keeps intersections, (C (x) M_m) cap (D (x) M_m) = (C cap D) (x) M_m, so
-  the side of a tensored pair's intersection is the tensored intersection
-  side;
+- ``tensor(m)``: the side of the algebra tensored with M_m;
 - ``random_elements(m, count, rng)``: a stack of count random unit-norm
   ambient elements at fiber amplification m;
 - ``aug_diff(e, half, tol)``: scalar-rank mismatch of e against
@@ -33,6 +30,14 @@ implements exactly these:
 - ``trivializer(t, half, tol, seed)``: an invertible w with
   w e w^-1 ~ 1_half (+) 0, or NoWitness;
 - ``k1(u, tol)``: the K_1 class of an invertible, ``()`` when K_1 is zero.
+
+The constructions run over a :class:`Pair`, the two sides of a
+decomposition (C, D) over one carrier.  The pair takes C cap D once, as
+``pair.inter``, and holds its tensored pairs, one per m, whose
+intersections are the tensored ``inter``.  Every public entry point that
+takes (c, d) builds its pair by :func:`make_pair`, which also takes a held
+``Pair`` in c's slot, and the certificates hold the pair they were
+measured over.
 """
 
 from __future__ import annotations
@@ -45,9 +50,11 @@ import numpy as np
 
 from . import funcalc, matcore, ops, subalg
 from .errors import (
+    DefectTooLarge,
     ExactnessViolation,
     InvalidInput,
     IotaNotZero,
+    NotAClass,
     NotAContraction,
     NotEquivalent,
     NoWitness,
@@ -262,10 +269,63 @@ def make_side(obj):
     raise InvalidInput(f"cannot build a membership side from {type(obj).__name__}")
 
 
-def intersect_sides(c_side, d_side, tol: Tol = DEFAULT_TOL):
-    if type(c_side) is not type(d_side):
-        raise InvalidInput("cannot intersect sides over different carriers")
-    return c_side.intersect(d_side, tol)
+class Pair:
+    """The pair (C, D): its two membership sides over one carrier, the Tol
+    it was built at, and C cap D taken once.
+
+    ``inter`` is the side of C cap D, read off the two sides on first use.
+    ``tensor(m)`` is the pair (C (x) M_m, D (x) M_m), built once per m and
+    held here.  Tensoring keeps intersections,
+
+        (C (x) M_m) cap (D (x) M_m) = (C cap D) (x) M_m,
+
+    so the ``inter`` of a tensored pair is this pair's ``inter`` tensored,
+    and no intersection is computed for it.  That is exact: the principal
+    angles of the tensored pair are the base angles, each m^2 times, so the
+    rank cut and its ambiguity band decide as on the base, and
+    (C cap D) (x) M_m is closed exactly when C cap D is.
+
+    ``intersection_gap`` measures that identity on a matrix pair: the
+    dimension of the pair's own principal-angle intersection minus that of
+    its ``inter``, 0 when the identity holds.  It takes one intersection,
+    once per pair.
+    """
+
+    def __init__(self, c, d, tol: Tol = DEFAULT_TOL):
+        self.c, self.d = make_side(c), make_side(d)
+        if type(self.c) is not type(self.d):
+            raise InvalidInput("cannot pair sides over different carriers")
+        self.tol = tol
+        self._tensors = {}
+
+    @functools.cached_property
+    def inter(self):
+        return self.c.intersect(self.d, self.tol)
+
+    def tensor(self, m: int) -> "Pair":
+        if m not in self._tensors:
+            pair = Pair(self.c.tensor(m), self.d.tensor(m), self.tol)
+            # the tensoring identity: the held inter, not an intersection
+            pair.inter = self.inter.tensor(m)
+            self._tensors[m] = pair
+        return self._tensors[m]
+
+    @functools.cached_property
+    def intersection_gap(self) -> int:
+        return self.c.intersect(self.d, self.tol).alg.dim - self.inter.alg.dim
+
+
+def make_pair(c, d, tol: Tol = DEFAULT_TOL) -> Pair:
+    """The pair of an entry point: a Pair given in c's slot, with d None and
+    built at the caller's tol, as it is; otherwise the pair of the sides or
+    algebras c and d."""
+    if not isinstance(c, Pair):
+        return Pair(c, d, tol)
+    if d is not None:
+        raise InvalidInput("a Pair takes no second side")
+    if c.tol != tol:
+        raise InvalidInput("the Pair was built at another Tol")
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +338,13 @@ class IdealCert:
 
     measured = (commutator, C-membership, D-membership, and the two
     intersection-membership residuals), each normalized by the operator norm
-    of the probed element and maximized over the probe set.  tol is the Tol
-    they were measured at, which tensor_scale_ideal_structure reads too.
+    of the probed element and maximized over the probe set, over the pair
+    (C, D).  tol is the Tol they were measured at, which
+    tensor_scale_ideal_structure reads too.
     """
 
     h: object
-    c_side: object
-    d_side: object
-    int_side: object
+    pair: Pair
     x_basis: list
     measured: tuple
     seed: int
@@ -301,21 +360,15 @@ class IdealCert:
 
 
 def check_delta_ideal_structure(h, c, d, x_basis, tol: Tol = DEFAULT_TOL,
-                                seed: int = 0, random_probes: int = 50,
-                                int_side=None) -> IdealCert:
+                                seed: int = 0, random_probes: int = 50) -> IdealCert:
     """Measure how well (h, C, D) splits the subspace spanned by x_basis.
 
     The probes are the basis elements and random_probes random complex
     combinations of them, each scaled to unit norm, as the summands of one
-    stack; a probe of norm below 1e-12 is dropped.  int_side is the side of
-    C cap D when the caller already holds it, as in certify_lift; without it
-    the intersection is computed from the two sides.
+    stack; a probe of norm below 1e-12 is dropped.
     """
     check_contraction(h)
-    c_side = make_side(c)
-    d_side = make_side(d)
-    if int_side is None:
-        int_side = intersect_sides(c_side, d_side, tol)
+    pair = make_pair(c, d, tol)
     basis = list(x_basis.basis) if isinstance(x_basis, Subspace) else list(x_basis)
     if not basis:
         raise InvalidInput("empty probe subspace")
@@ -333,12 +386,12 @@ def check_delta_ideal_structure(h, c, d, x_basis, tol: Tol = DEFAULT_TOL,
     h_hbar = h_prod(h, hbar)
     h2_hbar = h_prod(h, h_hbar)
     measured = (ops.norm(h_apply(h, x, "left") - h_apply(h, x, "right")),
-                c_side.nearest(h_apply(h, x), unitized=False)[1],
-                d_side.nearest(h_apply(hbar, x), unitized=False)[1],
-                int_side.nearest(h_apply(h_hbar, x), unitized=False)[1],
-                int_side.nearest(h_apply(h2_hbar, x), unitized=False)[1])
+                pair.c.nearest(h_apply(h, x), unitized=False)[1],
+                pair.d.nearest(h_apply(hbar, x), unitized=False)[1],
+                pair.inter.nearest(h_apply(h_hbar, x), unitized=False)[1],
+                pair.inter.nearest(h_apply(h2_hbar, x), unitized=False)[1])
     measured = tuple(map(float, measured))
-    return IdealCert(h, c_side, d_side, int_side, basis, measured, seed, tol)
+    return IdealCert(h, pair, basis, measured, seed, tol)
 
 
 def _dual_constant(x_basis, tol: Tol = DEFAULT_TOL) -> float:
@@ -368,21 +421,16 @@ def tensor_scale_ideal_structure(cert: IdealCert, m: int):
     m_x * delta of the input level, where m_x = n * M is computed from a
     dual basis of the probe subspace.
 
-    The intersection side is the input's tensored, by
-    (C (x) M_m) cap (D (x) M_m) = (C cap D) (x) M_m, so no intersection is
-    computed here.  The base intersection already passed its checks: the
-    principal angles of the tensored pair are the base angles, each m^2
-    times, so the rank cut and its ambiguity band decide as on the base, and
-    (C cap D) (x) M_m is closed exactly when C cap D is.
+    The check runs over the certificate's pair tensored with M_m, whose
+    C cap D is the base intersection tensored (see :class:`Pair`), so no
+    intersection is computed here.
     """
     m_x = _dual_constant(cert.x_basis, cert.tol)
     h2 = np.kron(_multiplier(cert.h), eye(m))
     units = [matcore.matrix_unit(m, i, j) for i in range(m) for j in range(m)]
     basis2 = [ops.like(x, np.kron(ops.arr(x), u)) for x in cert.x_basis for u in units]
-    cert2 = check_delta_ideal_structure(h2, cert.c_side.tensor(m),
-                                        cert.d_side.tensor(m), basis2, cert.tol,
-                                        seed=cert.seed,
-                                        int_side=cert.int_side.tensor(m))
+    cert2 = check_delta_ideal_structure(h2, cert.pair.tensor(m), None, basis2,
+                                        cert.tol, seed=cert.seed)
     budget = m_x * cert.delta_level + 1e-9
     if cert2.delta_level > budget:
         raise ExactnessViolation(
@@ -404,15 +452,17 @@ class LiftCert:
     the matrices over unitized D, of v * diag(u^-1, u) in unitized C, and of
     the boundary idempotent e = v * diag(1, 0) * v^-1 in the unitized
     intersection.  aug_diff is the scalar-rank mismatch that must vanish for
-    the boundary class to live in the non-unitized K_0 group.  tol is the
-    Tol they were measured at; everything derived from the certificate
-    reads it.
+    the boundary class to live in the non-unitized K_0 group.  pair is the
+    pair (C, D) they were measured over, and tol the Tol they were measured
+    at; everything derived from the certificate reads both.
 
     The certificate holds what is derived from it, as cached properties
     that are neither compared nor in the repr (dataclasses.replace gives a
     fresh holder): ``trivialization``, the intersection side's trivialize
     of e, which the boundary class and the sigma witness share, and
-    ``boundary_class``.
+    ``boundary_class``.  Neither is read from a lift whose e has no class:
+    DefectTooLarge unless delta_level is below the Riesz domain
+    funcalc.DELTA_MAX = 1/16, and NotAClass unless aug_diff is 0.
     """
 
     u: object
@@ -424,9 +474,7 @@ class LiftCert:
     residual_c: float
     residual_int: float
     aug_diff: int
-    c_side: object
-    d_side: object
-    int_side: object
+    pair: Pair
     tol: Tol
 
     @property
@@ -439,18 +487,23 @@ class LiftCert:
 
     @functools.cached_property
     def trivialization(self):
-        return self.int_side.trivialize(self.e, self.tol)
+        # written so that a NaN level fails
+        if not self.delta_level < funcalc.DELTA_MAX:
+            raise DefectTooLarge(f"lift level {self.delta_level:.3e} >= {funcalc.DELTA_MAX}")
+        if self.aug_diff != 0:
+            raise NotAClass(f"scalar-rank mismatch {self.aug_diff}: e has no class")
+        return self.pair.inter.trivialize(self.e, self.tol)
 
     @functools.cached_property
     def boundary_class(self) -> K0Vec:
         """[e] - [1 (+) 0] in K_0(C cap D), with the exactness assertion that
         its pushforwards into K_0(C) and K_0(D) vanish."""
         half = ops.side_size(self.u)
-        out = self.int_side.boundary_class(self.trivialization, half, self.tol)
+        out = self.pair.inter.boundary_class(self.trivialization, half, self.tol)
         if not out.blocks:
             # a class in the zero group has zero pushforwards
             return out
-        for side in (self.c_side, self.d_side):
+        for side in (self.pair.c, self.pair.d):
             push = side.boundary_class(side.trivialize(self.e, self.tol), half, self.tol)
             if any(push.entries):
                 raise ExactnessViolation(f"pushforward {push.entries} is nonzero")
@@ -463,27 +516,24 @@ def _top_projection(u):
     return ops.block2(one, zero, zero, zero)
 
 
-def certify_lift(u, v, c, d, tol: Tol = DEFAULT_TOL, int_side=None) -> LiftCert:
+def certify_lift(u, v, c, d=None, tol: Tol = DEFAULT_TOL) -> LiftCert:
     """Measure the lift conditions for v against u over the pair (C, D)."""
-    c_side = make_side(c)
-    d_side = make_side(d)
-    if int_side is None:
-        int_side = intersect_sides(c_side, d_side, tol)
+    pair = make_pair(c, d, tol)
     v_inv = ops.inv(v, tol)
     u_inv = ops.inv(u, tol)
     norm_c = max(ops.norm(v), ops.norm(v_inv), ops.norm(u), ops.norm(u_inv))
-    _, r_d = d_side.nearest(v)
-    _, r_c = c_side.nearest(v @ ops.oplus(u_inv, u))
+    _, r_d = pair.d.nearest(v)
+    _, r_c = pair.c.nearest(v @ ops.oplus(u_inv, u))
     e = v @ _top_projection(u) @ v_inv
-    _, r_int = int_side.nearest(e)
+    _, r_int = pair.inter.nearest(e)
     # the scalar-rank mismatch decides whether the boundary class lands in
     # the non-unitized subgroup
-    aug = int_side.aug_diff(e, ops.side_size(u), tol)
+    aug = pair.inter.aug_diff(e, ops.side_size(u), tol)
     return LiftCert(u, v, v_inv, e, float(norm_c), float(r_d), float(r_c),
-                    float(r_int), int(aug), c_side, d_side, int_side, tol)
+                    float(r_int), int(aug), pair, tol)
 
 
-def build_lift_v(u, h, c, d, tol: Tol = DEFAULT_TOL):
+def build_lift_v(u, h, c, d=None, tol: Tol = DEFAULT_TOL):
     """The explicit lift v from an almost-splitting multiplier h.
 
     With a = h + (1-h)u and b = h + u^-1 (1-h), v is the four-factor
@@ -492,6 +542,7 @@ def build_lift_v(u, h, c, d, tol: Tol = DEFAULT_TOL):
     h = 0 gives the Whitehead block diag(u, u^-1).
     """
     check_contraction(h)
+    pair = make_pair(c, d, tol)
     one = ops.eye_like(u)
     y = u - one
     u_inv = ops.inv(u, tol)
@@ -502,7 +553,7 @@ def build_lift_v(u, h, c, d, tol: Tol = DEFAULT_TOL):
     ba = b @ a
     two = ops.scal(2.0, one)
     v = ops.block2(a @ (two - ba), ab - one, one - ba, b)
-    cert = certify_lift(u, v, c, d, tol)
+    cert = certify_lift(u, v, pair, tol=tol)
     return v, cert
 
 
@@ -539,20 +590,19 @@ def boundary_class(cert: LiftCert, seed: int = 0) -> K0Vec:
     return cert.boundary_class
 
 
-def iota_lift(p, q, c, d, tol: Tol = DEFAULT_TOL, seed: int = 0):
+def iota_lift(p, q, c, d=None, tol: Tol = DEFAULT_TOL, seed: int = 0):
     """Exact lift data for a K_0 difference [p] - [q] that dies in both
     K_0(C) and K_0(D).
 
     Returns (u, v, cert) with u = (1-p) u_C^-1 + p u_D^-1 and the closed-form
     block v; the boundary class of the result is [p] - [q].
     """
-    c_side = make_side(c)
-    d_side = make_side(d)
+    pair = make_pair(c, d, tol)
     p = as_matrix(p)
     q = as_matrix(q)
     try:
-        u_c = similarity_witness(p, q, c_side.alg, tol, seed=seed)
-        u_d = similarity_witness(p, q, d_side.alg, tol, seed=seed)
+        u_c = similarity_witness(p, q, pair.c.alg, tol, seed=seed)
+        u_d = similarity_witness(p, q, pair.d.alg, tol, seed=seed)
     except NotEquivalent as err:
         raise IotaNotZero(f"no similarity witness: {err}") from err
     one = eye(p.shape[0])
@@ -560,7 +610,7 @@ def iota_lift(p, q, c, d, tol: Tol = DEFAULT_TOL, seed: int = 0):
     u_d_inv = matcore.invert(u_d, tol)
     u = (one - p) @ u_c_inv + p @ u_d_inv
     v = ops.block2(p @ u_d_inv, p - one, one - q, u_d @ p)
-    cert = certify_lift(u, v, c_side, d_side, tol)
+    cert = certify_lift(u, v, pair, tol=tol)
     return u, v, cert
 
 
@@ -576,7 +626,11 @@ def boxplus_permutation(sizes: list[int]) -> np.ndarray:
 def boxplus(lifts):
     """Block sum of lifts: u = (+) u_i, v = (+) v_i with rows and columns
     regrouped by the permutation p, certified at the lifts' common Tol over
-    their common pair (C, D).  Returns (u, v, cert)."""
+    the first lift's pair.  Returns (u, v, cert).
+
+    The lifts must share C and D, compared as algebras: lifts built by
+    separate calls on one (C, D) hold distinct Pair objects, and equal C, D
+    and Tol fix C cap D."""
     if not lifts:
         raise InvalidInput("empty lift list")
     if not all(isinstance(lf, LiftCert) for lf in lifts):
@@ -585,23 +639,21 @@ def boxplus(lifts):
     tol = first.tol
     if any(lf.tol != tol for lf in lifts):
         raise InvalidInput("boxplus expects lifts certified at one Tol")
-    # C and D only: each lift may hold its own C cap D object
-    if any(lf.c_side.alg is not first.c_side.alg or lf.d_side.alg is not first.d_side.alg
+    if any(lf.pair.c.alg is not first.pair.c.alg or lf.pair.d.alg is not first.pair.d.alg
            for lf in lifts):
         raise InvalidInput("boxplus expects lifts over one pair (C, D)")
     u = functools.reduce(ops.oplus, [lf.u for lf in lifts])
     v_sum = functools.reduce(ops.oplus, [lf.v for lf in lifts])
     p = boxplus_permutation([ops.side_size(lf.u) for lf in lifts])
     v = ops.like(v_sum, ops.arr(v_sum)[..., p[:, None], p])
-    cert = certify_lift(u, v, first.c_side, first.d_side, tol,
-                        int_side=first.int_side)
+    cert = certify_lift(u, v, first.pair, tol=tol)
     return u, v, cert
 
 
 def inverse_lift(cert: LiftCert) -> LiftCert:
     """Certificate for v^-1 as a lift of u^-1, at the certificate's Tol."""
-    return certify_lift(ops.inv(cert.u, cert.tol), cert.v_inv, cert.c_side,
-                        cert.d_side, cert.tol, int_side=cert.int_side)
+    return certify_lift(ops.inv(cert.u, cert.tol), cert.v_inv, cert.pair,
+                        tol=cert.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -627,18 +679,18 @@ def sigma_witness(cert: LiftCert, eps: float, seed: int = 0) -> SigmaWitness:
     """
     tol = cert.tol
     n = ops.side_size(cert.u)
-    w = cert.int_side.trivializer(cert.trivialization, n, tol, seed)
+    w = cert.pair.inter.trivializer(cert.trivialization, n, tol, seed)
     wv = w @ cert.v
     x, top_right, bot_left, _y = ops.corner_blocks(wv, n)
     offdiag = max(ops.norm(top_right), ops.norm(bot_left))
     x_inv = ops.inv(x, tol)
     factor = cert.u @ x_inv
-    _, r_d = cert.d_side.nearest(x)
-    _, r_c = cert.c_side.nearest(factor)
+    _, r_d = cert.pair.d.nearest(x)
+    _, r_c = cert.pair.c.nearest(factor)
     # np.max keeps a NaN, and the gate is written so that a NaN fails it
     if not np.max([r_d, r_c]) <= eps:
         raise ReconstructionFailed((float(r_d), float(r_c)))
-    k1 = cert.int_side.k1
+    k1 = cert.pair.inter.k1
     wu, wx, wf = k1(cert.u, tol), k1(x, tol), k1(factor, tol)
     if tuple(a + b for a, b in zip(wf, wx)) != wu:
         raise ReconstructionFailed((wf, wx, wu),
@@ -838,7 +890,7 @@ def _maxima(rows: np.ndarray) -> tuple[float, float]:
     return float(np.max(np.delete(rows, np.s_[1:5]))), float(np.max(rows))
 
 
-def whitehead_split(a, h, c, d, tol: Tol = DEFAULT_TOL,
+def whitehead_split(a, h, c, d=None, tol: Tol = DEFAULT_TOL,
                     t_steps: int = 32) -> WhiteheadCert:
     """Split diag(a, a^-1) as a product of a near-C and a near-D invertible,
     with polynomial homotopies of both factors to the identity.
@@ -867,8 +919,7 @@ def whitehead_split(a, h, c, d, tol: Tol = DEFAULT_TOL,
     if t_steps < 1:
         raise InvalidInput(f"t_steps must be >= 1, got {t_steps}")
     check_contraction(h)
-    c_side = make_side(c)
-    d_side = make_side(d)
+    pair = make_pair(c, d, tol)
     lone = not isinstance(a, ops.Stack)
     # a lone element runs as a stack of one: results held on a Stack skip the
     # input validation that LoopElem and as_matrix repeat on every operation
@@ -885,7 +936,7 @@ def whitehead_split(a, h, c, d, tol: Tol = DEFAULT_TOL,
     lead = target.ndim - 3  # a loop's sample axis leads its stacks
     ends, norms, mems = [], [], []
     factors = _whitehead_coefficients(s - one, s_inv - one, h)
-    for side, coefs in zip((c_side, d_side), factors):
+    for side, coefs in zip((pair.c, pair.d), factors):
         ends.append(np.tensordot(_BERNSTEIN[[5, 0]], coefs, 1))
         norms.append(_maxima(_row_norms(weights, coefs)))
         off = coefs.copy()
@@ -945,7 +996,7 @@ def _path_band(factors: ops.Stack, start: int, size: int) -> matcore.Band:
     return matcore.band_block_diag(fa, start, size)
 
 
-def sigma_reconstruct(u_path, u_c, u_d, h, c, d, tol: Tol = DEFAULT_TOL,
+def sigma_reconstruct(u_path, u_c, u_d, h, c, d=None, tol: Tol = DEFAULT_TOL,
                       seed: int = 0, uniform_constant: float = 3.0,
                       whitehead_t_steps: int = 8) -> SigmaReconstruct:
     """Reconstruct a class over the intersection inducing (u_C, u_D).
@@ -969,15 +1020,13 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d, tol: Tol = DEFAULT_TOL,
     seed reaches nothing: no step of the reconstruction is random.  It is
     kept for callers that pass it.
     """
-    c_side = make_side(c)
-    d_side = make_side(d)
-    int_side = intersect_sides(c_side, d_side, tol)
+    pair = make_pair(c, d, tol)
     a, b, defect = _homotopy_stacks(u_path)
     u0 = u_path[0]
     n = ops.side_size(u0)
     m = ops.arr(a).shape[-3]
     size = 2 * (m + 1) * n
-    wc_a, wc_b = (whitehead_split(s, h, c_side, d_side, tol, t_steps=whitehead_t_steps)
+    wc_a, wc_b = (whitehead_split(s, h, pair, tol=tol, t_steps=whitehead_t_steps)
                   for s in (a, b))
     for name, wc in (("a", wc_a), ("b", wc_b)):
         if not wc.certified:
@@ -1008,7 +1057,7 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d, tol: Tol = DEFAULT_TOL,
     # masking a loop, or projecting block by block onto matrices over the
     # algebra (n is a multiple of the ambient side), keeps the band; the
     # dense frame lives only for the projection
-    y = int_side.project(ops.like(u0, matcore.band_dense(mid)), unitized=False)
+    y = pair.inter.project(ops.like(u0, matcore.band_dense(mid)), unitized=False)
     x = matcore.band(ops.arr(y), mid.kl, mid.ku) + one
     drift_c, drift_d = matcore.band_norm(x - t_c), matcore.band_norm(x - t_d)
     # np.max keeps a NaN, and each gate is written so that a NaN fails it
@@ -1032,7 +1081,7 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d, tol: Tol = DEFAULT_TOL,
         raise ReconstructionFailed(
             unstable, f"unstable inverse for x = 1 + y: residual {unstable:.3e}")
     windings = None
-    if int_side.k1(ops.eye_like(u_c), tol):
+    if pair.inter.k1(ops.eye_like(u_c), tol):
         # k1 is () exactly when K_1 is the zero group and there are no
         # windings to book.  The truncation concentrates the winding of x
         # on narrow arcs where sampled determinants alias; read it off the
@@ -1052,7 +1101,7 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d, tol: Tol = DEFAULT_TOL,
                 )
         # the embedding u (+) 1 keeps the determinant of u
         wx, wx_d = (det_winding(matcore.band_det(t)).entries[0] for t in (t_c, t_d))
-        wuc, wud = (int_side.k1(u, tol)[0] for u in (u_c, u_d))
+        wuc, wud = (pair.inter.k1(u, tol)[0] for u in (u_c, u_d))
         if wx != wx_d or wx != wuc or wx != -wud:
             raise ReconstructionFailed(
                 (wx, wx_d, wuc, wud),
@@ -1078,35 +1127,30 @@ class UniformityReport:
     seed: int
 
 
-def uniformity_probe(c, d, sample_count: int = 50, b_dims=(1, 2, 3),
+def uniformity_probe(c, d=None, sample_count: int = 50, b_dims=(1, 2, 3),
                      seed: int = 0, tol: Tol = DEFAULT_TOL) -> UniformityReport:
     """Empirical f-uniformity data for the pair (C, D).
 
     Draws c in C (tensor M_m), its projection d in D, and measures how well
     the HS midpoint projection into the intersection approximates both.
 
-    The intersection is computed once, for m = 1, and tensored for each
-    m > 1, by (C (x) M_m) cap (D (x) M_m) = (C cap D) (x) M_m.  That is
-    exact: the principal angles of the tensored pair are the base angles,
-    each m^2 times, so the rank cut and its ambiguity band decide as on the
-    base, and (C cap D) (x) M_m is closed exactly when C cap D is.
+    The intersection is the pair's, taken once, and for each m > 1 the
+    tensored pair's, which is the base intersection tensored (see
+    :class:`Pair`).
     """
-    c_side = make_side(c)
-    d_side = make_side(d)
+    pair = make_pair(c, d, tol)
     if sample_count < 0:
         raise InvalidInput(f"sample_count must be >= 0, got {sample_count}")
-    int_side = intersect_sides(c_side, d_side, tol)
     rng = np.random.default_rng(seed)
     samples = []
     ratios = []
     for m in b_dims:
-        cm, dm, im = ((c_side, d_side, int_side) if m == 1 else
-                      (c_side.tensor(m), d_side.tensor(m), int_side.tensor(m)))
-        cc = cm.project(c_side.random_elements(m, sample_count, rng), unitized=False)
+        pm = pair if m == 1 else pair.tensor(m)
+        cc = pm.c.project(pair.c.random_elements(m, sample_count, rng), unitized=False)
         cc = ops.unit_summands(cc, 1e-9)
-        dd = dm.project(cc, unitized=False)
+        dd = pm.d.project(cc, unitized=False)
         delta_in = ops.summand_norms(cc - dd)
-        x = im.project(ops.scal(0.5, cc + dd), unitized=False)
+        x = pm.inter.project(ops.scal(0.5, cc + dd), unitized=False)
         achieved = np.maximum(ops.summand_norms(x - cc), ops.summand_norms(x - dd))
         ratio = np.where(achieved > 1e-9, np.inf, 0.0)
         np.divide(achieved, delta_in, out=ratio, where=delta_in > 1e-12)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -137,20 +138,30 @@ def build_scenario(desc: dict):
 # individual checks
 
 
+def _pair_for(scn: dict, tol: Tol) -> boundary.Pair:
+    """The scenario's pair (C, D), built on first use and kept in scn, as
+    _lift_for keeps the lift: every check of a report reads one C cap D and
+    one tensored pair per m."""
+    if "pair" not in scn:
+        scn["pair"] = boundary.make_pair(scn["c"], scn["d"], tol)
+    return scn["pair"]
+
+
 def _lift_for(scn: dict, tol: Tol, seed: int):
     """The scenario's lift certificate, built on first use and kept in scn.
 
     run_checks builds scn for one report, whose tol and seed are fixed, so
-    every check of the report reads the same lift.  A scenario with neither
-    an idempotent pair nor a unitary u has no lift: SchemaError.
+    every check of the report reads the same lift, over the report's pair.
+    A scenario with neither an idempotent pair nor a unitary u has no lift:
+    SchemaError.
     """
     if "lift" not in scn:
+        pair = _pair_for(scn, tol)
         if scn["name"] == "twisted_pair":
-            _, _, scn["lift"] = boundary.iota_lift(scn["p"], scn["q"], scn["c"],
-                                                   scn["d"], tol, seed=seed)
+            _, _, scn["lift"] = boundary.iota_lift(scn["p"], scn["q"], pair, tol=tol,
+                                                   seed=seed)
         elif "u" in scn:
-            _, scn["lift"] = boundary.build_lift_v(scn["u"], scn["h"], scn["c"],
-                                                   scn["d"], tol)
+            _, scn["lift"] = boundary.build_lift_v(scn["u"], scn["h"], pair, tol=tol)
         else:
             raise SchemaError(f"scenario {scn['given']} has no lift")
     return scn["lift"]
@@ -160,7 +171,7 @@ def check_ideal_structure(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
     if "h" not in scn:
         raise SchemaError(f"scenario {scn['given']} has no multiplier h")
     cert = boundary.check_delta_ideal_structure(
-        scn["h"], scn["c"], scn["d"], scn["x_basis"], tol, seed=seed
+        scn["h"], _pair_for(scn, tol), None, scn["x_basis"], tol, seed=seed
     )
     level = cert.delta_level
     budget = _number(params, "delta", 1e-6)
@@ -222,7 +233,7 @@ def check_sigma_witness(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
         "offdiag": wit.offdiag,
         "passed": max(wit.residual_d, wit.residual_c) <= eps,
     }
-    k1 = cert.int_side.k1
+    k1 = cert.pair.inter.k1
     wx = k1(wit.x, cert.tol)
     if wx:
         rec["windings"] = {
@@ -241,7 +252,7 @@ def check_whitehead(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
         one = np.eye(scn["c"].ambient_dim, dtype=complex)
         x = scn["c"].project(np.diag(np.linspace(0.1, 0.3, scn["c"].ambient_dim)))
         a = one + x
-    cert = boundary.whitehead_split(a, scn["h"], scn["c"], scn["d"], tol)
+    cert = boundary.whitehead_split(a, scn["h"], _pair_for(scn, tol), tol=tol)
     eps = _number(params, "eps", 0.1)
     # the gates read the bounds over all t in [0, 1]
     ok = (cert.certified and cert.membership_c_upper <= eps
@@ -264,7 +275,7 @@ def check_whitehead(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
 
 def check_uniformity(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
     count = _number(params, "samples", 50, int, minimum=1)
-    rep = boundary.uniformity_probe(scn["c"], scn["d"], sample_count=count,
+    rep = boundary.uniformity_probe(_pair_for(scn, tol), sample_count=count,
                                     seed=seed, tol=tol)
     limit = _number(params, "ratio_max", 3.0)
     return {
@@ -497,7 +508,10 @@ def _add_common(sub):
                      dest="fmt", help="output format")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parsing reads it and
+    never changes it."""
     parser = argparse.ArgumentParser(
         prog="approxk",
         description="numerical checks for approximate boundary classes",

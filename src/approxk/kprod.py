@@ -43,12 +43,12 @@ def k0_product(p, q, w: WedderburnData, tol: Tol = DEFAULT_TOL) -> K0Vec:
 class ProductCheck:
     """The two sides of the product formula over the tensored pair.
 
-    The tensored lift is certified, and its class taken, over
-    (C cap D) (x) M_m.  intersection_gap is the dimension of the tensored
-    pair's intersection from principal angles minus that of
-    (C cap D) (x) M_m: the one principal-angle intersection of a tensored
-    pair that is kept, so the identity is measured here and is 0 when it
-    holds.
+    The tensored lift is certified, and its class taken, over the lift's
+    pair tensored with M_m, whose intersection is (C cap D) (x) M_m.
+    intersection_gap is that tensored pair's
+    :attr:`boundary.Pair.intersection_gap`: the one principal-angle
+    intersection of a tensored pair, taken once per pair, so the identity
+    is measured here and is 0 when it holds.
     """
 
     lhs_entries: tuple
@@ -68,7 +68,7 @@ def boundary_product_check(cert: LiftCert, p, m: int, seed: int = 0) -> ProductC
     against the algebras' own Wedderburn data: seed reaches nothing and is
     kept for callers that pass it.
     """
-    if not isinstance(cert.c_side, MatrixSide):
+    if not isinstance(cert.pair.c, MatrixSide):
         raise InvalidInput("product checks run over matrix carriers")
     p = as_matrix(p)
     if p.shape != (m, m):
@@ -78,15 +78,11 @@ def boundary_product_check(cert: LiftCert, p, m: int, seed: int = 0) -> ProductC
     base = boundary.boundary_class(cert)
     lhs = tuple(entry * rank_p for entry in base.entries)
 
-    c2 = cert.c_side.tensor(m)
-    d2 = cert.d_side.tensor(m)
-    i2_direct = cert.int_side.tensor(m)
-    u2 = box_times(cert.u, p)
-    v2 = box_times(cert.v, p)
-    cert2 = certify_lift(u2, v2, c2, d2, tol, int_side=i2_direct)
-    gap = c2.intersect(d2, tol).alg.dim - i2_direct.alg.dim
+    pair2 = cert.pair.tensor(m)
+    cert2 = certify_lift(box_times(cert.u, p), box_times(cert.v, p), pair2, tol=tol)
     rhs = boundary.boundary_class(cert2).entries
-    return ProductCheck(lhs, tuple(rhs), tuple(lhs) == tuple(rhs), cert2, int(gap))
+    return ProductCheck(lhs, tuple(rhs), tuple(lhs) == tuple(rhs), cert2,
+                        int(pair2.intersection_gap))
 
 
 def _apply_left_functional(e: np.ndarray, f: np.ndarray, n_a: int, n_b: int,

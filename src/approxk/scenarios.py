@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import subalg
 from .loops import LoopAlg, LoopElem, arc_ideal, bump, power_z
 from .matcore import DEFAULT_TOL, Tol, adjoint, eye, kron, matrix_unit
 from .subalg import Subalg
@@ -45,7 +44,6 @@ def twisted_pair(angle: float = np.pi / 5, conj=None,
         move = lambda x: x  # noqa: E731
     c_alg = Subalg(4, [move(b) for b in c_basis], tol)
     d_alg = Subalg(4, [move(w @ b @ adjoint(w)) for b in c_basis], tol)
-    inter = subalg.intersect(c_alg, d_alg, tol)
     return {
         "name": "twisted_pair",
         "ambient_dim": 4,
@@ -54,7 +52,6 @@ def twisted_pair(angle: float = np.pi / 5, conj=None,
         "w": move(w),
         "c": c_alg,
         "d": d_alg,
-        "inter": inter,
     }
 
 
@@ -113,7 +110,6 @@ def circle_split(grid: int = 720, fiber: int = 1, winding: int = 1,
         "ambient": amb,
         "c": c_alg,
         "d": d_alg,
-        "inter": c_alg.intersect(d_alg),
         "h": h,
         "u": u,
         "u_c": u_c,

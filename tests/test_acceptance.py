@@ -145,7 +145,7 @@ def test_criterion_06_twisted_pair_boundary():
     # brute-force oracle: normalized corner ranks against the two minimal
     # central projections P, Q of the intersection
     e = cert.v @ np.kron(np.diag([1.0, 0.0]), np.eye(4)) @ cert.v_inv
-    f, _ = funcalc.riesz_idempotent(cert.int_side.nearest(e)[0])
+    f, _ = funcalc.riesz_idempotent(cert.pair.inter.nearest(e)[0])
     p_top = np.kron(np.diag([1.0, 0.0]), np.eye(4))
     oracle = []
     for z in (scn["p"], scn["q"]):
@@ -261,7 +261,7 @@ def test_criterion_11_wedderburn_oracle():
         # M_2 (x) 1 inside M_4
         (4, base_tp["c"].basis, [(2, 2)]),
         # span{P, Q}: two one-dimensional blocks of multiplicity 2
-        (4, base_tp["inter"].basis, [(1, 2), (1, 2)]),
+        (4, boundary.Pair(base_tp["c"], base_tp["d"]).inter.alg.basis, [(1, 2), (1, 2)]),
         # M_2 (+) M_2 inside M_6
         (6, scenarios.block_ideal_pair()["c"].basis, [(2, 1), (2, 1)]),
         # the full algebra

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from approxk import boundary, cli, funcalc, kprod, matcore, ops, scenarios
+from approxk import boundary, cli, funcalc, kprod, matcore, ops, scenarios, subalg
 from approxk.errors import (
     AmbiguousIntersection,
     ApproxKError,
+    DefectTooLarge,
     InvalidInput,
     IotaNotZero,
+    NotAClass,
     NoWitness,
     NotAContraction,
     NotInvertible,
@@ -136,8 +138,8 @@ def membership_side(carrier, which):
         scn = scenarios.block_ideal_pair()
     else:
         scn = scenarios.circle_split(grid=16, overlap=0.25 * np.pi)
-    c, d = boundary.make_side(scn["c"]), boundary.make_side(scn["d"])
-    return {"c": c, "d": d, "int": boundary.intersect_sides(c, d)}[which]
+    pair = boundary.Pair(scn["c"], scn["d"])
+    return {"c": pair.c, "d": pair.d, "int": pair.inter}[which]
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -241,13 +243,14 @@ def _matrix_aug_diffs():
     # the augmentation of block_pair's middle block is 1 on the unit, so the
     # scalar part of diag(1, 1e-6) (x) 1_6 is diag(1, 1e-6)
     blk = scenarios.block_ideal_pair()
-    side = boundary.intersect_sides(*(boundary.make_side(blk[k]) for k in "cd"))
+    side = boundary.Pair(blk["c"], blk["d"]).inter
     e = np.kron(np.diag([1.0, 1e-6]), np.eye(6)).astype(complex)
     return side.aug_diff(e, 6), side.aug_diff(e, 6, COARSE)
 
 
 def _loop_aug_diffs():
-    side = boundary.make_side(scenarios.circle_split(grid=16, fiber=2)["inter"])
+    scn = scenarios.circle_split(grid=16, fiber=2)
+    side = boundary.Pair(scn["c"], scn["d"]).inter
     e = LoopElem(np.tile(np.diag([1.0, 1e-6]).astype(complex), (16, 1, 1)))
     return side.aug_diff(e, 1), side.aug_diff(e, 1, COARSE)
 
@@ -284,6 +287,77 @@ def test_derived_from_a_certificate_reads_its_tol(fn):
     assert "tol" not in inspect.signature(fn).parameters
 
 
+@pytest.mark.parametrize("carrier", ["matrix", "loop"])
+def test_pair_holds_its_intersection_and_tensored_pairs(carrier, count_calls):
+    # C cap D is taken once per pair; a tensored pair is built once per m,
+    # and its C cap D is the base's tensored, with no intersection
+    if carrier == "matrix":
+        scn, owner = scenarios.twisted_pair(), subalg
+    else:
+        scn, owner = scenarios.circle_split(grid=16), LoopAlg
+    calls = count_calls("intersect", owner)
+    pair = boundary.Pair(scn["c"], scn["d"])
+    assert calls == []
+    assert pair.inter is pair.inter and len(calls) == 1
+    two = pair.tensor(2)
+    assert two is pair.tensor(2) and two is not pair.tensor(3)
+    assert two.tol == pair.tol
+    inter = two.inter
+    assert len(calls) == 1
+    if carrier == "matrix":
+        assert [s.alg.tensor_of for s in (two.c, two.d, inter)] == [
+            (pair.c.alg, 2), (pair.d.alg, 2), (pair.inter.alg, 2)]
+        assert two.intersection_gap == 0 and len(calls) == 2
+        # held: a second read takes no intersection
+        assert two.intersection_gap == 0 and len(calls) == 2
+    else:
+        assert inter.alg.fiber_dim == 2
+        assert np.array_equal(inter.alg.mask, pair.inter.alg.mask)
+
+
+def test_make_pair_takes_a_pair_or_two_sides():
+    scn = scenarios.twisted_pair()
+    pair = boundary.make_pair(scn["c"], scn["d"], Tol())
+    assert isinstance(pair, boundary.Pair) and pair.tol == Tol()
+    assert boundary.make_pair(pair, None, Tol()) is pair
+    _, _, cert = boundary.iota_lift(scn["p"], scn["q"], pair)
+    assert cert.pair is pair
+    with pytest.raises(InvalidInput, match="second side"):
+        boundary.make_pair(pair, scn["d"], Tol())
+    with pytest.raises(InvalidInput, match="another Tol"):
+        boundary.make_pair(pair, None, COARSE)
+    with pytest.raises(InvalidInput, match="another Tol"):
+        boundary.iota_lift(scn["p"], scn["q"], pair, tol=COARSE)
+    loop = scenarios.circle_split(grid=16)
+    with pytest.raises(InvalidInput, match="different carriers"):
+        boundary.make_pair(scn["c"], loop["d"], Tol())
+    with pytest.raises(InvalidInput, match="different carriers"):
+        boundary.Pair(boundary.make_side(loop["c"]), scn["d"])
+    with pytest.raises(InvalidInput):
+        boundary.make_pair(scn["c"], None, Tol())
+
+
+def test_no_class_from_a_failing_lift():
+    # the 0.2 pi twisted_pair lift, certified over the 0.3 pi pair, misses
+    # D by 0.67, beyond the Riesz domain 1/16: its e has no class.  A lift
+    # whose scalar ranks do not match has none either
+    scn = scenarios.twisted_pair(angle=0.2 * np.pi)
+    other = scenarios.twisted_pair(angle=0.3 * np.pi)
+    _, _, good = boundary.iota_lift(scn["p"], scn["q"], scn["c"], scn["d"])
+    bad = boundary.certify_lift(good.u, good.v, other["c"], other["d"])
+    assert bad.residual_d > funcalc.DELTA_MAX and not bad.valid_at(1e-9)
+    with pytest.raises(DefectTooLarge):
+        boundary.boundary_class(bad)
+    with pytest.raises(DefectTooLarge):
+        boundary.sigma_witness(bad, eps=0.5)
+    mismatched = dataclasses.replace(good, aug_diff=1)
+    with pytest.raises(NotAClass):
+        boundary.boundary_class(mismatched)
+    with pytest.raises(NotAClass):
+        boundary.sigma_witness(mismatched, eps=0.5)
+    assert boundary.boundary_class(good).entries == (1, -1)
+
+
 def test_boxplus_refuses_lifts_at_different_tols():
     scn = scenarios.twisted_pair()
     _, _, cert = boundary.iota_lift(scn["p"], scn["q"], scn["c"], scn["d"])
@@ -295,13 +369,13 @@ def test_boxplus_refuses_lifts_at_different_tols():
 def test_boxplus_refuses_lifts_over_different_algebras():
     # two twisted pairs at different angles: the block sum would be
     # certified over the first pair only.  Lifts built by separate
-    # iota_lift calls on one pair hold distinct C cap D objects and add
+    # iota_lift calls on one (C, D) hold distinct Pair objects and add
     scn = scenarios.twisted_pair()
     other = scenarios.twisted_pair(angle=0.3 * np.pi)
     _, _, cert = boundary.iota_lift(scn["p"], scn["q"], scn["c"], scn["d"])
     _, _, again = boundary.iota_lift(scn["p"], scn["q"], scn["c"], scn["d"])
     _, _, apart = boundary.iota_lift(other["p"], other["q"], other["c"], other["d"])
-    assert again.int_side.alg is not cert.int_side.alg
+    assert again.pair is not cert.pair
     _, _, total = boundary.boxplus([cert, again, boundary.inverse_lift(cert)])
     assert total.valid_at(1e-9)
     assert boundary.boundary_class(total).entries == (1, -1)
@@ -379,10 +453,24 @@ def _sigma_witness_passes(plant):
     # C-side residual, the second argument of the gate's maximum
     scn = scenarios.circle_split(grid=90)
     _, cert = boundary.build_lift_v(scn["u"], scn["h"], scn["c"], scn["d"])
-    cert.c_side = _NaNResidualSide(cert.c_side, 1 if plant else None)
+    cert.pair.c = _NaNResidualSide(cert.pair.c, 1 if plant else None)
     try:
         boundary.sigma_witness(cert, eps=0.05)
     except ReconstructionFailed:
+        return False
+    return True
+
+
+def _class_reads(plant):
+    # the NaN lands on residual_int, the last argument of delta_level's
+    # maximum, which the trivialization's level gate reads
+    scn = scenarios.twisted_pair()
+    _, _, cert = boundary.iota_lift(scn["p"], scn["q"], scn["c"], scn["d"])
+    if plant:
+        cert = dataclasses.replace(cert, residual_int=np.nan)
+    try:
+        boundary.boundary_class(cert)
+    except DefectTooLarge:
         return False
     return True
 
@@ -419,9 +507,9 @@ def _reconstruct_passes(monkeypatch, plant, site):
 NAN_SITES = {
     "LiftCert.delta_level": lambda mp, plant: boundary.LiftCert(
         None, None, None, None, 1.0, 0.0, np.nan if plant else 0.0, 0.0, 0,
-        None, None, None, Tol()).valid_at(1e-9),
+        None, Tol()).valid_at(1e-9),
     "IdealCert.delta_level": lambda mp, plant: boundary.IdealCert(
-        None, None, None, None, [], (0.0, np.nan if plant else 0.0, 0.0, 0.0, 0.0),
+        None, None, [], (0.0, np.nan if plant else 0.0, 0.0, 0.0, 0.0),
         0, Tol()).valid_at(1e-9),
     # a sampled row also enters its bound, so a NaN on a sample fails the
     # gate that reads the bound
@@ -437,6 +525,7 @@ NAN_SITES = {
     "check_inv_cut.comm": lambda mp, plant: _inv_cut_passes(mp, 6 if plant else None),
     "band_norm.top": _band_norm_passes,
     "sigma_witness.residual": lambda mp, plant: _sigma_witness_passes(plant),
+    "LiftCert.trivialization": lambda mp, plant: _class_reads(plant),
     "sigma_reconstruct.achieved":
         lambda mp, plant: _reconstruct_passes(mp, plant, "achieved"),
     "sigma_reconstruct.unstable":
@@ -501,8 +590,8 @@ def test_sigma_witness_circle_split():
 
 def test_loop_side_trivializes_each_idempotent_once_per_lift(count_calls):
     # a lift holds its trivialization: its boundary class and sigma witness
-    # share one trivialization of its e.  The inverse lift shares the int
-    # side but is another lift, and a fresh holder of the same lift, here at
+    # share one trivialization of its e.  The inverse lift shares the pair
+    # but is another lift, and a fresh holder of the same lift, here at
     # another Tol, trivializes again
     scn = scenarios.circle_split(grid=64)
     _, cert = boundary.build_lift_v(scn["u"], scn["h"], scn["c"], scn["d"])
@@ -512,7 +601,7 @@ def test_loop_side_trivializes_each_idempotent_once_per_lift(count_calls):
     boundary.sigma_witness(cert, eps=0.05)
     assert len(calls) == 1 and calls[0][0] is cert.e
     inv = boundary.inverse_lift(cert)
-    assert inv.int_side is cert.int_side
+    assert inv.pair is cert.pair
     assert boundary.boundary_class(inv).entries == ()
     assert len(calls) == 2 and calls[1][0] is inv.e
     fresh = dataclasses.replace(cert, tol=Tol(membership_tol=1e-10))
@@ -734,12 +823,13 @@ TENSOR_PAIRS = {
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("name", sorted(TENSOR_PAIRS))
 def test_tensored_intersection_is_the_tensored_base(name, m):
-    # (C (x) M_m) cap (D (x) M_m) = (C cap D) (x) M_m on both carriers
+    # (C (x) M_m) cap (D (x) M_m) = (C cap D) (x) M_m on both carriers: a
+    # tensored pair's inter is its base's tensored
     scn = TENSOR_PAIRS[name]()
-    c, d = boundary.make_side(scn["c"]), boundary.make_side(scn["d"])
-    base = boundary.intersect_sides(c, d)
-    tensored = base.tensor(m)
-    direct = boundary.intersect_sides(c.tensor(m), d.tensor(m))
+    pair = boundary.Pair(scn["c"], scn["d"])
+    c, d, base = pair.c, pair.d, pair.inter
+    tensored = pair.tensor(m).inter
+    direct = c.tensor(m).intersect(d.tensor(m))
     if isinstance(c, boundary.MatrixSide):
         assert tensored.alg.dim == direct.alg.dim == m * m * base.alg.dim > 0
     else:

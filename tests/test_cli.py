@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from approxk import boundary, cli, funcalc, wedderburn
+from approxk import boundary, cli, funcalc, loops, scenarios, subalg, wedderburn
 from approxk.matcore import Tol
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -118,6 +118,34 @@ def test_lift_holds_its_class_and_trivialization(tmp_path, count_calls):
     assert run_cli(["run", "circle_split", "--seed", "7",
                     "--out", str(tmp_path / "circle_split.json")]) == 0
     assert (len(roundings), len(decomposes), len(arcs)) == (15, 3, 2)
+
+
+def test_report_takes_each_intersection_once(tmp_path, count_calls):
+    # a report builds one pair (C, D) and every check reads its C cap D.
+    # uniformity and the product check share the tensored pairs, one per m,
+    # whose C cap D is the base's tensored; the one other intersection is
+    # the product check's of the tensored pair, for intersection_gap
+    inters = count_calls("intersect", subalg)
+    loop_inters = count_calls("intersect", loops.LoopAlg)
+    tensors = count_calls("tensor_with_full", subalg)
+    for name, want in (("twisted_pair", (2, 0, 6)), ("block_pair", (1, 0, 6)),
+                       ("circle_split", (0, 1, 0))):
+        for calls in (inters, loop_inters, tensors):
+            calls.clear()
+        assert run_cli(["run", name, "--seed", "7",
+                        "--out", str(tmp_path / f"{name}.json")]) == 0
+        assert (len(inters), len(loop_inters), len(tensors)) == want, name
+
+
+def test_parser_is_built_once_per_process(tmp_path):
+    # parsing never changes the argparse tree, so every call reads one
+    assert cli.make_parser() is cli.make_parser()
+    assert run_cli(["sweep", "riesz", "--count", "2",
+                    "--out", str(tmp_path / "a.csv")]) == 0
+    assert run_cli(["sweep", "invcut", "--count", "2", "--seed", "3",
+                    "--out", str(tmp_path / "b.csv")]) == 0
+    args = cli.make_parser().parse_args(["sweep", "riesz"])
+    assert (args.count, args.seed, args.out) == (200, None, None)
 
 
 def test_report_decomposes_each_algebra_once(tmp_path, count_calls):
@@ -274,7 +302,7 @@ def test_sweep_count_below_one_exits_2(tmp_path):
 def test_uniformity_without_ratios_fails(monkeypatch):
     empty = boundary.UniformityReport([], [], 0.0, (1, 2, 3), 0)
     monkeypatch.setattr(boundary, "uniformity_probe", lambda *a, **k: empty)
-    rec = cli.check_uniformity({"c": None, "d": None}, Tol(), 0, {})
+    rec = cli.check_uniformity(scenarios.block_ideal_pair(), Tol(), 0, {})
     assert rec["samples"] == 0
     assert rec["passed"] is False
 

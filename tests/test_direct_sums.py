@@ -138,8 +138,8 @@ def dense_sigma_reconstruct(u_path, u_c, u_d, h, c, d, uniform_constant=3.0,
     """sigma_reconstruct's composition on the dense 2(m+1)n frame, in the
     frame's own order: the factors are embedded, multiplied, inverted and
     normed as dense elements, and windings come from dense determinants."""
-    c_side, d_side = boundary.make_side(c), boundary.make_side(d)
-    int_side = boundary.intersect_sides(c_side, d_side)
+    pair = boundary.Pair(c, d)
+    c_side, d_side, int_side = pair.c, pair.d, pair.inter
     a, b, defect = boundary._homotopy_stacks(u_path)
     n = ops.side_size(u_path[0])
     m = ops.arr(a).shape[-3]
@@ -595,9 +595,8 @@ def looped_check_delta_ideal_structure(h, c, d, x_basis, tol=matcore.DEFAULT_TOL
                                        seed: int = 0, random_probes: int = 50):
     """check_delta_ideal_structure one probe at a time; returns measured."""
     boundary.check_contraction(h)
-    c_side = boundary.make_side(c)
-    d_side = boundary.make_side(d)
-    int_side = boundary.intersect_sides(c_side, d_side, tol)
+    pair = boundary.Pair(c, d, tol)
+    c_side, d_side, int_side = pair.c, pair.d, pair.inter
     basis = list(x_basis)
     if not basis:
         raise InvalidInput("empty probe subspace")
@@ -659,7 +658,7 @@ def looped_uniformity_probe(c, d, sample_count: int = 50, b_dims=(1, 2, 3),
     ratios = []
     for m in b_dims:
         cm, dm = (c_side, d_side) if m == 1 else (c_side.tensor(m), d_side.tensor(m))
-        im = boundary.intersect_sides(cm, dm, tol)
+        im = cm.intersect(dm, tol)
         for _ in range(sample_count):
             r = looped_random_element(c_side, m, rng)
             cc, _ = cm.nearest(r, unitized=False)

@@ -372,7 +372,7 @@ def bundled_circle_split(inverse: bool) -> tuple:
     _, cert = boundary.build_lift_v(scn["u"], scn["h"], scn["c"], scn["d"])
     if inverse:
         cert = boundary.inverse_lift(cert)
-    return cert.e, cert.int_side.alg
+    return cert.e, cert.pair.inter.alg
 
 
 @pytest.mark.parametrize("make, raises", [
@@ -409,7 +409,7 @@ def test_arc_trivialization_takes_few_norm_calls(count_calls, grid):
     scn = scenarios.circle_split(grid=grid)
     _, cert = boundary.build_lift_v(scn["u"], scn["h"], scn["c"], scn["d"])
     calls = count_calls("op_norms", matcore)
-    arc_k0_trivialize(cert.e, cert.int_side.alg, cert.tol)
+    arc_k0_trivialize(cert.e, cert.pair.inter.alg, cert.tol)
     assert len(calls) == 7
 
 

@@ -10,7 +10,7 @@ from approxk import boundary, kprod, ops, scenarios, wedderburn
 from approxk.errors import InvalidInput, NotEquivalent, PathTooCoarse
 from approxk.loops import LoopElem
 from approxk.matcore import DEFAULT_TOL, Tol, matrix_unit
-from approxk.subalg import Subalg, intersect, tensor_with_full
+from approxk.subalg import Subalg, tensor_with_full
 from approxk.wedderburn import (
     K0Vec,
     decompose,
@@ -33,7 +33,7 @@ def test_decompose_matrix_factor():
 
 def test_decompose_two_point_center():
     scn = scenarios.twisted_pair()
-    w = decompose(scn["inter"])
+    w = decompose(boundary.Pair(scn["c"], scn["d"]).inter.alg)
     assert sorted(w.blocks) == [(1, 2), (1, 2)]
     # central projections sum to the unit of the algebra
     total = sum(w.central_projections)
@@ -60,17 +60,15 @@ def test_decompose_invariant_under_conjugation(rng):
         u = scenarios.random_unitary(4, rng)
         scn = scenarios.twisted_pair(conj=u)
         assert sorted(decompose(scn["c"], seed=i).blocks) == [(2, 2)]
-        assert sorted(decompose(scn["inter"], seed=i).blocks) == [(1, 2), (1, 2)]
+        inter = boundary.Pair(scn["c"], scn["d"]).inter.alg
+        assert sorted(decompose(inter, seed=i).blocks) == [(1, 2), (1, 2)]
     assert sorted(decompose(base["d"]).blocks) == [(2, 2)]
 
 
 def _pair_algebras(kind):
     """C, D and C cap D of a bundled matrix pair."""
-    if kind == "twisted_pair":
-        scn = scenarios.twisted_pair()
-        return scn["c"], scn["d"], scn["inter"]
-    scn = scenarios.block_ideal_pair()
-    return scn["c"], scn["d"], intersect(scn["c"], scn["d"])
+    scn = scenarios.twisted_pair() if kind == "twisted_pair" else scenarios.block_ideal_pair()
+    return scn["c"], scn["d"], boundary.Pair(scn["c"], scn["d"]).inter.alg
 
 
 def assert_same_data(got, want):
@@ -119,7 +117,7 @@ def test_tensored_lift_class_reads_the_same_against_derived_data(seed, p):
     proj = np.diag([1.0, 1.0 if p == "full" else 0.0]).astype(complex)
     cert2 = kprod.boundary_product_check(cert, proj, 2).tensored_cert
     derived = boundary.boundary_class(dataclasses.replace(cert2))
-    for side in (cert2.c_side, cert2.d_side, cert2.int_side):
+    for side in (cert2.pair.c, cert2.pair.d, cert2.pair.inter):
         assert side.alg.tensor_of is not None
         side.alg.wedderburn = decompose(side.alg)
     assert boundary.boundary_class(dataclasses.replace(cert2)) == derived
@@ -149,7 +147,7 @@ def test_held_wedderburn_data_do_not_depend_on_the_seed(kind, seed):
     # reads the data again
     cert = _scenario_lift(kind, np.random.default_rng(seed))
     held = boundary.boundary_class(dataclasses.replace(cert))
-    algs = [side.alg for side in (cert.c_side, cert.d_side, cert.int_side)]
+    algs = [side.alg for side in (cert.pair.c, cert.pair.d, cert.pair.inter)]
     held_data = [alg.wedderburn for alg in algs]
     for k in range(5):
         for alg, held_w in zip(algs, held_data):
@@ -164,7 +162,7 @@ def test_held_wedderburn_data_do_not_depend_on_the_seed(kind, seed):
 
 def test_k0_class_counts_normalized_ranks():
     scn = scenarios.twisted_pair()
-    w = decompose(scn["inter"])
+    w = decompose(boundary.Pair(scn["c"], scn["d"]).inter.alg)
     cls_p = k0_class(scn["p"], w)
     cls_q = k0_class(scn["q"], w)
     assert sorted((cls_p.entries, cls_q.entries)) == [(0, 1), (1, 0)]
