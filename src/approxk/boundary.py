@@ -7,37 +7,39 @@ empirical, auditable question.
 
 The constructions are written once, over :mod:`approxk.ops`.  What differs
 between the carriers lives in the two membership sides, :class:`MatrixSide`
-and :class:`LoopSide`, which implement the same methods; a new carrier
-implements exactly these:
+and :class:`LoopSide`, which implement the same methods.  A side is built at
+one Tol, ``side.tol``, which every method that decides a rank or inverts
+reads; a new carrier implements exactly these:
 
 - ``project(x, unitized)``: the witness of membership alone, at any
   amplification (a matrix side projects block by block, a loop side masks);
 - ``nearest(x, unitized)``: the witness of ``project`` and the residual of
   membership, the residual of a stack being the max over its summands;
-- ``intersect(other, tol)``: the side of the intersection algebra (a
-  matrix side reads it off principal angles);
+- ``intersect(other)``: the side of the intersection algebra (a matrix
+  side reads it off principal angles);
 - ``tensor(m)``: the side of the algebra tensored with M_m;
 - ``random_elements(m, count, rng)``: a stack of count random unit-norm
   ambient elements at fiber amplification m;
-- ``aug_diff(e, half, tol)``: scalar-rank mismatch of e against
+- ``aug_diff(e, half)``: scalar-rank mismatch of e against
   1_half (+) 0, the scalar part read by the augmentation of the unitized
   algebra;
-- ``trivialize(e, tol)``: the carrier's one step on a boundary idempotent e
+- ``trivialize(e)``: the carrier's one step on a boundary idempotent e
   (a matrix side rounds its nearest point by Riesz, a loop side runs
   arc_k0_trivialize); a lift holds the result t, which these two read:
-- ``boundary_class(t, half, tol)``: the class [e] - [1_half (+) 0], read
+- ``boundary_class(t, half)``: the class [e] - [1_half (+) 0], read
   against the algebra's own Wedderburn data;
-- ``trivializer(t, half, tol, seed)``: an invertible w with
+- ``trivializer(t, half, seed)``: an invertible w with
   w e w^-1 ~ 1_half (+) 0, or NoWitness;
-- ``k1(u, tol)``: the K_1 class of an invertible, ``()`` when K_1 is zero.
+- ``k1(u)``: the K_1 class of an invertible, ``()`` when K_1 is zero.
 
 The constructions run over a :class:`Pair`, the two sides of a
-decomposition (C, D) over one carrier.  The pair takes C cap D once, as
-``pair.inter``, and holds its tensored pairs, one per m, whose
-intersections are the tensored ``inter``.  Every public entry point that
-takes (c, d) builds its pair by :func:`make_pair`, which also takes a held
-``Pair`` in c's slot, and the certificates hold the pair they were
-measured over.
+decomposition (C, D) over one carrier, at one Tol, ``pair.tol``, which its
+sides are built at.  The pair takes C cap D once, as ``pair.inter``, and
+holds its tensored pairs, one per m, whose intersections are the tensored
+``inter``.  Every public entry point that takes (c, d) builds its pair by
+:func:`make_pair`, which also takes a held ``Pair`` in c's slot, and the
+certificates hold the pair they were measured over: ``cert.pair.tol`` is
+the one Tol of everything derived from a certificate.
 """
 
 from __future__ import annotations
@@ -142,10 +144,12 @@ def h_apply(h, x, side: str = "left"):
 
 
 class MatrixSide:
-    """Membership oracle for a matrix *-subalgebra at any amplification."""
+    """Membership oracle for a matrix *-subalgebra at any amplification,
+    deciding ranks and inverting at tol."""
 
-    def __init__(self, alg: Subalg):
+    def __init__(self, alg: Subalg, tol: Tol = DEFAULT_TOL):
         self.alg = alg
+        self.tol = tol
 
     @property
     def ambient_dim(self) -> int:
@@ -159,11 +163,11 @@ class MatrixSide:
         w = self.project(x, unitized)
         return w, ops.sup_norm(ops.arr(x) - ops.arr(w))
 
-    def intersect(self, other: "MatrixSide", tol: Tol = DEFAULT_TOL) -> "MatrixSide":
-        return MatrixSide(subalg.intersect(self.alg, other.alg, tol))
+    def intersect(self, other: "MatrixSide") -> "MatrixSide":
+        return MatrixSide(subalg.intersect(self.alg, other.alg, self.tol), self.tol)
 
     def tensor(self, m: int) -> "MatrixSide":
-        return MatrixSide(subalg.tensor_with_full(self.alg, m))
+        return MatrixSide(subalg.tensor_with_full(self.alg, m), self.tol)
 
     def random_elements(self, m: int, count: int, rng) -> ops.Stack:
         n = self.ambient_dim * m
@@ -171,44 +175,46 @@ class MatrixSide:
         r = ops.Stack(g[:, 0] + 1j * g[:, 1])
         return ops.Stack(r.summands / ops.summand_norms(r)[:, None, None])
 
-    def aug_diff(self, e, half: int, tol: Tol = DEFAULT_TOL) -> int:
+    def aug_diff(self, e, half: int) -> int:
         if self.alg.is_unital_in_ambient:
             return 0
         n = self.ambient_dim
         k = len(e) // n
         scalars = np.einsum("pq,ipjq->ij", self.alg.augmentation, e.reshape(k, n, k, n))
-        return matcore.rank(scalars, tol) - half // n
+        return matcore.rank(scalars, self.tol) - half // n
 
-    def trivialize(self, e, tol: Tol) -> np.ndarray:
+    def trivialize(self, e) -> np.ndarray:
         """The Riesz rounding of the nearest point of e in the unitized
         algebra; RoundingUnstable when the rounding breaks its certified bound."""
-        f, cert = funcalc.riesz_idempotent(self.project(e), tol)
+        f, cert = funcalc.riesz_idempotent(self.project(e), self.tol)
         if not cert.passed:
             raise RoundingUnstable(
                 f"rounding moved e by {cert.distance:.3e}, beyond its bound "
                 f"{cert.bound:.3e}")
         return f
 
-    def boundary_class(self, f, half: int, tol: Tol = DEFAULT_TOL) -> K0Vec:
+    def boundary_class(self, f, half: int) -> K0Vec:
         w = self.alg.wedderburn
-        return k0_class(f, w, tol) - k0_class(_top_projection(eye(half)), w, tol)
+        return k0_class(f, w, self.tol) - k0_class(_top_projection(eye(half)), w, self.tol)
 
-    def trivializer(self, f, half: int, tol: Tol = DEFAULT_TOL, seed: int = 0):
+    def trivializer(self, f, half: int, seed: int = 0):
         try:
             return similarity_witness(f, _top_projection(eye(half)), self.alg,
-                                      tol, seed=seed)
+                                      self.tol, seed=seed)
         except NotEquivalent as err:
             raise NoWitness(f"boundary class nonzero: {err}") from err
 
-    def k1(self, u, tol: Tol = DEFAULT_TOL) -> tuple:
+    def k1(self, u) -> tuple:
         return ()
 
 
 class LoopSide:
-    """Membership oracle for a loop arc ideal."""
+    """Membership oracle for a loop arc ideal, deciding ranks and inverting
+    at tol."""
 
-    def __init__(self, alg: LoopAlg):
+    def __init__(self, alg: LoopAlg, tol: Tol = DEFAULT_TOL):
         self.alg = alg
+        self.tol = tol
 
     def project(self, x: LoopElem, unitized: bool = True):
         return loop_project(x, self.alg, unitized)
@@ -216,12 +222,12 @@ class LoopSide:
     def nearest(self, x: LoopElem, unitized: bool = True):
         return loop_membership(x, self.alg, unitized)
 
-    def intersect(self, other: "LoopSide", tol: Tol = DEFAULT_TOL) -> "LoopSide":
-        return LoopSide(self.alg.intersect(other.alg))
+    def intersect(self, other: "LoopSide") -> "LoopSide":
+        return LoopSide(self.alg.intersect(other.alg), self.tol)
 
     def tensor(self, m: int) -> "LoopSide":
         old = self.alg
-        return LoopSide(LoopAlg(old.grid_size, old.fiber_dim * m, old.support_mask))
+        return LoopSide(LoopAlg(old.grid_size, old.fiber_dim * m, old.support_mask), self.tol)
 
     def random_elements(self, m: int, count: int, rng) -> ops.Stack:
         shape = (count, 2, self.alg.grid_size) + (self.alg.fiber_dim * m,) * 2
@@ -229,17 +235,18 @@ class LoopSide:
         r = np.moveaxis(g[:, 0] + 1j * g[:, 1], 0, -3)
         return ops.unit_summands(ops.Stack(r), 0.0)
 
-    def aug_diff(self, e: LoopElem, half: int, tol: Tol = DEFAULT_TOL) -> int:
+    def aug_diff(self, e: LoopElem, half: int) -> int:
         off = e.samples[~self.alg.mask]
         if off.size == 0:
             return 0
-        return matcore.rank(off.mean(axis=0), tol) - half
+        return matcore.rank(off.mean(axis=0), self.tol) - half
 
-    def trivialize(self, e: LoopElem, tol: Tol):
-        """arc_k0_trivialize(e, self.alg, tol): (rank, conjugator, constant)."""
-        return arc_k0_trivialize(e, self.alg, tol)
+    def trivialize(self, e: LoopElem):
+        """arc_k0_trivialize(e, self.alg, self.tol): (rank, conjugator,
+        constant)."""
+        return arc_k0_trivialize(e, self.alg, self.tol)
 
-    def boundary_class(self, t, half: int, tol: Tol = DEFAULT_TOL) -> K0Vec:
+    def boundary_class(self, t, half: int) -> K0Vec:
         r, _conj, _const = t
         if r != half:
             raise ExactnessViolation(
@@ -249,29 +256,30 @@ class LoopSide:
         # trivialization is the constructive witness that the class is zero.
         return K0Vec((), ())
 
-    def trivializer(self, t, half: int, tol: Tol = DEFAULT_TOL, seed: int = 0) -> LoopElem:
+    def trivializer(self, t, half: int, seed: int = 0) -> LoopElem:
         r, conj, _const = t
         if r != half:
             raise NoWitness(f"boundary class nonzero: off-support rank {r} != {half}")
         return conj
 
-    def k1(self, u: LoopElem, tol: Tol = DEFAULT_TOL) -> tuple:
-        return winding_k1(u, tol).entries
+    def k1(self, u: LoopElem) -> tuple:
+        return winding_k1(u).entries
 
 
-def make_side(obj):
+def make_side(obj, tol: Tol = DEFAULT_TOL):
+    """The membership side of an algebra, or of a side's algebra, at tol."""
     if isinstance(obj, (MatrixSide, LoopSide)):
-        return obj
+        obj = obj.alg
     if isinstance(obj, Subalg):
-        return MatrixSide(obj)
+        return MatrixSide(obj, tol)
     if isinstance(obj, LoopAlg):
-        return LoopSide(obj)
+        return LoopSide(obj, tol)
     raise InvalidInput(f"cannot build a membership side from {type(obj).__name__}")
 
 
 class Pair:
-    """The pair (C, D): its two membership sides over one carrier, the Tol
-    it was built at, and C cap D taken once.
+    """The pair (C, D): its two membership sides over one carrier, both
+    built at the pair's Tol, and C cap D taken once.
 
     ``inter`` is the side of C cap D, read off the two sides on first use.
     ``tensor(m)`` is the pair (C (x) M_m, D (x) M_m), built once per m and
@@ -288,11 +296,11 @@ class Pair:
     ``intersection_gap`` measures that identity on a matrix pair: the
     dimension of the pair's own principal-angle intersection minus that of
     its ``inter``, 0 when the identity holds.  It takes one intersection,
-    once per pair.
+    once per pair.  A loop pair has no principal angles: InvalidInput.
     """
 
     def __init__(self, c, d, tol: Tol = DEFAULT_TOL):
-        self.c, self.d = make_side(c), make_side(d)
+        self.c, self.d = make_side(c, tol), make_side(d, tol)
         if type(self.c) is not type(self.d):
             raise InvalidInput("cannot pair sides over different carriers")
         self.tol = tol
@@ -300,7 +308,7 @@ class Pair:
 
     @functools.cached_property
     def inter(self):
-        return self.c.intersect(self.d, self.tol)
+        return self.c.intersect(self.d)
 
     def tensor(self, m: int) -> "Pair":
         if m not in self._tensors:
@@ -312,18 +320,21 @@ class Pair:
 
     @functools.cached_property
     def intersection_gap(self) -> int:
-        return self.c.intersect(self.d, self.tol).alg.dim - self.inter.alg.dim
+        if not isinstance(self.c, MatrixSide):
+            raise InvalidInput("intersection gaps are measured over matrix carriers")
+        return self.c.intersect(self.d).alg.dim - self.inter.alg.dim
 
 
-def make_pair(c, d, tol: Tol = DEFAULT_TOL) -> Pair:
-    """The pair of an entry point: a Pair given in c's slot, with d None and
-    built at the caller's tol, as it is; otherwise the pair of the sides or
-    algebras c and d."""
+def make_pair(c, d, tol: Tol | None = None) -> Pair:
+    """The pair of an entry point: a Pair given in c's slot, with d None, as
+    it is, at its own Tol; otherwise the pair of the sides or algebras c and
+    d, at tol or DEFAULT_TOL.  A tol other than a given Pair's is
+    InvalidInput."""
     if not isinstance(c, Pair):
-        return Pair(c, d, tol)
+        return Pair(c, d, DEFAULT_TOL if tol is None else tol)
     if d is not None:
         raise InvalidInput("a Pair takes no second side")
-    if c.tol != tol:
+    if tol is not None and tol != c.tol:
         raise InvalidInput("the Pair was built at another Tol")
     return c
 
@@ -339,8 +350,8 @@ class IdealCert:
     measured = (commutator, C-membership, D-membership, and the two
     intersection-membership residuals), each normalized by the operator norm
     of the probed element and maximized over the probe set, over the pair
-    (C, D).  tol is the Tol they were measured at, which
-    tensor_scale_ideal_structure reads too.
+    (C, D), at its Tol: ``pair.tol``, which tensor_scale_ideal_structure
+    reads too.
     """
 
     h: object
@@ -348,7 +359,6 @@ class IdealCert:
     x_basis: list
     measured: tuple
     seed: int
-    tol: Tol
 
     @property
     def delta_level(self) -> float:
@@ -359,13 +369,14 @@ class IdealCert:
         return self.delta_level <= delta
 
 
-def check_delta_ideal_structure(h, c, d, x_basis, tol: Tol = DEFAULT_TOL,
+def check_delta_ideal_structure(h, c, d, x_basis, tol: Tol | None = None,
                                 seed: int = 0, random_probes: int = 50) -> IdealCert:
     """Measure how well (h, C, D) splits the subspace spanned by x_basis.
 
     The probes are the basis elements and random_probes random complex
     combinations of them, each scaled to unit norm, as the summands of one
-    stack; a probe of norm below 1e-12 is dropped.
+    stack; a probe of norm below 1e-12 is dropped.  (c, d) and tol make the
+    pair as :func:`make_pair` does.
     """
     check_contraction(h)
     pair = make_pair(c, d, tol)
@@ -391,7 +402,7 @@ def check_delta_ideal_structure(h, c, d, x_basis, tol: Tol = DEFAULT_TOL,
                 pair.inter.nearest(h_apply(h_hbar, x), unitized=False)[1],
                 pair.inter.nearest(h_apply(h2_hbar, x), unitized=False)[1])
     measured = tuple(map(float, measured))
-    return IdealCert(h, pair, basis, measured, seed, tol)
+    return IdealCert(h, pair, basis, measured, seed)
 
 
 def _dual_constant(x_basis, tol: Tol = DEFAULT_TOL) -> float:
@@ -415,7 +426,7 @@ def _dual_constant(x_basis, tol: Tol = DEFAULT_TOL) -> float:
 
 def tensor_scale_ideal_structure(cert: IdealCert, m: int):
     """Tensor an ideal structure with a full matrix factor M_m and recheck
-    at the certificate's Tol.
+    at the certificate's Tol, ``cert.pair.tol``.
 
     Returns (new_cert, m_x) and asserts the new residuals stay within
     m_x * delta of the input level, where m_x = n * M is computed from a
@@ -425,12 +436,12 @@ def tensor_scale_ideal_structure(cert: IdealCert, m: int):
     C cap D is the base intersection tensored (see :class:`Pair`), so no
     intersection is computed here.
     """
-    m_x = _dual_constant(cert.x_basis, cert.tol)
+    m_x = _dual_constant(cert.x_basis, cert.pair.tol)
     h2 = np.kron(_multiplier(cert.h), eye(m))
     units = [matcore.matrix_unit(m, i, j) for i in range(m) for j in range(m)]
     basis2 = [ops.like(x, np.kron(ops.arr(x), u)) for x in cert.x_basis for u in units]
     cert2 = check_delta_ideal_structure(h2, cert.pair.tensor(m), None, basis2,
-                                        cert.tol, seed=cert.seed)
+                                        seed=cert.seed)
     budget = m_x * cert.delta_level + 1e-9
     if cert2.delta_level > budget:
         raise ExactnessViolation(
@@ -453,8 +464,9 @@ class LiftCert:
     the boundary idempotent e = v * diag(1, 0) * v^-1 in the unitized
     intersection.  aug_diff is the scalar-rank mismatch that must vanish for
     the boundary class to live in the non-unitized K_0 group.  pair is the
-    pair (C, D) they were measured over, and tol the Tol they were measured
-    at; everything derived from the certificate reads both.
+    pair (C, D) they were measured over, at its Tol, ``pair.tol``:
+    everything derived from the certificate reads both, and the certificate
+    holds no Tol of its own.
 
     The certificate holds what is derived from it, as cached properties
     that are neither compared nor in the repr (dataclasses.replace gives a
@@ -475,7 +487,6 @@ class LiftCert:
     residual_int: float
     aug_diff: int
     pair: Pair
-    tol: Tol
 
     @property
     def delta_level(self) -> float:
@@ -492,19 +503,19 @@ class LiftCert:
             raise DefectTooLarge(f"lift level {self.delta_level:.3e} >= {funcalc.DELTA_MAX}")
         if self.aug_diff != 0:
             raise NotAClass(f"scalar-rank mismatch {self.aug_diff}: e has no class")
-        return self.pair.inter.trivialize(self.e, self.tol)
+        return self.pair.inter.trivialize(self.e)
 
     @functools.cached_property
     def boundary_class(self) -> K0Vec:
         """[e] - [1 (+) 0] in K_0(C cap D), with the exactness assertion that
         its pushforwards into K_0(C) and K_0(D) vanish."""
         half = ops.side_size(self.u)
-        out = self.pair.inter.boundary_class(self.trivialization, half, self.tol)
+        out = self.pair.inter.boundary_class(self.trivialization, half)
         if not out.blocks:
             # a class in the zero group has zero pushforwards
             return out
         for side in (self.pair.c, self.pair.d):
-            push = side.boundary_class(side.trivialize(self.e, self.tol), half, self.tol)
+            push = side.boundary_class(side.trivialize(self.e), half)
             if any(push.entries):
                 raise ExactnessViolation(f"pushforward {push.entries} is nonzero")
         return out
@@ -516,11 +527,12 @@ def _top_projection(u):
     return ops.block2(one, zero, zero, zero)
 
 
-def certify_lift(u, v, c, d=None, tol: Tol = DEFAULT_TOL) -> LiftCert:
-    """Measure the lift conditions for v against u over the pair (C, D)."""
+def certify_lift(u, v, c, d=None, tol: Tol | None = None) -> LiftCert:
+    """Measure the lift conditions for v against u over the pair (C, D),
+    made from (c, d) and tol as :func:`make_pair` does, at its Tol."""
     pair = make_pair(c, d, tol)
-    v_inv = ops.inv(v, tol)
-    u_inv = ops.inv(u, tol)
+    v_inv = ops.inv(v, pair.tol)
+    u_inv = ops.inv(u, pair.tol)
     norm_c = max(ops.norm(v), ops.norm(v_inv), ops.norm(u), ops.norm(u_inv))
     _, r_d = pair.d.nearest(v)
     _, r_c = pair.c.nearest(v @ ops.oplus(u_inv, u))
@@ -528,24 +540,25 @@ def certify_lift(u, v, c, d=None, tol: Tol = DEFAULT_TOL) -> LiftCert:
     _, r_int = pair.inter.nearest(e)
     # the scalar-rank mismatch decides whether the boundary class lands in
     # the non-unitized subgroup
-    aug = pair.inter.aug_diff(e, ops.side_size(u), tol)
+    aug = pair.inter.aug_diff(e, ops.side_size(u))
     return LiftCert(u, v, v_inv, e, float(norm_c), float(r_d), float(r_c),
-                    float(r_int), int(aug), pair, tol)
+                    float(r_int), int(aug), pair)
 
 
-def build_lift_v(u, h, c, d=None, tol: Tol = DEFAULT_TOL):
+def build_lift_v(u, h, c, d=None, tol: Tol | None = None):
     """The explicit lift v from an almost-splitting multiplier h.
 
     With a = h + (1-h)u and b = h + u^-1 (1-h), v is the four-factor
     elementary product X(a) Y(-b) X(a) J, evaluated in closed form as
     [[a(2-ba), ab-1], [1-ba, b]].  Degenerations: h = 1 gives v = 1 and
-    h = 0 gives the Whitehead block diag(u, u^-1).
+    h = 0 gives the Whitehead block diag(u, u^-1).  (c, d) and tol make the
+    pair as :func:`make_pair` does.
     """
     check_contraction(h)
     pair = make_pair(c, d, tol)
     one = ops.eye_like(u)
     y = u - one
-    u_inv = ops.inv(u, tol)
+    u_inv = ops.inv(u, pair.tol)
     z = u_inv - one
     a = one + h_apply(h_one_minus(h), y, "left")
     b = one + h_apply(h_one_minus(h), z, "right")
@@ -553,8 +566,7 @@ def build_lift_v(u, h, c, d=None, tol: Tol = DEFAULT_TOL):
     ba = b @ a
     two = ops.scal(2.0, one)
     v = ops.block2(a @ (two - ba), ab - one, one - ba, b)
-    cert = certify_lift(u, v, pair, tol=tol)
-    return v, cert
+    return v, certify_lift(u, v, pair)
 
 
 def check_inv_cut(u, h):
@@ -590,14 +602,16 @@ def boundary_class(cert: LiftCert, seed: int = 0) -> K0Vec:
     return cert.boundary_class
 
 
-def iota_lift(p, q, c, d=None, tol: Tol = DEFAULT_TOL, seed: int = 0):
+def iota_lift(p, q, c, d=None, tol: Tol | None = None, seed: int = 0):
     """Exact lift data for a K_0 difference [p] - [q] that dies in both
     K_0(C) and K_0(D).
 
     Returns (u, v, cert) with u = (1-p) u_C^-1 + p u_D^-1 and the closed-form
-    block v; the boundary class of the result is [p] - [q].
+    block v; the boundary class of the result is [p] - [q].  (c, d) and tol
+    make the pair as :func:`make_pair` does.
     """
     pair = make_pair(c, d, tol)
+    tol = pair.tol
     p = as_matrix(p)
     q = as_matrix(q)
     try:
@@ -610,8 +624,7 @@ def iota_lift(p, q, c, d=None, tol: Tol = DEFAULT_TOL, seed: int = 0):
     u_d_inv = matcore.invert(u_d, tol)
     u = (one - p) @ u_c_inv + p @ u_d_inv
     v = ops.block2(p @ u_d_inv, p - one, one - q, u_d @ p)
-    cert = certify_lift(u, v, pair, tol=tol)
-    return u, v, cert
+    return u, v, certify_lift(u, v, pair)
 
 
 def boxplus_permutation(sizes: list[int]) -> np.ndarray:
@@ -636,8 +649,7 @@ def boxplus(lifts):
     if not all(isinstance(lf, LiftCert) for lf in lifts):
         raise InvalidInput("boxplus expects LiftCert inputs")
     first = lifts[0]
-    tol = first.tol
-    if any(lf.tol != tol for lf in lifts):
+    if any(lf.pair.tol != first.pair.tol for lf in lifts):
         raise InvalidInput("boxplus expects lifts certified at one Tol")
     if any(lf.pair.c.alg is not first.pair.c.alg or lf.pair.d.alg is not first.pair.d.alg
            for lf in lifts):
@@ -646,14 +658,12 @@ def boxplus(lifts):
     v_sum = functools.reduce(ops.oplus, [lf.v for lf in lifts])
     p = boxplus_permutation([ops.side_size(lf.u) for lf in lifts])
     v = ops.like(v_sum, ops.arr(v_sum)[..., p[:, None], p])
-    cert = certify_lift(u, v, first.pair, tol=tol)
-    return u, v, cert
+    return u, v, certify_lift(u, v, first.pair)
 
 
 def inverse_lift(cert: LiftCert) -> LiftCert:
     """Certificate for v^-1 as a lift of u^-1, at the certificate's Tol."""
-    return certify_lift(ops.inv(cert.u, cert.tol), cert.v_inv, cert.pair,
-                        tol=cert.tol)
+    return certify_lift(ops.inv(cert.u, cert.pair.tol), cert.v_inv, cert.pair)
 
 
 # ---------------------------------------------------------------------------
@@ -677,13 +687,12 @@ def sigma_witness(cert: LiftCert, eps: float, seed: int = 0) -> SigmaWitness:
     u x^-1 in_eps unitized C, following the trivialize-then-cut-corners
     construction on the lift's held trivialization, at its Tol.
     """
-    tol = cert.tol
     n = ops.side_size(cert.u)
-    w = cert.pair.inter.trivializer(cert.trivialization, n, tol, seed)
+    w = cert.pair.inter.trivializer(cert.trivialization, n, seed)
     wv = w @ cert.v
     x, top_right, bot_left, _y = ops.corner_blocks(wv, n)
     offdiag = max(ops.norm(top_right), ops.norm(bot_left))
-    x_inv = ops.inv(x, tol)
+    x_inv = ops.inv(x, cert.pair.tol)
     factor = cert.u @ x_inv
     _, r_d = cert.pair.d.nearest(x)
     _, r_c = cert.pair.c.nearest(factor)
@@ -691,7 +700,7 @@ def sigma_witness(cert: LiftCert, eps: float, seed: int = 0) -> SigmaWitness:
     if not np.max([r_d, r_c]) <= eps:
         raise ReconstructionFailed((float(r_d), float(r_c)))
     k1 = cert.pair.inter.k1
-    wu, wx, wf = k1(cert.u, tol), k1(x, tol), k1(factor, tol)
+    wu, wx, wf = k1(cert.u), k1(x), k1(factor)
     if tuple(a + b for a, b in zip(wf, wx)) != wu:
         raise ReconstructionFailed((wf, wx, wu),
                                    f"winding bookkeeping {wf} + {wx} != {wu}")
@@ -702,9 +711,10 @@ def sigma_witness(cert: LiftCert, eps: float, seed: int = 0) -> SigmaWitness:
 # homotopy discretization and Whitehead splittings
 
 
-def _homotopy_stacks(u_path):
+def _homotopy_stacks(u_path, tol: Tol = DEFAULT_TOL):
     """Stacks (a, b, defect) behind discretize_homotopy: a holds the
-    summands path_i^-1 (i >= 1) and b the summands path_i."""
+    summands path_i^-1 (i >= 1), inverted at tol, and b the summands
+    path_i."""
     max_step = 0.5
     if len(u_path) < 2:
         raise InvalidInput("need at least two path samples")
@@ -719,7 +729,7 @@ def _homotopy_stacks(u_path):
     if coarse.size:
         i = int(coarse[0])
         raise PathTooCoarse(i, f"step {steps[i]:.3e} >= {max_step:.3e}")
-    q = matcore.invert(p)
+    q = matcore.invert(p, tol)
     # u_0 (+) 1 - (1_n (+) a (+) a^-1 (+) 1_n)(b (+) b^-1) is block diagonal:
     # 0, then 1 - q_i p_i, 1 - p_i q_(i-1) for i = 1..m, and 1 - q_m
     blocks = np.concatenate([q[..., 1:, :, :] @ p[..., 1:, :, :],
@@ -890,7 +900,7 @@ def _maxima(rows: np.ndarray) -> tuple[float, float]:
     return float(np.max(np.delete(rows, np.s_[1:5]))), float(np.max(rows))
 
 
-def whitehead_split(a, h, c, d=None, tol: Tol = DEFAULT_TOL,
+def whitehead_split(a, h, c, d=None, tol: Tol | None = None,
                     t_steps: int = 32) -> WhiteheadCert:
     """Split diag(a, a^-1) as a product of a near-C and a near-D invertible,
     with polynomial homotopies of both factors to the identity.
@@ -914,7 +924,8 @@ def whitehead_split(a, h, c, d=None, tol: Tol = DEFAULT_TOL,
     factors (regrouped by :func:`boxplus_permutation`), so its paths hold
     stacks of those factors, and every certificate field, a norm or a
     membership residual of a block-diagonal element, is the max over the
-    summands.
+    summands.  (c, d) and tol make the pair as :func:`make_pair` does, and
+    a^-1 is taken at its Tol.
     """
     if t_steps < 1:
         raise InvalidInput(f"t_steps must be >= 1, got {t_steps}")
@@ -925,7 +936,7 @@ def whitehead_split(a, h, c, d=None, tol: Tol = DEFAULT_TOL,
     # input validation that LoopElem and as_matrix repeat on every operation
     s = ops.Stack(ops.arr(a)[..., None, :, :]) if lone else a
     one = ops.eye_like(s)
-    s_inv = ops.inv(s, tol)
+    s_inv = ops.inv(s, pair.tol)
     c_norm = max(ops.norm(s), ops.norm(s_inv))
     bound = (3.0 + c_norm) ** 5
     target = ops.arr(ops.oplus(s, s_inv))
@@ -996,7 +1007,7 @@ def _path_band(factors: ops.Stack, start: int, size: int) -> matcore.Band:
     return matcore.band_block_diag(fa, start, size)
 
 
-def sigma_reconstruct(u_path, u_c, u_d, h, c, d=None, tol: Tol = DEFAULT_TOL,
+def sigma_reconstruct(u_path, u_c, u_d, h, c, d=None, tol: Tol | None = None,
                       seed: int = 0, uniform_constant: float = 3.0,
                       whitehead_t_steps: int = 8) -> SigmaReconstruct:
     """Reconstruct a class over the intersection inducing (u_C, u_D).
@@ -1017,16 +1028,19 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d=None, tol: Tol = DEFAULT_TOL,
     on the samples where x differs from the identity: elsewhere x^-1 = 1
     exactly, so the maxima and every raise are those of the whole frame.
 
-    seed reaches nothing: no step of the reconstruction is random.  It is
-    kept for callers that pass it.
+    (c, d) and tol make the pair as :func:`make_pair` does, and every
+    inverse, the path's included, is taken at its Tol.  seed reaches
+    nothing: no step of the reconstruction is random.  It is kept for
+    callers that pass it.
     """
     pair = make_pair(c, d, tol)
-    a, b, defect = _homotopy_stacks(u_path)
+    tol = pair.tol
+    a, b, defect = _homotopy_stacks(u_path, tol)
     u0 = u_path[0]
     n = ops.side_size(u0)
     m = ops.arr(a).shape[-3]
     size = 2 * (m + 1) * n
-    wc_a, wc_b = (whitehead_split(s, h, pair, tol=tol, t_steps=whitehead_t_steps)
+    wc_a, wc_b = (whitehead_split(s, h, pair, t_steps=whitehead_t_steps)
                   for s in (a, b))
     for name, wc in (("a", wc_a), ("b", wc_b)):
         if not wc.certified:
@@ -1081,7 +1095,7 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d=None, tol: Tol = DEFAULT_TOL,
         raise ReconstructionFailed(
             unstable, f"unstable inverse for x = 1 + y: residual {unstable:.3e}")
     windings = None
-    if pair.inter.k1(ops.eye_like(u_c), tol):
+    if pair.inter.k1(ops.eye_like(u_c)):
         # k1 is () exactly when K_1 is the zero group and there are no
         # windings to book.  The truncation concentrates the winding of x
         # on narrow arcs where sampled determinants alias; read it off the
@@ -1101,7 +1115,7 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d=None, tol: Tol = DEFAULT_TOL,
                 )
         # the embedding u (+) 1 keeps the determinant of u
         wx, wx_d = (det_winding(matcore.band_det(t)).entries[0] for t in (t_c, t_d))
-        wuc, wud = (pair.inter.k1(u, tol)[0] for u in (u_c, u_d))
+        wuc, wud = (pair.inter.k1(u)[0] for u in (u_c, u_d))
         if wx != wx_d or wx != wuc or wx != -wud:
             raise ReconstructionFailed(
                 (wx, wx_d, wuc, wud),
@@ -1128,7 +1142,7 @@ class UniformityReport:
 
 
 def uniformity_probe(c, d=None, sample_count: int = 50, b_dims=(1, 2, 3),
-                     seed: int = 0, tol: Tol = DEFAULT_TOL) -> UniformityReport:
+                     seed: int = 0, tol: Tol | None = None) -> UniformityReport:
     """Empirical f-uniformity data for the pair (C, D).
 
     Draws c in C (tensor M_m), its projection d in D, and measures how well
@@ -1136,7 +1150,7 @@ def uniformity_probe(c, d=None, sample_count: int = 50, b_dims=(1, 2, 3),
 
     The intersection is the pair's, taken once, and for each m > 1 the
     tensored pair's, which is the base intersection tensored (see
-    :class:`Pair`).
+    :class:`Pair`).  (c, d) and tol make the pair as :func:`make_pair` does.
     """
     pair = make_pair(c, d, tol)
     if sample_count < 0:

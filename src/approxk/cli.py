@@ -158,10 +158,9 @@ def _lift_for(scn: dict, tol: Tol, seed: int):
     if "lift" not in scn:
         pair = _pair_for(scn, tol)
         if scn["name"] == "twisted_pair":
-            _, _, scn["lift"] = boundary.iota_lift(scn["p"], scn["q"], pair, tol=tol,
-                                                   seed=seed)
+            _, _, scn["lift"] = boundary.iota_lift(scn["p"], scn["q"], pair, seed=seed)
         elif "u" in scn:
-            _, scn["lift"] = boundary.build_lift_v(scn["u"], scn["h"], pair, tol=tol)
+            _, scn["lift"] = boundary.build_lift_v(scn["u"], scn["h"], pair)
         else:
             raise SchemaError(f"scenario {scn['given']} has no lift")
     return scn["lift"]
@@ -171,7 +170,7 @@ def check_ideal_structure(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
     if "h" not in scn:
         raise SchemaError(f"scenario {scn['given']} has no multiplier h")
     cert = boundary.check_delta_ideal_structure(
-        scn["h"], _pair_for(scn, tol), None, scn["x_basis"], tol, seed=seed
+        scn["h"], _pair_for(scn, tol), None, scn["x_basis"], seed=seed
     )
     level = cert.delta_level
     budget = _number(params, "delta", 1e-6)
@@ -234,12 +233,12 @@ def check_sigma_witness(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
         "passed": max(wit.residual_d, wit.residual_c) <= eps,
     }
     k1 = cert.pair.inter.k1
-    wx = k1(wit.x, cert.tol)
+    wx = k1(wit.x)
     if wx:
         rec["windings"] = {
             "x": wx[0],
-            "factor": k1(wit.factor, cert.tol)[0],
-            "u": k1(cert.u, cert.tol)[0],
+            "factor": k1(wit.factor)[0],
+            "u": k1(cert.u)[0],
         }
     return rec
 
@@ -252,7 +251,7 @@ def check_whitehead(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
         one = np.eye(scn["c"].ambient_dim, dtype=complex)
         x = scn["c"].project(np.diag(np.linspace(0.1, 0.3, scn["c"].ambient_dim)))
         a = one + x
-    cert = boundary.whitehead_split(a, scn["h"], _pair_for(scn, tol), tol=tol)
+    cert = boundary.whitehead_split(a, scn["h"], _pair_for(scn, tol))
     eps = _number(params, "eps", 0.1)
     # the gates read the bounds over all t in [0, 1]
     ok = (cert.certified and cert.membership_c_upper <= eps
@@ -275,8 +274,7 @@ def check_whitehead(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
 
 def check_uniformity(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
     count = _number(params, "samples", 50, int, minimum=1)
-    rep = boundary.uniformity_probe(_pair_for(scn, tol), sample_count=count,
-                                    seed=seed, tol=tol)
+    rep = boundary.uniformity_probe(_pair_for(scn, tol), sample_count=count, seed=seed)
     limit = _number(params, "ratio_max", 3.0)
     return {
         "check": "uniformity",

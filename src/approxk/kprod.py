@@ -60,7 +60,7 @@ class ProductCheck:
 
 def boundary_product_check(cert: LiftCert, p, m: int, seed: int = 0) -> ProductCheck:
     """Compare d_v(u) x [p] with d_{v box p}(u box p) over the tensored pair,
-    at the certificate's Tol.
+    at the certificate's Tol, ``cert.pair.tol``.
 
     Both sides are computed in K_0((C cap D) (x) M_m); the left side is the
     boundary class that the input lift holds, scaled by the rank of p, the
@@ -73,13 +73,12 @@ def boundary_product_check(cert: LiftCert, p, m: int, seed: int = 0) -> ProductC
     p = as_matrix(p)
     if p.shape != (m, m):
         raise InvalidInput(f"p must be {m}x{m}")
-    tol = cert.tol
-    rank_p = matcore.rank(p, tol)
+    rank_p = matcore.rank(p, cert.pair.tol)
     base = boundary.boundary_class(cert)
     lhs = tuple(entry * rank_p for entry in base.entries)
 
     pair2 = cert.pair.tensor(m)
-    cert2 = certify_lift(box_times(cert.u, p), box_times(cert.v, p), pair2, tol=tol)
+    cert2 = certify_lift(box_times(cert.u, p), box_times(cert.v, p), pair2)
     rhs = boundary.boundary_class(cert2).entries
     return ProductCheck(lhs, tuple(rhs), tuple(lhs) == tuple(rhs), cert2,
                         int(pair2.intersection_gap))

@@ -155,7 +155,7 @@ def power_z(alg: LoopAlg, n: int, amp: int = 1) -> LoopElem:
     return LoopElem(out)
 
 
-def winding_k1(u: LoopElem, tol: Tol = DEFAULT_TOL) -> K1Vec:
+def winding_k1(u: LoopElem) -> K1Vec:
     """Determinant winding number of a loop of invertibles."""
     return det_winding(np.linalg.det(u.samples))
 

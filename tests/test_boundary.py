@@ -169,10 +169,10 @@ def test_rounding_that_breaks_its_bound_raises(monkeypatch):
     # Riesz bound, beyond a planted bound of 0
     side = boundary.make_side(scenarios.block_ideal_pair()["c"])
     e = (1.0 + 1e-6) * np.diag([1.0] * 6 + [0.0] * 6).astype(complex)
-    assert not any(side.boundary_class(side.trivialize(e, Tol()), 6).entries)
+    assert not any(side.boundary_class(side.trivialize(e), 6).entries)
     monkeypatch.setattr(funcalc, "riesz_bound", lambda delta, c: 0.0)
     with pytest.raises(RoundingUnstable, match="beyond its bound"):
-        side.trivialize(e, Tol())
+        side.trivialize(e)
 
 
 # ---------------------------------------------------------------------------
@@ -243,16 +243,16 @@ def _matrix_aug_diffs():
     # the augmentation of block_pair's middle block is 1 on the unit, so the
     # scalar part of diag(1, 1e-6) (x) 1_6 is diag(1, 1e-6)
     blk = scenarios.block_ideal_pair()
-    side = boundary.Pair(blk["c"], blk["d"]).inter
     e = np.kron(np.diag([1.0, 1e-6]), np.eye(6)).astype(complex)
-    return side.aug_diff(e, 6), side.aug_diff(e, 6, COARSE)
+    return tuple(boundary.Pair(blk["c"], blk["d"], tol).inter.aug_diff(e, 6)
+                 for tol in (Tol(), COARSE))
 
 
 def _loop_aug_diffs():
     scn = scenarios.circle_split(grid=16, fiber=2)
-    side = boundary.Pair(scn["c"], scn["d"]).inter
     e = LoopElem(np.tile(np.diag([1.0, 1e-6]).astype(complex), (16, 1, 1)))
-    return side.aug_diff(e, 1), side.aug_diff(e, 1, COARSE)
+    return tuple(boundary.Pair(scn["c"], scn["d"], tol).inter.aug_diff(e, 1)
+                 for tol in (Tol(), COARSE))
 
 
 AUG_SITES = {"MatrixSide.aug_diff": _matrix_aug_diffs, "LoopSide.aug_diff": _loop_aug_diffs}
@@ -261,7 +261,7 @@ AUG_SITES = {"MatrixSide.aug_diff": _matrix_aug_diffs, "LoopSide.aug_diff": _loo
 @pytest.mark.parametrize("site", list(AUG_SITES))
 def test_aug_diff_uses_the_callers_tol(site):
     # the scalar part's singular values are (1, 1e-6): rank 2 at the default
-    # rank_rel_tol 1e-8, and rank 1 at the caller's 1e-4
+    # rank_rel_tol 1e-8, and rank 1 over a pair built at 1e-4
     assert AUG_SITES[site]() == (1, 0)
 
 
@@ -273,8 +273,9 @@ def test_tensor_scale_uses_the_certificates_tol():
     cert = boundary.check_delta_ideal_structure(block_h(), blk["c"], blk["d"],
                                                 [x, x + 1e-6 * y])
     boundary.tensor_scale_ideal_structure(cert, 2)
+    coarse = dataclasses.replace(cert, pair=boundary.Pair(blk["c"], blk["d"], COARSE))
     with pytest.raises(InvalidInput):
-        boundary.tensor_scale_ideal_structure(dataclasses.replace(cert, tol=COARSE), 2)
+        boundary.tensor_scale_ideal_structure(coarse, 2)
 
 
 @pytest.mark.parametrize("fn", [
@@ -313,6 +314,10 @@ def test_pair_holds_its_intersection_and_tensored_pairs(carrier, count_calls):
     else:
         assert inter.alg.fiber_dim == 2
         assert np.array_equal(inter.alg.mask, pair.inter.alg.mask)
+        # a loop pair has no principal angles to measure the identity by
+        with pytest.raises(InvalidInput, match="matrix carrier"):
+            pair.intersection_gap
+        assert len(calls) == 1
 
 
 def test_make_pair_takes_a_pair_or_two_sides():
@@ -335,6 +340,156 @@ def test_make_pair_takes_a_pair_or_two_sides():
         boundary.Pair(boundary.make_side(loop["c"]), scn["d"])
     with pytest.raises(InvalidInput):
         boundary.make_pair(scn["c"], None, Tol())
+
+
+# a Tol that differs from DEFAULT_TOL in the fields the inverses and the
+# membership residuals read, at which every bundled construction still runs
+FINE = Tol(membership_tol=1e-10, invert_cond_max=1e11)
+
+
+def test_a_held_pair_brings_its_tol():
+    # a held pair needs no restated tol, and what is derived from a lift over
+    # it is recertified at its Tol: the certificate holds no Tol of its own
+    scn = scenarios.twisted_pair()
+    pair = boundary.Pair(scn["c"], scn["d"], FINE)
+    _, _, cert = boundary.iota_lift(scn["p"], scn["q"], pair)
+    assert cert.pair is pair and cert.pair.tol == FINE
+    assert boundary.iota_lift(scn["p"], scn["q"], pair, tol=FINE)[2].pair is pair
+    inv, double = boundary.inverse_lift(cert), boundary.boxplus([cert, cert])[2]
+    for derived in (inv, double):
+        assert derived.pair is pair and derived.valid_at(1e-9)
+    assert boundary.boundary_class(inv).entries == (-1, 1)
+    assert boundary.boundary_class(double).entries == (2, -2)
+    blk = scenarios.block_ideal_pair()
+    ideal = boundary.check_delta_ideal_structure(
+        block_h(), boundary.Pair(blk["c"], blk["d"], FINE), None, [np.eye(6, dtype=complex)])
+    assert ideal.pair.tol == FINE
+    assert boundary.tensor_scale_ideal_structure(ideal, 2)[0].pair.tol == FINE
+    for held in (cert, ideal):
+        with pytest.raises(TypeError):
+            dataclasses.replace(held, tol=FINE)
+
+
+def _bundled_pair(carrier, tol):
+    """(scn, pair): block_pair, or circle_split's grid-16 carrier with a
+    homotopy of u_C, and its pair at tol."""
+    if carrier == "matrix":
+        scn = scenarios.block_ideal_pair()
+    else:
+        scn = scenarios.circle_split(grid=16, overlap=0.25 * np.pi)
+        scn["path"] = scenarios.circle_split_homotopy(scn, steps=96)
+    return scn, boundary.Pair(scn["c"], scn["d"], tol)
+
+
+def _entry_point_calls(scn, pair):
+    """call(tol) for each entry point that makes a pair, called on the held
+    pair with its other arguments from scn."""
+    one = np.eye(6, dtype=complex)
+    if isinstance(pair.c, boundary.LoopSide):
+        return [
+            lambda tol: boundary.build_lift_v(scn["u"], scn["h"], pair, tol=tol),
+            lambda tol: boundary.sigma_reconstruct(scn["path"], scn["u_c"], scn["u_d"],
+                                                   scn["h"], pair, tol=tol, whitehead_t_steps=1),
+        ]
+    return [
+        lambda tol: boundary.check_delta_ideal_structure(block_h(), pair, None, [one], tol),
+        lambda tol: boundary.certify_lift(one, np.eye(12), pair, tol=tol),
+        lambda tol: boundary.build_lift_v(one, block_h(), pair, tol=tol),
+        lambda tol: boundary.whitehead_split(1.1 * one, block_h(), pair, tol=tol),
+        lambda tol: boundary.uniformity_probe(pair, sample_count=2, tol=tol),
+    ]
+
+
+@pytest.mark.parametrize("carrier", ["matrix", "loop"])
+def test_entry_points_refuse_a_tol_other_than_the_pairs(carrier):
+    # a held pair brings its Tol: no tol, or the pair's own, is accepted, and
+    # an explicit other one is refused
+    for call in _entry_point_calls(*_bundled_pair(carrier, FINE)):
+        call(None)
+        call(FINE)
+        with pytest.raises(InvalidInput, match="another Tol"):
+            call(Tol())
+
+
+# the steps that read a Tol to invert, round or trivialize, with the owner
+# each is looked up on; tensor_scale_ideal_structure reads its Tol in
+# _dual_constant, the rank of its unit-scaled probes
+TOL_STEPS = ((matcore, "invert"), (matcore, "band_invert"), (funcalc, "riesz_idempotent"),
+             (boundary, "arc_k0_trivialize"), (boundary, "_dual_constant"))
+
+
+def _tols_reaching_steps(monkeypatch, run):
+    """{step: [the Tol of each call]} over the steps of TOL_STEPS, for run()."""
+    seen = {name: [] for _, name in TOL_STEPS}
+    for owner, name in TOL_STEPS:
+        real = getattr(owner, name)
+        sig = inspect.signature(real)
+
+        def recorded(*args, real=real, sig=sig, name=name, **kwargs):
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen[name].append(bound.arguments["tol"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recorded)
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+def _twisted_lift():
+    scn = scenarios.twisted_pair()
+    return boundary.iota_lift(scn["p"], scn["q"], boundary.Pair(scn["c"], scn["d"], FINE))[2]
+
+
+def _loop_lift():
+    scn = scenarios.circle_split(grid=64)
+    return boundary.build_lift_v(scn["u"], scn["h"], boundary.Pair(scn["c"], scn["d"], FINE))[1]
+
+
+def _ideal_cert():
+    scn = scenarios.block_ideal_pair()
+    return boundary.check_delta_ideal_structure(
+        block_h(), boundary.Pair(scn["c"], scn["d"], FINE), None,
+        [matrix_unit(6, 0, 0), matrix_unit(6, 2, 2)])
+
+
+def _reconstruct():
+    scn, pair = _bundled_pair("loop", FINE)
+    return boundary.sigma_reconstruct(scn["path"], scn["u_c"], scn["u_d"], scn["h"], pair,
+                                      whitehead_t_steps=1)
+
+
+# each construction over a pair at FINE: what it makes (build), and what it
+# then runs (run), which takes the built object
+PER_STEP = {
+    "iota_lift": (lambda: None, lambda _: _twisted_lift()),
+    "build_lift_v": (lambda: None, lambda _: _loop_lift()),
+    "boundary_class.matrix": (_twisted_lift, lambda c: c.boundary_class),
+    "boundary_class.loop": (_loop_lift, lambda c: c.boundary_class),
+    "inverse_lift": (_twisted_lift, boundary.inverse_lift),
+    "boxplus": (_twisted_lift, lambda c: boundary.boxplus([c, c])),
+    "sigma_witness": (_loop_lift, lambda c: boundary.sigma_witness(c, eps=0.05)),
+    "boundary_product_check": (_twisted_lift,
+                               lambda c: kprod.boundary_product_check(c, np.eye(2), 2)),
+    "tensor_scale_ideal_structure": (_ideal_cert,
+                                     lambda c: boundary.tensor_scale_ideal_structure(c, 2)),
+    "sigma_reconstruct": (lambda: None, lambda _: _reconstruct()),
+}
+
+
+@pytest.mark.parametrize("name", list(PER_STEP))
+def test_every_step_reads_the_pairs_tol(monkeypatch, name):
+    # a pair at FINE: every inverse, rounding and trivialization that the
+    # construction runs, and the probe rank of the tensored ideal check,
+    # reads FINE, and at least one of them runs
+    build, run = PER_STEP[name]
+    built = build()
+    seen = _tols_reaching_steps(monkeypatch, lambda: run(built))
+    tols = [tol for step in seen.values() for tol in step]
+    assert tols, name
+    # per step: (calls at FINE, calls)
+    assert all(tol == FINE for tol in tols), {k: (v.count(FINE), len(v)) for k, v in seen.items()}
 
 
 def test_no_class_from_a_failing_lift():
@@ -362,8 +517,9 @@ def test_boxplus_refuses_lifts_at_different_tols():
     scn = scenarios.twisted_pair()
     _, _, cert = boundary.iota_lift(scn["p"], scn["q"], scn["c"], scn["d"])
     boundary.boxplus([cert, dataclasses.replace(cert)])
+    coarse = dataclasses.replace(cert, pair=boundary.Pair(scn["c"], scn["d"], COARSE))
     with pytest.raises(InvalidInput, match="one Tol"):
-        boundary.boxplus([cert, dataclasses.replace(cert, tol=COARSE)])
+        boundary.boxplus([cert, coarse])
 
 
 def test_boxplus_refuses_lifts_over_different_algebras():
@@ -507,10 +663,10 @@ def _reconstruct_passes(monkeypatch, plant, site):
 NAN_SITES = {
     "LiftCert.delta_level": lambda mp, plant: boundary.LiftCert(
         None, None, None, None, 1.0, 0.0, np.nan if plant else 0.0, 0.0, 0,
-        None, Tol()).valid_at(1e-9),
+        None).valid_at(1e-9),
     "IdealCert.delta_level": lambda mp, plant: boundary.IdealCert(
         None, None, [], (0.0, np.nan if plant else 0.0, 0.0, 0.0, 0.0),
-        0, Tol()).valid_at(1e-9),
+        0).valid_at(1e-9),
     # a sampled row also enters its bound, so a NaN on a sample fails the
     # gate that reads the bound
     "whitehead_split.norm_max": lambda mp, plant: _whitehead_passes(mp, plant, 1, 6),
@@ -591,8 +747,8 @@ def test_sigma_witness_circle_split():
 def test_loop_side_trivializes_each_idempotent_once_per_lift(count_calls):
     # a lift holds its trivialization: its boundary class and sigma witness
     # share one trivialization of its e.  The inverse lift shares the pair
-    # but is another lift, and a fresh holder of the same lift, here at
-    # another Tol, trivializes again
+    # but is another lift, and a fresh holder of the same lift, here over a
+    # pair at another Tol, trivializes again, at that Tol
     scn = scenarios.circle_split(grid=64)
     _, cert = boundary.build_lift_v(scn["u"], scn["h"], scn["c"], scn["d"])
     calls = count_calls("arc_k0_trivialize", boundary)
@@ -604,7 +760,8 @@ def test_loop_side_trivializes_each_idempotent_once_per_lift(count_calls):
     assert inv.pair is cert.pair
     assert boundary.boundary_class(inv).entries == ()
     assert len(calls) == 2 and calls[1][0] is inv.e
-    fresh = dataclasses.replace(cert, tol=Tol(membership_tol=1e-10))
+    fine = boundary.Pair(scn["c"], scn["d"], Tol(membership_tol=1e-10))
+    fresh = dataclasses.replace(cert, pair=fine)
     assert boundary.boundary_class(fresh).entries == ()
     assert len(calls) == 3 and calls[2][0] is cert.e
     assert calls[2][2] == Tol(membership_tol=1e-10)

@@ -651,14 +651,14 @@ def looped_random_element(side, m: int, rng):
 def looped_uniformity_probe(c, d, sample_count: int = 50, b_dims=(1, 2, 3),
                             seed: int = 0, tol=matcore.DEFAULT_TOL):
     """uniformity_probe one sample at a time; returns (samples, ratios, sup)."""
-    c_side = boundary.make_side(c)
-    d_side = boundary.make_side(d)
+    c_side = boundary.make_side(c, tol)
+    d_side = boundary.make_side(d, tol)
     rng = np.random.default_rng(seed)
     samples = []
     ratios = []
     for m in b_dims:
         cm, dm = (c_side, d_side) if m == 1 else (c_side.tensor(m), d_side.tensor(m))
-        im = cm.intersect(dm, tol)
+        im = cm.intersect(dm)
         for _ in range(sample_count):
             r = looped_random_element(c_side, m, rng)
             cc, _ = cm.nearest(r, unitized=False)

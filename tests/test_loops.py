@@ -409,7 +409,7 @@ def test_arc_trivialization_takes_few_norm_calls(count_calls, grid):
     scn = scenarios.circle_split(grid=grid)
     _, cert = boundary.build_lift_v(scn["u"], scn["h"], scn["c"], scn["d"])
     calls = count_calls("op_norms", matcore)
-    arc_k0_trivialize(cert.e, cert.pair.inter.alg, cert.tol)
+    arc_k0_trivialize(cert.e, cert.pair.inter.alg, cert.pair.tol)
     assert len(calls) == 7
 
 
