@@ -27,9 +27,12 @@ scale: a / s has an entry of modulus 1 and none larger, so p + q lies in
 terms, so their relative error is O(eps), and r's absolute error is
 O(eps); lam is the sum of two nonnegative terms and at least (p + q)/2, so
 these absolute errors are O(eps) relative to lam, and sqrt halves them.
-Other sides take the SVD.  :func:`matmul` is the product over leading
-axes; for 2 x 2 factors it is the sum of two broadcast outer products, with
-no BLAS call per matrix.
+Other sides take one LAPACK SVD per matrix, values only, and read the top
+singular value directly.  A construction that needs several norms stacks
+its matrices with :func:`as_stack`, which checks the stack for non-finite
+entries once, and takes all of them in one :func:`op_norms` call.
+:func:`matmul` is the product over leading axes; for 2 x 2 factors it is
+the sum of two broadcast outer products, with no BLAS call per matrix.
 
 Banded matrices are :class:`Band` values in LAPACK general band storage,
 over any leading axes.  The band kernels are :func:`band` (from a dense
@@ -88,7 +91,17 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise InvalidInput(f"expected a nonempty 2-d matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
+        raise InvalidInput("matrix has non-finite entries")
+    return a
+
+
+def as_stack(mats) -> np.ndarray:
+    """Stack equal-shaped matrices along a new leading axis as one complex
+    array, rejecting NaN/Inf as :func:`as_matrix` does; a construction that
+    needs several norms passes the stack to one :func:`op_norms` call."""
+    a = np.array(mats, dtype=complex)
+    if not np.isfinite(a).all():
         raise InvalidInput("matrix has non-finite entries")
     return a
 
@@ -102,13 +115,17 @@ def op_norms(a) -> np.ndarray:
 
     Side 1 is |a|.  Side 2 scales each matrix by s, its largest entry
     modulus, and reads s sqrt(lam) off the top eigenvalue lam of the Gram
-    matrix [[p, r], [r*, q]] of the scaled matrix; any other shape takes a
-    LAPACK SVD per matrix."""
+    matrix [[p, r], [r*, q]] of the scaled matrix.  Any other shape takes
+    one LAPACK SVD per matrix, values only, and reads the top singular value
+    directly: LAPACK returns them in descending order, so this is the
+    maximum that numpy's matrix 2-norm takes of the same values, without
+    that wrapper's cost.  A lone matrix and a stack go through the same
+    call, so a norm never depends on what it was stacked with."""
     a = np.asarray(a)
     if a.shape[-2:] == (1, 1):
         return np.abs(a[..., 0, 0])
     if a.shape[-2:] != (2, 2):
-        return np.linalg.norm(a, 2, axis=(-2, -1))
+        return np.linalg.svd(a, compute_uv=False)[..., 0]
     mod = np.abs(a)
     # the entrywise maximum of the four moduli: a reduction over the two
     # small matrix axes costs more than the rest of the closed form
@@ -187,8 +204,8 @@ def eig(m, tol: Tol = DEFAULT_TOL):
     v_inv, cv = _inverse_cond(v)
     if not cv <= tol.invert_cond_max:
         raise DefectiveMatrix(f"eigenvector basis condition {cv:.3e}")
-    resid = op_norm(v @ np.diag(lam) @ v_inv - a)
-    scale = max(1.0, op_norm(a))
+    resid, norm_a = op_norms(as_stack([v @ np.diag(lam) @ v_inv - a, a])).tolist()
+    scale = max(1.0, norm_a)
     if resid > 1e-8 * scale * max(1.0, cv):
         raise DefectiveMatrix(f"eigendecomposition residual {resid:.3e}")
     return lam, v, v_inv

@@ -87,7 +87,7 @@ class Subspace:
         if k < 1 or x.shape[-2:] != (k * n, k * n):
             raise InvalidInput(
                 f"element shape {x.shape} is not a square multiple of {n}")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise InvalidInput("element has non-finite entries")
         lead = x.shape[:-2]
         blocks = x.reshape(lead + (k, n, k, n)).swapaxes(-3, -2).reshape(-1, n * n)

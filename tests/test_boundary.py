@@ -200,6 +200,51 @@ def test_check_inv_cut_bound(rng):
         assert measured <= bound + 1e-12
 
 
+def _inv_cut_one_norm_at_a_time(u, h):
+    # check_inv_cut as it read with one ops.norm per matrix
+    one = ops.eye_like(u)
+    y, z = u - one, ops.inv(u) - one
+    hbar = boundary.h_one_minus(h)
+    a = one + boundary.h_apply(hbar, y, "left")
+    b = one + boundary.h_apply(hbar, z, "right")
+    target = boundary.h_apply(boundary.h_prod(h, hbar), y + z, "right")
+    measured = max(ops.norm(a @ b - one - target), ops.norm(b @ a - one - target))
+    cc = max(ops.norm(y), ops.norm(z))
+    comm = max([ops.norm(boundary.h_apply(h, w, "left") - boundary.h_apply(h, w, "right"))
+                / ops.norm(w) for w in (y, z) if ops.norm(w) > 1e-14], default=0.0)
+    return measured, 2.0 * (cc * cc + cc) * comm
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_inv_cut_matches_one_norm_at_a_time(n, seed):
+    rng = np.random.default_rng(seed)
+    u = random_invertible(rng, n, spread=0.4)
+    h = np.diag(rng.uniform(0.0, 1.0, n)).astype(complex)
+    assert boundary.check_inv_cut(u, h) == _inv_cut_one_norm_at_a_time(u, h)
+
+
+@pytest.mark.parametrize("fiber", [1, 2])
+def test_loop_inv_cut_matches_one_norm_at_a_time(fiber):
+    # the sup over samples of each stacked norm, from the 1 x 1 and the
+    # 2 x 2 closed form
+    scn = scenarios.circle_split(grid=64, fiber=fiber)
+    assert (boundary.check_inv_cut(scn["u"], scn["h"])
+            == _inv_cut_one_norm_at_a_time(scn["u"], scn["h"]))
+
+
+def test_inv_cut_takes_its_norms_in_one_call(rng, count_calls):
+    calls = count_calls("op_norms", matcore)
+    boundary.check_inv_cut(random_invertible(rng, 4, spread=0.4), block_h()[:4, :4])
+    assert len(calls) == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_inv_cut_bound_of_a_large_u_that_commutes_with_h_is_zero():
+    # c^2 overflows and the commutator is 0; the bound is 0, not inf * 0
+    assert boundary.check_inv_cut(1e200 * np.eye(3), 0.5 * np.eye(3)) == (0.0, 0.0)
+
+
 def test_loop_lift_is_exact_and_boundary_trivial():
     scn = scenarios.circle_split(grid=180)
     v, cert = boundary.build_lift_v(scn["u"], scn["h"], scn["c"], scn["d"])
@@ -587,9 +632,18 @@ def _whitehead_passes(monkeypatch, plant, call, row):
     return cli.check_whitehead(scn, Tol(), 0, {"eps": 0.1})["passed"]
 
 
-def _inv_cut_passes(monkeypatch, call):
+def _inv_cut_passes(monkeypatch, entry):
+    # check_inv_cut takes its norms in one stacked call; the NaN lands on one
+    # entry of it
     u = random_invertible(np.random.default_rng(5), 6, spread=0.4)
-    monkeypatch.setattr(ops, "norm", _nan_at(call, ops.norm))
+    if entry is not None:
+        real = ops.summand_norms
+
+        def planted(s):
+            norms = real(s)
+            norms[entry] = np.nan
+            return norms
+        monkeypatch.setattr(ops, "summand_norms", planted)
     measured, bound = boundary.check_inv_cut(u, block_h())
     return measured <= bound
 
@@ -675,10 +729,11 @@ NAN_SITES = {
     "whitehead_split.mem_c_upper": lambda mp, plant: _whitehead_passes(mp, plant, 2, 3),
     "whitehead_split.mem_d": lambda mp, plant: _whitehead_passes(mp, plant, 4, 5),
     "whitehead_split.mem_d_upper": lambda mp, plant: _whitehead_passes(mp, plant, 4, 1),
-    # the norms of check_inv_cut: ab - 1 - target and ba - 1 - target for
-    # measured, ||y|| and ||z||, then the commutators of h with y and with z
-    "check_inv_cut.measured": lambda mp, plant: _inv_cut_passes(mp, 2 if plant else None),
-    "check_inv_cut.comm": lambda mp, plant: _inv_cut_passes(mp, 6 if plant else None),
+    # the stacked norms of check_inv_cut: ab - 1 - target and ba - 1 - target
+    # for measured, ||y|| and ||z||, then the commutators of h with y and
+    # with z; the NaN lands on ba - 1 - target and on the commutator with z
+    "check_inv_cut.measured": lambda mp, plant: _inv_cut_passes(mp, 1 if plant else None),
+    "check_inv_cut.comm": lambda mp, plant: _inv_cut_passes(mp, 5 if plant else None),
     "band_norm.top": _band_norm_passes,
     "sigma_witness.residual": lambda mp, plant: _sigma_witness_passes(plant),
     "LiftCert.trivialization": lambda mp, plant: _class_reads(plant),

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from approxk import funcalc, scenarios
+from approxk import funcalc, matcore, scenarios
 from approxk.errors import (
     DefectTooLarge,
     InvalidInput,
@@ -33,6 +35,42 @@ def test_riesz_idempotent_rounds_and_certifies(rng):
         assert np.linalg.norm(f @ f - f, 2) < 1e-8
         assert cert.passed
         assert cert.distance <= cert.bound + 1e-12 * (1 + cert.c)
+
+
+def _almost_idempotent(rng, n, target):
+    e0 = random_idempotent(rng, n)
+    pert = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return e0 + target * pert / np.linalg.norm(pert, 2)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(n=st.integers(2, 6), exponent=st.floats(-6.0, -2.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_riesz_certificate_matches_one_norm_at_a_time(n, exponent, seed):
+    # the stacked norms give the floats that one op_norm per matrix gives
+    e = _almost_idempotent(np.random.default_rng(seed), n, 10.0 ** exponent)
+    f, cert = funcalc.riesz_idempotent(e)
+    delta, c = op_norm(e @ e - e), op_norm(e)
+    assert cert == funcalc.RoundingCert(
+        delta=delta, c=c, distance=op_norm(f - e),
+        bound=funcalc.riesz_bound(delta, c), method=cert.method)
+    assert all(type(v) is float for v in (cert.delta, cert.c, cert.distance))
+
+
+def test_riesz_takes_its_norms_in_three_calls(rng, count_calls):
+    # ||e^2 - e|| and ||e||; eig's residual and scale; ||f^2 - f||, ||f||
+    # and ||f - e||
+    calls = count_calls("op_norms", matcore)
+    _, cert = funcalc.riesz_idempotent(_almost_idempotent(rng, 4, 1e-4))
+    assert cert.method == "eig"
+    assert len(calls) == 3
+
+
+def test_riesz_rejects_an_overflowing_defect():
+    # e^2 - e overflows; the stacked norms refuse it as as_matrix does
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InvalidInput, match="matrix has non-finite entries"):
+            funcalc.riesz_idempotent(np.full((3, 3), 1e200))
 
 
 def test_riesz_rejects_large_defect():

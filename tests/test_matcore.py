@@ -50,6 +50,24 @@ def test_op_norms_match_lapack(lead, n, kind, exponent, seed):
         assert np.all(got == 0)
 
 
+@pytest.mark.parametrize("lead", [(), (5,), (3, 4)])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_op_norms_read_the_singular_value_that_numpys_2_norm_takes(lead, n):
+    # sides above 2 read LAPACK's top singular value directly; numpy's
+    # 2-norm takes the maximum of the same values, so no float moves
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal(lead + (n, n)) + 1j * rng.standard_normal(lead + (n, n))
+    np.testing.assert_array_equal(matcore.op_norms(a), np.linalg.norm(a, 2, axis=(-2, -1)))
+
+
+def test_as_stack_rejects_non_finite_entries_as_as_matrix_does():
+    one = np.eye(3)
+    assert matcore.as_stack([one, 2 * one]).shape == (2, 3, 3)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidInput, match="matrix has non-finite entries"):
+            matcore.as_stack([one, np.where(one == 1, bad, 0)])
+
+
 @KERNEL
 @given(shapes=st.sampled_from([
     ((2, 2), (9, 2, 2)),            # matrix x loop
@@ -107,6 +125,12 @@ def test_eig_rejects_defective_matrix():
     jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(DefectiveMatrix):
         matcore.eig(jordan)
+
+
+def test_eig_takes_its_residual_and_scale_in_one_norm_call(rng, count_calls):
+    calls = count_calls("op_norms", matcore)
+    matcore.eig(rng.standard_normal((5, 5)))
+    assert len(calls) == 1
 
 
 def test_eig_reconstructs(rng):
