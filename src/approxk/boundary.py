@@ -788,6 +788,12 @@ class WhiteheadCert:
 
     Endpoints: ``product_residual`` measures the t = 0 product against
     diag(a, a^-1), and ``endpoint_residual`` the t = 1 factors against 1.
+
+    The four memberships are derived on first read and then kept (a cached
+    property, neither compared nor in the repr): one projection per side of
+    the factors' power coefficients ``coefs`` onto the matrices over C and
+    over D of ``pair``.  :attr:`certified` reads none of them, and neither
+    does :func:`sigma_reconstruct`, so it projects no factor.
     """
 
     vc_path: list
@@ -795,13 +801,11 @@ class WhiteheadCert:
     t_steps: int
     product_residual: float
     endpoint_residual: float
-    membership_c: float
-    membership_d: float
     norm_max: float
     norm_bound: float
     norm_upper: float
-    membership_c_upper: float
-    membership_d_upper: float
+    pair: Pair
+    coefs: tuple  # the power coefficients in s of vc and of vd
 
     @property
     def certified(self) -> bool:
@@ -812,6 +816,26 @@ class WhiteheadCert:
         return (self.product_residual <= 1e-9
                 and self.endpoint_residual <= 1e-12
                 and self.norm_upper <= self.norm_bound)
+
+    @functools.cached_property
+    def _memberships(self) -> tuple:
+        """(sampled, upper) residuals of vc - 1 in C and of vd - 1 in D on
+        the rows of the norms: the residual is linear, so one projection of
+        the coefficients gives it at every row."""
+        weights = _row_weights(self.t_steps)
+        out = []
+        for side, coefs in zip((self.pair.c, self.pair.d), self.coefs):
+            lead = coefs.ndim - 4  # a loop's sample axis leads its stacks
+            off = coefs.copy()
+            off[0] -= eye(coefs.shape[-1])
+            w = side.project(ops.Stack(np.moveaxis(off, 0, lead)), unitized=False)
+            out.append(_maxima(_row_norms(weights, off - np.moveaxis(ops.arr(w), lead, 0))))
+        return tuple(out)
+
+    membership_c = property(lambda self: self._memberships[0][0])
+    membership_c_upper = property(lambda self: self._memberships[0][1])
+    membership_d = property(lambda self: self._memberships[1][0])
+    membership_d_upper = property(lambda self: self._memberships[1][1])
 
 
 # the Bernstein coefficients on [0, 1] of a polynomial of degree 5 from its
@@ -900,6 +924,14 @@ def _row_norms(weights: np.ndarray, coefs: np.ndarray) -> np.ndarray:
         for w in np.split(weights, range(step, len(weights), step))])
 
 
+def _row_weights(t_steps: int) -> np.ndarray:
+    """The rows that _row_norms weighs a factor's power coefficients by: its
+    Bernstein coefficients b_0, ..., b_5, then s^k at the t_steps - 1 inner
+    samples s = 1 - j / t_steps of the equispaced t-grid."""
+    inner = 1.0 - np.arange(1, t_steps) / t_steps
+    return np.concatenate([_BERNSTEIN, inner[:, None] ** np.arange(6)])
+
+
 def _maxima(rows: np.ndarray) -> tuple[float, float]:
     """(sampled, upper) from per-row maxima laid out as b_0, ..., b_5 and
     then the inner samples, b_0 and b_5 being the samples at t = 1 and
@@ -917,12 +949,12 @@ def whitehead_split(a, h, c, d=None, tol: Tol | None = None,
     coefficients in s = 1 - t (:func:`_whitehead_coefficients`).  One
     product with those gives its 6 Bernstein coefficients and its values at
     the t_steps - 1 inner samples of the equispaced t-grid; the coefficients
-    b_0 and b_5 are its values at t = 1 and t = 0.  The membership residual
-    is linear in the element, so one projection of the coefficients gives
-    it at every row.  The Bernstein coefficients bound the norms and the
-    memberships over all of [0, 1] (see :class:`WhiteheadCert`), and the
-    norms are certified against (3 + c)^5.  The paths hold only the t = 0
-    and t = 1 factors, so memory stays flat on large loops.
+    b_0 and b_5 are its values at t = 1 and t = 0.  The Bernstein
+    coefficients bound the norms over all of [0, 1] (see
+    :class:`WhiteheadCert`), and the norms are certified against
+    (3 + c)^5.  The memberships, bounded the same way, are taken only when
+    the certificate is read for them.  The paths hold only the t = 0 and
+    t = 1 factors, so memory stays flat on large loops.
 
     The split runs on summand stacks; a lone element is a stack of one
     summand and gets paths in its own carrier.  An internal
@@ -947,33 +979,20 @@ def whitehead_split(a, h, c, d=None, tol: Tol | None = None,
     c_norm = max(ops.norm(s), ops.norm(s_inv))
     bound = (3.0 + c_norm) ** 5
     target = ops.arr(ops.oplus(s, s_inv))
-    big_one = ops.arr(ops.eye_like(ops.Stack(target)))
-    # rows b_0, ..., b_5, then s^k at the inner samples s = 1 - j / t_steps
-    inner = 1.0 - np.arange(1, t_steps) / t_steps
-    weights = np.concatenate([_BERNSTEIN, inner[:, None] ** np.arange(6)])
-    lead = target.ndim - 3  # a loop's sample axis leads its stacks
-    ends, norms, mems = [], [], []
+    weights = _row_weights(t_steps)
     factors = _whitehead_coefficients(s - one, s_inv - one, h)
-    for side, coefs in zip((pair.c, pair.d), factors):
-        ends.append(np.tensordot(_BERNSTEIN[[5, 0]], coefs, 1))
-        norms.append(_maxima(_row_norms(weights, coefs)))
-        off = coefs.copy()
-        off[0] -= big_one
-        w = side.project(ops.Stack(np.moveaxis(off, 0, lead)), unitized=False)
-        resid = off - np.moveaxis(ops.arr(w), lead, 0)
-        mems.append(_maxima(_row_norms(weights, resid)))
-    (vc0, vc1), (vd0, vd1) = ends
+    (vc0, vc1), (vd0, vd1) = (np.tensordot(_BERNSTEIN[[5, 0]], coefs, 1)
+                              for coefs in factors)
+    norms = [_maxima(_row_norms(weights, coefs)) for coefs in factors]
     norm_max, norm_upper = (float(np.max(v)) for v in zip(*norms))
     prod_resid = ops.sup_norm(matcore.matmul(vc0, vd0) - target)
-    end_resid = np.max([ops.sup_norm(vc1 - big_one), ops.sup_norm(vd1 - big_one)])
+    end_resid = np.max([ops.sup_norm(v - eye(target.shape[-1])) for v in (vc1, vd1)])
     def path(*factors):
         return [ops.like(a, v[..., 0, :, :]) if lone else ops.Stack(v) for v in factors]
 
-    (mem_c, mem_c_upper), (mem_d, mem_d_upper) = mems
     return WhiteheadCert(path(vc0, vc1), path(vd0, vd1), t_steps,
-                         float(prod_resid), float(end_resid), mem_c, mem_d,
-                         norm_max, float(bound), norm_upper, mem_c_upper,
-                         mem_d_upper)
+                         float(prod_resid), float(end_resid), norm_max,
+                         float(bound), norm_upper, pair, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -1047,9 +1066,11 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d=None, tol: Tol | None = None,
     n = ops.side_size(u0)
     m = ops.arr(a).shape[-3]
     size = 2 * (m + 1) * n
-    wc_a, wc_b = (whitehead_split(s, h, pair, t_steps=whitehead_t_steps)
-                  for s in (a, b))
-    for name, wc in (("a", wc_a), ("b", wc_b)):
+
+    def bands(name, s, start):
+        # the certificate, and the coefficients it holds, die with this call:
+        # only its t = 0 factors and their inverses are kept, as bands
+        wc = whitehead_split(s, h, pair, t_steps=whitehead_t_steps)
         if not wc.certified:
             raise ReconstructionFailed(
                 (wc.product_residual, wc.endpoint_residual, wc.norm_upper),
@@ -1057,12 +1078,11 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d=None, tol: Tol | None = None,
                 f"{wc.product_residual:.3e}, endpoint {wc.endpoint_residual:.3e}, "
                 f"norm bound {wc.norm_upper:.3e} against {wc.norm_bound:.3e}",
             )
-    ca, da, ca_inv, da_inv = (_path_band(f, n, size) for f in (
-        wc_a.vc_path[0], wc_a.vd_path[0],
-        ops.inv(wc_a.vc_path[0], tol), ops.inv(wc_a.vd_path[0], tol)))
-    cb, db, cb_inv, db_inv = (_path_band(f, 0, size) for f in (
-        wc_b.vc_path[0], wc_b.vd_path[0],
-        ops.inv(wc_b.vc_path[0], tol), ops.inv(wc_b.vd_path[0], tol)))
+        vc, vd = wc.vc_path[0], wc.vd_path[0]
+        return [_path_band(f, start, size) for f in (vc, vd, ops.inv(vc, tol), ops.inv(vd, tol))]
+
+    ca, da, ca_inv, da_inv = bands("a", a, n)
+    cb, db, cb_inv, db_inv = bands("b", b, 0)
 
     def embed(u):
         # the top-left embedding u (+) 1: n-block 0 leads the path order too

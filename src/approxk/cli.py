@@ -189,8 +189,8 @@ def check_boundary(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
             isinstance(a, int) and not isinstance(a, bool) for a in expected)):
         raise SchemaError(f"expect must be a list of integers, got {expected!r}")
     cert = _lift_for(scn, tol, seed)
-    cls = boundary.boundary_class(cert)
-    inv_cls = boundary.boundary_class(boundary.inverse_lift(cert))
+    cls = cert.boundary_class
+    inv_cls = boundary.inverse_lift(cert).boundary_class
     negated = tuple(-a for a in cls.entries)
     ok = inv_cls.entries == negated
     if expected is not None:

@@ -10,7 +10,7 @@ import dataclasses
 
 import numpy as np
 
-from . import boundary, matcore, ops
+from . import matcore, ops
 from .boundary import LiftCert, MatrixSide, certify_lift
 from .errors import InvalidInput, NotAClass
 from .matcore import DEFAULT_TOL, Tol, as_matrix, eye, kron, op_norm
@@ -74,12 +74,12 @@ def boundary_product_check(cert: LiftCert, p, m: int, seed: int = 0) -> ProductC
     if p.shape != (m, m):
         raise InvalidInput(f"p must be {m}x{m}")
     rank_p = matcore.rank(p, cert.pair.tol)
-    base = boundary.boundary_class(cert)
+    base = cert.boundary_class
     lhs = tuple(entry * rank_p for entry in base.entries)
 
     pair2 = cert.pair.tensor(m)
     cert2 = certify_lift(box_times(cert.u, p), box_times(cert.v, p), pair2)
-    rhs = boundary.boundary_class(cert2).entries
+    rhs = cert2.boundary_class.entries
     return ProductCheck(lhs, tuple(rhs), tuple(lhs) == tuple(rhs), cert2,
                         int(pair2.intersection_gap))
 

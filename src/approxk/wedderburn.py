@@ -85,24 +85,23 @@ class WedderburnData:
 
 
 def _center_basis(s: Subalg) -> list[np.ndarray]:
-    """Basis of the center of S, via the null space of the commutator map."""
+    """Basis of the center of S, via the null space of the commutator map.
+
+    The commutator matrix A, with the N^2 x d block [vec([b_k, b])]_k for
+    each basis element b, is never built: a tall matrix has the singular
+    values and right singular vectors of its R factor, so the blocks are
+    folded in one at a time, R <- R of [R; block] (QR updating, Golub & Van
+    Loan, *Matrix Computations*), and the rank is cut on the d x d R.  Peak
+    memory is one block and R, where A holds d^2 N^2 entries."""
     d = s.dim
-    if d == 0:
-        return []
-    basis = s.basis
-    cols = []
-    for k in range(d):
-        col = np.concatenate([(basis[k] @ b - b @ basis[k]).ravel() for b in basis])
-        cols.append(col)
-    a = np.array(cols).T
+    b = s._flats.reshape(d, s.ambient_dim, s.ambient_dim)
+    r = np.zeros((0, d), dtype=complex)
+    for bk in b:
+        r = np.linalg.qr(np.concatenate([r, (b @ bk - bk @ b).reshape(d, -1).T]), mode="r")
     # cut at max(1, s_0) * rank_rel_tol
     rel = s.tol.rank_rel_tol
-    _, null = matcore.rank_split(a, rel, floor=rel)
-    out = []
-    for c in null:
-        z = sum(ci * bi for ci, bi in zip(c, basis))
-        out.append(z)
-    return out
+    _, null = matcore.rank_split(r, rel, floor=rel)
+    return list(np.tensordot(null, b, 1))
 
 
 def _cluster(values: np.ndarray, gap: float) -> list[np.ndarray]:

@@ -612,12 +612,13 @@ class _NaNResidualSide:
         return w, self._residual(r)
 
 
-def _whitehead_passes(monkeypatch, plant, call, row):
-    # block_pair's bundled whitehead check.  _row_norms runs on vc's values,
-    # vc's membership residuals, vd's values and vd's residuals, in that
-    # order; its rows are b_0, ..., b_5 (b_0 and b_5 the samples at t = 1
-    # and t = 0), then the 31 inner samples.  The NaN lands on one row of
-    # one call.
+def _whitehead_passes(monkeypatch, plant, call, row, field):
+    # block_pair's bundled whitehead check.  _row_norms runs on vc's values
+    # and vd's values in the split, then on vc's and vd's membership
+    # residuals when the check first reads a membership; its rows are
+    # b_0, ..., b_5 (b_0 and b_5 the samples at t = 1 and t = 0), then the
+    # 31 inner samples.  The NaN lands on one row of one call, and reaches
+    # the record's field that the site is named for.
     if plant:
         real = boundary._row_norms
         count = itertools.count(1)
@@ -629,7 +630,9 @@ def _whitehead_passes(monkeypatch, plant, call, row):
             return rows
         monkeypatch.setattr(boundary, "_row_norms", planted)
     scn = cli.build_scenario({"kind": "block_pair", "params": {}})
-    return cli.check_whitehead(scn, Tol(), 0, {"eps": 0.1})["passed"]
+    rec = cli.check_whitehead(scn, Tol(), 0, {"eps": 0.1})
+    assert np.isnan(rec[field]) == plant
+    return rec["passed"]
 
 
 def _inv_cut_passes(monkeypatch, entry):
@@ -723,12 +726,18 @@ NAN_SITES = {
         0).valid_at(1e-9),
     # a sampled row also enters its bound, so a NaN on a sample fails the
     # gate that reads the bound
-    "whitehead_split.norm_max": lambda mp, plant: _whitehead_passes(mp, plant, 1, 6),
-    "whitehead_split.norm_upper": lambda mp, plant: _whitehead_passes(mp, plant, 3, 2),
-    "whitehead_split.mem_c": lambda mp, plant: _whitehead_passes(mp, plant, 2, 7),
-    "whitehead_split.mem_c_upper": lambda mp, plant: _whitehead_passes(mp, plant, 2, 3),
-    "whitehead_split.mem_d": lambda mp, plant: _whitehead_passes(mp, plant, 4, 5),
-    "whitehead_split.mem_d_upper": lambda mp, plant: _whitehead_passes(mp, plant, 4, 1),
+    "whitehead_split.norm_max":
+        lambda mp, plant: _whitehead_passes(mp, plant, 1, 6, "norm_max"),
+    "whitehead_split.norm_upper":
+        lambda mp, plant: _whitehead_passes(mp, plant, 2, 2, "norm_upper"),
+    "whitehead_split.mem_c":
+        lambda mp, plant: _whitehead_passes(mp, plant, 3, 7, "membership_c"),
+    "whitehead_split.mem_c_upper":
+        lambda mp, plant: _whitehead_passes(mp, plant, 3, 3, "membership_c_upper"),
+    "whitehead_split.mem_d":
+        lambda mp, plant: _whitehead_passes(mp, plant, 4, 5, "membership_d"),
+    "whitehead_split.mem_d_upper":
+        lambda mp, plant: _whitehead_passes(mp, plant, 4, 1, "membership_d_upper"),
     # the stacked norms of check_inv_cut: ab - 1 - target and ba - 1 - target
     # for measured, ||y|| and ||z||, then the commutators of h with y and
     # with z; the NaN lands on ba - 1 - target and on the commutator with z
@@ -894,6 +903,38 @@ def test_whitehead_split_keeps_the_end_factors():
     assert isinstance(cert.vc_path[0], ops.Stack)
 
 
+WHITEHEAD_FIELDS = ("t_steps", "product_residual", "endpoint_residual", "membership_c",
+                    "membership_d", "norm_max", "norm_bound", "norm_upper",
+                    "membership_c_upper", "membership_d_upper", "certified")
+
+
+def _block_whitehead():
+    # a random a off the block structure: both memberships are nonzero
+    blk = scenarios.block_ideal_pair()
+    a = random_invertible(np.random.default_rng(3), 6, spread=0.3)
+    return boundary.whitehead_split(a, block_h(), blk["c"], blk["d"], t_steps=4)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None, database=None)
+@given(order=st.permutations(WHITEHEAD_FIELDS))
+def test_whitehead_fields_read_the_same_in_any_order(order):
+    # the memberships are derived on first read; whichever field is read
+    # first, each value equals that of a fresh certificate
+    want = _block_whitehead()
+    cert = _block_whitehead()
+    got = {name: getattr(cert, name) for name in order}
+    assert got == {name: getattr(want, name) for name in WHITEHEAD_FIELDS}
+    assert want.membership_c > 0.0 and want.membership_d_upper > 0.0
+
+
+def test_whitehead_memberships_project_once_per_side(count_calls):
+    cert = _block_whitehead()
+    calls = count_calls("project", boundary.MatrixSide)
+    first = [cert.membership_c, cert.membership_d_upper]
+    assert [cert.membership_c, cert.membership_d_upper] == first
+    assert [call[0] for call in calls] == [cert.pair.c, cert.pair.d]
+
+
 # ---------------------------------------------------------------------------
 # sigma reconstruction
 
@@ -935,6 +976,19 @@ def test_sigma_reconstruct_circle_heavy():
                                      scn["c"], scn["d"], whitehead_t_steps=1)
     assert rec.windings == (1, 1, -1)
     assert rec.achieved <= 3.0 * rec.gap + 1e-6
+
+
+def test_sigma_reconstruct_takes_no_whitehead_membership(count_calls):
+    # the splits' gate reads certified and the t = 0 factors: the one side
+    # projection is y's onto C cap D, and _row_norms runs on the factors'
+    # values alone, two calls per split
+    scn = scenarios.circle_split(grid=16, overlap=0.25 * np.pi)
+    path = scenarios.circle_split_homotopy(scn, steps=96)
+    projections = count_calls("project", boundary.LoopSide)
+    rows = count_calls("_row_norms", boundary)
+    boundary.sigma_reconstruct(path, scn["u_c"], scn["u_d"], scn["h"], scn["c"],
+                               scn["d"], whitehead_t_steps=1)
+    assert len(projections) == 1 and len(rows) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from approxk import boundary, kprod, ops, scenarios, wedderburn
+from approxk import boundary, kprod, matcore, ops, scenarios, wedderburn
 from approxk.errors import InvalidInput, NotEquivalent, PathTooCoarse
 from approxk.loops import LoopElem
 from approxk.matcore import DEFAULT_TOL, Tol, matrix_unit
@@ -41,8 +41,8 @@ def test_decompose_two_point_center():
 
 
 def test_decompose_tensored_block_pair_in_bounded_memory():
-    # the center comes from a thin SVD of the dim * N^2 x dim commutator
-    # matrix; a full one would build a U of side dim * N^2 (over 300 MB here)
+    # the center's QR fold never builds the dim * N^2 x dim commutator
+    # matrix; a full SVD of it would build a U of side dim * N^2 (over 300 MB)
     c2 = tensor_with_full(scenarios.block_ideal_pair()["c"], 2)
     tracemalloc.start()
     try:
@@ -52,6 +52,99 @@ def test_decompose_tensored_block_pair_in_bounded_memory():
         tracemalloc.stop()
     assert w.blocks == [(4, 1), (4, 1)]
     assert peak < 50e6
+
+
+def test_decompose_chained_tensor_in_a_few_megabytes():
+    # the N = 24, dim 72 chain (C cap D (x) M_2) (x) M_3 of twisted_pair: its
+    # commutator matrix holds 72^2 24^2 entries (48 MB), which the center's
+    # QR fold never builds
+    scn = scenarios.twisted_pair()
+    chained = tensor_with_full(tensor_with_full(boundary.Pair(scn["c"], scn["d"]).inter.alg,
+                                                2), 3)
+    tracemalloc.start()
+    try:
+        w = decompose(chained)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.blocks == [(6, 2), (6, 2)]
+    assert peak < 10e6
+
+
+def dense_commutator(s):
+    """The dim N^2 x dim commutator matrix of S, column k holding [b_k, b]
+    for every basis element b: the matrix that the center's QR fold takes
+    the R factor of."""
+    basis = s.basis
+    return np.array([np.concatenate([(bk @ b - b @ bk).ravel() for b in basis])
+                     for bk in basis]).T
+
+
+def dense_center_basis(s):
+    """The center of S from the null space of the dense commutator matrix:
+    the reference for wedderburn._center_basis."""
+    rel = s.tol.rank_rel_tol
+    _, null = matcore.rank_split(dense_commutator(s), rel, floor=rel)
+    return [sum(ci * bi for ci, bi in zip(c, s.basis)) for c in null]
+
+
+def block_algebra(n, blocks, u):
+    """The algebra of M_n that holds M_d (x) 1_k for each (d, k) of blocks,
+    on consecutive diagonal corners, conjugated by the unitary u."""
+    basis, at = [], 0
+    for d, k in blocks:
+        for i in range(d):
+            for j in range(d):
+                b = np.zeros((n, n), dtype=complex)
+                b[at:at + d * k, at:at + d * k] = np.kron(matrix_unit(d, i, j), np.eye(k))
+                basis.append(u @ b @ u.conj().T)
+        at += d * k
+    return Subalg(n, basis)
+
+
+@st.composite
+def block_algebras(draw):
+    """Block algebras of M_n (n <= 6), possibly non-unital, moved by a
+    random unitary."""
+    blocks = draw(st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2)), min_size=1,
+                           max_size=3).filter(lambda bs: sum(d * k for d, k in bs) <= 6))
+    n = draw(st.integers(sum(d * k for d, k in blocks), 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return block_algebra(n, blocks, scenarios.random_unitary(n, rng))
+
+
+def assert_center_matches_dense(s):
+    """The center from the QR fold has the dense null space's dimension, its
+    R the dense matrix's singular values, and decompose gives the same data
+    from either."""
+    real, folds = matcore.rank_split, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matcore, "rank_split", lambda a, *args, **kw: folds.append(a) or real(
+            a, *args, **kw))
+        center = wedderburn._center_basis(s)
+    assert folds[0].shape == (s.dim, s.dim)
+    assert len(center) == len(dense_center_basis(s))
+    got = np.linalg.svd(folds[0], compute_uv=False)
+    want = np.linalg.svd(dense_commutator(s), compute_uv=False)
+    assert np.abs(got - want).max() <= 1e-12 * max(want[0], 1.0)
+    w = decompose(s)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wedderburn, "_center_basis", dense_center_basis)
+        assert_same_data(w, decompose(s))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("kind", ["twisted_pair", "block_pair"])
+def test_center_from_the_qr_fold_matches_the_dense_null_space(kind, m):
+    # C, D and C cap D, and their tensors with M_2
+    for alg in _pair_algebras(kind):
+        assert_center_matches_dense(alg if m == 1 else tensor_with_full(alg, m))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(s=block_algebras())
+def test_center_of_block_algebras_matches_the_dense_null_space(s):
+    assert_center_matches_dense(s)
 
 
 def test_decompose_invariant_under_conjugation(rng):
@@ -98,7 +191,7 @@ def test_tensored_data_derive_from_the_base(kind, m, count_calls):
 def test_chained_tensored_data_derive_through_each_base():
     # (S (x) M_2) (x) M_3 derives through S (x) M_2.  S = span{e_11, e_22 +
     # e_33} has two blocks of unequal trace; decomposing its chain (ambient
-    # 18) peaks near 80 MB, the chain on twisted_pair's C cap D near 145 MB
+    # 18, dim 72) takes about 0.2 s and peaks near 1 MB
     s = Subalg(3, [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])])
     inner = tensor_with_full(s, 2)
     chained = tensor_with_full(inner, 3)
