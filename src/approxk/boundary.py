@@ -39,7 +39,8 @@ holds its tensored pairs, one per m, whose intersections are the tensored
 ``inter``.  Every public entry point that takes (c, d) builds its pair by
 :func:`make_pair`, which also takes a held ``Pair`` in c's slot, and the
 certificates hold the pair they were measured over: ``cert.pair.tol`` is
-the one Tol of everything derived from a certificate.
+the one Tol of everything derived from a certificate.  A certificate that
+holds arrays compares by identity: the == of two arrays has no truth value.
 """
 
 from __future__ import annotations
@@ -216,6 +217,11 @@ class LoopSide:
         self.alg = alg
         self.tol = tol
 
+    @property
+    def ambient_dim(self) -> int:
+        """The fiber side: an element's side is a multiple of it."""
+        return self.alg.fiber_dim
+
     def project(self, x: LoopElem, unitized: bool = True):
         return loop_project(x, self.alg, unitized)
 
@@ -343,7 +349,7 @@ def make_pair(c, d, tol: Tol | None = None) -> Pair:
 # delta-ideal structures
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(eq=False)
 class IdealCert:
     """Measured residuals of an approximate ideal structure.
 
@@ -455,7 +461,7 @@ def tensor_scale_ideal_structure(cert: IdealCert, m: int):
 # lifts
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(eq=False)
 class LiftCert:
     """Measured residuals for the five lift conditions.
 
@@ -469,10 +475,10 @@ class LiftCert:
     holds no Tol of its own.
 
     The certificate holds what is derived from it, as cached properties
-    that are neither compared nor in the repr (dataclasses.replace gives a
-    fresh holder): ``trivialization``, the intersection side's trivialize
-    of e, which the boundary class and the sigma witness share, and
-    ``boundary_class``.  Neither is read from a lift whose e has no class:
+    that are not in the repr (dataclasses.replace gives a fresh holder):
+    ``trivialization``, the intersection side's trivialize of e, which the
+    boundary class and the sigma witness share, and ``boundary_class``.
+    Neither is read from a lift whose e has no class:
     DefectTooLarge unless delta_level is below the Riesz domain
     funcalc.DELTA_MAX = 1/16, and NotAClass unless aug_diff is 0.
     """
@@ -677,7 +683,7 @@ def inverse_lift(cert: LiftCert) -> LiftCert:
 # sigma: splitting a boundary-trivial class between C and D
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(eq=False)
 class SigmaWitness:
     l: int
     x: object
@@ -766,7 +772,7 @@ def discretize_homotopy(u_path):
             ops.like(path[0], ops.direct_sum(b)), defect)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(eq=False)
 class WhiteheadCert:
     """Certificates of a Whitehead split and its homotopies over t in [0, 1].
 
@@ -790,9 +796,9 @@ class WhiteheadCert:
     diag(a, a^-1), and ``endpoint_residual`` the t = 1 factors against 1.
 
     The four memberships are derived on first read and then kept (a cached
-    property, neither compared nor in the repr): one projection per side of
-    the factors' power coefficients ``coefs`` onto the matrices over C and
-    over D of ``pair``.  :attr:`certified` reads none of them, and neither
+    property, not in the repr): one projection per side of the factors'
+    power coefficients ``coefs`` onto the matrices over C and over D of
+    ``pair``.  :attr:`certified` reads none of them, and neither
     does :func:`sigma_reconstruct`, so it projects no factor.
     """
 
@@ -913,11 +919,19 @@ def _row_norms(weights: np.ndarray, coefs: np.ndarray) -> np.ndarray:
     """For each row w of weights, the largest operator norm of
     sum_k w_k coefs_k over its samples and summands.  The rows are taken a
     few at a time, about _ROW_CHUNK entries per product and norm call, so
-    that the rows of a long loop never fill memory at once.  Coefficients
-    that are all zero, as the membership residuals of an exact split are,
-    give zero rows without a norm call."""
-    if not coefs.any():
+    that the rows of a long loop never fill memory at once.  Only the sample
+    and summand positions where some coefficient is nonzero are normed: an
+    all-zero position, as a membership residual has wherever the factor lies
+    in the algebra, gives norm 0 in every row and so moves no maximum, while
+    a NaN position is kept.  With no such position the rows are zero
+    without a norm call."""
+    flat = coefs.reshape((len(coefs), -1) + coefs.shape[-2:])
+    live = np.flatnonzero(flat.any(axis=0).reshape(flat.shape[1], -1).any(axis=1))
+    if not live.size:
         return np.zeros(len(weights))
+    if live.size < flat.shape[1]:
+        # np.take keeps the positions contiguous, which tensordot needs
+        coefs = np.take(flat, live, axis=1)
     step = max(1, _ROW_CHUNK // coefs[0].size)
     return np.concatenate([
         np.max(matcore.op_norms(np.tensordot(w, coefs, 1)).reshape(len(w), -1), axis=1)
@@ -999,7 +1013,7 @@ def whitehead_split(a, h, c, d=None, tol: Tol | None = None,
 # sigma reconstruction
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(eq=False)
 class SigmaReconstruct:
     x: object
     y: object
@@ -1033,6 +1047,17 @@ def _path_band(factors: ops.Stack, start: int, size: int) -> matcore.Band:
     return matcore.band_block_diag(fa, start, size)
 
 
+def _band_project(side, b: matcore.Band) -> matcore.Band:
+    """The projection of a band onto the matrices over side's algebra, not
+    unitized.  It acts on each block of the ambient side alone (a loop side
+    masks its samples), so it runs on the stack of the blocks that the band
+    touches; InvalidInput if it puts a nonzero entry outside the band."""
+    def project(blocks):
+        return ops.arr(side.project(ops.Stack(blocks), unitized=False))
+
+    return matcore.band_blockwise(b, side.ambient_dim, project)
+
+
 def sigma_reconstruct(u_path, u_c, u_d, h, c, d=None, tol: Tol | None = None,
                       seed: int = 0, uniform_constant: float = 3.0,
                       whitehead_t_steps: int = 8) -> SigmaReconstruct:
@@ -1047,12 +1072,17 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d=None, tol: Tol | None = None,
     lives in the 2(m+1)n frame, taken in path order (its n-blocks as 0, m+1,
     1, m+2, ..., m, 2m+1), where every factor is banded: the comparison
     elements, their norms, the inverse of x and the winding determinants
-    are band computations (:class:`matcore.Band`).  The membership
-    projection of y acts on the dense frame and takes no membership
-    residual, and x and y are returned dense in the frame's own order.  The
-    stability check of x (kappa_1 and the residual of x x^-1 - 1) runs only
-    on the samples where x differs from the identity: elsewhere x^-1 = 1
-    exactly, so the maxima and every raise are those of the whole frame.
+    are band computations (:class:`matcore.Band`), and y stays a band from
+    its projection until it returns.  The membership projection acts on
+    each block of the ambient side alone, so it runs on the stack of the
+    blocks that the band touches (:func:`_band_project`) and takes no
+    membership residual; a projected entry outside the band raises
+    InvalidInput.  x and y are returned dense in the frame's own order, y
+    scattered from its band (:func:`matcore.band_scatter`) and x = 1 + y.
+    The stability check of x (kappa_1 and the residual of x x^-1 - 1, taken
+    in one product) runs only on the samples where x differs from the
+    identity: elsewhere x^-1 = 1 exactly, so the maxima and every raise are
+    those of the whole frame.
 
     (c, d) and tol make the pair as :func:`make_pair` does, and every
     inverse, the path's included, is taken at its Tol.  seed reaches
@@ -1095,11 +1125,8 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d=None, tol: Tol | None = None,
     one = matcore.Band(np.ones((1, size), dtype=complex), 0, 0)
     gap = matcore.band_norm(t_c - t_d)
     mid = 0.5 * (t_c + t_d) - one
-    # masking a loop, or projecting block by block onto matrices over the
-    # algebra (n is a multiple of the ambient side), keeps the band; the
-    # dense frame lives only for the projection
-    y = pair.inter.project(ops.like(u0, matcore.band_dense(mid)), unitized=False)
-    x = matcore.band(ops.arr(y), mid.kl, mid.ku) + one
+    y = _band_project(pair.inter, mid)
+    x = y + one
     drift_c, drift_d = matcore.band_norm(x - t_c), matcore.band_norm(x - t_d)
     # np.max keeps a NaN, and each gate is written so that a NaN fails it
     achieved = np.max([drift_c, drift_d])
@@ -1113,10 +1140,13 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d=None, tol: Tol | None = None,
     eye_ab = np.zeros(x.ab.shape[-2:])
     eye_ab[x.ku] = 1.0
     moved = matcore.Band(x.ab[np.any(x.ab != eye_ab, axis=(-2, -1))], x.kl, x.ku)
-    resid = matcore.band_matmul(moved, matcore.band_invert(moved, tol)) - np.eye(size)
+    resid = matcore.band_dense(moved) @ matcore.band_invert(moved, tol)
+    diag = np.arange(size)
+    resid[..., diag, diag] -= 1.0
     # sqrt(||R||_1 ||R||_inf) >= ||R||_2
-    unstable = float(np.max(np.sqrt(np.abs(resid).sum(axis=-2).max(axis=-1)
-                                    * np.abs(resid).sum(axis=-1).max(axis=-1)),
+    mod = np.abs(resid)
+    unstable = float(np.max(np.sqrt(mod.sum(axis=-2).max(axis=-1)
+                                    * mod.sum(axis=-1).max(axis=-1)),
                             initial=0.0))
     if not unstable <= 1e-6:
         raise ReconstructionFailed(
@@ -1149,8 +1179,7 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d=None, tol: Tol | None = None,
                 f"winding mismatch: x {wx}/{wx_d}, u_C {wuc}, u_D {wud}"
             )
         windings = (wx, wuc, wud)
-    back = np.argsort(_path_order(n, m))
-    y_out = ops.arr(y)[..., back[:, None], back]
+    y_out = matcore.band_scatter(y, _path_order(n, m))
     return SigmaReconstruct(ops.like(u0, np.eye(size) + y_out), ops.like(u0, y_out),
                             float(achieved), float(gap), windings, float(defect))
 

@@ -39,7 +39,7 @@ def k0_product(p, q, w: WedderburnData, tol: Tol = DEFAULT_TOL) -> K0Vec:
     return k0_class(kron(p, q), w, tol)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(eq=False)
 class ProductCheck:
     """The two sides of the product formula over the tensored pair.
 

@@ -37,7 +37,9 @@ the sum of two broadcast outer products, with no BLAS call per matrix.
 Banded matrices are :class:`Band` values in LAPACK general band storage,
 over any leading axes.  The band kernels are :func:`band` (from a dense
 array, refusing entries outside the band), :func:`band_block_diag` (square
-blocks along the diagonal of an identity), :func:`band_dense`,
+blocks along the diagonal of an identity), :func:`band_dense` (also
+:func:`band_scatter`, into a permuted order), :func:`band_blockwise` (a map
+applied to the square blocks that the band touches, as one stack),
 :func:`band_matmul` (band times band, or band times dense), :func:`band_norm`
 (the operator norm from the top eigenvalue of the band Gram matrix, by
 ``scipy.linalg.eig_banded``; Golub & Van Loan, *Matrix Computations*, 8.3),
@@ -350,11 +352,52 @@ def band_block_diag(blocks, start: int, size: int) -> Band:
 
 def band_dense(b: Band) -> np.ndarray:
     """The dense array of a band."""
+    return band_scatter(b, np.arange(b.size))
+
+
+def band_scatter(b: Band, order: np.ndarray) -> np.ndarray:
+    """The dense array of a band held in a permuted order: entry (i, j) of b
+    lands at (order[i], order[j]) of a zeroed array, and every entry outside
+    the band stays 0."""
     n = b.size
-    rows, cols, inside = _band_slots(n, b.kl, b.ku)
+    rows, cols, _ = _band_slots(n, b.kl, b.ku)
     out = np.zeros(b.ab.shape[:-2] + (n, n), dtype=complex)
-    out[..., inside] = b.ab[..., rows, cols]
+    # the slot (ku + i - j, j) holds entry (i, j)
+    out[..., order[rows - b.ku + cols], order[cols]] = b.ab[..., rows, cols]
     return out
+
+
+def band_blockwise(b: Band, s: int, f) -> Band:
+    """The band of b with a block map f applied to its s x s blocks.
+
+    f takes the stack (..., count, s, s) of the blocks on the s-grid that
+    b's band touches, with the entries outside the band read as 0, and
+    returns a stack of the same shape.  f must act on each block alone and
+    map a zero block to 0, so that the blocks the band misses stay 0: a
+    linear map applied block by block does both.  The result keeps b's
+    widths, and InvalidInput is raised if f puts a nonzero entry outside
+    them, as :func:`band` does."""
+    n, kl, ku = b.size, b.kl, b.ku
+    if n % s:
+        raise InvalidInput(f"side {n} is not a multiple of the block side {s}")
+    k = n // s
+    # block (I, J) meets the band exactly when -ceil(kl/s) <= J - I <= ceil(ku/s)
+    bi, shift = np.meshgrid(np.arange(k), np.arange(-kl // s, -(-ku // s) + 1),
+                            indexing="ij")
+    keep = (bi + shift >= 0) & (bi + shift < k)
+    r, c = np.indices((s, s))
+    i = (bi[keep] * s)[:, None, None] + r
+    j = ((bi + shift)[keep] * s)[:, None, None] + c
+    inside = (j - i <= ku) & (i - j <= kl)
+    rows, cols = (ku + i - j)[inside], j[inside]
+    blocks = np.zeros(b.ab.shape[:-2] + i.shape, dtype=complex)
+    blocks[..., inside] = b.ab[..., rows, cols]
+    out = np.asarray(f(blocks))
+    if np.any(out[..., ~inside]):
+        raise InvalidInput(f"matrix has nonzero entries outside the band ({kl}, {ku})")
+    ab = np.zeros_like(b.ab)
+    ab[..., rows, cols] = out[..., inside]
+    return Band(ab, kl, ku)
 
 
 def band_matmul(x: Band, y):

@@ -13,6 +13,7 @@ hold them to the per-probe loops, kept here as the reference.
 import functools
 import json
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -496,6 +497,107 @@ def test_reconstruct_checks_stability_only_where_x_moves(monkeypatch):
     moved = np.any(ops.arr(rec.y) != 0, axis=(-2, -1))
     assert moved.shape == (16,) and moved.sum() == 6
     assert seen == [(6,)]
+
+
+# the pairs whose C cap D projects sigma_reconstruct's y: circle_split at
+# grids 16 and 64, fibers 1 and 2, and both matrix pairs
+PROJECTION_PAIRS = {
+    **{f"circle_split_grid{g}_fiber{k}": functools.partial(
+        scenarios.circle_split, grid=g, fiber=k, overlap=0.25 * np.pi)
+       for g in (16, 64) for k in (1, 2)},
+    "twisted_pair": scenarios.twisted_pair,
+    "block_pair": scenarios.block_ideal_pair,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROJECTION_PAIRS))
+@pytest.mark.parametrize("m, widths", [(1, "blocks"), (2, "blocks"), (4, "blocks"),
+                                       (4, "entries")])
+def test_band_projection_matches_the_dense_projection(name, m, widths):
+    # a random element of the 2(m+1)N frame over the ambient side N: block
+    # tridiagonal on N-blocks, in the band (2N - 1, 2N - 1), or filling the
+    # band (N, 3N - 2), which cuts through blocks.  The projection of its
+    # band is the band of the dense projection, or, where the dense
+    # projection leaks out of the band, it raises InvalidInput
+    scn = PROJECTION_PAIRS[name]()
+    inter = boundary.make_pair(scn["c"], scn["d"]).inter
+    big = inter.ambient_dim
+    size = 2 * (m + 1) * big
+    loop = isinstance(inter, boundary.LoopSide)
+    lead = (inter.alg.grid_size,) if loop else ()
+    kl, ku = (2 * big - 1,) * 2 if widths == "blocks" else (big, 3 * big - 2)
+    kl, ku = min(kl, size - 1), min(ku, size - 1)
+    rng = np.random.default_rng(size)
+    x = rng.standard_normal(lead + (size, size)) + 1j * rng.standard_normal(lead + (size, size))
+    i, j = np.indices((size, size))
+    if widths == "blocks":
+        x[..., np.abs(i // big - j // big) > 1] = 0
+    x[..., (j - i > ku) | (i - j > kl)] = 0
+    el = LoopElem(x) if loop else x
+    want = ops.arr(inter.project(el, unitized=False))
+    if np.any(want[..., (j - i > ku) | (i - j > kl)]):
+        assert not loop and widths == "entries"
+        with pytest.raises(InvalidInput, match="outside the band"):
+            boundary._band_project(inter, matcore.band(x, kl, ku))
+        return
+    got = matcore.band_dense(boundary._band_project(inter, matcore.band(x, kl, ku)))
+    if loop:
+        np.testing.assert_array_equal(got, want)
+        # the masked samples are zero and the others untouched
+        assert np.any(got == 0) and np.any(got != 0)
+    else:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        assert 0 < np.abs(got).max() < np.abs(x).max()
+
+
+def test_band_projection_refuses_a_planted_leak(monkeypatch):
+    # block_pair with a 4-step path: y's band has widths (49, 49) in the
+    # frame of side 60, so the top-right entry of the blocks on the ninth
+    # block diagonal lies outside it; a projection that writes 1e-300 there
+    # must raise, where the unplanted call returns
+    case = reconstruct_case("matrix", 1, 0.05, 0, 4, 0)
+    assert boundary.sigma_reconstruct(**case).achieved > 0
+    real = boundary.MatrixSide.project
+
+    def leaky(self, x, unitized=True):
+        w = real(self, x, unitized)
+        if isinstance(w, ops.Stack):
+            w.summands[..., 0, -1] += 1e-300
+        return w
+
+    monkeypatch.setattr(boundary.MatrixSide, "project", leaky)
+    with pytest.raises(InvalidInput, match="outside the band"):
+        boundary.sigma_reconstruct(**case)
+
+
+def test_reconstruct_keeps_the_frame_banded(count_calls):
+    # loop_reconstruct's inputs: y is projected on its band, never banded
+    # again from a dense frame, and only the returned x and y are wrapped
+    # as frame-sized loops (a dense projection wraps 4)
+    case = sigma_case("circle_split_grid16_steps96")
+    size = 2 * len(case["u_path"]) * ops.side_size(case["u_c"])
+    bands = count_calls("band", matcore)
+    wraps = count_calls("__init__", LoopElem)
+    rec = boundary.sigma_reconstruct(**case)
+    assert bands == []
+    framed = [args[0] for args in wraps if np.shape(args[1])[-1] == size]
+    assert len(framed) == 2 and framed[0] is rec.x and framed[1] is rec.y
+
+
+def test_reconstruct_traced_peak_stays_below_32_mb():
+    # projecting y through a dense frame peaked at 35.1 MB on
+    # loop_reconstruct's inputs; the banded frame peaks at 28.1 MB, most of
+    # it the returned x and y
+    case = sigma_case("circle_split_grid16_steps96")
+    boundary.sigma_reconstruct(**case)
+    tracemalloc.start()
+    try:
+        rec = boundary.sigma_reconstruct(**case)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.windings == (1, 1, -1)
+    assert peak < 32 * 2 ** 20
 
 
 def _fail_by_winding(monkeypatch):

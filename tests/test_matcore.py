@@ -274,6 +274,73 @@ def test_band_invert_refuses_near_singular(lead, n, kl, ku, s, seed):
         matcore.band_invert(matcore.band(a, kl + 1, ku + 1))
 
 
+@BAND
+@given(lead=st.sampled_from([(), (5,)]), k=st.integers(1, 12), s=st.integers(1, 4),
+       kl=st.integers(0, 9), ku=st.integers(0, 9), seed=st.integers(0, 2**32 - 1))
+def test_band_blockwise_matches_the_dense_block_map(lead, k, s, kl, ku, seed):
+    # two maps that act on each s x s block alone, against the same map on
+    # the dense array's blocks: an entrywise weight keeps every band, and a
+    # right product keeps it only where no touched block straddles its edge
+    rng = np.random.default_rng(seed)
+    n = k * s
+    kl, ku = min(kl, n - 1), min(ku, n - 1)
+    x = random_band(rng, lead, n, kl, ku)
+    b = matcore.band(x, kl, ku)
+    w, m = rng.standard_normal((2, s, s)) + 1j * rng.standard_normal((2, s, s))
+    seen = []
+
+    def weigh(blocks):
+        seen.append(blocks.shape)
+        return blocks * w
+
+    got = matcore.band_blockwise(b, s, weigh)
+    assert (got.kl, got.ku) == (kl, ku)
+    np.testing.assert_allclose(matcore.band_dense(got), x * np.kron(np.ones((k, k)), w),
+                               rtol=1e-15, atol=0)
+    # one call, on every block that holds an entry of the band and no other
+    touched = np.any(x.reshape((-1, k, s, k, s)) != 0, axis=(0, 2, 4))
+    assert seen == [lead + (int(touched.sum()), s, s)]
+    want = x @ np.kron(np.eye(k), m)
+    i, j = np.indices((n, n))
+    if np.any(want[..., (j - i > ku) | (i - j > kl)]):
+        with pytest.raises(InvalidInput):
+            matcore.band_blockwise(b, s, lambda blocks: blocks @ m)
+    else:
+        got = matcore.band_blockwise(b, s, lambda blocks: blocks @ m)
+        np.testing.assert_allclose(matcore.band_dense(got), want, rtol=0, atol=1e-13)
+
+
+def test_band_blockwise_refuses_a_leak_outside_the_band():
+    # a map that writes 1e-300 at the top-right corner of a 3 x 3 block:
+    # entry (0, 2) lies outside widths (1, 1), and inside widths (1, 2)
+    x = np.eye(3, dtype=complex)
+
+    def leak(blocks):
+        blocks = blocks.copy()
+        blocks[..., 0, -1] = 1e-300
+        return blocks
+
+    got = matcore.band_blockwise(matcore.band(x, 1, 2), 3, leak)
+    assert matcore.band_dense(got)[0, 2] == 1e-300
+    for lead in ((), (4,)):
+        with pytest.raises(InvalidInput, match="outside the band"):
+            matcore.band_blockwise(matcore.band(np.broadcast_to(x, lead + (3, 3)), 1, 1),
+                                   3, leak)
+    with pytest.raises(InvalidInput, match="multiple"):
+        matcore.band_blockwise(matcore.band(x, 1, 1), 2, leak)
+
+
+@BAND
+@given(**band_shapes)
+def test_band_scatter_matches_the_permuted_dense_array(lead, n, kl, ku, seed):
+    rng = np.random.default_rng(seed)
+    x = random_band(rng, lead, n, kl, ku)
+    order = rng.permutation(n)
+    back = np.argsort(order)
+    got = matcore.band_scatter(matcore.band(x, kl, ku), order)
+    np.testing.assert_array_equal(got, x[..., back[:, None], back])
+
+
 def test_band_refuses_entries_outside_the_band():
     a = np.eye(5, dtype=complex)
     a[4, 1] = 1e-300
