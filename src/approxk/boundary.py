@@ -217,11 +217,6 @@ class LoopSide:
         self.alg = alg
         self.tol = tol
 
-    @property
-    def ambient_dim(self) -> int:
-        """The fiber side: an element's side is a multiple of it."""
-        return self.alg.fiber_dim
-
     def project(self, x: LoopElem, unitized: bool = True):
         return loop_project(x, self.alg, unitized)
 
@@ -919,19 +914,11 @@ def _row_norms(weights: np.ndarray, coefs: np.ndarray) -> np.ndarray:
     """For each row w of weights, the largest operator norm of
     sum_k w_k coefs_k over its samples and summands.  The rows are taken a
     few at a time, about _ROW_CHUNK entries per product and norm call, so
-    that the rows of a long loop never fill memory at once.  Only the sample
-    and summand positions where some coefficient is nonzero are normed: an
-    all-zero position, as a membership residual has wherever the factor lies
-    in the algebra, gives norm 0 in every row and so moves no maximum, while
-    a NaN position is kept.  With no such position the rows are zero
-    without a norm call."""
-    flat = coefs.reshape((len(coefs), -1) + coefs.shape[-2:])
-    live = np.flatnonzero(flat.any(axis=0).reshape(flat.shape[1], -1).any(axis=1))
-    if not live.size:
+    that the rows of a long loop never fill memory at once.  Coefficients
+    that are all zero, as the membership residuals of an exact split are,
+    give zero rows without a norm call."""
+    if not coefs.any():
         return np.zeros(len(weights))
-    if live.size < flat.shape[1]:
-        # np.take keeps the positions contiguous, which tensordot needs
-        coefs = np.take(flat, live, axis=1)
     step = max(1, _ROW_CHUNK // coefs[0].size)
     return np.concatenate([
         np.max(matcore.op_norms(np.tensordot(w, coefs, 1)).reshape(len(w), -1), axis=1)
@@ -1047,15 +1034,16 @@ def _path_band(factors: ops.Stack, start: int, size: int) -> matcore.Band:
     return matcore.band_block_diag(fa, start, size)
 
 
-def _band_project(side, b: matcore.Band) -> matcore.Band:
+def _band_project(side, b: matcore.Band, n: int) -> matcore.Band:
     """The projection of a band onto the matrices over side's algebra, not
-    unitized.  It acts on each block of the ambient side alone (a loop side
-    masks its samples), so it runs on the stack of the blocks that the band
-    touches; InvalidInput if it puts a nonzero entry outside the band."""
+    unitized.  It acts on each n-block alone, for n a multiple of the
+    ambient side (a loop side masks whole samples at any n), so it runs on
+    the stack of the n-blocks that the band touches; InvalidInput if it puts
+    a nonzero entry outside the band."""
     def project(blocks):
         return ops.arr(side.project(ops.Stack(blocks), unitized=False))
 
-    return matcore.band_blockwise(b, side.ambient_dim, project)
+    return matcore.band_blockwise(b, n, project)
 
 
 def sigma_reconstruct(u_path, u_c, u_d, h, c, d=None, tol: Tol | None = None,
@@ -1074,10 +1062,9 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d=None, tol: Tol | None = None,
     elements, their norms, the inverse of x and the winding determinants
     are band computations (:class:`matcore.Band`), and y stays a band from
     its projection until it returns.  The membership projection acts on
-    each block of the ambient side alone, so it runs on the stack of the
-    blocks that the band touches (:func:`_band_project`) and takes no
-    membership residual; a projected entry outside the band raises
-    InvalidInput.  x and y are returned dense in the frame's own order, y
+    each n-block alone, so it runs on the stack of the n-blocks that the
+    band touches (:func:`_band_project`) and takes no membership residual;
+    a projected entry outside the band raises InvalidInput.  x and y are returned dense in the frame's own order, y
     scattered from its band (:func:`matcore.band_scatter`) and x = 1 + y.
     The stability check of x (kappa_1 and the residual of x x^-1 - 1, taken
     in one product) runs only on the samples where x differs from the
@@ -1125,7 +1112,7 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d=None, tol: Tol | None = None,
     one = matcore.Band(np.ones((1, size), dtype=complex), 0, 0)
     gap = matcore.band_norm(t_c - t_d)
     mid = 0.5 * (t_c + t_d) - one
-    y = _band_project(pair.inter, mid)
+    y = _band_project(pair.inter, mid, n)
     x = y + one
     drift_c, drift_d = matcore.band_norm(x - t_c), matcore.band_norm(x - t_d)
     # np.max keeps a NaN, and each gate is written so that a NaN fails it
@@ -1140,7 +1127,7 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d=None, tol: Tol | None = None,
     eye_ab = np.zeros(x.ab.shape[-2:])
     eye_ab[x.ku] = 1.0
     moved = matcore.Band(x.ab[np.any(x.ab != eye_ab, axis=(-2, -1))], x.kl, x.ku)
-    resid = matcore.band_dense(moved) @ matcore.band_invert(moved, tol)
+    resid = matcore.band_matmul(moved, matcore.band_invert(moved, tol))
     diag = np.arange(size)
     resid[..., diag, diag] -= 1.0
     # sqrt(||R||_1 ||R||_inf) >= ||R||_2

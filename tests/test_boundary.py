@@ -935,54 +935,6 @@ def test_whitehead_memberships_project_once_per_side(count_calls):
     assert [call[0] for call in calls] == [cert.pair.c, cert.pair.d]
 
 
-def unskipped_row_norms(weights, coefs):
-    """_row_norms with every sample and summand position normed, all rows in
-    one product: the reference for its skip of all-zero positions."""
-    rows = matcore.op_norms(np.tensordot(weights, coefs, 1))
-    return np.max(rows.reshape(len(weights), -1), axis=1)
-
-
-@settings(derandomize=True, max_examples=40, deadline=None, database=None)
-@given(lead=st.sampled_from([(1,), (3,), (16, 1), (16, 3), (720, 1)]),
-       side=st.sampled_from([1, 2, 4]), zero_share=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
-       nan=st.booleans(), t_steps=st.sampled_from([1, 4, 32]),
-       seed=st.integers(0, 2**32 - 1))
-def test_row_norms_skip_only_all_zero_positions(lead, side, zero_share, nan, t_steps, seed):
-    # power coefficients over (samples,) summands, with a share of the
-    # positions zero in every coefficient, one of those brought back to life
-    # by one tiny entry of its last coefficient, and, on sides 1 and 2 (the
-    # closed-form norms), a NaN entry in coefficient 0, which every row reads
-    rng = np.random.default_rng(seed)
-    shape = (6,) + lead + (side, side)
-    coefs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    flat = coefs.reshape((6, -1, side, side))
-    count = flat.shape[1]
-    zero = rng.permutation(count)[:round(zero_share * count)]
-    flat[:, zero] = 0
-    if zero.size > 1:
-        flat[5, zero[0], -1, 0] = 1e-300
-    plant = nan and side <= 2
-    if plant:
-        flat[0, rng.integers(count), 0, 0] = np.nan
-    weights = boundary._row_weights(t_steps)
-    got = boundary._row_norms(weights, coefs)
-    np.testing.assert_array_equal(got, unskipped_row_norms(weights, coefs))
-    assert np.isnan(got).all() == plant
-
-
-def test_row_norms_norm_only_the_live_positions(count_calls):
-    # 16 samples by 3 summands, of which 5 positions hold a nonzero
-    # coefficient: every norm call sees those 5 alone
-    coefs = np.zeros((6, 16, 3, 2, 2), dtype=complex)
-    live = [(0, 0), (3, 2), (7, 1), (7, 2), (15, 0)]
-    for at in live:
-        coefs[(2,) + at] = [[1.0, 2.0], [3.0, 4.0]]
-    calls = count_calls("op_norms", matcore)
-    rows = boundary._row_norms(boundary._row_weights(4), coefs)
-    assert calls and all(call[0].shape[1:] == (5, 2, 2) for call in calls)
-    np.testing.assert_array_equal(rows, unskipped_row_norms(boundary._row_weights(4), coefs))
-
-
 def test_certificates_holding_arrays_compare_by_identity():
     # two certificates of the same computation hold equal arrays, whose ==
     # has no truth value: they compare by identity, and == gives a bool

@@ -513,17 +513,19 @@ PROJECTION_PAIRS = {
 @pytest.mark.parametrize("name", sorted(PROJECTION_PAIRS))
 @pytest.mark.parametrize("m, widths", [(1, "blocks"), (2, "blocks"), (4, "blocks"),
                                        (4, "entries")])
-def test_band_projection_matches_the_dense_projection(name, m, widths):
-    # a random element of the 2(m+1)N frame over the ambient side N: block
-    # tridiagonal on N-blocks, in the band (2N - 1, 2N - 1), or filling the
-    # band (N, 3N - 2), which cuts through blocks.  The projection of its
-    # band is the band of the dense projection, or, where the dense
-    # projection leaks out of the band, it raises InvalidInput
+@pytest.mark.parametrize("per_block", [1, 2])
+def test_band_projection_matches_the_dense_projection(name, m, widths, per_block):
+    # a random element of the 2(m+1)n frame, where n holds per_block sides
+    # N of the ambient algebra: block tridiagonal on n-blocks, in the band
+    # (2n - 1, 2n - 1), or filling the band (n, 3n - 2), which cuts through
+    # blocks.  The projection of its band on n-blocks is the band of the
+    # dense projection, or, where the dense projection leaks out of the
+    # band, it raises InvalidInput
     scn = PROJECTION_PAIRS[name]()
     inter = boundary.make_pair(scn["c"], scn["d"]).inter
-    big = inter.ambient_dim
-    size = 2 * (m + 1) * big
     loop = isinstance(inter, boundary.LoopSide)
+    big = per_block * (inter.alg.fiber_dim if loop else inter.ambient_dim)
+    size = 2 * (m + 1) * big
     lead = (inter.alg.grid_size,) if loop else ()
     kl, ku = (2 * big - 1,) * 2 if widths == "blocks" else (big, 3 * big - 2)
     kl, ku = min(kl, size - 1), min(ku, size - 1)
@@ -538,9 +540,9 @@ def test_band_projection_matches_the_dense_projection(name, m, widths):
     if np.any(want[..., (j - i > ku) | (i - j > kl)]):
         assert not loop and widths == "entries"
         with pytest.raises(InvalidInput, match="outside the band"):
-            boundary._band_project(inter, matcore.band(x, kl, ku))
+            boundary._band_project(inter, matcore.band(x, kl, ku), big)
         return
-    got = matcore.band_dense(boundary._band_project(inter, matcore.band(x, kl, ku)))
+    got = matcore.band_dense(boundary._band_project(inter, matcore.band(x, kl, ku), big))
     if loop:
         np.testing.assert_array_equal(got, want)
         # the masked samples are zero and the others untouched
