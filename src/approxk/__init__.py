@@ -16,7 +16,6 @@ from .wedderburn import (
     WedderburnData,
     decompose,
     k0_class,
-    path_to_similarity,
     similarity_witness,
 )
 from .loops import LoopAlg, LoopElem, arc_ideal, bump, power_z, winding_k1
@@ -73,7 +72,6 @@ __all__ = [
     "WedderburnData",
     "decompose",
     "k0_class",
-    "path_to_similarity",
     "similarity_witness",
     "LoopAlg",
     "LoopElem",

@@ -680,9 +680,8 @@ def inverse_lift(cert: LiftCert) -> LiftCert:
 
 @dataclasses.dataclass(eq=False)
 class SigmaWitness:
-    l: int
     x: object
-    factor: object  # (u (+) 1_l) x^-1
+    factor: object  # u x^-1
     residual_d: float
     residual_c: float
     offdiag: float
@@ -712,7 +711,7 @@ def sigma_witness(cert: LiftCert, eps: float, seed: int = 0) -> SigmaWitness:
     if tuple(a + b for a, b in zip(wf, wx)) != wu:
         raise ReconstructionFailed((wf, wx, wu),
                                    f"winding bookkeeping {wf} + {wx} != {wu}")
-    return SigmaWitness(0, x, factor, float(r_d), float(r_c), float(offdiag))
+    return SigmaWitness(x, factor, float(r_d), float(r_c), float(offdiag))
 
 
 # ---------------------------------------------------------------------------
@@ -1064,8 +1063,9 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d=None, tol: Tol | None = None,
     its projection until it returns.  The membership projection acts on
     each n-block alone, so it runs on the stack of the n-blocks that the
     band touches (:func:`_band_project`) and takes no membership residual;
-    a projected entry outside the band raises InvalidInput.  x and y are returned dense in the frame's own order, y
-    scattered from its band (:func:`matcore.band_scatter`) and x = 1 + y.
+    a projected entry outside the band raises InvalidInput.  x and y are
+    returned dense in the frame's own order, y scattered from its band
+    (:func:`matcore.band_scatter`) and x = 1 + y.
     The stability check of x (kappa_1 and the residual of x x^-1 - 1, taken
     in one product) runs only on the samples where x differs from the
     identity: elsewhere x^-1 = 1 exactly, so the maxima and every raise are

@@ -138,25 +138,16 @@ def build_scenario(desc: dict):
 # individual checks
 
 
-def _pair_for(scn: dict, tol: Tol) -> boundary.Pair:
-    """The scenario's pair (C, D), built on first use and kept in scn, as
-    _lift_for keeps the lift: every check of a report reads one C cap D and
-    one tensored pair per m."""
-    if "pair" not in scn:
-        scn["pair"] = boundary.make_pair(scn["c"], scn["d"], tol)
-    return scn["pair"]
-
-
-def _lift_for(scn: dict, tol: Tol, seed: int):
+def _lift_for(scn: dict, seed: int):
     """The scenario's lift certificate, built on first use and kept in scn.
 
-    run_checks builds scn for one report, whose tol and seed are fixed, so
-    every check of the report reads the same lift, over the report's pair.
+    run_checks builds scn for one report, whose seed is fixed, so every
+    check of the report reads the same lift, over the report's pair.
     A scenario with neither an idempotent pair nor a unitary u has no lift:
     SchemaError.
     """
     if "lift" not in scn:
-        pair = _pair_for(scn, tol)
+        pair = scn["pair"]
         if scn["name"] == "twisted_pair":
             _, _, scn["lift"] = boundary.iota_lift(scn["p"], scn["q"], pair, seed=seed)
         elif "u" in scn:
@@ -166,11 +157,11 @@ def _lift_for(scn: dict, tol: Tol, seed: int):
     return scn["lift"]
 
 
-def check_ideal_structure(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
+def check_ideal_structure(scn: dict, seed: int, params: dict) -> dict:
     if "h" not in scn:
         raise SchemaError(f"scenario {scn['given']} has no multiplier h")
     cert = boundary.check_delta_ideal_structure(
-        scn["h"], _pair_for(scn, tol), None, scn["x_basis"], seed=seed
+        scn["h"], scn["pair"], None, scn["x_basis"], seed=seed
     )
     level = cert.delta_level
     budget = _number(params, "delta", 1e-6)
@@ -183,12 +174,12 @@ def check_ideal_structure(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
     }
 
 
-def check_boundary(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
+def check_boundary(scn: dict, seed: int, params: dict) -> dict:
     expected = params.get("expect")
     if expected is not None and not (isinstance(expected, list) and all(
             isinstance(a, int) and not isinstance(a, bool) for a in expected)):
         raise SchemaError(f"expect must be a list of integers, got {expected!r}")
-    cert = _lift_for(scn, tol, seed)
+    cert = _lift_for(scn, seed)
     cls = cert.boundary_class
     inv_cls = boundary.inverse_lift(cert).boundary_class
     negated = tuple(-a for a in cls.entries)
@@ -204,10 +195,10 @@ def check_boundary(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
     }
 
 
-def check_iota_lift(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
+def check_iota_lift(scn: dict, seed: int, params: dict) -> dict:
     if scn["name"] != "twisted_pair":
         raise SchemaError("iota-lift runs on idempotent-pair scenarios")
-    cert = _lift_for(scn, tol, seed)
+    cert = _lift_for(scn, seed)
     budget = _number(params, "delta", 1e-9)
     return {
         "check": "iota-lift",
@@ -220,8 +211,8 @@ def check_iota_lift(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
     }
 
 
-def check_sigma_witness(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
-    cert = _lift_for(scn, tol, seed)
+def check_sigma_witness(scn: dict, seed: int, params: dict) -> dict:
+    cert = _lift_for(scn, seed)
     eps = _number(params, "eps", 0.05)
     wit = boundary.sigma_witness(cert, eps, seed=seed)
     rec = {
@@ -243,7 +234,7 @@ def check_sigma_witness(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
     return rec
 
 
-def check_whitehead(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
+def check_whitehead(scn: dict, seed: int, params: dict) -> dict:
     if "h" not in scn:
         raise SchemaError(f"scenario {scn['given']} has no multiplier h")
     a = scn.get("u_c", scn.get("u"))
@@ -251,7 +242,7 @@ def check_whitehead(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
         one = np.eye(scn["c"].ambient_dim, dtype=complex)
         x = scn["c"].project(np.diag(np.linspace(0.1, 0.3, scn["c"].ambient_dim)))
         a = one + x
-    cert = boundary.whitehead_split(a, scn["h"], _pair_for(scn, tol))
+    cert = boundary.whitehead_split(a, scn["h"], scn["pair"])
     eps = _number(params, "eps", 0.1)
     # the gates read the bounds over all t in [0, 1]
     ok = (cert.certified and cert.membership_c_upper <= eps
@@ -272,9 +263,9 @@ def check_whitehead(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
     }
 
 
-def check_uniformity(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
+def check_uniformity(scn: dict, seed: int, params: dict) -> dict:
     count = _number(params, "samples", 50, int, minimum=1)
-    rep = boundary.uniformity_probe(_pair_for(scn, tol), sample_count=count, seed=seed)
+    rep = boundary.uniformity_probe(scn["pair"], sample_count=count, seed=seed)
     limit = _number(params, "ratio_max", 3.0)
     return {
         "check": "uniformity",
@@ -287,10 +278,10 @@ def check_uniformity(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
     }
 
 
-def check_product(scn: dict, tol: Tol, seed: int, params: dict) -> dict:
+def check_product(scn: dict, seed: int, params: dict) -> dict:
     if scn["name"] != "twisted_pair":
         raise SchemaError("product-check runs on matrix-carrier scenarios")
-    cert = _lift_for(scn, tol, seed)
+    cert = _lift_for(scn, seed)
     reps = {
         "zero": np.zeros((2, 2), dtype=complex),
         "rank1": np.diag([1.0, 0.0]).astype(complex),
@@ -328,6 +319,9 @@ def run_checks(desc: dict, check_names, tol: Tol, seed: int) -> dict:
         given = desc.get("given", desc["name"])
         raise SchemaError(f"scenario {given!r} declares no checks")
     scn = build_scenario(desc)
+    # one pair per report: every check reads one C cap D, one tensored pair
+    # per m and the report's Tol
+    scn["pair"] = boundary.Pair(scn["c"], scn["d"], tol)
     records = []
     for item in check_names:
         name = item["check"]
@@ -335,7 +329,7 @@ def run_checks(desc: dict, check_names, tol: Tol, seed: int) -> dict:
             raise SchemaError(f"unknown check {name!r}")
         params = {k: v for k, v in item.items() if k != "check"}
         try:
-            rec = CHECKS[name](scn, tol, seed, params)
+            rec = CHECKS[name](scn, seed, params)
         except ApproxKError as err:
             rec = {
                 "check": name,

@@ -37,8 +37,8 @@ the sum of two broadcast outer products, with no BLAS call per matrix.
 Banded matrices are :class:`Band` values in LAPACK general band storage,
 over any leading axes.  The band kernels are :func:`band` (from a dense
 array, refusing entries outside the band), :func:`band_block_diag` (square
-blocks along the diagonal of an identity), :func:`band_dense` (also
-:func:`band_scatter`, into a permuted order), :func:`band_blockwise` (a map
+blocks along the diagonal of an identity), :func:`band_scatter` (the dense
+array, in a permuted order), :func:`band_blockwise` (a map
 applied to the square blocks that the band touches, as one stack),
 :func:`band_matmul` (band times band, or band times dense), :func:`band_norm`
 (the operator norm from the top eigenvalue of the band Gram matrix, by
@@ -348,11 +348,6 @@ def band_block_diag(blocks, start: int, size: int) -> Band:
     r, c = np.indices((s, s))
     ab[..., s - 1 + r - c, start + s * np.arange(k)[:, None, None] + c] = blocks
     return Band(ab, s - 1, s - 1)
-
-
-def band_dense(b: Band) -> np.ndarray:
-    """The dense array of a band."""
-    return band_scatter(b, np.arange(b.size))
 
 
 def band_scatter(b: Band, order: np.ndarray) -> np.ndarray:

@@ -27,8 +27,7 @@ import dataclasses
 import numpy as np
 
 from . import matcore
-from .errors import (DecompositionFailure, InvalidInput, NotAClass, NotEquivalent, NotInvertible,
-                     PathTooCoarse)
+from .errors import DecompositionFailure, InvalidInput, NotAClass, NotEquivalent, NotInvertible
 from .matcore import DEFAULT_TOL, Tol, adjoint, as_matrix, eye, kron, op_norm
 from .subalg import Subalg, Subspace, amplify
 
@@ -262,80 +261,3 @@ def similarity_witness(e, f, s: Subalg, tol: Tol = DEFAULT_TOL, seed: int = 0) -
     if resid > 1e-8:
         raise NotEquivalent(f"conjugation residual {resid:.3e} exceeds 1e-8")
     return wmat
-
-
-def _moved(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
-    """Positions on the leading axes where cur's matrix differs from prev's in
-    any bit; a 0-d flag for a single matrix."""
-    bits = [np.ascontiguousarray(a).view(np.uint64) for a in (prev, cur)]
-    return np.any(bits[0] != bits[1], axis=(-2, -1))
-
-
-def path_to_similarity(e_path, tol: Tol = DEFAULT_TOL):
-    """Telescoping conjugator along a discrete path of idempotents.
-
-    Each step uses z_i = ((2 e_{i+1} - 1)(2 e_i - 1) + 1) / 2, which is
-    invertible when the step size beats 1 / (2 max ||2 e_i - 1||).  The
-    elements must share a carrier and a size.
-
-    The norms are sup-norms over the samples of a loop (over the summands of a
-    stack), and a path usually moves only a few samples at each step.  So
-    ||2 e_0 - 1|| is taken on every sample of e_0, but ||2 e_{i+1} - 1|| and
-    ||e_{i+1} - e_i|| only on the samples where e_{i+1} differs from e_i in
-    some bit.  Any other sample of 2 e_{i+1} - 1 repeats, bit for bit, one
-    measured earlier, and its difference is 0; so the maximum, every step and
-    the first step that fails are those of the full sup-norms.  The path is
-    walked pair by pair and never stacked.
-
-    The product is taken on the same samples.  Where a step leaves a sample
-    where it is, its factor is ((2 e - 1)^2 + 1) / 2 = 1 + 2 (e^2 - e), which
-    is exactly the identity for an idempotent e (in floating point it would
-    only round near it).  So a step multiplies z only on the samples it
-    moves, and a lone matrix skips a step that does not move it.  On a sample
-    that no step moves, z is exactly 1 and z e_0 z^-1 - e_last is exactly 0,
-    so the closing residual, which still gates the result, is taken on the
-    moved samples only.  A lone matrix is multiplied with numpy's ``@``,
-    loops and stacks with :func:`matcore.matmul`.
-    """
-    from . import ops
-
-    path = list(e_path)
-    if len(path) < 1:
-        raise InvalidInput("empty idempotent path")
-    arrays = [ops.arr(e) for e in path]
-    if len({a.shape for a in arrays}) > 1:
-        raise InvalidInput("path elements differ in carrier or size")
-    ident = eye(arrays[0].shape[-1])
-    bound = ops.sup_norm(2.0 * arrays[0] - ident)
-    steps = []
-    moves = []
-    for prev, cur in zip(arrays, arrays[1:]):
-        moved = _moved(prev, cur)
-        moves.append(moved)
-        if not moved.any():
-            steps.append(0.0)
-            continue
-        new = cur[moved]
-        bound = max(bound, ops.sup_norm(2.0 * new - ident))
-        steps.append(ops.sup_norm(new - prev[moved]))
-    limit = 1.0 / (2.0 * max(bound, 1e-12))
-    for i, step in enumerate(steps):
-        if step >= limit:
-            raise PathTooCoarse(i, f"step {step:.3e} >= {limit:.3e} at index {i}")
-    mul = np.matmul if arrays[0].ndim == 2 else matcore.matmul
-    z = np.broadcast_to(ident, arrays[0].shape).copy()
-    touched = np.zeros(arrays[0].shape[:-2], dtype=bool)
-    for prev, cur, moved in zip(arrays, arrays[1:], moves):
-        if not moved.any():
-            continue
-        touched |= moved
-        sym_prod = mul(2.0 * cur[moved] - ident, 2.0 * prev[moved] - ident)
-        z[moved] = mul(0.5 * (sym_prod + ident), z[moved])
-    if touched.any():
-        zt = z[touched]
-        conj = mul(mul(zt, arrays[0][touched]), matcore.invert(zt, tol))
-        resid = ops.sup_norm(conj - arrays[-1][touched])
-        if resid > 1e-6:
-            raise PathTooCoarse(len(path) - 1,
-                                f"telescoped conjugation residual {resid:.3e} > 1e-6")
-    return ops.like(path[0], z)

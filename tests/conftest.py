@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from approxk import ops
+from approxk import matcore, ops
+from approxk.errors import InvalidInput, PathTooCoarse
 from approxk.matcore import matrix_unit
 from approxk.subalg import Subalg
 
@@ -85,3 +86,49 @@ def corner_pair(theta):
     units = [matrix_unit(4, i, j) for i in range(4) for j in range(4)]
     return (Subalg(4, [p @ e @ p for e in units]),
             Subalg(4, [q @ e @ q for e in units]))
+
+
+def band_dense(b: matcore.Band) -> np.ndarray:
+    """The dense array of a band, in its own order."""
+    return matcore.band_scatter(b, np.arange(b.size))
+
+
+def bits(x) -> np.ndarray:
+    return np.ascontiguousarray(ops.arr(x)).view(np.uint64)
+
+
+def moved_samples(prev, cur) -> np.ndarray:
+    """Where cur's matrix differs from prev's in some bit, per sample of a
+    loop; a 0-d flag for a lone matrix."""
+    return np.any(bits(prev) != bits(cur), axis=(-2, -1))
+
+
+def dense_path_to_similarity(e_path):
+    """Telescoping conjugator along a discrete path of idempotents, with
+    full sup-norms and products: the reference for the arc trivialization.
+
+    Each step uses z_i = ((2 e_{i+1} - 1)(2 e_i - 1) + 1) / 2, which is
+    invertible when the step size beats 1 / (2 max ||2 e_i - 1||).  A step
+    multiplies z by z_i on the samples it moves, where e_{i+1} differs from
+    e_i in some bit, and keeps z on the others.
+    """
+    path = list(e_path)
+    if len(path) < 1:
+        raise InvalidInput("empty idempotent path")
+    bound = max(ops.norm(ops.scal(2.0, e) - ops.eye_like(e)) for e in path)
+    limit = 1.0 / (2.0 * max(bound, 1e-12))
+    z = ops.eye_like(path[0])
+    for i in range(len(path) - 1):
+        step = ops.norm(path[i + 1] - path[i])
+        if step >= limit:
+            raise PathTooCoarse(i, f"step {step:.3e} >= {limit:.3e} at index {i}")
+        sym_next = ops.scal(2.0, path[i + 1]) - ops.eye_like(path[i + 1])
+        sym_cur = ops.scal(2.0, path[i]) - ops.eye_like(path[i])
+        zi = ops.scal(0.5, sym_next @ sym_cur + ops.eye_like(path[i]))
+        moved = moved_samples(path[i], path[i + 1])[..., None, None]
+        z = ops.like(z, np.where(moved, ops.arr(zi @ z), ops.arr(z)))
+    resid = ops.norm(z @ path[0] @ ops.inv(z) - path[-1])
+    if resid > 1e-6:
+        raise PathTooCoarse(len(path) - 1,
+                            f"telescoped conjugation residual {resid:.3e} > 1e-6")
+    return z

@@ -630,7 +630,8 @@ def _whitehead_passes(monkeypatch, plant, call, row, field):
             return rows
         monkeypatch.setattr(boundary, "_row_norms", planted)
     scn = cli.build_scenario({"kind": "block_pair", "params": {}})
-    rec = cli.check_whitehead(scn, Tol(), 0, {"eps": 0.1})
+    scn["pair"] = boundary.Pair(scn["c"], scn["d"])
+    rec = cli.check_whitehead(scn, 0, {"eps": 0.1})
     assert np.isnan(rec[field]) == plant
     return rec["passed"]
 

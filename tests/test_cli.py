@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from approxk import boundary, cli, funcalc, loops, scenarios, subalg, wedderburn
-from approxk.matcore import Tol
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -302,7 +301,9 @@ def test_sweep_count_below_one_exits_2(tmp_path):
 def test_uniformity_without_ratios_fails(monkeypatch):
     empty = boundary.UniformityReport([], [], 0.0, (1, 2, 3), 0)
     monkeypatch.setattr(boundary, "uniformity_probe", lambda *a, **k: empty)
-    rec = cli.check_uniformity(scenarios.block_ideal_pair(), Tol(), 0, {})
+    scn = scenarios.block_ideal_pair()
+    scn["pair"] = boundary.Pair(scn["c"], scn["d"])
+    rec = cli.check_uniformity(scn, 0, {})
     assert rec["samples"] == 0
     assert rec["passed"] is False
 

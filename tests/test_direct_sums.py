@@ -25,7 +25,7 @@ from approxk.errors import InvalidInput, PairNotUniform, ReconstructionFailed
 from approxk.loops import LoopElem, power_z
 from approxk.wedderburn import K1Vec
 
-from conftest import embed_top_left, lower_unipotent, rotation_j, upper_unipotent
+from conftest import band_dense, embed_top_left, lower_unipotent, rotation_j, upper_unipotent
 from test_boundary import block_h
 from test_cli import assert_report_matches
 
@@ -542,7 +542,7 @@ def test_band_projection_matches_the_dense_projection(name, m, widths, per_block
         with pytest.raises(InvalidInput, match="outside the band"):
             boundary._band_project(inter, matcore.band(x, kl, ku), big)
         return
-    got = matcore.band_dense(boundary._band_project(inter, matcore.band(x, kl, ku), big))
+    got = band_dense(boundary._band_project(inter, matcore.band(x, kl, ku), big))
     if loop:
         np.testing.assert_array_equal(got, want)
         # the masked samples are zero and the others untouched

@@ -16,7 +16,8 @@ from approxk.loops import (
     winding_k1,
 )
 from approxk.matcore import DEFAULT_TOL, Tol
-from approxk.wedderburn import path_to_similarity
+
+from conftest import dense_path_to_similarity
 
 
 def test_loop_alg_validates_grid():
@@ -202,14 +203,14 @@ def dense_arc_path(e1: LoopElem, mask: np.ndarray) -> list:
 
 def path_trivialize(e: LoopElem, ideal: LoopAlg):
     """(rank, conjugator, path) of the arc trivialization as a path: the
-    telescoping product of path_to_similarity along the retraction of
+    telescoping product of dense_path_to_similarity along the retraction of
     g e g^-1, times the constant g."""
     r, g = loops._constant_frame(e, ideal.mask, DEFAULT_TOL)
     m = e.grid_size
     g_loop = LoopElem.constant(g, m)
     e1 = g_loop @ e @ LoopElem.constant(np.linalg.inv(g), m)
     path = dense_arc_path(e1, ideal.mask)
-    return r, path_to_similarity(path) @ g_loop, path
+    return r, dense_path_to_similarity(path) @ g_loop, path
 
 
 def assert_trivializations_agree(e: LoopElem, ideal: LoopAlg) -> bool:

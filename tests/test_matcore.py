@@ -12,6 +12,8 @@ from approxk.errors import (
 )
 from approxk.matcore import DEFAULT_TOL, Tol
 
+from conftest import band_dense
+
 
 def test_as_matrix_rejects_bad_shapes():
     with pytest.raises(InvalidInput):
@@ -236,10 +238,10 @@ def test_band_product_matches_dense(lead, n, kl, ku, seed, kl2, ku2):
     rng = np.random.default_rng(seed)
     x, y = random_band(rng, lead, n, kl, ku), random_band(rng, (), n, kl2, ku2)
     bx, by = matcore.band(x, kl, ku), matcore.band(y, kl2, ku2)
-    np.testing.assert_array_equal(matcore.band_dense(bx), x)
-    for got in (matcore.band_dense(bx @ by), bx @ y):
+    np.testing.assert_array_equal(band_dense(bx), x)
+    for got in (band_dense(bx @ by), bx @ y):
         np.testing.assert_allclose(got, x @ y, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(matcore.band_dense(bx - by), x - y, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(band_dense(bx - by), x - y, rtol=0, atol=1e-15)
 
 
 @BAND
@@ -295,7 +297,7 @@ def test_band_blockwise_matches_the_dense_block_map(lead, k, s, kl, ku, seed):
 
     got = matcore.band_blockwise(b, s, weigh)
     assert (got.kl, got.ku) == (kl, ku)
-    np.testing.assert_allclose(matcore.band_dense(got), x * np.kron(np.ones((k, k)), w),
+    np.testing.assert_allclose(band_dense(got), x * np.kron(np.ones((k, k)), w),
                                rtol=1e-15, atol=0)
     # one call, on every block that holds an entry of the band and no other
     touched = np.any(x.reshape((-1, k, s, k, s)) != 0, axis=(0, 2, 4))
@@ -307,7 +309,7 @@ def test_band_blockwise_matches_the_dense_block_map(lead, k, s, kl, ku, seed):
             matcore.band_blockwise(b, s, lambda blocks: blocks @ m)
     else:
         got = matcore.band_blockwise(b, s, lambda blocks: blocks @ m)
-        np.testing.assert_allclose(matcore.band_dense(got), want, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(band_dense(got), want, rtol=0, atol=1e-13)
 
 
 def test_band_blockwise_refuses_a_leak_outside_the_band():
@@ -321,7 +323,7 @@ def test_band_blockwise_refuses_a_leak_outside_the_band():
         return blocks
 
     got = matcore.band_blockwise(matcore.band(x, 1, 2), 3, leak)
-    assert matcore.band_dense(got)[0, 2] == 1e-300
+    assert band_dense(got)[0, 2] == 1e-300
     for lead in ((), (4,)):
         with pytest.raises(InvalidInput, match="outside the band"):
             matcore.band_blockwise(matcore.band(np.broadcast_to(x, lead + (3, 3)), 1, 1),

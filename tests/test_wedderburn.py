@@ -6,18 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from approxk import boundary, kprod, matcore, ops, scenarios, wedderburn
+from approxk import boundary, kprod, matcore, scenarios, wedderburn
 from approxk.errors import InvalidInput, NotEquivalent, PathTooCoarse
-from approxk.loops import LoopElem
-from approxk.matcore import DEFAULT_TOL, Tol, matrix_unit
+from approxk.matcore import matrix_unit
 from approxk.subalg import Subalg, tensor_with_full
-from approxk.wedderburn import (
-    K0Vec,
-    decompose,
-    k0_class,
-    path_to_similarity,
-    similarity_witness,
-)
+from approxk.wedderburn import K0Vec, decompose, k0_class, similarity_witness
+
+from conftest import dense_path_to_similarity
 
 
 def two_block_alg():
@@ -295,7 +290,7 @@ def test_path_to_similarity_telescopes(rng):
         u = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]],
                      dtype=complex)
         path.append(u @ p0 @ u.conj().T)
-    z = path_to_similarity(path)
+    z = dense_path_to_similarity(path)
     assert np.linalg.norm(z @ path[0] @ np.linalg.inv(z) - path[-1], 2) < 1e-8
 
 
@@ -303,143 +298,4 @@ def test_path_to_similarity_rejects_coarse_path():
     p0 = np.diag([1.0, 0.0]).astype(complex)
     u = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
     with pytest.raises(PathTooCoarse):
-        path_to_similarity([p0, u @ p0 @ u.conj().T])
-
-
-def test_path_to_similarity_rejects_mixed_sizes():
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    with pytest.raises(InvalidInput):
-        path_to_similarity([p0, np.diag([1.0, 0.0, 0.0])])
-    with pytest.raises(InvalidInput):
-        path_to_similarity([LoopElem.constant(p0, 4), LoopElem.constant(p0, 5)])
-
-
-# ---------------------------------------------------------------------------
-# path_to_similarity against the full sup-norms and products it replaced
-
-
-def bits(x) -> np.ndarray:
-    return np.ascontiguousarray(ops.arr(x)).view(np.uint64)
-
-
-def moved_samples(prev, cur) -> np.ndarray:
-    """Where cur's matrix differs from prev's in some bit, per sample of a
-    loop; a 0-d flag for a lone matrix."""
-    return np.any(bits(prev) != bits(cur), axis=(-2, -1))
-
-
-def dense_path_to_similarity(e_path, tol: Tol = DEFAULT_TOL):
-    """Telescoping conjugator along a discrete path of idempotents.
-
-    Each step uses z_i = ((2 e_{i+1} - 1)(2 e_i - 1) + 1) / 2, which is
-    invertible when the step size beats 1 / (2 max ||2 e_i - 1||).  A step
-    multiplies z by z_i on the samples it moves, where e_{i+1} differs from
-    e_i in some bit, and keeps z on the others.
-    """
-    path = list(e_path)
-    if len(path) < 1:
-        raise InvalidInput("empty idempotent path")
-    bound = max(ops.norm(ops.scal(2.0, e) - ops.eye_like(e)) for e in path)
-    limit = 1.0 / (2.0 * max(bound, 1e-12))
-    z = ops.eye_like(path[0])
-    for i in range(len(path) - 1):
-        step = ops.norm(path[i + 1] - path[i])
-        if step >= limit:
-            raise PathTooCoarse(i, f"step {step:.3e} >= {limit:.3e} at index {i}")
-        sym_next = ops.scal(2.0, path[i + 1]) - ops.eye_like(path[i + 1])
-        sym_cur = ops.scal(2.0, path[i]) - ops.eye_like(path[i])
-        zi = ops.scal(0.5, sym_next @ sym_cur + ops.eye_like(path[i]))
-        moved = moved_samples(path[i], path[i + 1])[..., None, None]
-        z = ops.like(z, np.where(moved, ops.arr(zi @ z), ops.arr(z)))
-    resid = ops.norm(z @ path[0] @ ops.inv(z) - path[-1])
-    if resid > 1e-6:
-        raise PathTooCoarse(len(path) - 1,
-                            f"telescoped conjugation residual {resid:.3e} > 1e-6")
-    return z
-
-
-# how each element of a drawn path comes from the one before it
-MOVES = ("stay", "turn", "jump", "nudge", "retract", "restart")
-
-
-@st.composite
-def idempotent_paths(draw):
-    """A path of idempotents on the matrix carrier or on a loop carrier of a
-    few samples.  Each element keeps the previous one's samples except where
-    its move changes them: a small similarity of some samples, which changes
-    their ||2e - 1||; a rotation large enough to fail the step check; a
-    change of one entry only; copying one sample onto others (the arc
-    retraction's repeated samples); or a return to the first element."""
-    loop = draw(st.booleans())
-    grid = draw(st.integers(1, 6)) if loop else 1
-    d = draw(st.integers(1, 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    sim = np.eye(d) + 0.3 * rng.standard_normal((grid, d, d))
-    lam = np.diag(rng.integers(0, 2, d)).astype(complex)
-    first = sim @ lam @ np.linalg.inv(sim)
-    if not draw(st.booleans()):
-        # no longer idempotent: the telescoped residual check may fail
-        first = first + 0.05 * rng.standard_normal(first.shape)
-    gen = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    gen = gen / np.linalg.norm(gen, 2)
-    w, v = np.linalg.eigh(1.5 * (gen + gen.conj().T))
-    big_turn = (v * np.exp(1j * w)) @ v.conj().T
-    samples, path = first, [first]
-    for move in draw(st.lists(st.sampled_from(MOVES), max_size=10)):
-        samples = samples.copy()
-        which = np.array(draw(st.lists(st.booleans(), min_size=grid, max_size=grid)))
-        if move == "turn":
-            u = np.eye(d) + draw(st.floats(0.01, 0.2)) * gen
-            samples[which] = u @ samples[which] @ np.linalg.inv(u)
-        elif move == "jump":
-            samples[which] = big_turn @ samples[which] @ big_turn.conj().T
-        elif move == "nudge":
-            samples[which, -1, -1] += draw(st.floats(0.01, 2.0))
-        elif move == "retract":
-            samples[which] = samples[draw(st.integers(0, grid - 1))]
-        elif move == "restart":
-            samples = first.copy()
-        path.append(samples)
-    if loop:
-        return [LoopElem(a) for a in path]
-    return [a[0] for a in path]
-
-
-@settings(derandomize=True, max_examples=150, deadline=None, database=None)
-@given(idempotent_paths())
-def test_path_to_similarity_matches_dense_reference(path):
-    # z bit for bit, or the same PathTooCoarse: same index, same message
-    def outcome(fn):
-        try:
-            return fn(path)
-        except PathTooCoarse as err:
-            return err.index, str(err)
-
-    got, want = outcome(path_to_similarity), outcome(dense_path_to_similarity)
-    if isinstance(want, tuple):
-        assert got == want
-        return
-    assert type(got) is type(want)
-    assert np.array_equal(bits(got), bits(want))
-
-
-@settings(derandomize=True, max_examples=100, deadline=None, database=None)
-@given(idempotent_paths(), st.data())
-def test_path_to_similarity_multiplies_only_moved_samples(path, data):
-    # a repeated element moves no sample, so it leaves z bit-identical; a
-    # sample that no step moves gets exactly the identity
-    at = data.draw(st.integers(0, len(path) - 1))
-    again = ops.like(path[at], ops.arr(path[at]).copy())
-    longer = path[:at + 1] + [again] + path[at + 1:]
-    try:
-        want = path_to_similarity(path)
-    except PathTooCoarse:
-        with pytest.raises(PathTooCoarse):
-            path_to_similarity(longer)
-        return
-    assert np.array_equal(bits(path_to_similarity(longer)), bits(want))
-    z = ops.arr(want)
-    still = np.ones(z.shape[:-2], dtype=bool)
-    for a, b in zip(path, path[1:]):
-        still &= ~moved_samples(a, b)
-    assert np.array_equal(z[still], np.broadcast_to(np.eye(z.shape[-1]), z[still].shape))
+        dense_path_to_similarity([p0, u @ p0 @ u.conj().T])
