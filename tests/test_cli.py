@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from approxk import boundary, cli, funcalc, loops, scenarios, subalg, wedderburn
+from approxk.matcore import Tol
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -134,6 +135,26 @@ def test_report_takes_each_intersection_once(tmp_path, count_calls):
         assert run_cli(["run", name, "--seed", "7",
                         "--out", str(tmp_path / f"{name}.json")]) == 0
         assert (len(inters), len(loop_inters), len(tensors)) == want, name
+
+
+@pytest.mark.parametrize("name, readers", [
+    ("block_pair", (("check_delta_ideal_structure", 1), ("uniformity_probe", 0),
+                    ("whitehead_split", 2))),
+    ("twisted_pair", (("iota_lift", 2), ("uniformity_probe", 0))),
+    ("circle_split", (("check_delta_ideal_structure", 1), ("build_lift_v", 2),
+                      ("whitehead_split", 2))),
+])
+def test_report_reads_one_pair_at_its_tol(count_calls, name, readers):
+    # run_checks builds the report's pair once, at the report's Tol, and
+    # every check hands that one Pair to the boundary entry point it calls
+    tol = Tol(membership_tol=1e-8)
+    calls = {fn: count_calls(fn, boundary) for fn, _ in readers}
+    desc = cli.load_scenario(name, grid_override=360 if name == "circle_split" else None)
+    cli.run_checks(desc, desc["checks"], tol, 7)
+    pairs = [args[at] for fn, at in readers for args in calls[fn]]
+    assert [len(calls[fn]) for fn, _ in readers] == [1] * len(readers)
+    assert isinstance(pairs[0], boundary.Pair) and pairs[0].tol == tol
+    assert all(pair is pairs[0] for pair in pairs)
 
 
 def test_parser_is_built_once_per_process(tmp_path):

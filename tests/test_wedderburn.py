@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from approxk import boundary, kprod, matcore, scenarios, wedderburn
 from approxk.errors import InvalidInput, NotEquivalent, PathTooCoarse
+from approxk.loops import LoopElem
 from approxk.matcore import matrix_unit
 from approxk.subalg import Subalg, tensor_with_full
 from approxk.wedderburn import K0Vec, decompose, k0_class, similarity_witness
 
-from conftest import dense_path_to_similarity
+from conftest import bits, dense_path_to_similarity
 
 
 def two_block_alg():
@@ -299,3 +300,44 @@ def test_path_to_similarity_rejects_coarse_path():
     u = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
     with pytest.raises(PathTooCoarse):
         dense_path_to_similarity([p0, u @ p0 @ u.conj().T])
+
+
+def plane_rotation(i, j, th, n=3):
+    u = np.eye(n, dtype=complex)
+    u[i, i] = u[j, j] = np.cos(th)
+    u[i, j], u[j, i] = -np.sin(th), np.sin(th)
+    return u
+
+
+def test_path_to_similarity_telescopes_in_path_order():
+    # a turn in the (0, 1) plane, then one in the (1, 2) plane: the step
+    # factors do not commute, so z = z_n ... z_1 conjugates e_0 to e_n and
+    # the product taken the other way round leaves a residual of about 0.04
+    p0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    path = [plane_rotation(0, 1, th) @ p0 @ plane_rotation(0, 1, th).T
+            for th in np.linspace(0.0, 0.5, 13)]
+    path += [plane_rotation(1, 2, th) @ path[-1] @ plane_rotation(1, 2, th).T
+             for th in np.linspace(0.0, 0.5, 13)[1:]]
+    z = dense_path_to_similarity(path)
+    assert np.linalg.norm(z @ p0 @ np.linalg.inv(z) - path[-1], 2) < 1e-8
+
+
+def test_path_to_similarity_multiplies_only_moved_samples():
+    # samples 1 and 2 of a loop of non-orthogonal idempotents turn, the
+    # others never move: z is exactly 1 on those (a step factor there would
+    # only round near 1), and a repeated element leaves z bit-identical
+    rng = np.random.default_rng(3)
+    sim = np.eye(2) + 0.3 * rng.standard_normal((5, 2, 2))
+    samples = sim @ np.diag([1.0, 0.0]) @ np.linalg.inv(sim)
+    moving = np.array([False, True, True, False, False])
+    turn = np.array([[1.0, -0.05], [0.05, 1.0]])
+    path = [LoopElem(samples)]
+    for _ in range(8):
+        samples = samples.copy()
+        samples[moving] = turn @ samples[moving] @ np.linalg.inv(turn)
+        path.append(LoopElem(samples))
+    z = dense_path_to_similarity(path)
+    still = z.samples[~moving]
+    assert np.array_equal(still, np.broadcast_to(np.eye(2), still.shape))
+    longer = path[:4] + [LoopElem(path[3].samples.copy())] + path[4:]
+    assert np.array_equal(bits(dense_path_to_similarity(longer)), bits(z))
