@@ -8,7 +8,7 @@ sampled loop algebras.
 """
 
 from .errors import ApproxKError
-from .matcore import DEFAULT_TOL, Tol
+from .matcore import DEFAULT_TOL, Gate, Tol
 from .subalg import Subalg, Subspace, amplify, from_basis, intersect
 from .wedderburn import (
     K0Vec,
@@ -61,6 +61,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ApproxKError",
     "DEFAULT_TOL",
+    "Gate",
     "Tol",
     "Subalg",
     "Subspace",

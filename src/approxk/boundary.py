@@ -68,7 +68,7 @@ from .errors import (
 )
 from .loops import (LoopAlg, LoopElem, arc_k0_trivialize, det_winding, loop_membership,
                     loop_project, winding_k1)
-from .matcore import DEFAULT_TOL, Tol, as_matrix, eye
+from .matcore import DEFAULT_TOL, Gate, Tol, as_matrix, below, eye
 from .subalg import Subalg, Subspace
 from .wedderburn import K0Vec, k0_class, similarity_witness
 
@@ -87,8 +87,10 @@ def _multiplier(h) -> np.ndarray:
     if h.ndim == 1:
         if not np.all(np.isreal(h)):
             raise NotAContraction("profile multiplier must be real")
-        return h[:, None, None]
+        h = h[:, None, None]
     if h.ndim == 3 and h.shape[1] == h.shape[2]:
+        if not np.isfinite(h).all():
+            raise InvalidInput("multiplier has non-finite entries")
         return h
     return as_matrix(h)
 
@@ -352,7 +354,7 @@ class IdealCert:
     intersection-membership residuals), each normalized by the operator norm
     of the probed element and maximized over the probe set, over the pair
     (C, D), at its Tol: ``pair.tol``, which tensor_scale_ideal_structure
-    reads too.
+    reads too.  Their maximum, ``delta_level``, is a sampled estimate.
     """
 
     h: object
@@ -366,8 +368,11 @@ class IdealCert:
         # np.max keeps a NaN, which then fails valid_at
         return float(np.max(self.measured))
 
+    def gates(self, delta: float) -> tuple:
+        return (Gate("delta_level", self.delta_level, delta, "sampled"),)
+
     def valid_at(self, delta: float) -> bool:
-        return self.delta_level <= delta
+        return all(g.holds for g in self.gates(delta))
 
 
 def check_delta_ideal_structure(h, c, d, x_basis, tol: Tol | None = None,
@@ -443,11 +448,11 @@ def tensor_scale_ideal_structure(cert: IdealCert, m: int):
     basis2 = [ops.like(x, np.kron(ops.arr(x), u)) for x in cert.x_basis for u in units]
     cert2 = check_delta_ideal_structure(h2, cert.pair.tensor(m), None, basis2,
                                         seed=cert.seed)
-    budget = m_x * cert.delta_level + 1e-9
-    if cert2.delta_level > budget:
+    gate, = cert2.gates(m_x * cert.delta_level + 1e-9)
+    if not gate.holds:
         raise ExactnessViolation(
-            f"tensored residual {cert2.delta_level:.3e} exceeds "
-            f"m_x * delta = {budget:.3e}"
+            f"tensored residual {gate.value:.3e} exceeds "
+            f"m_x * delta = {gate.budget:.3e}"
         )
     return cert2, m_x
 
@@ -494,15 +499,19 @@ class LiftCert:
         # np.max keeps a NaN, which then fails valid_at
         return float(np.max([self.residual_d, self.residual_c, self.residual_int]))
 
+    def gates(self, delta: float) -> tuple:
+        return (Gate("delta_level", self.delta_level, delta),
+                Gate("aug_diff", abs(self.aug_diff), 0))
+
     def valid_at(self, delta: float) -> bool:
-        return self.delta_level <= delta and self.aug_diff == 0
+        return all(g.holds for g in self.gates(delta))
 
     @functools.cached_property
     def trivialization(self):
-        # written so that a NaN level fails
-        if not self.delta_level < funcalc.DELTA_MAX:
+        level, aug = self.gates(below(funcalc.DELTA_MAX))
+        if not level.holds:
             raise DefectTooLarge(f"lift level {self.delta_level:.3e} >= {funcalc.DELTA_MAX}")
-        if self.aug_diff != 0:
+        if not aug.holds:
             raise NotAClass(f"scalar-rank mismatch {self.aug_diff}: e has no class")
         return self.pair.inter.trivialize(self.e)
 
@@ -685,6 +694,13 @@ class SigmaWitness:
     residual_d: float
     residual_c: float
     offdiag: float
+    windings: tuple  # the K_1 classes of u, x and factor; () when K_1 is zero
+
+    def gates(self, eps: float) -> tuple:
+        return (Gate("residual_d", self.residual_d, eps),
+                Gate("residual_c", self.residual_c, eps),
+                Gate("windings", max((abs(f + x - u) for u, x, f in zip(*self.windings)),
+                                     default=0), 0))
 
 
 def sigma_witness(cert: LiftCert, eps: float, seed: int = 0) -> SigmaWitness:
@@ -703,15 +719,15 @@ def sigma_witness(cert: LiftCert, eps: float, seed: int = 0) -> SigmaWitness:
     factor = cert.u @ x_inv
     _, r_d = cert.pair.d.nearest(x)
     _, r_c = cert.pair.c.nearest(factor)
-    # np.max keeps a NaN, and the gate is written so that a NaN fails it
-    if not np.max([r_d, r_c]) <= eps:
-        raise ReconstructionFailed((float(r_d), float(r_c)))
     k1 = cert.pair.inter.k1
-    wu, wx, wf = k1(cert.u), k1(x), k1(factor)
-    if tuple(a + b for a, b in zip(wf, wx)) != wu:
-        raise ReconstructionFailed((wf, wx, wu),
-                                   f"winding bookkeeping {wf} + {wx} != {wu}")
-    return SigmaWitness(x, factor, float(r_d), float(r_c), float(offdiag))
+    wu, wx, wf = windings = k1(cert.u), k1(x), k1(factor)
+    wit = SigmaWitness(x, factor, float(r_d), float(r_c), float(offdiag), windings)
+    gate_d, gate_c, gate_w = wit.gates(eps)
+    if not (gate_d.holds and gate_c.holds):
+        raise ReconstructionFailed((wit.residual_d, wit.residual_c))
+    if not gate_w.holds:
+        raise ReconstructionFailed((wf, wx, wu), f"winding bookkeeping {wf} + {wx} != {wu}")
+    return wit
 
 
 # ---------------------------------------------------------------------------
@@ -807,15 +823,19 @@ class WhiteheadCert:
     pair: Pair
     coefs: tuple  # the power coefficients in s of vc and of vd
 
-    @property
-    def certified(self) -> bool:
+    def gates(self, eps: float | None = None) -> tuple:
         """The guarantees that need no eps: the t = 0 product recovers
         diag(a, a^-1), the t = 1 factors are the identity, and the norms stay
-        within (3 + c)^5 over all of [0, 1].  The memberships are judged
-        against a caller's eps."""
-        return (self.product_residual <= 1e-9
-                and self.endpoint_residual <= 1e-12
-                and self.norm_upper <= self.norm_bound)
+        within (3 + c)^5 over all of [0, 1].  With an eps, the two membership
+        bounds over all of [0, 1] are judged against it too."""
+        out = (Gate("product_residual", self.product_residual, 1e-9),
+               Gate("endpoint_residual", self.endpoint_residual, 1e-12),
+               Gate("norm_upper", self.norm_upper, self.norm_bound))
+        return out if eps is None else out + (
+            Gate("membership_c_upper", self.membership_c_upper, eps),
+            Gate("membership_d_upper", self.membership_d_upper, eps))
+
+    certified = property(lambda self: all(g.holds for g in self.gates()))
 
     @functools.cached_property
     def _memberships(self) -> tuple:
@@ -1007,6 +1027,10 @@ class SigmaReconstruct:
     gap: float
     windings: tuple | None
     defect: float | None = None  # of the homotopy discretization
+    enforced: tuple = ()  # the gates that sigma_reconstruct passed
+
+    def gates(self) -> tuple:
+        return self.enforced
 
 
 def _path_order(n: int, m: int) -> np.ndarray:
@@ -1083,18 +1107,24 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d=None, tol: Tol | None = None,
     n = ops.side_size(u0)
     m = ops.arr(a).shape[-3]
     size = 2 * (m + 1) * n
+    enforced = []
+
+    def require(gate, error):
+        if not gate.holds:
+            raise error()
+        enforced.append(gate)
 
     def bands(name, s, start):
         # the certificate, and the coefficients it holds, die with this call:
-        # only its t = 0 factors and their inverses are kept, as bands
+        # its gates are kept, and its t = 0 factors and their inverses as bands
         wc = whitehead_split(s, h, pair, t_steps=whitehead_t_steps)
-        if not wc.certified:
-            raise ReconstructionFailed(
+        for g in wc.gates():
+            require(dataclasses.replace(g, name=f"{name}.{g.name}"), lambda: ReconstructionFailed(
                 (wc.product_residual, wc.endpoint_residual, wc.norm_upper),
                 f"Whitehead split of {name} fails its certificate: product "
                 f"{wc.product_residual:.3e}, endpoint {wc.endpoint_residual:.3e}, "
                 f"norm bound {wc.norm_upper:.3e} against {wc.norm_bound:.3e}",
-            )
+            ))
         vc, vd = wc.vc_path[0], wc.vd_path[0]
         return [_path_band(f, start, size) for f in (vc, vd, ops.inv(vc, tol), ops.inv(vd, tol))]
 
@@ -1115,13 +1145,11 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d=None, tol: Tol | None = None,
     y = _band_project(pair.inter, mid, n)
     x = y + one
     drift_c, drift_d = matcore.band_norm(x - t_c), matcore.band_norm(x - t_d)
-    # np.max keeps a NaN, and each gate is written so that a NaN fails it
-    achieved = np.max([drift_c, drift_d])
-    if not achieved <= max(uniform_constant * gap, 1e-6):
-        raise PairNotUniform(
-            f"joint approximation {achieved:.3e} exceeds "
-            f"{uniform_constant:.1f} * {gap:.3e}"
-        )
+    # np.max keeps a NaN, which then fails its gate
+    achieved = float(np.max([drift_c, drift_d]))
+    require(Gate("achieved", achieved, max(uniform_constant * gap, 1e-6)),
+            lambda: PairNotUniform(f"joint approximation {achieved:.3e} exceeds "
+                                   f"{uniform_constant:.1f} * {gap:.3e}"))
     # where x is exactly the identity, x^-1 = 1, R = 0 and kappa_1 = 1: the
     # stability check runs on the samples where x moves
     eye_ab = np.zeros(x.ab.shape[-2:])
@@ -1135,9 +1163,8 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d=None, tol: Tol | None = None,
     unstable = float(np.max(np.sqrt(mod.sum(axis=-2).max(axis=-1)
                                     * mod.sum(axis=-1).max(axis=-1)),
                             initial=0.0))
-    if not unstable <= 1e-6:
-        raise ReconstructionFailed(
-            unstable, f"unstable inverse for x = 1 + y: residual {unstable:.3e}")
+    require(Gate("unstable", unstable, 1e-6), lambda: ReconstructionFailed(
+        unstable, f"unstable inverse for x = 1 + y: residual {unstable:.3e}"))
     windings = None
     if pair.inter.k1(ops.eye_like(u_c)):
         # k1 is () exactly when K_1 is the zero group and there are no
@@ -1151,24 +1178,21 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d=None, tol: Tol | None = None,
         t_inv_d = embed(u_d) @ db_inv @ da_inv
         for name, t_inv, drift in (("C", t_inv_c, drift_c), ("D", t_inv_d, drift_d)):
             margin = 1.0 / matcore.band_norm(t_inv)
-            if drift >= margin:
-                raise ReconstructionFailed(
-                    (drift, margin),
-                    f"x is {drift:.3e} from the {name}-side comparison "
-                    f"element, beyond the homotopy margin {margin:.3e}"
-                )
+            require(Gate(f"margin_{name}", drift, below(margin)), lambda: ReconstructionFailed(
+                (drift, margin),
+                f"x is {drift:.3e} from the {name}-side comparison "
+                f"element, beyond the homotopy margin {margin:.3e}"))
         # the embedding u (+) 1 keeps the determinant of u
         wx, wx_d = (det_winding(matcore.band_det(t)).entries[0] for t in (t_c, t_d))
         wuc, wud = (pair.inter.k1(u)[0] for u in (u_c, u_d))
-        if wx != wx_d or wx != wuc or wx != -wud:
-            raise ReconstructionFailed(
-                (wx, wx_d, wuc, wud),
-                f"winding mismatch: x {wx}/{wx_d}, u_C {wuc}, u_D {wud}"
-            )
+        require(Gate("windings", max(abs(wx - wx_d), abs(wx - wuc), abs(wx + wud)), 0),
+                lambda: ReconstructionFailed(
+                    (wx, wx_d, wuc, wud),
+                    f"winding mismatch: x {wx}/{wx_d}, u_C {wuc}, u_D {wud}"))
         windings = (wx, wuc, wud)
     y_out = matcore.band_scatter(y, _path_order(n, m))
     return SigmaReconstruct(ops.like(u0, np.eye(size) + y_out), ops.like(u0, y_out),
-                            float(achieved), float(gap), windings, float(defect))
+                            achieved, float(gap), windings, float(defect), tuple(enforced))
 
 
 # ---------------------------------------------------------------------------
@@ -1179,9 +1203,14 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d=None, tol: Tol | None = None,
 class UniformityReport:
     samples: list  # (delta_in, achieved) pairs
     ratios: list
-    ratio_sup: float
+    ratio_sup: float  # a sampled estimate of the pair's uniform constant
     b_dims: tuple
     seed: int
+
+    def gates(self, ratio_max: float) -> tuple:
+        # a probe that measured nothing certifies nothing: its supremum is NaN
+        sup = self.ratio_sup if self.ratios else math.nan
+        return (Gate("ratio_sup", sup, ratio_max, "sampled"),)
 
 
 def uniformity_probe(c, d=None, sample_count: int = 50, b_dims=(1, 2, 3),

@@ -170,7 +170,7 @@ def check_ideal_structure(scn: dict, seed: int, params: dict) -> dict:
         "measured": [float(m) for m in cert.measured],
         "delta_level": level,
         "delta_budget": budget,
-        "passed": bool(cert.valid_at(budget)),
+        "passed": cert.valid_at(budget),
     }
 
 
@@ -207,7 +207,7 @@ def check_iota_lift(scn: dict, seed: int, params: dict) -> dict:
         "residual_int": cert.residual_int,
         "aug_diff": cert.aug_diff,
         "norm_bound": cert.c,
-        "passed": bool(cert.valid_at(budget)),
+        "passed": cert.valid_at(budget),
     }
 
 
@@ -221,16 +221,11 @@ def check_sigma_witness(scn: dict, seed: int, params: dict) -> dict:
         "residual_d": wit.residual_d,
         "residual_c": wit.residual_c,
         "offdiag": wit.offdiag,
-        "passed": max(wit.residual_d, wit.residual_c) <= eps,
+        "passed": all(g.holds for g in wit.gates(eps)),
     }
-    k1 = cert.pair.inter.k1
-    wx = k1(wit.x)
+    wu, wx, wf = wit.windings
     if wx:
-        rec["windings"] = {
-            "x": wx[0],
-            "factor": k1(wit.factor)[0],
-            "u": k1(cert.u)[0],
-        }
+        rec["windings"] = {"x": wx[0], "factor": wf[0], "u": wu[0]}
     return rec
 
 
@@ -244,9 +239,6 @@ def check_whitehead(scn: dict, seed: int, params: dict) -> dict:
         a = one + x
     cert = boundary.whitehead_split(a, scn["h"], scn["pair"])
     eps = _number(params, "eps", 0.1)
-    # the gates read the bounds over all t in [0, 1]
-    ok = (cert.certified and cert.membership_c_upper <= eps
-          and cert.membership_d_upper <= eps)
     return {
         "check": "whitehead",
         "t_steps": cert.t_steps,
@@ -259,7 +251,7 @@ def check_whitehead(scn: dict, seed: int, params: dict) -> dict:
         "norm_upper": cert.norm_upper,
         "membership_c_upper": cert.membership_c_upper,
         "membership_d_upper": cert.membership_d_upper,
-        "passed": bool(ok),
+        "passed": all(g.holds for g in cert.gates(eps)),
     }
 
 
@@ -273,8 +265,7 @@ def check_uniformity(scn: dict, seed: int, params: dict) -> dict:
         "b_dims": list(rep.b_dims),
         "ratio_sup": rep.ratio_sup,
         "ratio_max": limit,
-        # a probe that measured nothing certifies nothing
-        "passed": bool(rep.ratios) and rep.ratio_sup <= limit,
+        "passed": all(g.holds for g in rep.gates(limit)),
     }
 
 
@@ -288,7 +279,7 @@ def check_product(scn: dict, seed: int, params: dict) -> dict:
         "full": np.eye(2, dtype=complex),
     }
     rows = []
-    ok = True
+    gates = []
     for label, p in reps.items():
         pc = kprod.boundary_product_check(cert, p, 2)
         rows.append({
@@ -298,8 +289,8 @@ def check_product(scn: dict, seed: int, params: dict) -> dict:
             "equal": pc.equal,
             "intersection_gap": pc.intersection_gap,
         })
-        ok = ok and pc.equal
-    return {"check": "product-check", "rows": rows, "passed": bool(ok)}
+        gates += pc.gates()
+    return {"check": "product-check", "rows": rows, "passed": all(g.holds for g in gates)}
 
 
 CHECKS = {
@@ -409,7 +400,7 @@ def sweep_uniformity(count: int, seed: int, tol: Tol):
     rep = boundary.uniformity_probe(blk["c"], blk["d"], sample_count=count,
                                     seed=seed, tol=tol)
     rows.append([0, "block_ideal_pair", 0.0, rep.ratio_sup,
-                 rep.ratio_sup <= 3.0])
+                 all(g.holds for g in rep.gates(3.0))])
     prev = 0.0
     for idx, theta in enumerate((0.3, 0.1, 0.03), start=1):
         scn = scenarios.hereditary_pair(theta)

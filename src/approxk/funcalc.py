@@ -21,7 +21,7 @@ from .errors import (
     RoundingUnstable,
     SpectralAmbiguity,
 )
-from .matcore import DEFAULT_TOL, Tol, as_matrix, eye, op_norm
+from .matcore import DEFAULT_TOL, Gate, Tol, as_matrix, eye, op_norm
 from .subalg import Subspace
 from .wedderburn import k0_class
 
@@ -38,10 +38,13 @@ class RoundingCert:
     bound: float
     method: str
 
+    def gates(self) -> tuple:
+        # exact idempotents give bound 0 but fp distance ~1e-15, hence the floor
+        return (Gate("distance", self.distance, self.bound + 1e-12 * (1.0 + self.c)),)
+
     @property
     def passed(self) -> bool:
-        # exact idempotents give bound 0 but fp distance ~1e-15, hence the floor
-        return self.distance <= self.bound + 1e-12 * (1.0 + self.c)
+        return all(g.holds for g in self.gates())
 
 
 def riesz_bound(delta: float, c: float) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 from . import matcore, ops
 from .boundary import LiftCert, MatrixSide, certify_lift
 from .errors import InvalidInput, NotAClass
-from .matcore import DEFAULT_TOL, Tol, as_matrix, eye, kron, op_norm
+from .matcore import DEFAULT_TOL, Gate, Tol, as_matrix, eye, kron, op_norm
 from .subalg import Subalg
 from .wedderburn import K0Vec, WedderburnData, k0_class
 
@@ -56,6 +56,9 @@ class ProductCheck:
     equal: bool
     tensored_cert: LiftCert
     intersection_gap: int
+
+    def gates(self) -> tuple:
+        return (Gate("lhs != rhs", float(not self.equal), 0.0),)
 
 
 def boundary_product_check(cert: LiftCert, p, m: int, seed: int = 0) -> ProductCheck:

@@ -163,6 +163,8 @@ def winding_k1(u: LoopElem) -> K1Vec:
 def det_winding(dets: np.ndarray) -> K1Vec:
     """Winding number of a loop's sampled determinants, which must stay away
     from 0 and turn by less than pi/2 between neighbouring samples."""
+    if not np.isfinite(dets).all():
+        raise InvalidInput("loop has a non-finite determinant")
     if np.min(np.abs(dets)) < 1e-12:
         raise InvalidInput("loop has a non-invertible sample")
     steps = np.angle(np.roll(dets, -1) / dets)

@@ -81,6 +81,26 @@ class Tol:
 DEFAULT_TOL = Tol()
 
 
+@dataclasses.dataclass(frozen=True)
+class Gate:
+    """One pass/fail decision of a certificate, value against budget.  kind
+    is "bound" for an upper bound or an exact measurement, and "sampled" for
+    a sampled estimate of a supremum.  A strict limit is the budget
+    below(limit), and holds, the one comparison, fails on a NaN."""
+
+    name: str
+    value: float
+    budget: float
+    kind: str = "bound"
+
+    holds = property(lambda self: bool(self.value <= self.budget))
+
+
+def below(limit: float) -> float:
+    """The largest float under limit: value <= below(limit) is value < limit."""
+    return float(np.nextafter(limit, -np.inf))
+
+
 def scipy_linalg():
     """The ``scipy.linalg`` module, imported on the first call."""
     import scipy.linalg

@@ -13,6 +13,7 @@ from approxk.errors import (
     AmbiguousIntersection,
     ApproxKError,
     DefectTooLarge,
+    ExactnessViolation,
     InvalidInput,
     IotaNotZero,
     NotAClass,
@@ -59,6 +60,10 @@ def test_check_contraction_guards():
         boundary.check_contraction(np.array([-0.2, 0.5]))
     with pytest.raises(NotAContraction):
         boundary.check_contraction(np.array([0.5 + 1e-12j, 0.2]))
+    # a profile or a stack is checked for non-finite entries, as a matrix is
+    for bad in (np.full(16, np.nan), np.r_[0.5, np.inf], np.full((3, 2, 2), np.nan)):
+        with pytest.raises(InvalidInput, match="non-finite"):
+            boundary.check_contraction(bad)
     # a multiplier acts only on elements of its own carrier
     loop = LoopElem(np.ones((4, 2, 2)))
     with pytest.raises(InvalidInput):
@@ -689,12 +694,28 @@ def _class_reads(plant):
     return True
 
 
+def _tensor_scale_passes(plant):
+    # the NaN lands on the input level, which the tensored gate's budget reads
+    scn = scenarios.block_ideal_pair()
+    cert = boundary.check_delta_ideal_structure(block_h(), scn["c"], scn["d"],
+                                                [np.eye(6, dtype=complex)])
+    if plant:
+        cert = dataclasses.replace(cert, measured=(0.0, np.nan, 0.0, 0.0, 0.0))
+    try:
+        boundary.tensor_scale_ideal_structure(cert, 2)
+    except ExactnessViolation:
+        return False
+    return True
+
+
 def _reconstruct_passes(monkeypatch, plant, site):
     # a trivial matrix reconstruction, where x = 1 and nothing else can
     # fail, for the drifts; the grid-16 loop reconstruction, where x moves,
-    # for the stability of x^-1.  band_norm runs for the gap, then for the
-    # drifts of x from t_C and from t_D; the NaN lands on the latter, the
-    # second argument of achieved's maximum
+    # for the stability of x^-1 and the winding margins.  band_norm runs for
+    # the gap, then for the drifts of x from t_C and from t_D, then, on a
+    # loop, for ||t_C^-1|| and ||t_D^-1||.  For the drifts the NaN lands on
+    # the second argument of achieved's maximum; for the margins, on the
+    # D-side margin, after the C-side margin passed
     if site == "achieved":
         one = np.eye(6, dtype=complex)
         blk = scenarios.block_ideal_pair()
@@ -707,7 +728,9 @@ def _reconstruct_passes(monkeypatch, plant, site):
         args = (scenarios.circle_split_homotopy(scn, steps=96), scn["u_c"],
                 scn["u_d"], scn["h"], scn["c"], scn["d"])
         kwargs = {"whitehead_t_steps": 1}
-        if plant:
+        if plant and site == "margin":
+            monkeypatch.setattr(matcore, "band_norm", _nan_at(5, matcore.band_norm))
+        elif plant:
             real = matcore.band_invert
             monkeypatch.setattr(matcore, "band_invert",
                                 lambda *a, **k: np.nan * real(*a, **k))
@@ -751,14 +774,17 @@ NAN_SITES = {
         lambda mp, plant: _reconstruct_passes(mp, plant, "achieved"),
     "sigma_reconstruct.unstable":
         lambda mp, plant: _reconstruct_passes(mp, plant, "unstable"),
+    "sigma_reconstruct.margin":
+        lambda mp, plant: _reconstruct_passes(mp, plant, "margin"),
+    "tensor_scale_ideal_structure.budget": lambda mp, plant: _tensor_scale_passes(plant),
 }
 
 
 @pytest.mark.parametrize("site", list(NAN_SITES))
 def test_planted_nan_fails_its_gate(monkeypatch, site):
     # Python's max drops a NaN that is not its first argument, and a gate
-    # x > limit passes one; each maximum keeps it, and each gate is written
-    # so that it fails.  Unplanted, every site passes.
+    # x > limit passes one; each maximum keeps it, and each gate is a
+    # matcore.Gate, which fails on it.  Unplanted, every site passes.
     assert NAN_SITES[site](monkeypatch, False)
     assert not NAN_SITES[site](monkeypatch, True)
 
@@ -963,6 +989,59 @@ def test_certificates_holding_arrays_compare_by_identity():
     e = np.diag([1.0, 0.0]).astype(complex)
     (_, r1), (_, r2) = funcalc.riesz_idempotent(e), funcalc.riesz_idempotent(e)
     assert r1 == r2 and r1 is not r2
+
+
+# every gate of every certificate class, with its kind: a "sampled" value is
+# an estimate of a supremum that can sit below it, a "bound" is not
+_SPLIT = {"product_residual": "bound", "endpoint_residual": "bound", "norm_upper": "bound"}
+GATE_KINDS = {
+    "RoundingCert": {"distance": "bound"},
+    "IdealCert": {"delta_level": "sampled"},
+    "LiftCert": {"delta_level": "bound", "aug_diff": "bound"},
+    "WhiteheadCert": dict(_SPLIT, membership_c_upper="bound", membership_d_upper="bound"),
+    "SigmaWitness": {"residual_d": "bound", "residual_c": "bound", "windings": "bound"},
+    "SigmaReconstruct": {**{f"{s}.{k}": v for s in "ab" for k, v in _SPLIT.items()},
+                         "achieved": "bound", "unstable": "bound", "margin_C": "bound",
+                         "margin_D": "bound", "windings": "bound"},
+    "ProductCheck": {"lhs != rhs": "bound"},
+    "UniformityReport": {"ratio_sup": "sampled"},
+}
+
+
+def test_every_certificate_gate_has_a_kind():
+    # each certificate class with gates, built on a small input and read at
+    # a budget; its pass/fail property is all of its gates
+    blk = scenarios.block_ideal_pair()
+    loop = scenarios.circle_split(grid=16, overlap=0.25 * np.pi)
+    e = np.diag([1.0, 0.0]).astype(complex)
+    made = {
+        "RoundingCert": (funcalc.riesz_idempotent(e)[1], (), "passed"),
+        "IdealCert": (_ideal_cert(), (1e-9,), "valid_at"),
+        "LiftCert": (_twisted_lift(), (1e-9,), "valid_at"),
+        "WhiteheadCert": (_block_whitehead(), (0.1,), None),
+        "SigmaWitness": (boundary.sigma_witness(_loop_lift(), eps=0.05), (0.05,), None),
+        "SigmaReconstruct": (boundary.sigma_reconstruct(
+            scenarios.circle_split_homotopy(loop, steps=96), loop["u_c"], loop["u_d"],
+            loop["h"], loop["c"], loop["d"], whitehead_t_steps=1), (), None),
+        "ProductCheck": (kprod.boundary_product_check(_twisted_lift(), np.eye(2), 2), (), None),
+        "UniformityReport": (boundary.uniformity_probe(blk["c"], blk["d"], sample_count=4),
+                             (3.0,), None),
+    }
+    gated = {name for mod in (funcalc, boundary, kprod) for name, obj in vars(mod).items()
+             if inspect.isclass(obj) and obj.__module__ == mod.__name__ and hasattr(obj, "gates")}
+    assert gated == set(made) == set(GATE_KINDS)
+    for name, (cert, budget, verdict) in made.items():
+        assert type(cert).__name__ == name
+        gates = cert.gates(*budget)
+        assert {g.name: g.kind for g in gates} == GATE_KINDS[name], name
+        assert all(isinstance(g, matcore.Gate) and g.kind in ("bound", "sampled")
+                   for g in gates)
+        if verdict is not None:
+            read = getattr(cert, verdict)
+            assert (read(*budget) if callable(read) else read) == all(g.holds for g in gates)
+    whitehead = made["WhiteheadCert"][0]
+    assert whitehead.certified == all(g.holds for g in whitehead.gates())
+    assert len(whitehead.gates()) == 3
 
 
 # ---------------------------------------------------------------------------

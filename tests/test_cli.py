@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from approxk import boundary, cli, funcalc, loops, scenarios, subalg, wedderburn
+from approxk import boundary, cli, funcalc, kprod, loops, scenarios, subalg, wedderburn
 from approxk.matcore import Tol
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -326,6 +326,17 @@ def test_uniformity_without_ratios_fails(monkeypatch):
     scn["pair"] = boundary.Pair(scn["c"], scn["d"])
     rec = cli.check_uniformity(scn, 0, {})
     assert rec["samples"] == 0
+    assert rec["passed"] is False
+
+
+def test_unequal_product_rows_fail(monkeypatch):
+    # the check reads each row's gate, which fails when the sides differ
+    unequal = kprod.ProductCheck((1, -1), (2, -2), False, None, 0)
+    monkeypatch.setattr(kprod, "boundary_product_check", lambda *a, **k: unequal)
+    scn = cli.build_scenario({"kind": "twisted_pair", "params": {}})
+    scn["pair"] = boundary.Pair(scn["c"], scn["d"])
+    rec = cli.check_product(scn, 0, {})
+    assert [row["equal"] for row in rec["rows"]] == [False] * 3
     assert rec["passed"] is False
 
 

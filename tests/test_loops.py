@@ -37,6 +37,18 @@ def test_winding_detects_coarse_grid():
         winding_k1(power_z(alg, 5))
 
 
+def test_winding_refuses_non_finite_determinants():
+    # 1e200 z over a 2-dim fiber has determinant 1e400 z^2, which overflows;
+    # the phase and quantization checks would each let an inf or a NaN pass
+    big = LoopElem(1e200 * power_z(LoopAlg(32, 2), 1).samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InvalidInput, match="non-finite determinant"):
+            winding_k1(big)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(InvalidInput, match="non-finite determinant"):
+            loops.det_winding(np.r_[np.exp(2j * np.pi * np.arange(7) / 8), bad])
+
+
 def test_winding_of_amplified_loop():
     alg = LoopAlg(64, 2)
     # the phase sits in one corner of the amplified identity, so the

@@ -22,6 +22,18 @@ def test_as_matrix_rejects_bad_shapes():
         matcore.as_matrix(np.array([[np.nan, 0], [0, 1]]))
 
 
+def test_gate_holds_at_its_budget_and_fails_on_a_nan():
+    gate = matcore.Gate
+    assert gate("x", 1.0, 1.0).holds is True
+    assert gate("x", 1.0 + 1e-15, 1.0).holds is False
+    assert not gate("x", np.nan, 1.0).holds and not gate("x", 0.0, np.nan).holds
+    # a strict limit: below(limit) is the largest float under it
+    assert not gate("x", 1.0, matcore.below(1.0)).holds
+    assert gate("x", np.nextafter(1.0, 0.0), matcore.below(1.0)).holds
+    assert gate("x", 1e308, matcore.below(np.inf)).holds
+    assert np.isnan(matcore.below(np.nan))
+
+
 def test_op_norm_matches_largest_singular_value(rng):
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     assert matcore.op_norm(a) == pytest.approx(np.linalg.svd(a, compute_uv=False)[0])
