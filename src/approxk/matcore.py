@@ -40,13 +40,28 @@ array, refusing entries outside the band), :func:`band_block_diag` (square
 blocks along the diagonal of an identity), :func:`band_scatter` (the dense
 array, in a permuted order), :func:`band_blockwise` (a map
 applied to the square blocks that the band touches, as one stack),
-:func:`band_matmul` (band times band, or band times dense), :func:`band_norm`
+:func:`band_matmul` (band times band), :func:`band_norm`
 (the operator norm from the top eigenvalue of the band Gram matrix, by
 ``scipy.linalg.eig_banded``; Golub & Van Loan, *Matrix Computations*, 8.3),
-:func:`band_det` and :func:`band_invert` (from the band LU ``zgbtrf``, with
-``zgbtrs`` for the inverse; ibid., 4.3).  :func:`band_invert` applies the
-same kappa_1 rule as :func:`invert`.  Every call the package makes to
-``scipy.linalg.lapack`` or ``eig_banded`` is made here.
+:func:`band_det` (from the band LU ``zgbtrf``; ibid., 4.3) and
+:func:`band_invert`.
+
+:func:`band_invert` returns a banded inverse X.  Its columns are solved in
+blocks, each on a window of the band around its block, and the band is
+padded with the identity so that every window has one shape and one
+batched ``np.linalg.solve`` takes them all.  The windows start at
+half-width kl + ku and double until the residual R = b X - 1 has
+||R||_1 <= n u ||b||_1 ||X||_1 (u the unit roundoff), or until solving
+them would cost as much as solving the whole matrix, which then is the one
+window, with X its exact inverse; a singular window widens too.  The inverses of
+well-conditioned bands decay away from the diagonal (Demko, Moss & Smith,
+*Math. Comp.* 43, 1984), so the first window is usually the last.  A
+banded X is a certificate: when ||R|| < 1, b is invertible by the Neumann
+series, with ||b^-1|| <= ||X|| / (1 - ||R||) (Higham, *Accuracy and
+Stability of Numerical Algorithms*, ch. 14).  :func:`band_invert` applies
+the same kappa_1 rule as :func:`invert`, on the two band storages.  Every
+call the package makes to ``scipy.linalg.lapack`` or ``eig_banded`` is
+made here.
 
 scipy is imported on first use: :func:`scipy_linalg` imports and returns
 ``scipy.linalg`` when a band kernel or the Schur fallback of Riesz rounding
@@ -175,13 +190,17 @@ def matmul(a, b) -> np.ndarray:
     return a @ b
 
 
+def _norm_1(a: np.ndarray) -> np.ndarray:
+    """The 1-norm of every matrix over the leading axes of a: the largest
+    absolute column sum.  a may also be the storage of a :class:`Band`,
+    whose columns hold exactly the band entries of the matrix's."""
+    return np.abs(a).sum(axis=-2).max(axis=-1)
+
+
 def _kappa_1(a: np.ndarray, a_inv: np.ndarray) -> float:
-    """The largest ||a||_1 ||a^-1||_1 over the leading axes.  The 1-norm is
-    the largest absolute column sum, so a may also be the storage of a
-    :class:`Band`, whose columns hold exactly the band entries of a's."""
-    kappa = (np.abs(a).sum(axis=-2).max(axis=-1)
-             * np.abs(a_inv).sum(axis=-2).max(axis=-1))
-    return float(np.max(kappa, initial=0.0))
+    """The largest ||a||_1 ||a^-1||_1 over the leading axes, of dense arrays
+    or of band storages."""
+    return float(np.max(_norm_1(a) * _norm_1(a_inv), initial=0.0))
 
 
 def _check_kappa(kappa: float, tol: Tol) -> None:
@@ -415,20 +434,10 @@ def band_blockwise(b: Band, s: int, f) -> Band:
     return Band(ab, kl, ku)
 
 
-def band_matmul(x: Band, y):
-    """x @ y over broadcast leading axes: a band for a band y, a dense array
-    for a dense y.  Each diagonal of the factor y (or of x) is one shifted
-    elementwise product."""
+def band_matmul(x: Band, y: Band) -> Band:
+    """x @ y over broadcast leading axes.  Each diagonal of the factor y is
+    one shifted elementwise product."""
     n = x.size
-    if not isinstance(y, Band):
-        y = np.asarray(y, dtype=complex)
-        out = np.zeros(np.broadcast_shapes(x.ab.shape[:-2], y.shape[:-2]) + y.shape[-2:],
-                       dtype=complex)
-        for r in range(x.kl + x.ku + 1):
-            d = x.ku - r  # x[i, i + d] = x.ab[r, i + d]
-            lo, hi = max(0, -d), min(n, n - d)
-            out[..., lo:hi, :] += x.ab[..., r, lo + d:hi + d, None] * y[..., lo + d:hi + d, :]
-        return out
     kl, ku = x.kl + y.kl, x.ku + y.ku
     lead = np.broadcast_shapes(x.ab.shape[:-2], y.ab.shape[:-2])
     out = np.zeros(lead + (kl + ku + 1, n), dtype=complex)
@@ -478,38 +487,83 @@ def band_norm(b: Band) -> float:
     return float(np.sqrt(top))
 
 
-def _band_lu(b: Band):
-    """Yield (index, lu, piv, info) of ``zgbtrf`` for each matrix of b, with
-    piv 0-based and U's diagonal in row kl + ku of lu."""
+def band_det(b: Band) -> np.ndarray:
+    """Determinants over the leading axes, from the band LU ``zgbtrf``: the
+    product of U's diagonal times the sign of the row interchanges."""
     work = np.zeros(b.ab.shape[:-2] + (2 * b.kl + b.ku + 1, b.size), dtype=complex)
     work[..., b.kl:, :] = b.ab
-    lapack = scipy_linalg().lapack
-    for idx in np.ndindex(b.ab.shape[:-2]):
-        lu, piv, info = lapack.zgbtrf(work[idx], b.kl, b.ku)
-        yield idx, lu, piv, info
-
-
-def band_det(b: Band) -> np.ndarray:
-    """Determinants over the leading axes: the product of U's diagonal times
-    the sign of the row interchanges."""
     dets = np.empty(b.ab.shape[:-2], dtype=complex)
     unmoved = np.arange(b.size)
-    for idx, lu, piv, _ in _band_lu(b):
+    zgbtrf = scipy_linalg().lapack.zgbtrf
+    for idx in np.ndindex(dets.shape):
+        # piv is 0-based, and U's diagonal is row kl + ku of lu
+        lu, piv, _ = zgbtrf(work[idx], b.kl, b.ku)
         sign = -1.0 if np.count_nonzero(piv != unmoved) % 2 else 1.0
         dets[idx] = sign * np.prod(lu[b.kl + b.ku])
     return dets
 
 
-def band_invert(b: Band, tol: Tol = DEFAULT_TOL) -> np.ndarray:
-    """The dense inverse of each matrix of b from its band LU; NotInvertible
-    under the kappa_1 rule of :func:`invert`."""
+def _windowed_inverse(b: Band, s: int, w: int):
+    """The inverse of each matrix of b from its columns in blocks of s, each
+    solved on the window of half-width w around its block, as one batched
+    ``np.linalg.solve``; None when numpy finds a window singular.
+
+    b is read as padded with the identity, w before and enough after, so
+    that every window is a principal submatrix of side s + 2w.  Block q
+    holds columns q s .. q s + s - 1, and its window rows and columns
+    q s - w .. q s + s + w - 1; a window that covers the matrix solves it
+    exactly.
+    The result has widths s + w - 1, at most n - 1, and keeps no entry of
+    the padding."""
     n = b.size
-    one = np.eye(n, dtype=complex)
-    out = np.empty(b.ab.shape[:-2] + (n, n), dtype=complex)
-    lapack = scipy_linalg().lapack
-    for idx, lu, piv, info in _band_lu(b):
-        if info > 0:
+    k, m = -(-n // s), s + 2 * w
+    q, r, c = np.indices((k, m, m))
+    i, j = q * s + r - w, q * s + c - w
+    pad = (i < 0) | (i >= n)
+    inside = ~pad & (j >= 0) & (j < n) & (j - i <= b.ku) & (i - j <= b.kl)
+    win = np.zeros(b.ab.shape[:-2] + (k, m, m), dtype=complex)
+    win[..., pad & (i == j)] = 1.0
+    win[..., inside] = b.ab[..., (b.ku + i - j)[inside], j[inside]]
+    rhs = np.zeros((m, s), dtype=complex)
+    rhs[w + np.arange(s), np.arange(s)] = 1.0
+    try:
+        z = np.linalg.solve(win, np.broadcast_to(rhs, win.shape[:-1] + (s,)))
+    except np.linalg.LinAlgError:
+        return None
+    q, r, c = np.indices((k, m, s))
+    i, j = q * s + r - w, q * s + c
+    keep = (i >= 0) & (i < n) & (j < n)
+    kx = min(s + w - 1, n - 1)
+    ab = np.zeros(b.ab.shape[:-2] + (2 * kx + 1, n), dtype=complex)
+    ab[..., (kx + i - j)[keep], j[keep]] = z[..., keep]
+    return Band(ab, kx, kx)
+
+
+def band_invert(b: Band, tol: Tol = DEFAULT_TOL) -> Band:
+    """A banded inverse X of each matrix of b, certified by its residual
+    R = b X - 1; NotInvertible under the kappa_1 rule of :func:`invert`.
+
+    The windows of :func:`_windowed_inverse` start at half-width kl + ku,
+    with blocks as wide, and double until ||R||_1 <= n u ||b||_1 ||X||_1
+    on every matrix (u the unit roundoff), or until their LU factors would
+    cost at least that of the whole matrix, ceil(n / w) (3w)^3 >= n^3, as
+    they do once a window is as wide as the matrix: then the one window is
+    the whole matrix, X is its exact inverse, and a singular matrix raises
+    NotInvertible(inf).  A singular window widens too."""
+    n = b.size
+    bound = n * np.finfo(float).eps / 2 * _norm_1(b.ab)
+    w = max(b.kl + b.ku, 1)
+    while -(-n // w) * (3 * w) ** 3 < n ** 3:
+        x = _windowed_inverse(b, w, w)
+        if x is not None:
+            resid = b @ x
+            resid.ab[..., resid.ku, :] -= 1.0
+            if np.all(_norm_1(resid.ab) <= bound * _norm_1(x.ab)):
+                break
+        w *= 2
+    else:
+        x = _windowed_inverse(b, n, 0)
+        if x is None:
             raise NotInvertible(np.inf)
-        out[idx] = lapack.zgbtrs(lu, b.kl, b.ku, one, piv)[0]
-    _check_kappa(_kappa_1(b.ab, out), tol)
-    return out
+    _check_kappa(_kappa_1(b.ab, x.ab), tol)
+    return x

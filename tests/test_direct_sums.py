@@ -489,14 +489,25 @@ def test_reconstruct_checks_stability_only_where_x_moves(monkeypatch):
     real = matcore.band_invert
 
     def recorded(b, tol):
-        seen.append(b.ab.shape[:-2])
-        return real(b, tol)
+        inv = real(b, tol)
+        seen.append((b, inv))
+        return inv
 
     monkeypatch.setattr(matcore, "band_invert", recorded)
     rec = boundary.sigma_reconstruct(**sigma_case("circle_split_grid16_steps96"))
     moved = np.any(ops.arr(rec.y) != 0, axis=(-2, -1))
     assert moved.shape == (16,) and moved.sum() == 6
-    assert seen == [(6,)]
+    assert [b.ab.shape[:-2] for b, _ in seen] == [(6,)]
+    # the inverse stays banded, and its kappa_1 is that of the dense inverse
+    [(b, inv)] = seen
+    assert max(inv.kl, inv.ku) < b.size - 1
+    a = band_dense(b)
+
+    def kappa_1(a_inv):
+        return np.max(np.abs(a).sum(axis=-2).max(axis=-1)
+                      * np.abs(a_inv).sum(axis=-2).max(axis=-1))
+
+    assert kappa_1(band_dense(inv)) == pytest.approx(kappa_1(np.linalg.inv(a)), rel=1e-12)
 
 
 # the pairs whose C cap D projects sigma_reconstruct's y: circle_split at

@@ -251,8 +251,7 @@ def test_band_product_matches_dense(lead, n, kl, ku, seed, kl2, ku2):
     x, y = random_band(rng, lead, n, kl, ku), random_band(rng, (), n, kl2, ku2)
     bx, by = matcore.band(x, kl, ku), matcore.band(y, kl2, ku2)
     np.testing.assert_array_equal(band_dense(bx), x)
-    for got in (band_dense(bx @ by), bx @ y):
-        np.testing.assert_allclose(got, x @ y, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(band_dense(bx @ by), x @ y, rtol=0, atol=1e-13)
     np.testing.assert_allclose(band_dense(bx - by), x - y, rtol=0, atol=1e-15)
 
 
@@ -271,8 +270,51 @@ def test_band_lu_matches_dense(lead, n, kl, ku, seed):
     b = matcore.band(a, kl + 1, ku + 1)
     dets = np.linalg.det(a)
     assert np.all(np.abs(matcore.band_det(b) - dets) <= 1e-12 * np.abs(dets))
-    np.testing.assert_allclose(matcore.band_invert(b), np.linalg.inv(a),
-                               rtol=0, atol=1e-12)
+    assert_band_inverse(matcore.band_invert(b), a)
+
+
+def assert_band_inverse(x, a):
+    """x is a's inverse within atol 1e-12, and holds zeros in every slot of
+    its storage outside the matrix."""
+    dense = band_dense(x)
+    np.testing.assert_array_equal(matcore.band(dense, x.kl, x.ku).ab, x.ab)
+    np.testing.assert_allclose(dense, np.linalg.inv(a), rtol=0, atol=1e-12)
+
+
+@BAND
+@given(lead=st.sampled_from([(), (5,)]), n=st.integers(8, 200),
+       c=st.floats(0.5, 0.99), seed=st.integers(0, 2**32 - 1))
+def test_band_invert_widens_on_slow_decay(lead, n, c, seed):
+    # Toeplitz tridiagonal bands 2 - c' (S + S*), c' in [c, 0.99]: their
+    # inverses decay as ((2 - sqrt(4 - 4c'^2)) / 2c')^|i - j|, too slowly for
+    # the first window, of half-width kl + ku = 2 and widths 3
+    rng = np.random.default_rng(seed)
+    off = -rng.uniform(c, 0.99, lead + (1,))
+    a = 2.0 * np.eye(n) + off[..., None] * (np.eye(n, k=1) + np.eye(n, k=-1))
+    x = matcore.band_invert(matcore.band(a, 1, 1))
+    assert x.kl == x.ku > 3
+    assert_band_inverse(x, a)
+
+
+@BAND
+@given(lead=st.sampled_from([(), (5,)]), n=st.integers(4, 60),
+       seed=st.integers(0, 2**32 - 1))
+def test_band_invert_widens_past_singular_windows(lead, n, seed):
+    # 2 x 2 swap blocks [[0, p], [q, 0]] on rows (1, 2), (3, 4), ...: every
+    # window boundary short of the whole matrix falls at an even index, inside
+    # a swap, so each such principal window has a zero row and is singular,
+    # while the matrix is invertible
+    rng = np.random.default_rng(seed)
+    a = np.zeros(lead + (n, n), dtype=complex)
+    entry = rng.uniform(0.5, 2.0, lead + (n,)) * np.exp(2j * np.pi * rng.random(lead + (n,)))
+    i = np.arange(n)
+    partner = np.where(i % 2, i + 1, i - 1)
+    alone = (partner < 1) | (partner >= n)
+    partner[alone] = i[alone]
+    a[..., i, partner] = entry
+    x = matcore.band_invert(matcore.band(a, 1, 1))
+    assert x.kl == x.ku == n - 1
+    assert_band_inverse(x, a)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
