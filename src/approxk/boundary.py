@@ -1090,13 +1090,13 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d=None, tol: Tol | None = None,
     a projected entry outside the band raises InvalidInput.  x and y are
     returned dense in the frame's own order, y scattered from its band
     (:func:`matcore.band_scatter`) and x = 1 + y.
-    The stability check of x takes a banded inverse X of x
-    (:func:`matcore.band_invert`, which applies the kappa_1 rule) and the
-    residual R = x X - 1 as one band product: sqrt(||R||_1 ||R||_inf) is at
-    least ||R||_2, so its gate at 1e-6 proves x invertible by the Neumann
-    series.  It runs only on the samples where x differs from the
-    identity: elsewhere x^-1 = 1 exactly, so the maxima and every raise are
-    those of the whole frame.
+    The stability check of x reads the residual R = x X - 1 of the banded
+    inverse X that :func:`matcore.band_invert` returns with it (the kappa_1
+    rule applied there): sqrt(||R||_1 ||R||_inf) is at least ||R||_2, so
+    its gate at 1e-6 proves x invertible by the Neumann series.  It runs
+    only on the samples where x differs from the identity: elsewhere
+    x^-1 = 1 exactly, so the maxima and every raise are those of the whole
+    frame.
 
     (c, d) and tol make the pair as :func:`make_pair` does, and every
     inverse, the path's included, is taken at its Tol.  seed reaches
@@ -1158,8 +1158,7 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d=None, tol: Tol | None = None,
     eye_ab = np.zeros(x.ab.shape[-2:])
     eye_ab[x.ku] = 1.0
     moved = matcore.Band(x.ab[np.any(x.ab != eye_ab, axis=(-2, -1))], x.kl, x.ku)
-    resid = matcore.band_matmul(moved, matcore.band_invert(moved, tol))
-    resid.ab[..., resid.ku, :] -= 1.0
+    _, resid = matcore.band_invert(moved, tol)
     # sqrt(||R||_1 ||R||_inf) >= ||R||_2, the rows of R being the columns of R*
     norm_1, norm_inf = (matcore._norm_1(r.ab) for r in (resid, matcore._band_adjoint(resid)))
     unstable = float(np.max(np.sqrt(norm_1 * norm_inf), initial=0.0))

@@ -156,18 +156,32 @@ def power_z(alg: LoopAlg, n: int, amp: int = 1) -> LoopElem:
 
 
 def winding_k1(u: LoopElem) -> K1Vec:
-    """Determinant winding number of a loop of invertibles."""
-    return det_winding(np.linalg.det(u.samples))
+    """Determinant winding number of a loop of invertibles.  The phases and
+    log-moduli of the determinants come from ``np.linalg.slogdet``, so a
+    determinant beyond the range of a float still winds."""
+    phases, logabs = np.linalg.slogdet(u.samples)
+    return _winding(phases, logabs)
 
 
 def det_winding(dets: np.ndarray) -> K1Vec:
     """Winding number of a loop's sampled determinants, which must stay away
     from 0 and turn by less than pi/2 between neighbouring samples."""
-    if not np.isfinite(dets).all():
+    # a zero determinant has log-modulus -inf, which the floor refuses
+    with np.errstate(divide="ignore"):
+        logabs = np.log(np.abs(dets))
+    return _winding(dets, logabs)
+
+
+def _winding(phases: np.ndarray, logabs: np.ndarray) -> K1Vec:
+    """The winding of sampled determinants from their log-moduli and any
+    nonzero multiples of their phases (the determinants, or unit phases):
+    each modulus must be at least 1e-12, and each phase step below pi/2."""
+    # a NaN log-modulus fails the comparison too
+    if not (np.isfinite(phases).all() and np.all(logabs < np.inf)):
         raise InvalidInput("loop has a non-finite determinant")
-    if np.min(np.abs(dets)) < 1e-12:
+    if np.min(logabs) < np.log(1e-12):
         raise InvalidInput("loop has a non-invertible sample")
-    steps = np.angle(np.roll(dets, -1) / dets)
+    steps = np.angle(np.roll(phases, -1) / phases)
     if np.max(np.abs(steps)) >= np.pi / 2:
         raise GridTooCoarse(
             f"determinant phase step {np.max(np.abs(steps)):.3f} >= pi/2"

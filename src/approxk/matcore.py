@@ -41,27 +41,37 @@ blocks along the diagonal of an identity), :func:`band_scatter` (the dense
 array, in a permuted order), :func:`band_blockwise` (a map
 applied to the square blocks that the band touches, as one stack),
 :func:`band_matmul` (band times band), :func:`band_norm`
-(the operator norm from the top eigenvalue of the band Gram matrix, by
-``scipy.linalg.eig_banded``; Golub & Van Loan, *Matrix Computations*, 8.3),
-:func:`band_det` (from the band LU ``zgbtrf``; ibid., 4.3) and
-:func:`band_invert`.
+(the operator norm from the top eigenvalue of the band Gram matrix),
+:func:`band_det` (from the band LU ``zgbtrf``; Golub & Van Loan, *Matrix
+Computations*, 4.3) and :func:`band_invert`.
 
-:func:`band_invert` returns a banded inverse X.  Its columns are solved in
-blocks, each on a window of the band around its block, and the band is
-padded with the identity so that every window has one shape and one
-batched ``np.linalg.solve`` takes them all.  The windows start at
-half-width kl + ku and double until the residual R = b X - 1 has
+:func:`band_norm` takes the whole spectrum of one Gram band G, that with
+the largest 1-norm, by ``scipy.linalg.eig_banded`` (ibid., 8.3): bisection
+for the top eigenvalue alone fails to converge on the tight clusters of
+near-unitary factors.  Each other matrix is certified against the maximum
+top found so far by one banded Cholesky ``zpbtrf`` of top 1 - G: it
+succeeds only if top 1 - G is positive definite, up to its backward error
+(Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 10), so G's
+top eigenvalue is at most top, and only a failed factorization takes the
+spectrum.  ``zpbtrf`` may succeed on a band holding a NaN, so a Gram band
+with a NaN or an inf makes the norm NaN before any factorization.
+
+:func:`band_invert` returns a banded inverse X with its residual.  Its
+columns are solved in blocks, each on a window of the band around its
+block, and the band is padded with the identity so that every window has
+one shape and one batched ``np.linalg.solve`` takes them all.  The windows
+start at half-width kl + ku and double until the residual R = b X - 1 has
 ||R||_1 <= n u ||b||_1 ||X||_1 (u the unit roundoff), or until solving
 them would cost as much as solving the whole matrix, which then is the one
-window, with X its exact inverse; a singular window widens too.  The inverses of
-well-conditioned bands decay away from the diagonal (Demko, Moss & Smith,
-*Math. Comp.* 43, 1984), so the first window is usually the last.  A
-banded X is a certificate: when ||R|| < 1, b is invertible by the Neumann
-series, with ||b^-1|| <= ||X|| / (1 - ||R||) (Higham, *Accuracy and
-Stability of Numerical Algorithms*, ch. 14).  :func:`band_invert` applies
-the same kappa_1 rule as :func:`invert`, on the two band storages.  Every
-call the package makes to ``scipy.linalg.lapack`` or ``eig_banded`` is
-made here.
+window, with X its exact inverse; a singular window widens too.  The
+inverses of well-conditioned bands decay away from the diagonal (Demko,
+Moss & Smith, *Math. Comp.* 43, 1984), so the first window is usually the
+last.  A banded X is a certificate: when ||R|| < 1, b is invertible by the
+Neumann series, with ||b^-1|| <= ||X|| / (1 - ||R||) (Higham, ch. 14), so
+the R that ended the widening is returned with X and no caller forms it
+again.  :func:`band_invert` applies the same kappa_1 rule as
+:func:`invert`, on the two band storages.  Every call the package makes to
+``scipy.linalg.lapack`` or ``eig_banded`` is made here.
 
 scipy is imported on first use: :func:`scipy_linalg` imports and returns
 ``scipy.linalg`` when a band kernel or the Schur fallback of Riesz rounding
@@ -464,25 +474,36 @@ def _band_adjoint(b: Band) -> Band:
 
 def band_norm(b: Band) -> float:
     """The largest operator norm over the leading axes: the square root of
-    the top eigenvalue of the band of b* b, from ``eig_banded``.
+    the top eigenvalue of the band of b* b.
 
-    The top eigenvalue of a Gram matrix is at most its 1-norm, so the
-    matrices are visited by decreasing 1-norm of their Gram matrix and the
-    visit stops at the first one that cannot beat the maximum found: the
-    skipped matrices leave the maximum unchanged.  Each call asks for the
-    whole spectrum, as bisection for the top eigenvalue alone fails to
-    converge on the tight clusters of near-unitary factors.  A NaN
-    eigenvalue is kept (np.maximum, unlike max, propagates it) and ends no
-    visit early, so the norm is NaN."""
+    The top eigenvalue of a Gram matrix G is at most its 1-norm, so the
+    matrices are visited by decreasing 1-norm of G and the visit stops at
+    the first one that cannot beat the maximum found.  The first takes its
+    whole spectrum from ``eig_banded``; each later one takes it only if the
+    Cholesky ``zpbtrf`` of top 1 - G fails, since a factorization that
+    succeeds shows that G's top eigenvalue is at most top (see the module
+    docstring).  A Gram band with a NaN or an inf makes the norm NaN
+    before any factorization.  A NaN eigenvalue is kept (np.maximum, unlike
+    max, propagates it), fails no bound and skips no spectrum, so the norm
+    is NaN."""
     g = _band_adjoint(b) @ b
-    lead = g.ab.shape[:-2]
+    if not np.isfinite(g.ab).all():
+        return float("nan")
+    # the rows on and above the diagonal, in the storage eig_banded and
+    # zpbtrf read, one matrix per leading index
+    upper = g.ab[..., :g.ku + 1, :].reshape(-1, g.ku + 1, g.size)
     bound = np.abs(g.ab).sum(axis=-2).max(axis=-1).reshape(-1)
-    eig_banded = scipy_linalg().eig_banded
+    linalg = scipy_linalg()
     top = 0.0
     for k in np.argsort(-bound, kind="stable"):
         if bound[k] <= top:
             break
-        lam = eig_banded(g.ab[np.unravel_index(k, lead)][:g.ku + 1], eigvals_only=True)
+        if top > 0:
+            shifted = -upper[k]
+            shifted[g.ku] += top
+            if linalg.lapack.zpbtrf(shifted)[1] == 0:
+                continue
+        lam = linalg.eig_banded(upper[k], eigvals_only=True)
         top = np.maximum(top, lam[-1])
     return float(np.sqrt(top))
 
@@ -539,9 +560,17 @@ def _windowed_inverse(b: Band, s: int, w: int):
     return Band(ab, kx, kx)
 
 
-def band_invert(b: Band, tol: Tol = DEFAULT_TOL) -> Band:
-    """A banded inverse X of each matrix of b, certified by its residual
-    R = b X - 1; NotInvertible under the kappa_1 rule of :func:`invert`.
+def _residual(b: Band, x: Band) -> Band:
+    """R = b x - 1, the identity subtracted on the storage's diagonal row."""
+    resid = b @ x
+    resid.ab[..., resid.ku, :] -= 1.0
+    return resid
+
+
+def band_invert(b: Band, tol: Tol = DEFAULT_TOL) -> tuple[Band, Band]:
+    """(X, R): a banded inverse X of each matrix of b and its residual
+    R = b X - 1, which certifies it; NotInvertible under the kappa_1 rule
+    of :func:`invert`.
 
     The windows of :func:`_windowed_inverse` start at half-width kl + ku,
     with blocks as wide, and double until ||R||_1 <= n u ||b||_1 ||X||_1
@@ -549,15 +578,15 @@ def band_invert(b: Band, tol: Tol = DEFAULT_TOL) -> Band:
     cost at least that of the whole matrix, ceil(n / w) (3w)^3 >= n^3, as
     they do once a window is as wide as the matrix: then the one window is
     the whole matrix, X is its exact inverse, and a singular matrix raises
-    NotInvertible(inf).  A singular window widens too."""
+    NotInvertible(inf).  A singular window widens too.  R is the residual
+    that ended the widening, or, for the whole matrix, formed once there."""
     n = b.size
     bound = n * np.finfo(float).eps / 2 * _norm_1(b.ab)
     w = max(b.kl + b.ku, 1)
     while -(-n // w) * (3 * w) ** 3 < n ** 3:
         x = _windowed_inverse(b, w, w)
         if x is not None:
-            resid = b @ x
-            resid.ab[..., resid.ku, :] -= 1.0
+            resid = _residual(b, x)
             if np.all(_norm_1(resid.ab) <= bound * _norm_1(x.ab)):
                 break
         w *= 2
@@ -565,5 +594,6 @@ def band_invert(b: Band, tol: Tol = DEFAULT_TOL) -> Band:
         x = _windowed_inverse(b, n, 0)
         if x is None:
             raise NotInvertible(np.inf)
+        resid = _residual(b, x)
     _check_kappa(_kappa_1(b.ab, x.ab), tol)
-    return x
+    return x, resid

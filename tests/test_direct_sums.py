@@ -489,9 +489,9 @@ def test_reconstruct_checks_stability_only_where_x_moves(monkeypatch):
     real = matcore.band_invert
 
     def recorded(b, tol):
-        inv = real(b, tol)
+        inv, resid = real(b, tol)
         seen.append((b, inv))
-        return inv
+        return inv, resid
 
     monkeypatch.setattr(matcore, "band_invert", recorded)
     rec = boundary.sigma_reconstruct(**sigma_case("circle_split_grid16_steps96"))
@@ -597,6 +597,19 @@ def test_reconstruct_keeps_the_frame_banded(count_calls):
     assert len(framed) == 2 and framed[0] is rec.x and framed[1] is rec.y
 
 
+def test_reconstruct_eigensolves_only_the_maximizers(count_calls):
+    # loop_reconstruct's inputs: band_norm runs 5 times on stacks of 16
+    # samples; each takes the spectrum of the sample with the largest
+    # Gram 1-norm, and a banded Cholesky certifies most others below its
+    # top.  Visiting every sample whose 1-norm beats the maximum took 12
+    # eigensolves
+    calls = count_calls("eig_banded", matcore.scipy_linalg())
+    norms = count_calls("band_norm", matcore)
+    rec = boundary.sigma_reconstruct(**sigma_case("circle_split_grid16_steps96"))
+    assert rec.windings == (1, 1, -1)
+    assert len(norms) == 5 and len(calls) <= 6
+
+
 def test_reconstruct_traced_peak_stays_below_32_mb():
     # projecting y through a dense frame peaked at 35.1 MB on
     # loop_reconstruct's inputs; the banded frame peaks at 28.1 MB, most of
@@ -620,8 +633,14 @@ def _fail_by_winding(monkeypatch):
 
 
 def _fail_by_inverse(monkeypatch):
+    # an inverse twice too large, with its residual 2 b X - 1
     real = matcore.band_invert
-    monkeypatch.setattr(matcore, "band_invert", lambda b, tol: 2.0 * real(b, tol))
+
+    def doubled(b, tol):
+        x = 2.0 * real(b, tol)[0]
+        return x, matcore._residual(b, x)
+
+    monkeypatch.setattr(matcore, "band_invert", doubled)
 
 
 def _witness_on_circle():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -37,13 +39,21 @@ def test_winding_detects_coarse_grid():
         winding_k1(power_z(alg, 5))
 
 
+def test_winding_reads_overflowing_determinants():
+    # 1e200 z over a 2-dim fiber has determinant 1e400 z, beyond the range
+    # of a float, and winds once: its phases and log-moduli come from
+    # slogdet, with no overflow.  1e-160 z has determinant 1e-320 z, below
+    # the 1e-12 invertibility floor, and stays refused
+    alg = LoopAlg(32, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert winding_k1(LoopElem(1e200 * power_z(alg, 1).samples)).entries == (1,)
+        with pytest.raises(InvalidInput, match="non-invertible sample"):
+            winding_k1(LoopElem(1e-160 * power_z(alg, 1).samples))
+
+
 def test_winding_refuses_non_finite_determinants():
-    # 1e200 z over a 2-dim fiber has determinant 1e400 z^2, which overflows;
     # the phase and quantization checks would each let an inf or a NaN pass
-    big = LoopElem(1e200 * power_z(LoopAlg(32, 2), 1).samples)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(InvalidInput, match="non-finite determinant"):
-            winding_k1(big)
     for bad in (np.inf, np.nan):
         with pytest.raises(InvalidInput, match="non-finite determinant"):
             loops.det_winding(np.r_[np.exp(2j * np.pi * np.arange(7) / 8), bad])

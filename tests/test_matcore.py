@@ -264,21 +264,57 @@ def test_band_norm_matches_dense(lead, n, kl, ku, seed):
 
 
 @BAND
+@given(n=st.integers(1, 40), k=st.integers(0, 6),
+       copies=st.lists(st.sampled_from(["repeat", "mirror", "phases", "up", "down",
+                                        "near", "other"]), min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_band_norm_matches_dense_on_ties(n, k, copies, seed):
+    # stacks of one band with its exact repeats, unitary conjugates (the
+    # reversed-order mirror and diagonal phases) and copies scaled by
+    # 1 +- 1e-15, whose tops tie with the first eigensolved one to the last
+    # digits, beside perturbations of relative size 1e-9, whose tops may be
+    # just above it, and other bands: a Cholesky test of top 1 - G drops
+    # only samples that cannot raise the maximum beyond roundoff
+    rng = np.random.default_rng(seed)
+    x = random_band(rng, (), n, k, k)
+
+    def phases():
+        return np.exp(2j * np.pi * rng.random(n))
+
+    make = {"repeat": lambda: x, "mirror": lambda: x[::-1, ::-1],
+            "phases": lambda: phases()[:, None] * x * phases(),
+            "up": lambda: (1 + 1e-15) * x, "down": lambda: (1 - 1e-15) * x,
+            "near": lambda: x + 1e-9 * random_band(rng, (), n, k, k),
+            "other": lambda: rng.uniform(0.5, 1.0) * random_band(rng, (), n, k, k)}
+    stack = np.stack([x] + [make[c]() for c in copies])[rng.permutation(len(copies) + 1)]
+    want = np.max(np.linalg.norm(stack, 2, axis=(-2, -1)))
+    assert matcore.band_norm(matcore.band(stack, k, k)) == pytest.approx(want, rel=1e-13)
+
+
+@BAND
 @given(**band_shapes)
 def test_band_lu_matches_dense(lead, n, kl, ku, seed):
     a = well_conditioned_band(np.random.default_rng(seed), lead, n, kl, ku)
     b = matcore.band(a, kl + 1, ku + 1)
     dets = np.linalg.det(a)
     assert np.all(np.abs(matcore.band_det(b) - dets) <= 1e-12 * np.abs(dets))
-    assert_band_inverse(matcore.band_invert(b), a)
+    assert_band_inverse(b, a)
 
 
-def assert_band_inverse(x, a):
-    """x is a's inverse within atol 1e-12, and holds zeros in every slot of
-    its storage outside the matrix."""
+def assert_band_inverse(b, a):
+    """band_invert(b) is the pair (x, r): x is a's inverse within atol
+    1e-12, and holds zeros in every slot of its storage outside the matrix,
+    and r is its residual b x - 1, exactly as that band product forms it.
+    Returns x."""
+    x, r = matcore.band_invert(b)
     dense = band_dense(x)
     np.testing.assert_array_equal(matcore.band(dense, x.kl, x.ku).ab, x.ab)
     np.testing.assert_allclose(dense, np.linalg.inv(a), rtol=0, atol=1e-12)
+    want = b @ x
+    want.ab[..., want.ku, :] -= 1.0
+    assert (r.kl, r.ku) == (want.kl, want.ku)
+    np.testing.assert_array_equal(r.ab, want.ab)
+    return x
 
 
 @BAND
@@ -291,9 +327,8 @@ def test_band_invert_widens_on_slow_decay(lead, n, c, seed):
     rng = np.random.default_rng(seed)
     off = -rng.uniform(c, 0.99, lead + (1,))
     a = 2.0 * np.eye(n) + off[..., None] * (np.eye(n, k=1) + np.eye(n, k=-1))
-    x = matcore.band_invert(matcore.band(a, 1, 1))
+    x = assert_band_inverse(matcore.band(a, 1, 1), a)
     assert x.kl == x.ku > 3
-    assert_band_inverse(x, a)
 
 
 @BAND
@@ -312,9 +347,8 @@ def test_band_invert_widens_past_singular_windows(lead, n, seed):
     alone = (partner < 1) | (partner >= n)
     partner[alone] = i[alone]
     a[..., i, partner] = entry
-    x = matcore.band_invert(matcore.band(a, 1, 1))
+    x = assert_band_inverse(matcore.band(a, 1, 1), a)
     assert x.kl == x.ku == n - 1
-    assert_band_inverse(x, a)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
