@@ -18,8 +18,9 @@ reads; a new carrier implements exactly these:
 - ``intersect(other)``: the side of the intersection algebra (a matrix
   side reads it off principal angles);
 - ``tensor(m)``: the side of the algebra tensored with M_m;
-- ``random_elements(m, count, rng)``: a stack of count random unit-norm
-  ambient elements at fiber amplification m;
+- ``random_elements(m, count, rng)``: a stack of count random ambient
+  elements at fiber amplification m, with standard complex Gaussian
+  entries and no scaling (the uniformity probe scales their projections);
 - ``aug_diff(e, half)``: scalar-rank mismatch of e against
   1_half (+) 0, the scalar part read by the augmentation of the unitized
   algebra;
@@ -48,6 +49,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -175,8 +177,7 @@ class MatrixSide:
     def random_elements(self, m: int, count: int, rng) -> ops.Stack:
         n = self.ambient_dim * m
         g = rng.standard_normal((count, 2, n, n))
-        r = ops.Stack(g[:, 0] + 1j * g[:, 1])
-        return ops.Stack(r.summands / ops.summand_norms(r)[:, None, None])
+        return ops.Stack(g[:, 0] + 1j * g[:, 1])
 
     def aug_diff(self, e, half: int) -> int:
         if self.alg.is_unital_in_ambient:
@@ -235,8 +236,7 @@ class LoopSide:
     def random_elements(self, m: int, count: int, rng) -> ops.Stack:
         shape = (count, 2, self.alg.grid_size) + (self.alg.fiber_dim * m,) * 2
         g = rng.standard_normal(shape)
-        r = np.moveaxis(g[:, 0] + 1j * g[:, 1], 0, -3)
-        return ops.unit_summands(ops.Stack(r), 0.0)
+        return ops.Stack(np.moveaxis(g[:, 0] + 1j * g[:, 1], 0, -3))
 
     def aug_diff(self, e: LoopElem, half: int) -> int:
         off = e.samples[~self.alg.mask]
@@ -1222,8 +1222,15 @@ def uniformity_probe(c, d=None, sample_count: int = 50, b_dims=(1, 2, 3),
     The intersection is the pair's, taken once, and for each m > 1 the
     tensored pair's, which is the base intersection tensored (see
     :class:`Pair`).  (c, d) and tol make the pair as :func:`make_pair` does.
+    A sample_count or an entry of b_dims that is not an integer is
+    InvalidInput, as are a negative count and an m below 1.
     """
     pair = make_pair(c, d, tol)
+    try:
+        sample_count = operator.index(sample_count)
+        b_dims = tuple(operator.index(m) for m in b_dims)
+    except TypeError as err:
+        raise InvalidInput(f"sample_count and b_dims must be integers: {err}") from None
     if sample_count < 0:
         raise InvalidInput(f"sample_count must be >= 0, got {sample_count}")
     rng = np.random.default_rng(seed)
@@ -1242,4 +1249,4 @@ def uniformity_probe(c, d=None, sample_count: int = 50, b_dims=(1, 2, 3),
         samples.extend(zip(delta_in.tolist(), achieved.tolist()))
         ratios.extend(ratio.tolist())
     sup = max(ratios) if ratios else 0.0
-    return UniformityReport(samples, ratios, float(sup), tuple(b_dims), seed)
+    return UniformityReport(samples, ratios, float(sup), b_dims, seed)

@@ -101,6 +101,29 @@ def test_ideal_cert_sees_noisy_multiplier(rng):
     assert cert2.delta_level <= m_x * cert.delta_level + 1e-9
 
 
+def test_tensor_scaling_takes_no_svd_at_gram_sides(rng, count_calls):
+    # the perfbench matrix_corpus recipe: a noisy multiplier, one random
+    # near-identity probe and 5 random probes, tensored with M_2; its
+    # residual stacks are 12 x 12, at the Gram crossover
+    assert matcore.GRAM_SIDE <= 12
+    noise = rng.standard_normal((6, 6))
+    noise = (noise + noise.T) / 2
+    h = block_h().real + 1e-3 * noise / np.linalg.norm(noise, 2)
+    w, vv = np.linalg.eigh(h)
+    h = (vv @ np.diag(np.clip(w, 0.0, 1.0)) @ vv.conj().T).astype(complex)
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    x = np.eye(6) + 0.2 * g / np.linalg.norm(g, 2)
+    scn = scenarios.block_ideal_pair()
+    cert = boundary.check_delta_ideal_structure(h, scn["c"], scn["d"], [x], seed=1,
+                                                random_probes=5)
+    svds = count_calls("svd", np.linalg)
+    eigs = count_calls("eigvalsh", np.linalg)
+    cert2, m_x = boundary.tensor_scale_ideal_structure(cert, 2)
+    assert cert2.delta_level <= m_x * cert.delta_level + 1e-9
+    assert svds and all(min(np.shape(a)[-2:]) < matcore.GRAM_SIDE for a, *_ in svds)
+    assert any(np.shape(a)[:-2] == (54,) and np.shape(a)[-1] == 12 for a, *_ in eigs)
+
+
 def test_tensor_scale_rejects_dependent_probe_basis():
     # the dual basis of [x, 2x] does not exist: its Gram matrix is singular
     scn = scenarios.block_ideal_pair()
@@ -128,8 +151,10 @@ def test_uniformity_probe_sample_counts():
     scn = scenarios.block_ideal_pair()
     rep = boundary.uniformity_probe(scn["c"], scn["d"], sample_count=0)
     assert rep.samples == rep.ratios == [] and rep.ratio_sup == 0.0
-    with pytest.raises(InvalidInput):
-        boundary.uniformity_probe(scn["c"], scn["d"], sample_count=-1)
+    for bad in (dict(sample_count=-1), dict(sample_count=2.5), dict(b_dims=(0,)),
+                dict(b_dims=(1.5,))):
+        with pytest.raises(InvalidInput):
+            boundary.uniformity_probe(scn["c"], scn["d"], **bad)
 
 
 # ---------------------------------------------------------------------------

@@ -772,7 +772,9 @@ def looped_dual_constant(x_basis) -> float:
 
 
 def looped_random_element(side, m: int, rng):
-    """One random unit-norm ambient element, as each side drew it."""
+    """One random ambient element from the Gaussian entries each side
+    draws, scaled to unit norm.  The sides return their draws unscaled;
+    the probe scales what it projects, so its ratios agree either way."""
     if isinstance(side, boundary.MatrixSide):
         n = side.ambient_dim * m
         r = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

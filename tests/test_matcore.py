@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,17 +44,29 @@ def test_op_norm_matches_largest_singular_value(rng):
 KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
-@KERNEL
-@given(lead=st.sampled_from([(), (5,), (3, 4)]), n=st.integers(1, 4),
-       kind=st.sampled_from(["random", "near_unitary", "rank_one", "zero"]),
+GRAM = matcore.GRAM_SIDE
+# square sides 1 to 4, and the sides that take the Gram path: the
+# crossover, 16, 18, 24 and 64, and one tall and one wide shape
+NORM_SHAPES = ([(n, n) for n in range(1, 5)]
+               + [(n, n) for n in (GRAM, 16, 18, 24, 64)] + [(GRAM + 3, GRAM), (GRAM, GRAM + 5)])
+
+
+@settings(KERNEL, max_examples=120)
+@given(lead=st.sampled_from([(), (5,), (3, 4)]), shape=st.sampled_from(NORM_SHAPES),
+       kind=st.sampled_from(["random", "near_unitary", "rank_one", "graded", "zero"]),
        exponent=st.integers(-200, 200), seed=st.integers(0, 2**32 - 1))
-def test_op_norms_match_lapack(lead, n, kind, exponent, seed):
+def test_op_norms_match_lapack(lead, shape, kind, exponent, seed):
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal(lead + (n, n)) + 1j * rng.standard_normal(lead + (n, n))
+    z = rng.standard_normal(lead + shape) + 1j * rng.standard_normal(lead + shape)
     if kind == "near_unitary":
-        z = np.linalg.qr(z)[0] + 1e-9 * z
+        # orthonormal columns, or rows when the shape is wide
+        wide = shape[0] < shape[1]
+        q = np.linalg.qr(np.swapaxes(z, -1, -2) if wide else z)[0]
+        z = (np.swapaxes(q, -1, -2) if wide else q) + 1e-9 * z
     elif kind == "rank_one":
         z = z[..., :, :1] * z[..., :1, :]
+    elif kind == "graded":
+        z = z * np.logspace(0, -12, shape[1])
     elif kind == "zero":
         z = np.zeros_like(z)
     a = 10.0 ** exponent * z
@@ -64,6 +78,33 @@ def test_op_norms_match_lapack(lead, n, kind, exponent, seed):
         assert np.all(got == 0)
 
 
+@KERNEL
+@given(shape=st.sampled_from([(5, 5), (GRAM - 1, GRAM + 2), (GRAM, GRAM), (GRAM + 3, GRAM),
+                              (GRAM, GRAM + 5), (20, 20)]),
+       exponents=st.lists(st.sampled_from([-300, -100, 0, 100, 300, None]),
+                          min_size=1, max_size=5),
+       seed=st.integers(0, 2**32 - 1))
+def test_op_norms_of_a_stack_are_its_lone_norms(shape, exponents, seed):
+    # on the SVD and on the Gram path, a matrix in a stack that mixes scales
+    # 2^-300 to 2^300 and zero summands (None) has the norm it has alone;
+    # on the Gram path, a matrix rescaled by a power of two has its norm
+    # times that power, bit for bit
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((len(exponents),) + shape) + 1j * rng.standard_normal(
+        (len(exponents),) + shape)
+    for i, k in enumerate(exponents):
+        z[i] = 0.0 if k is None else 2.0 ** k * z[i]
+    got = matcore.op_norms(z)
+    assert got.shape == (len(exponents),)
+    assert np.array_equal(got, [matcore.op_norms(x) for x in z])
+    assert np.all((got == 0) == [k is None for k in exponents])
+    if min(shape) >= GRAM:
+        for x, norm, k in zip(z, got, exponents):
+            for j in (-300, -150, 150, 300):
+                assert matcore.op_norms(2.0 ** j * x) == 2.0 ** j * norm, (k, j)
+    assert matcore.op_norms(np.zeros((0,) + shape)).shape == (0,)
+
+
 @pytest.mark.parametrize("lead", [(), (5,), (3, 4)])
 @pytest.mark.parametrize("n", range(3, 9))
 def test_op_norms_read_the_singular_value_that_numpys_2_norm_takes(lead, n):
@@ -72,6 +113,37 @@ def test_op_norms_read_the_singular_value_that_numpys_2_norm_takes(lead, n):
     rng = np.random.default_rng(n)
     a = rng.standard_normal(lead + (n, n)) + 1j * rng.standard_normal(lead + (n, n))
     np.testing.assert_array_equal(matcore.op_norms(a), np.linalg.norm(a, 2, axis=(-2, -1)))
+
+
+def test_gram_norms_take_one_eigensolve_of_the_smaller_side(rng, count_calls):
+    # a tall and a wide stack, each mixing scales in and out of range, down
+    # to subnormal entries, with a zero summand: one eigvalsh per stack, of
+    # GRAM_SIDE x GRAM_SIDE Grams
+    calls = count_calls("eigvalsh", np.linalg)
+    for shape in [(GRAM + 3, GRAM), (GRAM, GRAM + 5)]:
+        z = rng.standard_normal((5,) + shape) + 1j * rng.standard_normal((5,) + shape)
+        z *= np.array([1.0, 2.0 ** 300, 2.0 ** -300, 2.0 ** -1070, 0.0])[:, None, None]
+        got = matcore.op_norms(z)
+        np.testing.assert_allclose(got, np.linalg.norm(z, 2, axis=(-2, -1)), rtol=1e-13, atol=0)
+        assert got[4] == 0
+    assert [np.shape(a) for a, *_ in calls] == [(5, GRAM, GRAM)] * 2
+
+
+@pytest.mark.parametrize("side", [GRAM - 1, GRAM])
+def test_op_norms_of_overflowing_and_infinite_matrices(side):
+    # on either path a norm beyond the largest float is inf, and a matrix
+    # with an inf entry has norm NaN, with no RuntimeWarning; the SVD
+    # raises on a NaN entry, where the Gram path gives NaN
+    z = np.ones((4, side, side), dtype=complex)
+    z[0, 1, 2] = np.inf
+    z[1] *= 1e308
+    z[3, 3, 4] = np.nan if side >= GRAM else 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = matcore.op_norms(z)
+    assert np.isnan(got[0]) and got[1] == np.inf
+    np.testing.assert_allclose(got[2], side, rtol=1e-15)
+    assert np.isnan(got[3]) == (side >= GRAM)
 
 
 def test_as_stack_rejects_non_finite_entries_as_as_matrix_does():
