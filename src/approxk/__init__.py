@@ -53,7 +53,6 @@ from .kprod import (
     boundary_product_check,
     box_times,
     k0_product,
-    nonunital_class_check,
 )
 
 __version__ = "0.1.0"
@@ -109,5 +108,4 @@ __all__ = [
     "boundary_product_check",
     "box_times",
     "k0_product",
-    "nonunital_class_check",
 ]

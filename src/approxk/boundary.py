@@ -190,7 +190,7 @@ class MatrixSide:
     def trivialize(self, e) -> np.ndarray:
         """The Riesz rounding of the nearest point of e in the unitized
         algebra; RoundingUnstable when the rounding breaks its certified bound."""
-        f, cert = funcalc.riesz_idempotent(self.project(e), self.tol)
+        f, cert = funcalc.riesz_idempotent(self.project(e))
         if not cert.passed:
             raise RoundingUnstable(
                 f"rounding moved e by {cert.distance:.3e}, beyond its bound "
@@ -198,8 +198,15 @@ class MatrixSide:
         return f
 
     def boundary_class(self, f, half: int) -> K0Vec:
+        # [1_half (+) 0] is half / N copies of the ambient unit, which has
+        # rank d_i m_i in block i: class half / N * d_i there
         w = self.alg.wedderburn
-        return k0_class(f, w, self.tol) - k0_class(_top_projection(eye(half)), w, self.tol)
+        copies, rest = divmod(half, self.ambient_dim)
+        if rest:
+            raise InvalidInput(f"half {half} is not a multiple of the ambient "
+                               f"dimension {self.ambient_dim}")
+        unit = K0Vec(tuple(copies * d for d, _ in w.blocks), w.signature)
+        return k0_class(f, w, self.tol) - unit
 
     def trivializer(self, f, half: int, seed: int = 0):
         try:

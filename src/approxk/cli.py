@@ -84,9 +84,9 @@ def load_scenario(name_or_path: str, grid_override: int | None = None) -> dict:
         raise SchemaError("params must be an object")
     checks = raw.get("checks", [])
     if not isinstance(checks, list) or not all(
-        isinstance(c, dict) and "check" in c for c in checks
+        isinstance(c, dict) and isinstance(c.get("check"), str) for c in checks
     ):
-        raise SchemaError("checks must be a list of objects with a 'check' key")
+        raise SchemaError("checks must be a list of objects with a string 'check' key")
     if grid_override is not None:
         params = dict(params, grid=grid_override)
     return {
@@ -360,7 +360,7 @@ def sweep_riesz(count: int, seed: int, tol: Tol):
         delta = float(np.linalg.norm(e @ e - e, 2))
         if not 1e-8 < delta < funcalc.DELTA_MAX or np.linalg.norm(e, 2) > 5:
             continue
-        _, cert = funcalc.riesz_idempotent(e, tol)
+        _, cert = funcalc.riesz_idempotent(e)
         rows.append([idx, n, cert.delta, cert.c, cert.distance, cert.bound,
                      cert.passed])
         idx += 1

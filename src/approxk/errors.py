@@ -19,10 +19,6 @@ class NotInvertible(ApproxKError):
         super().__init__(f"matrix not invertible to tolerance (cond ~ {cond_estimate:.3e})")
 
 
-class DefectiveMatrix(ApproxKError):
-    pass
-
-
 class ClosureFailure(ApproxKError):
     pass
 
@@ -62,10 +58,6 @@ class NotQuantized(ApproxKError):
 
 
 class DefectTooLarge(ApproxKError):
-    pass
-
-
-class SpectralAmbiguity(ApproxKError):
     pass
 
 

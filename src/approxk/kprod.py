@@ -14,7 +14,6 @@ from . import matcore, ops
 from .boundary import LiftCert, MatrixSide, certify_lift
 from .errors import InvalidInput, NotAClass
 from .matcore import DEFAULT_TOL, Gate, Tol, as_matrix, eye, kron, op_norm
-from .subalg import Subalg
 from .wedderburn import K0Vec, WedderburnData, k0_class
 
 
@@ -85,41 +84,3 @@ def boundary_product_check(cert: LiftCert, p, m: int, seed: int = 0) -> ProductC
     rhs = cert2.boundary_class.entries
     return ProductCheck(lhs, tuple(rhs), tuple(lhs) == tuple(rhs), cert2,
                         int(pair2.intersection_gap))
-
-
-def _apply_left_functional(e: np.ndarray, f: np.ndarray, n_a: int, n_b: int,
-                           k: int) -> np.ndarray:
-    t = e.reshape(k, n_a, n_b, k, n_a, n_b)
-    return np.einsum("pq,ipajqb->iajb", f, t).reshape(k * n_b, k * n_b)
-
-
-def _apply_right_functional(e: np.ndarray, f: np.ndarray, n_a: int, n_b: int,
-                            k: int) -> np.ndarray:
-    t = e.reshape(k, n_a, n_b, k, n_a, n_b)
-    return np.einsum("pq,iapjbq->iajb", f, t).reshape(k * n_a, k * n_a)
-
-
-def nonunital_class_check(e, a_alg: Subalg, b_alg: Subalg,
-                          f=None, tol: Tol = DEFAULT_TOL) -> bool:
-    """Whether the class of e over the tensored unitizations descends to the
-    non-unital tensor product: both augmentation images must have zero class.
-
-    With a second idempotent f, checks instead that the formal difference
-    [e] - [f] descends, i.e. the augmentation images have matching ranks.
-    """
-    e = as_matrix(e)
-    n_a = a_alg.ambient_dim
-    n_b = b_alg.ambient_dim
-    if e.shape[0] % (n_a * n_b):
-        raise InvalidInput("element size incompatible with the tensor ambient")
-    k = e.shape[0] // (n_a * n_b)
-    phi_a, phi_b = a_alg.augmentation, b_alg.augmentation
-    target = (matcore.rank(_apply_left_functional(e, phi_a, n_a, n_b, k), tol),
-              matcore.rank(_apply_right_functional(e, phi_b, n_a, n_b, k), tol))
-    if f is None:
-        ref = (0, 0)
-    else:
-        f = as_matrix(f)
-        ref = (matcore.rank(_apply_left_functional(f, phi_a, n_a, n_b, k), tol),
-               matcore.rank(_apply_right_functional(f, phi_b, n_a, n_b, k), tol))
-    return target == ref

@@ -13,7 +13,6 @@ returns numpy's inverse together with the exact 1-norm condition number
 kappa_1 = ||a||_1 ||a^-1||_1 of that inverse, maximized over any leading
 axes (loop samples, summand stacks), and raises NotInvertible when kappa_1
 exceeds ``Tol.invert_cond_max`` or numpy finds the input exactly singular.
-:func:`eig` takes the inverse of its eigenvector basis from the same kernel.
 
 Every operator norm is taken by :func:`op_norms`, over any leading axes,
 and :func:`op_norm` is its one-matrix case.  The samples of loops over
@@ -21,12 +20,14 @@ small fibers are 1 x 1 or 2 x 2, where a LAPACK SVD per matrix costs far
 more than the arithmetic, so those two sides have closed forms: |a| for
 side 1, and for side 2 s sqrt(lam), where s is the largest entry modulus
 and lam = (p + q)/2 + hypot((p - q)/2, |r|) is the top eigenvalue of the
-Gram matrix [[p, r], [r*, q]] of a / s.  Its error is a few ulps at any
-scale: a / s has an entry of modulus 1 and none larger, so p + q lies in
-[1, 4] and nothing over- or underflows; p and q are sums of nonnegative
-terms, so their relative error is O(eps), and r's absolute error is
-O(eps); lam is the sum of two nonnegative terms and at least (p + q)/2, so
-these absolute errors are O(eps) relative to lam, and sqrt halves them.
+Gram matrix [[p, r], [r*, q]] of a / s; a with a subnormal s is first
+scaled by 2^600, since the complex division by s would overflow.  Its error
+is a few ulps at any scale: a / s has an entry of modulus 1 and none
+larger, so p + q lies in [1, 4] and nothing over- or underflows; p and q
+are sums of nonnegative terms, so their relative error is O(eps), and r's
+absolute error is O(eps); lam is the sum of two nonnegative terms and at
+least (p + q)/2, so these absolute errors are O(eps) relative to lam, and
+sqrt halves them.
 
 A matrix whose smaller side n is at least :data:`GRAM_SIDE` (12) takes
 sigma_1 = sqrt(lam_max(G)), G the n x n Gram matrix of that side, and a
@@ -101,8 +102,8 @@ again.  :func:`band_invert` applies the same kappa_1 rule as
 ``scipy.linalg.lapack`` or ``eig_banded`` is made here.
 
 scipy is imported on first use: :func:`scipy_linalg` imports and returns
-``scipy.linalg`` when a band kernel or the Schur fallback of Riesz rounding
-first runs, so a run that reaches neither never loads it.
+``scipy.linalg`` when a band kernel first runs, so a run that reaches none
+never loads it.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ import dataclasses
 
 import numpy as np
 
-from .errors import AmbiguousIntersection, DefectiveMatrix, InvalidInput, NotInvertible
+from .errors import AmbiguousIntersection, InvalidInput, NotInvertible
 
 
 @dataclasses.dataclass(frozen=True)
@@ -203,10 +204,11 @@ def op_norms(a) -> np.ndarray:
 
     Side 1 is |a|.  Side 2 scales each matrix by s, its largest entry
     modulus, and reads s sqrt(lam) off the top eigenvalue lam of the Gram
-    matrix [[p, r], [r*, q]] of the scaled matrix.  A matrix whose smaller
-    side is at least :data:`GRAM_SIDE` reads sqrt(lam_max) off the Gram
-    matrix of that side, a* a (a a* when a is wide), all of a stack's from
-    one batched ``eigvalsh``.  A matrix whose largest entry modulus f 2^e,
+    matrix [[p, r], [r*, q]] of the scaled matrix; a matrix with a
+    subnormal s is first scaled by 2^600.  A matrix whose smaller side is
+    at least :data:`GRAM_SIDE` reads sqrt(lam_max) off the Gram matrix of
+    that side, a* a (a a* when a is wide), all of a stack's from one
+    batched ``eigvalsh``.  A matrix whose largest entry modulus f 2^e,
     f in [1/2, 1), lies outside [2^-128, 2^128] is first scaled by 2^-e
     and its norm by 2^e, so no Gram entry over- or underflows; a zero
     matrix has norm exactly 0, and a matrix with an inf or a NaN entry has
@@ -251,6 +253,12 @@ def op_norms(a) -> np.ndarray:
     # small matrix axes costs more than the rest of the closed form
     s = np.maximum(np.maximum(mod[..., 0, 0], mod[..., 0, 1]),
                    np.maximum(mod[..., 1, 0], mod[..., 1, 1]))
+    sub = (s > 0) & (s < np.finfo(float).tiny)
+    if sub.any():
+        # the complex division by a subnormal s overflows: such a matrix is
+        # scaled by 2^600, exactly, and its norm scaled back
+        up = np.where(sub, 2.0 ** 600, 1.0)
+        return op_norms(a * up[..., None, None]) / up
     safe = np.where(s > 0, s, 1.0)[..., None, None]
     sq = (mod / safe) ** 2
     b = a / safe
@@ -293,46 +301,19 @@ def _check_kappa(kappa: float, tol: Tol) -> None:
         raise NotInvertible(kappa)
 
 
-def _inverse_cond(a: np.ndarray):
-    """(a^-1, kappa_1) over the trailing two axes of a; (None, inf) when
-    numpy finds a matrix exactly singular."""
-    try:
-        a_inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        return None, np.inf
-    return a_inv, _kappa_1(a, a_inv)
-
-
 def invert(m, tol: Tol = DEFAULT_TOL) -> np.ndarray:
     """Inverse of a square matrix, or of each matrix of a stack over the
     leading axes; NotInvertible when kappa_1 exceeds tol.invert_cond_max."""
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise InvalidInput(f"invert requires square matrices, got shape {a.shape}")
-    a_inv, kappa = _inverse_cond(a)
-    _check_kappa(kappa, tol)
+    try:
+        a_inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        # numpy finds a matrix exactly singular
+        raise NotInvertible(np.inf) from None
+    _check_kappa(_kappa_1(a, a_inv), tol)
     return a_inv
-
-
-def eig(m, tol: Tol = DEFAULT_TOL):
-    """Eigendecomposition m = V diag(lam) V^-1 with a diagonalizability guard;
-    returns (lam, V, V^-1).
-
-    Defect is detected through the 1-norm conditioning of the eigenvector
-    basis and the reconstruction residual.
-    """
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise InvalidInput("eig requires a square matrix")
-    lam, v = np.linalg.eig(a)
-    v_inv, cv = _inverse_cond(v)
-    if not cv <= tol.invert_cond_max:
-        raise DefectiveMatrix(f"eigenvector basis condition {cv:.3e}")
-    resid, norm_a = op_norms(as_stack([v @ np.diag(lam) @ v_inv - a, a])).tolist()
-    scale = max(1.0, norm_a)
-    if resid > 1e-8 * scale * max(1.0, cv):
-        raise DefectiveMatrix(f"eigendecomposition residual {resid:.3e}")
-    return lam, v, v_inv
 
 
 def kron(a, b) -> np.ndarray:

@@ -88,6 +88,20 @@ def corner_pair(theta):
             Subalg(4, [q @ e @ q for e in units]))
 
 
+def schur_projector(a) -> np.ndarray:
+    """Spectral projector of a onto {Re z > 1/2} from an ordered Schur form
+    and a Sylvester solve, defective a included: the dense reference for
+    Riesz rounding."""
+    import scipy.linalg
+    t, q, k = scipy.linalg.schur(np.asarray(a, dtype=complex), output="complex",
+                                 sort=lambda z: z.real > 0.5)
+    p = np.zeros_like(t)
+    p[:k, :k] = np.eye(k)
+    if 0 < k < len(t):
+        p[:k, k:] = scipy.linalg.solve_sylvester(t[:k, :k], -t[k:, k:], t[:k, k:])
+    return q @ p @ q.conj().T
+
+
 def band_dense(b: matcore.Band) -> np.ndarray:
     """The dense array of a band, in its own order."""
     return matcore.band_scatter(b, np.arange(b.size))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from approxk import boundary, cli, funcalc, kprod, matcore, ops, scenarios, subalg
+from approxk import boundary, cli, funcalc, kprod, matcore, ops, scenarios, subalg, wedderburn
 from approxk.errors import (
     AmbiguousIntersection,
     ApproxKError,
@@ -486,10 +486,11 @@ def test_entry_points_refuse_a_tol_other_than_the_pairs(carrier):
             call(Tol())
 
 
-# the steps that read a Tol to invert, round or trivialize, with the owner
-# each is looked up on; tensor_scale_ideal_structure reads its Tol in
-# _dual_constant, the rank of its unit-scaled probes
-TOL_STEPS = ((matcore, "invert"), (matcore, "band_invert"), (funcalc, "riesz_idempotent"),
+# the steps that read a Tol to invert, trivialize or take a class, with the
+# owner each is looked up on; tensor_scale_ideal_structure reads its Tol in
+# _dual_constant, the rank of its unit-scaled probes.  Riesz rounding reads
+# none: its step count comes from the measured defect
+TOL_STEPS = ((matcore, "invert"), (matcore, "band_invert"), (boundary, "k0_class"),
              (boundary, "arc_k0_trivialize"), (boundary, "_dual_constant"))
 
 
@@ -555,7 +556,7 @@ PER_STEP = {
 
 @pytest.mark.parametrize("name", list(PER_STEP))
 def test_every_step_reads_the_pairs_tol(monkeypatch, name):
-    # a pair at FINE: every inverse, rounding and trivialization that the
+    # a pair at FINE: every inverse, trivialization and class that the
     # construction runs, and the probe rank of the tensored ideal check,
     # reads FINE, and at least one of them runs
     build, run = PER_STEP[name]
@@ -831,6 +832,23 @@ def test_planted_nan_fails_its_gate(monkeypatch, site):
 
 # ---------------------------------------------------------------------------
 # boundary classes over the twisted pair
+
+
+@pytest.mark.parametrize("name", ["twisted_pair", "block_ideal_pair"])
+def test_boundary_class_reads_the_unit_off_the_blocks(name):
+    # the reference class [1_half (+) 0] is half / N d_i per block: it is
+    # the k0_class of that projection on C, D and C cap D, tensored or not
+    scn = getattr(scenarios, name)()
+    base = boundary.Pair(scn["c"], scn["d"])
+    for pair in (base, base.tensor(2)):
+        for side in (pair.c, pair.d, pair.inter):
+            n = side.ambient_dim
+            for half in (n, 2 * n, 3 * n):
+                top = np.diag([1.0] * half + [0.0] * half)
+                unit = wedderburn.k0_class(top, side.alg.wedderburn, side.tol)
+                assert side.boundary_class(np.zeros_like(top), half) == -unit
+            with pytest.raises(InvalidInput, match="not a multiple"):
+                side.boundary_class(np.zeros((n, n)), n // 2)
 
 
 def test_iota_lift_boundary_class():

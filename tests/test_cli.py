@@ -184,8 +184,9 @@ def test_report_decomposes_each_algebra_once(tmp_path, count_calls):
 
 def test_scipy_loads_on_first_use(tmp_path):
     # the suite has loaded scipy already, so the check runs in a fresh
-    # interpreter: the bundled reports never load it, and the Schur fallback
-    # of Riesz rounding loads scipy.linalg through matcore.scipy_linalg
+    # interpreter: the bundled reports never load it, nor does rounding a
+    # defective almost-idempotent; a band kernel loads scipy.linalg through
+    # matcore.scipy_linalg
     script = f"""
 import sys
 import numpy as np
@@ -194,10 +195,10 @@ for name in {cli.BUNDLED!r}:
     out = {str(tmp_path)!r} + "/" + name + ".json"
     assert approxk.cli.main(["run", name, "--seed", "7", "--out", out]) == 0
 assert "scipy" not in sys.modules, "a bundled report loaded scipy"
-e = np.array([[0.0, 1e-3], [0.0, 0.0]], dtype=complex)
-f, cert = approxk.funcalc.riesz_idempotent(e)
-assert cert.method == "schur", cert.method
-assert "scipy.linalg" in sys.modules, "the Schur fallback ran without scipy.linalg"
+f, cert = approxk.funcalc.riesz_idempotent(np.array([[0.0, 1e-3], [0.0, 0.0]]))
+assert cert.passed and "scipy" not in sys.modules, "Riesz rounding loaded scipy"
+approxk.matcore.band_det(approxk.matcore.band(np.eye(3), 0, 0))
+assert "scipy.linalg" in sys.modules, "a band kernel ran without scipy.linalg"
 """
     src = str(pathlib.Path(cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -233,6 +234,19 @@ def test_schema_errors_exit_2(tmp_path):
         path = tmp_path / f"bad_{name}.json"
         path.write_text(json.dumps(scenario))
         assert run_cli(["run", str(path)]) == 2, name
+
+
+@pytest.mark.parametrize("name", [["boundary"], {"check": "boundary"}, 3],
+                         ids=["list", "object", "number"])
+def test_check_name_must_be_a_string(tmp_path, capsys, name):
+    # a name that is not a string is refused with the schema, not looked up
+    # in CHECKS, where a list or an object is unhashable
+    path = tmp_path / "bad_check.json"
+    path.write_text(json.dumps({"schema": 1, "kind": "twisted_pair",
+                                "checks": [{"check": name}]}))
+    assert run_cli(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def _not_utf8(tmp_path):

@@ -89,26 +89,6 @@ def test_boundary_product_check_validates_input():
         kprod.boundary_product_check(cert, np.eye(3), 2)
 
 
-def corner_alg():
-    return Subalg(2, [matrix_unit(2, 0, 0)])
-
-
-def test_nonunital_class_check():
-    a = corner_alg()
-    b = corner_alg()
-    e = np.kron(matrix_unit(2, 0, 0), matrix_unit(2, 0, 0))
-    assert kprod.nonunital_class_check(e, a, b)
-    one = np.eye(4, dtype=complex)
-    assert not kprod.nonunital_class_check(one, a, b)
-    # formal differences with matching augmentation ranks do descend
-    assert kprod.nonunital_class_check(one, a, b, f=one)
-
-
-def test_nonunital_check_needs_nonunital_algebras():
-    with pytest.raises(InvalidInput):
-        kprod.nonunital_class_check(np.eye(4), full_alg(2), corner_alg())
-
-
 def test_tensored_pairs_take_one_principal_angle_intersection(count_calls):
     # tensored pairs reuse their base intersection; the product check keeps
     # one principal-angle intersection, which measures intersection_gap
