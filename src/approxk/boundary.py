@@ -101,7 +101,7 @@ def check_contraction(h):
     slack = 1e-9
     hm = _multiplier(h)
     hm_adj = np.conj(np.swapaxes(hm, -1, -2))
-    if ops.sup_norm(hm - hm_adj) > slack * max(1.0, ops.sup_norm(hm)):
+    if matcore.sup_norm(hm - hm_adj) > slack * max(1.0, matcore.sup_norm(hm)):
         raise NotAContraction("multiplier is not hermitian")
     w = np.linalg.eigvalsh((hm + hm_adj) / 2)
     if w.min() < -slack or w.max() > 1.0 + slack:
@@ -166,7 +166,7 @@ class MatrixSide:
 
     def nearest(self, x, unitized: bool = True):
         w = self.project(x, unitized)
-        return w, ops.sup_norm(ops.arr(x) - ops.arr(w))
+        return w, matcore.sup_norm(ops.arr(x) - ops.arr(w))
 
     def intersect(self, other: "MatrixSide") -> "MatrixSide":
         return MatrixSide(subalg.intersect(self.alg, other.alg, self.tol), self.tol)
@@ -751,7 +751,7 @@ def _homotopy_stacks(u_path, tol: Tol = DEFAULT_TOL):
     b = ops.stack(u_path)
     p = ops.arr(b)
     one = np.eye(p.shape[-1])
-    if ops.sup_norm(p[..., -1, :, :] - one) > 1e-9:
+    if matcore.sup_norm(p[..., -1, :, :] - one) > 1e-9:
         raise InvalidInput("path must end at the identity")
     m = p.shape[-3] - 1
     steps = ops.summand_norms(ops.Stack(p[..., 1:, :, :] - p[..., :-1, :, :]))
@@ -765,8 +765,8 @@ def _homotopy_stacks(u_path, tol: Tol = DEFAULT_TOL):
     blocks = np.concatenate([q[..., 1:, :, :] @ p[..., 1:, :, :],
                              p[..., 1:, :, :] @ q[..., :-1, :, :],
                              q[..., -1:, :, :]], axis=-3)
-    defect = ops.sup_norm(one - blocks)
-    c_bound = max(ops.sup_norm(q[..., :-1, :, :]), ops.sup_norm(p[..., 0, :, :]))
+    defect = matcore.sup_norm(one - blocks)
+    c_bound = max(matcore.sup_norm(q[..., :-1, :, :]), matcore.sup_norm(p[..., 0, :, :]))
     if defect > max_step * c_bound + 1e-9:
         raise PathTooCoarse(m - 1,
                             f"defect {defect:.3e} exceeds {max_step * c_bound:.3e}")
@@ -1012,8 +1012,8 @@ def whitehead_split(a, h, c, d=None, tol: Tol | None = None,
                               for coefs in factors)
     norms = [_maxima(_row_norms(weights, coefs)) for coefs in factors]
     norm_max, norm_upper = (float(np.max(v)) for v in zip(*norms))
-    prod_resid = ops.sup_norm(matcore.matmul(vc0, vd0) - target)
-    end_resid = np.max([ops.sup_norm(v - eye(target.shape[-1])) for v in (vc1, vd1)])
+    prod_resid = matcore.sup_norm(matcore.matmul(vc0, vd0) - target)
+    end_resid = np.max([matcore.sup_norm(v - eye(target.shape[-1])) for v in (vc1, vd1)])
     def path(*factors):
         return [ops.like(a, v[..., 0, :, :]) if lone else ops.Stack(v) for v in factors]
 

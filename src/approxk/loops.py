@@ -263,7 +263,7 @@ def loop_membership(x, ideal: LoopAlg, unitized: bool):
     the residual is the max over the summands."""
     w = loop_project(x, ideal, unitized)
     off = ~ideal.mask
-    return w, ops.sup_norm(ops.arr(x)[off] - ops.arr(w)[off])
+    return w, matcore.sup_norm(ops.arr(x)[off] - ops.arr(w)[off])
 
 
 def _constant_frame(e: LoopElem, mask: np.ndarray, tol: Tol):
@@ -275,7 +275,7 @@ def _constant_frame(e: LoopElem, mask: np.ndarray, tol: Tol):
         raise NoWitness("not a proper arc ideal: no off-support samples")
     off = e.samples[~mask]
     f_inf = off.mean(axis=0)
-    dev = ops.sup_norm(off - f_inf)
+    dev = matcore.sup_norm(off - f_inf)
     if dev > 1e-6:
         raise NoWitness(f"off-support samples vary by {dev:.3e}; not in the unitized ideal")
     d = e.side
@@ -340,7 +340,7 @@ def arc_k0_trivialize(e: LoopElem, ideal: LoopAlg, tol: Tol = DEFAULT_TOL):
     ident = np.eye(d, dtype=complex)
     e1 = matcore.matmul(matcore.matmul(g, e.samples), matcore.invert(g, tol))
     sym = 2.0 * e1 - ident
-    limit = 1.0 / (2.0 * max(ops.sup_norm(sym), 1e-12))
+    limit = 1.0 / (2.0 * max(matcore.sup_norm(sym), 1e-12))
     m = e.grid_size
     z = np.broadcast_to(ident, e1.shape).copy()
     for start, length in _circular_runs(mask):

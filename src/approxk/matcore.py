@@ -59,6 +59,30 @@ the stack, so a norm never depends on what it was stacked with.  A
 construction that needs several norms stacks its matrices with
 :func:`as_stack`, which checks the stack for non-finite entries once, and
 takes all of them in one :func:`op_norms` call.
+
+A supremum of norms over leading axes is taken by :func:`sup_norm`.  A
+stack of at least two matrices on the Gram path (the same rule by shape)
+forms its Gram matrices once and takes as its candidate the matrix with the
+largest column norm, whose largest diagonal entry of G bounds its lam_max
+from below; its norm top comes from a lone :func:`op_norms` call, so the
+result is that call's value.  One batched Cholesky of top^2 (1 + gamma) 1 - G
+then certifies every matrix.  A Cholesky factorization runs to completion
+only on a matrix that is positive definite up to its backward error: the
+computed factor R has R* R = A + dA with |dA| <= gamma_(n+1) |R*| |R|
+(Higham, ch. 10; Rump, *BIT* 46, 2006, makes this a rigorous test), so a
+success shows lam_max(G) <= top^2 (1 + gamma) up to an error of order
+n u top^2.  The norms of a stack often tie in exact arithmetic (the probes
+r (x) C of a tensored ideal structure have ||r (x) C|| = ||r|| ||C||), and
+the computed top eigenvalues of tied matrices differ by rounding, so with
+gamma = 0 a tied matrix fails the test about half the time.  gamma is
+:func:`fp_slack` (1, k) = gamma_k with k = 4 (n + 1), which covers the
+factorization's gamma_(n+1) and the eigensolver's error of the same order;
+ties at sides 12 to 194 certify with shifts of 8 u to 32 u, and gamma is at
+most 1e-12 up to side 2250.  The result s is then one op_norms value, at
+most their maximum, and every op_norms value of the stack is at most
+s sqrt(1 + gamma) up to that rounding: the supremum is within gamma / 2 +
+O(n u) relative of the maximum, on top of op_norms' own error.  When a
+factorization fails, the result is the maximum of op_norms over the stack.
 :func:`matmul` is the product over leading axes; for 2 x 2 factors it is
 the sum of two broadcast outer products, with no BLAS call per matrix.
 
@@ -77,11 +101,13 @@ Computations*, 4.3) and :func:`band_invert`.
 the largest 1-norm, by ``scipy.linalg.eig_banded`` (ibid., 8.3): bisection
 for the top eigenvalue alone fails to converge on the tight clusters of
 near-unitary factors.  Each other matrix is certified against the maximum
-top found so far by one banded Cholesky ``zpbtrf`` of top 1 - G: it
-succeeds only if top 1 - G is positive definite, up to its backward error
-(Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 10), so G's
-top eigenvalue is at most top, and only a failed factorization takes the
-spectrum.  ``zpbtrf`` may succeed on a band holding a NaN, so a Gram band
+top found so far by one banded Cholesky ``zpbtrf`` of top (1 + gamma) 1 - G,
+with the slack gamma of :func:`sup_norm` at the band's side: it succeeds
+only if that matrix is positive definite, up to its backward error (Higham,
+*Accuracy and Stability of Numerical Algorithms*, ch. 10), so G's top
+eigenvalue is at most top (1 + gamma), and only a failed factorization
+takes the spectrum; a sample whose top ties the maximum is certified, not
+eigensolved again.  ``zpbtrf`` may succeed on a band holding a NaN, so a Gram band
 with a NaN or an inf makes the norm NaN before any factorization.
 
 :func:`band_invert` returns a banded inverse X with its residual.  Its
@@ -185,11 +211,12 @@ def adjoint(m: np.ndarray) -> np.ndarray:
     return np.conj(m).T
 
 
-# the smallest side whose norms op_norms reads off the Gram matrix: on
-# stacks of 50 the eigensolve beats the SVD from side 3 on, but on a lone
-# matrix its range guard and products cost more than the SVD saves at
-# every side to 24; at 12 the 12 x 12 and 18 x 18 residual and probe stacks
-# take it, and the frequent lone 8 x 8 norms of the lifts keep the SVD
+# the smallest side whose norms op_norms reads off the Gram matrix, and from
+# which sup_norm certifies a stack by one batched Cholesky: on stacks of 50
+# the eigensolve beats the SVD from side 3 on, but on a lone matrix its
+# range guard and products cost more than the SVD saves at every side to
+# 24; at 12 the 12 x 12 and 18 x 18 residual and probe stacks take it, and
+# the frequent lone 8 x 8 norms of the lifts keep the SVD
 GRAM_SIDE = 12
 # a matrix with m rows whose largest entry modulus lies in _GRAM_RANGE has
 # a Gram matrix whose largest entry lies in [2^-256, m 2^256], inside the
@@ -270,6 +297,65 @@ def op_norms(a) -> np.ndarray:
 def op_norm(m) -> float:
     """Operator (spectral) norm: the largest singular value."""
     return float(op_norms(as_matrix(m)))
+
+
+def fp_slack(scale, k: int) -> float:
+    """gamma_k scale, with gamma_k = k u / (1 - k u) and u the unit roundoff
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 3.1): the
+    relative error bound of k rounded operations in a row, times scale."""
+    ku = k * np.finfo(float).eps / 2
+    return ku / (1 - ku) * scale
+
+
+def _level_slack(n: int) -> float:
+    """The relative slack of a Cholesky level test of an n x n Gram matrix
+    against a top eigenvalue computed from another: gamma_k with
+    k = 4 (n + 1), at most 1e-12 for n up to 2250 (see the module
+    docstring)."""
+    return fp_slack(1.0, 4 * (n + 1))
+
+
+def sup_norm(a) -> float:
+    """The largest operator norm over the leading axes of a; 0 when they are
+    empty, and always one matrix's :func:`op_norms` value.
+
+    A stack of at least two matrices on the Gram path takes the norm top of
+    the matrix with the largest column from a lone :func:`op_norms` call,
+    and certifies every matrix by one batched Cholesky of
+    top^2 (1 + gamma) 1 - G, gamma = :func:`_level_slack` (n) (see the
+    module docstring); when a factorization fails, and on every other
+    shape, it is the maximum of :func:`op_norms`.  The stack is scaled by
+    one power of two when its largest entry modulus lies outside the range
+    op_norms keeps Gram entries in.  A stack with an inf or a NaN entry
+    takes op_norms' NaN, since LAPACK's Cholesky can succeed on a NaN."""
+    a = np.asarray(a)
+    n = min(a.shape[-2:])
+    if n < GRAM_SIDE or a.size < 2 * a.shape[-2] * a.shape[-1]:
+        return float(np.max(op_norms(a), initial=0.0))
+    a = a.reshape((-1,) + a.shape[-2:])
+    tall = np.swapaxes(a, -1, -2) if a.shape[-2] < a.shape[-1] else a
+    peak = np.abs(tall).max()
+    if not np.isfinite(peak):
+        return float(np.max(op_norms(a)))
+    if peak == 0:
+        return 0.0
+    e = 0
+    if not _GRAM_RANGE[0] <= peak <= _GRAM_RANGE[1]:
+        # as in op_norms, but one exponent for the whole stack
+        e = max(int(np.frexp(peak)[1]), -1021)
+        tall = tall * np.ldexp(1.0, -e)
+    gram = np.conj(np.swapaxes(tall, -1, -2)) @ tall
+    cols = np.diagonal(gram, axis1=-2, axis2=-1).real
+    top = float(op_norms(a[np.argmax(cols.max(axis=-1))]))
+    # top 2^-e lies in [2^-53, sqrt(n m)], so its square neither over- nor
+    # underflows: it is at least the largest column norm of the scaled
+    # stack, and that at least its largest entry modulus
+    level = np.ldexp(top, -e) ** 2 * (1 + _level_slack(n))
+    try:
+        np.linalg.cholesky(level * np.eye(n) - gram)
+    except np.linalg.LinAlgError:
+        return float(np.max(op_norms(a)))
+    return top
 
 
 def matmul(a, b) -> np.ndarray:
@@ -534,8 +620,9 @@ def band_norm(b: Band) -> float:
     matrices are visited by decreasing 1-norm of G and the visit stops at
     the first one that cannot beat the maximum found.  The first takes its
     whole spectrum from ``eig_banded``; each later one takes it only if the
-    Cholesky ``zpbtrf`` of top 1 - G fails, since a factorization that
-    succeeds shows that G's top eigenvalue is at most top (see the module
+    Cholesky ``zpbtrf`` of top (1 + gamma) 1 - G fails, since a
+    factorization that succeeds shows that G's top eigenvalue is at most
+    top (1 + gamma), gamma the slack of :func:`sup_norm` (see the module
     docstring).  A Gram band with a NaN or an inf makes the norm NaN
     before any factorization.  A NaN eigenvalue is kept (np.maximum, unlike
     max, propagates it), fails no bound and skips no spectrum, so the norm
@@ -548,13 +635,14 @@ def band_norm(b: Band) -> float:
     upper = g.ab[..., :g.ku + 1, :].reshape(-1, g.ku + 1, g.size)
     bound = np.abs(g.ab).sum(axis=-2).max(axis=-1).reshape(-1)
     linalg = scipy_linalg()
+    slack = _level_slack(g.size)
     top = 0.0
     for k in np.argsort(-bound, kind="stable"):
         if bound[k] <= top:
             break
         if top > 0:
             shifted = -upper[k]
-            shifted[g.ku] += top
+            shifted[g.ku] += top * (1 + slack)
             if linalg.lapack.zpbtrf(shifted)[1] == 0:
                 continue
         lam = linalg.eig_banded(upper[k], eigvals_only=True)

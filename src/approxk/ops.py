@@ -14,11 +14,12 @@ summand, so the helpers here compute the direct sum's products, inverses and
 :func:`summand_norms` gives the norm of each summand, and
 :func:`unit_summands` scales the summands to unit norm.
 
-Norms come from the kernel :func:`matcore.op_norms` and products of loops
-and stacks from :func:`matcore.matmul`.  Both have closed forms for the
-1x1 and 2x2 samples that loops over small fibers consist of, where a LAPACK
-or BLAS call per sample would cost most of the time; see :mod:`matcore` for
-their error argument.
+Norms come from the kernels :func:`matcore.op_norms` and, for the sup over
+samples and summands, :func:`matcore.sup_norm`; products of loops and
+stacks come from :func:`matcore.matmul`.  Norms and products have closed
+forms for the 1x1 and 2x2 samples that loops over small fibers consist of,
+where a LAPACK or BLAS call per sample would cost most of the time; see
+:mod:`matcore` for their error argument.
 
 :func:`inv` is the one guarded inverse :func:`matcore.invert` on every
 carrier: it raises NotInvertible when the 1-norm condition number
@@ -100,15 +101,10 @@ def _eye(lead: tuple, n: int) -> np.ndarray:
     return np.broadcast_to(np.eye(n, dtype=complex), lead + (n, n)).copy()
 
 
-def sup_norm(a: np.ndarray) -> float:
-    """The largest operator norm over the leading axes of an array; 0 when
-    they are empty."""
-    return float(np.max(matcore.op_norms(a), initial=0.0))
-
-
 def norm(x) -> float:
-    """Operator norm; for a loop, the sup over its samples."""
-    return sup_norm(arr(x))
+    """Operator norm; for a loop or a stack, the sup over its samples and
+    summands, by :func:`matcore.sup_norm`."""
+    return matcore.sup_norm(arr(x))
 
 
 def summand_norms(s: Stack) -> np.ndarray:

@@ -124,6 +124,40 @@ def test_tensor_scaling_takes_no_svd_at_gram_sides(rng, count_calls):
     assert any(np.shape(a)[:-2] == (54,) and np.shape(a)[-1] == 12 for a, *_ in eigs)
 
 
+def test_tensored_suprema_eigensolve_one_matrix(rng, count_calls, monkeypatch):
+    # the matrix_corpus recipe tensored with M_2: each of the five suprema
+    # over the 54 probes of side 12 eigensolves its candidate alone, and one
+    # Cholesky certifies the other 53, whose norms tie with it by
+    # construction (eigensolving all of them took 54 per supremum)
+    noise = rng.standard_normal((6, 6))
+    noise = (noise + noise.T) / 2
+    h = block_h().real + 1e-3 * noise / np.linalg.norm(noise, 2)
+    w, vv = np.linalg.eigh(h)
+    h = (vv @ np.diag(np.clip(w, 0.0, 1.0)) @ vv.conj().T).astype(complex)
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    x = np.eye(6) + 0.2 * g / np.linalg.norm(g, 2)
+    scn = scenarios.block_ideal_pair()
+    cert = boundary.check_delta_ideal_structure(h, scn["c"], scn["d"], [x], seed=1,
+                                                random_probes=5)
+    eigs = count_calls("eigvalsh", np.linalg)
+    real = matcore.sup_norm
+    solved = []
+
+    def counted(a):
+        before = len(eigs)
+        out = real(a)
+        solved.append((np.shape(a), sum(np.prod(np.shape(e)[:-2]) for e, *_ in eigs[before:])))
+        return out
+
+    monkeypatch.setattr(matcore, "sup_norm", counted)
+    cert2 = boundary.check_delta_ideal_structure(
+        np.kron(h, np.eye(2)), cert.pair.tensor(2), None,
+        [np.kron(x, matrix_unit(2, i, j)) for i in range(2) for j in range(2)], seed=1)
+    assert 0 < cert2.delta_level
+    assert [n for shape, n in solved if shape == (54, 12, 12)] == [1] * 5
+    assert all(n <= 1 for _, n in solved)
+
+
 def test_tensor_scale_rejects_dependent_probe_basis():
     # the dual basis of [x, 2x] does not exist: its Gram matrix is singular
     scn = scenarios.block_ideal_pair()

@@ -249,6 +249,28 @@ def test_check_name_must_be_a_string(tmp_path, capsys, name):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("params, override", [
+    ({"grid": cli.MAX_LOOP_ENTRIES + 1}, None),
+    ({"grid": cli.MAX_LOOP_ENTRIES // 4 + 1, "fiber": 2}, None),
+    ({}, cli.MAX_LOOP_ENTRIES + 1),
+    ({"fiber": 2}, cli.MAX_LOOP_ENTRIES // 4 + 1),
+], ids=["grid", "grid-fiber", "--grid", "--grid-fiber"])
+def test_circle_split_size_is_bounded(tmp_path, capsys, monkeypatch, params, override):
+    # one past the cap on grid or grid * fiber^2, from the file or --grid,
+    # is refused by the schema before any loop is built
+    def never(**kwargs):
+        raise AssertionError("circle_split was built")
+
+    monkeypatch.setattr(scenarios, "circle_split", never)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"schema": 1, "kind": "circle_split", "params": params,
+                                "checks": [{"check": "boundary"}]}))
+    argv = ["run", str(path)] + ([] if override is None else ["--grid", str(override)])
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: circle_split grid") and err.count("\n") == 1, err
+
+
 def _not_utf8(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes('{"schema": 1, "name": "caf\u00e9"}'.encode("latin-1"))

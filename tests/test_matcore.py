@@ -11,7 +11,7 @@ from approxk.errors import (
     InvalidInput,
     NotInvertible,
 )
-from approxk.matcore import DEFAULT_TOL, Tol
+from approxk.matcore import DEFAULT_TOL, Tol, matrix_unit
 
 from conftest import band_dense
 
@@ -143,6 +143,125 @@ def test_op_norms_of_overflowing_and_infinite_matrices(side):
     assert np.isnan(got[0]) and got[1] == np.inf
     np.testing.assert_allclose(got[2], side, rtol=1e-15)
     assert np.isnan(got[3]) == (side >= GRAM)
+
+
+# square sides 12 to 24, and tall and wide shapes, on the Gram path
+SUP_SHAPES = [(n, n) for n in (GRAM, 16, 18, 24)] + [(GRAM + 3, GRAM), (GRAM, GRAM + 5), (13, 24)]
+
+
+def tall_view(a):
+    """a with the Gram side as its columns: transposed when wide."""
+    return np.swapaxes(a, -1, -2) if a.shape[-2] < a.shape[-1] else a
+
+
+def sup_stack(rng, shape, kind, count):
+    """A stack of count matrices of the given shape, one kind of tie or
+    trap for sup_norm's certificate."""
+    def draw(*lead):
+        return rng.standard_normal(lead + shape) + 1j * rng.standard_normal(lead + shape)
+
+    x = draw()
+    if kind == "phase":
+        # e^{i theta} x ties with x in exact arithmetic
+        return x * np.exp(2j * np.pi * rng.random(count))[:, None, None]
+    if kind == "kron":
+        # x (x) E_ij in the top-left corner, the norms of the tensored probes
+        r, c = shape[0] // 2, shape[1] // 2
+        out = np.zeros((count,) + shape, dtype=complex)
+        for k in range(count):
+            i, j = divmod(k % 4, 2)
+            out[k, :2 * r, :2 * c] = np.kron(x[:r, :c], matrix_unit(2, i, j))
+        return out
+    if kind == "hidden":
+        # the largest column belongs to a rank-one matrix of norm 1, while a
+        # flat rank-one matrix of norm 1.5 has columns of norm at most
+        # 1.5 / sqrt(12): its norm is the maximum and the candidate's is not
+        out = tall_view(0.1 * draw(count) / max(shape))
+        m, n = out.shape[-2:]
+        unit = tall_view(draw())[:, 0]
+        unit /= np.linalg.norm(unit)
+        out[0] = 0.0
+        out[0, :, rng.integers(n)] = unit
+        out[-1] = np.outer(unit[::-1], np.exp(2j * np.pi * rng.random(n)) * 1.5 / np.sqrt(n))
+        return out if m == shape[0] else np.swapaxes(out, -1, -2)
+    return draw(count)
+
+
+@settings(KERNEL, max_examples=150)
+@given(shape=st.sampled_from(SUP_SHAPES),
+       kind=st.sampled_from(["random", "phase", "kron", "hidden"]),
+       count=st.integers(2, 9), exponents=st.sampled_from([0, 600, -600, "mixed"]),
+       zeros=st.sampled_from(["none", "some", "all"]),
+       poison=st.sampled_from([None, np.nan, np.inf]), lead=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_sup_norm_is_one_op_norm_within_the_slack(shape, kind, count, exponents, zeros,
+                                                  poison, lead, seed):
+    # random stacks, planted ties (phase multiples and x (x) E_ij), a
+    # maximizer that is not the largest-column candidate, zero summands,
+    # an all-zero stack, NaN and inf entries, and scales 2^+-600: the sup
+    # is one matrix's op_norms value, alone, at most the slack below their
+    # maximum; zeros give exactly 0 and a non-finite entry NaN
+    rng = np.random.default_rng(seed)
+    a = sup_stack(rng, shape, kind, count)
+    if exponents == "mixed":
+        a *= 2.0 ** rng.choice([-600, 0, 600], count)[:, None, None]
+    else:
+        a *= 2.0 ** exponents
+    if zeros == "some":
+        a[rng.random(count) < 0.5] = 0.0
+    elif zeros == "all":
+        a[:] = 0.0
+    if poison is not None:
+        a[rng.integers(count), rng.integers(shape[0]), rng.integers(shape[1])] = poison
+    if lead:
+        a = a.reshape((1,) + a.shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = matcore.sup_norm(a)
+    assert isinstance(got, float)
+    if poison is not None:
+        assert np.isnan(got)
+        return
+    if zeros == "all":
+        assert got == 0.0
+        return
+    stack = a.reshape((-1,) + shape)
+    lone = [float(matcore.op_norms(x)) for x in stack]
+    assert got in lone
+    want = max(lone)
+    assert want / (1 + matcore._level_slack(min(shape))) <= got <= want
+    if kind == "hidden" and exponents != "mixed" and zeros == "none":
+        # the candidate fails to certify the last matrix
+        assert got == lone[-1] > lone[0]
+
+
+def test_sup_norm_slack_and_the_other_paths(count_calls):
+    # the slack stays below 1e-12 on every side to 2250; below GRAM_SIDE,
+    # and on a lone matrix, the sup is max(op_norms); an empty stack is 0,
+    # and so is an all-zero stack, with no eigensolve and no factorization
+    assert matcore.fp_slack(1.0, 1) == pytest.approx(np.finfo(float).eps / 2)
+    assert matcore.fp_slack(3.0, 10) == 3.0 * matcore.fp_slack(1.0, 10)
+    assert matcore._level_slack(2250) <= 1e-12 < matcore._level_slack(2260)
+    rng = np.random.default_rng(4)
+    for shape in [(5, 2, 2), (5, GRAM - 1, GRAM + 4), (GRAM, GRAM), (1, GRAM, GRAM)]:
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert matcore.sup_norm(a) == np.max(matcore.op_norms(a))
+    assert matcore.sup_norm(np.zeros((0, GRAM, GRAM))) == 0.0
+    eigs, factors = count_calls("eigvalsh", np.linalg), count_calls("cholesky", np.linalg)
+    assert matcore.sup_norm(np.zeros((3, GRAM, GRAM + 1))) == 0.0
+    assert eigs == factors == []
+
+
+def test_band_norm_certifies_ties_without_a_second_eigensolve(rng, count_calls):
+    # diagonal phase conjugates and exact repeats of one band tie with it:
+    # the Cholesky test, shifted by the slack, certifies them all
+    x = np.triu(np.tril(rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40)), 3), -3)
+    phases = np.exp(2j * np.pi * rng.random((9, 2, 40)))
+    stack = np.concatenate([x[None], phases[:, 0, :, None] * x * phases[:, 1, None, :]])
+    calls = count_calls("eig_banded", matcore.scipy_linalg())
+    got = matcore.band_norm(matcore.band(stack, 3, 3))
+    assert len(calls) == 1
+    assert got == pytest.approx(np.max(np.linalg.norm(stack, 2, axis=(-2, -1))), rel=1e-13)
 
 
 def test_as_stack_rejects_non_finite_entries_as_as_matrix_does():
