@@ -1166,8 +1166,8 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d=None, tol: Tol | None = None,
     eye_ab[x.ku] = 1.0
     moved = matcore.Band(x.ab[np.any(x.ab != eye_ab, axis=(-2, -1))], x.kl, x.ku)
     _, resid = matcore.band_invert(moved, tol)
-    # sqrt(||R||_1 ||R||_inf) >= ||R||_2, the rows of R being the columns of R*
-    norm_1, norm_inf = (matcore._norm_1(r.ab) for r in (resid, matcore._band_adjoint(resid)))
+    # sqrt(||R||_1 ||R||_inf) >= ||R||_2
+    norm_1, norm_inf = matcore._norm_1(resid.ab), matcore._norm_inf(resid)
     unstable = float(np.max(np.sqrt(norm_1 * norm_inf), initial=0.0))
     require(Gate("unstable", unstable, 1e-6), lambda: ReconstructionFailed(
         unstable, f"unstable inverse for x = 1 + y: residual {unstable:.3e}"))

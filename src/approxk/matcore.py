@@ -93,22 +93,34 @@ blocks along the diagonal of an identity), :func:`band_scatter` (the dense
 array, in a permuted order), :func:`band_blockwise` (a map
 applied to the square blocks that the band touches, as one stack),
 :func:`band_matmul` (band times band), :func:`band_norm`
-(the operator norm from the top eigenvalue of the band Gram matrix),
-:func:`band_det` (from the band LU ``zgbtrf``; Golub & Van Loan, *Matrix
-Computations*, 4.3) and :func:`band_invert`.
+(an upper bound on the operator norm, up to rounding, from banded Cholesky
+tests on the Gram band), :func:`band_det` (from
+the band LU ``zgbtrf``; Golub & Van Loan, *Matrix Computations*, 4.3) and
+:func:`band_invert`.
 
-:func:`band_norm` takes the whole spectrum of one Gram band G, that with
-the largest 1-norm, by ``scipy.linalg.eig_banded`` (ibid., 8.3): bisection
-for the top eigenvalue alone fails to converge on the tight clusters of
-near-unitary factors.  Each other matrix is certified against the maximum
-top found so far by one banded Cholesky ``zpbtrf`` of top (1 + gamma) 1 - G,
-with the slack gamma of :func:`sup_norm` at the band's side: it succeeds
-only if that matrix is positive definite, up to its backward error (Higham,
-*Accuracy and Stability of Numerical Algorithms*, ch. 10), so G's top
-eigenvalue is at most top (1 + gamma), and only a failed factorization
-takes the spectrum; a sample whose top ties the maximum is certified, not
-eigensolved again.  ``zpbtrf`` may succeed on a band holding a NaN, so a Gram band
-with a NaN or an inf makes the norm NaN before any factorization.
+:func:`band_norm` takes no spectrum.  Of each Gram band G = b* b it forms
+only the rows on and above the diagonal, which the banded Cholesky
+``zpbtrf`` reads.  The factorization of level 1 - G runs to completion only
+if that matrix is positive definite up to its backward error (Higham,
+ch. 10), so by Sylvester's law of inertia the test tells the levels above
+G's top eigenvalue from those below it, and bisection on it finds the top
+however tightly the spectrum clusters below it (Parlett, *The Symmetric
+Eigenvalue Problem*, 3.3).  The bisection that fails to converge on the
+tight clusters of near-unitary factors is LAPACK's selection of one
+eigenvalue of the tridiagonal reduction, not this test.  The matrices are
+visited by decreasing 1-norm of G, which bounds its top eigenvalue; one
+test of top (1 + gamma) 1 - G, top the largest level found so far and
+gamma the slack of :func:`sup_norm` at the band's side, certifies a
+matrix, and any other is bisected from max(top, its largest diagonal
+entry of G), a lower bound, up to its 1-norm times 1 + gamma, until the
+ends lie within a factor 1 + gamma: top is the upper end, the lowest level
+at which the factorization succeeded, after about 45 halvings at side 194.
+sqrt(top) bounds the bisected matrix's norm from above up to the
+factorization's backward error, every other norm is at most
+sqrt(top (1 + gamma)), as in sup_norm, and sqrt(top) is at most about
+gamma / 2 above the largest norm, where an eigensolver's value can sit a
+few ulps below it.  The stack is scaled by one power of two as sup_norm's
+is, which also keeps the levels off subnormals.
 
 :func:`band_invert` returns a banded inverse X with its residual.  Its
 columns are solved in blocks, each on a window of the band around its
@@ -125,7 +137,7 @@ Neumann series, with ||b^-1|| <= ||X|| / (1 - ||R||) (Higham, ch. 14), so
 the R that ended the widening is returned with X and no caller forms it
 again.  :func:`band_invert` applies the same kappa_1 rule as
 :func:`invert`, on the two band storages.  Every call the package makes to
-``scipy.linalg.lapack`` or ``eig_banded`` is made here.
+``scipy.linalg.lapack`` is made here.
 
 scipy is imported on first use: :func:`scipy_linalg` imports and returns
 ``scipy.linalg`` when a band kernel first runs, so a run that reaches none
@@ -602,52 +614,95 @@ def band_matmul(x: Band, y: Band) -> Band:
     return Band(out[..., ku - ku2:ku + kl2 + 1, :], kl2, ku2)
 
 
-def _band_adjoint(b: Band) -> Band:
+def _norm_inf(b: Band) -> np.ndarray:
+    """The infinity norm of every matrix over the leading axes of b: the
+    largest absolute row sum, read off the storage as :func:`_norm_1` reads
+    the columns; slot (r, j) holds entry (j + r - ku, j)."""
     n = b.size
-    out = np.zeros_like(b.ab)
-    for r in range(b.kl + b.ku + 1):
-        d = b.ku - r  # b[i, i + d] becomes entry (i + d, i) of the adjoint
+    mod = np.abs(b.ab)
+    rows = np.zeros(mod.shape[:-2] + (n,))
+    for r in range(mod.shape[-2]):
+        d = r - b.ku
         lo, hi = max(0, -d), min(n, n - d)
-        out[..., b.kl + d, lo:hi] = np.conj(b.ab[..., r, lo + d:hi + d])
-    return Band(out, b.ku, b.kl)
+        rows[..., lo + d:hi + d] += mod[..., r, lo:hi]
+    return rows.max(axis=-1)
 
 
 def band_norm(b: Band) -> float:
-    """The largest operator norm over the leading axes: the square root of
-    the top eigenvalue of the band of b* b.
+    """The largest operator norm over the leading axes, from above: sqrt(top),
+    with top at least the top eigenvalue of the Gram band G = b* b of the
+    bisected matrix, at least that of every other over 1 + gamma, and at
+    most the largest times 1 + gamma, up to rounding.
 
-    The top eigenvalue of a Gram matrix G is at most its 1-norm, so the
-    matrices are visited by decreasing 1-norm of G and the visit stops at
-    the first one that cannot beat the maximum found.  The first takes its
-    whole spectrum from ``eig_banded``; each later one takes it only if the
-    Cholesky ``zpbtrf`` of top (1 + gamma) 1 - G fails, since a
-    factorization that succeeds shows that G's top eigenvalue is at most
-    top (1 + gamma), gamma the slack of :func:`sup_norm` (see the module
-    docstring).  A Gram band with a NaN or an inf makes the norm NaN
-    before any factorization.  A NaN eigenvalue is kept (np.maximum, unlike
-    max, propagates it), fails no bound and skips no spectrum, so the norm
-    is NaN."""
-    g = _band_adjoint(b) @ b
-    if not np.isfinite(g.ab).all():
+    Only the kd + 1 storage rows of G on and above its diagonal are formed,
+    kd = min(kl + ku, n - 1).  The matrices are visited by decreasing
+    1-norm of G, the column sums of those rows and of their conjugate
+    mirror, until one is at most top; each is certified by one banded
+    Cholesky test of top (1 + gamma) 1 - G or bisected on that test,
+    gamma = :func:`_level_slack` (n) (see the module docstring).  A stack whose
+    largest entry modulus lies outside [2^-128, 2^128] is scaled by one
+    power of two, as in :func:`sup_norm`; an all-zero stack has 1-norm 0
+    and norm exactly 0, with no factorization.  zpbtrf tests its pivots by
+    ajj <= 0, which a NaN passes, so an inf or a NaN entry makes the norm
+    NaN before any factorization, and so does a factor whose last pivot
+    is NaN, as any NaN in the band makes it."""
+    n = b.size
+    ab = b.ab.reshape((-1,) + b.ab.shape[-2:])
+    peak = np.abs(ab).max(initial=0.0)
+    if not np.isfinite(peak):
         return float("nan")
-    # the rows on and above the diagonal, in the storage eig_banded and
-    # zpbtrf read, one matrix per leading index
-    upper = g.ab[..., :g.ku + 1, :].reshape(-1, g.ku + 1, g.size)
-    bound = np.abs(g.ab).sum(axis=-2).max(axis=-1).reshape(-1)
-    linalg = scipy_linalg()
-    slack = _level_slack(g.size)
+    e = 0
+    if not _GRAM_RANGE[0] <= peak <= _GRAM_RANGE[1]:
+        # frexp gives an all-zero stack e = 0
+        e = max(int(np.frexp(peak)[1]), -1021)
+        ab = ab * np.ldexp(1.0, -e)
+    # upper[kd - d, j] = G[j - d, j] = sum_r conj(ab[r + d, j - d]) ab[r, j],
+    # the storage zpbtrf reads; ab may have more than kd + 1 rows
+    kd, rows = min(b.kl + b.ku, n - 1), ab.shape[-2]
+    upper = np.zeros((len(ab), kd + 1, n), dtype=complex)
+    for d in range(kd + 1):
+        upper[:, kd - d, d:] = (np.conj(ab[:, d:, :n - d]) * ab[:, :rows - d, d:]).sum(axis=-2)
+    mod = np.abs(upper)
+    cols = mod.sum(axis=-2)
+    for d in range(1, kd + 1):
+        cols[:, :n - d] += mod[:, kd - d, d:]
+    bound = cols.max(axis=-1)
+    diag = upper[:, kd].real.max(axis=-1)
+    slack = _level_slack(n)
+    zpbtrf = scipy_linalg().lapack.zpbtrf
+    nan = False
+
+    def fits(k, level):
+        # whether G_k <= level 1, up to rounding: the banded Cholesky of
+        # level 1 - G_k runs to its end
+        nonlocal nan
+        shifted = -upper[k]
+        shifted[kd] += level
+        factor, info = zpbtrf(shifted)
+        nan |= bool(np.isnan(factor[kd, -1]))
+        return info == 0
+
     top = 0.0
     for k in np.argsort(-bound, kind="stable"):
         if bound[k] <= top:
             break
-        if top > 0:
-            shifted = -upper[k]
-            shifted[g.ku] += top * (1 + slack)
-            if linalg.lapack.zpbtrf(shifted)[1] == 0:
-                continue
-        lam = linalg.eig_banded(upper[k], eigvals_only=True)
-        top = np.maximum(top, lam[-1])
-    return float(np.sqrt(top))
+        if top > 0 and fits(k, top * (1 + slack)):
+            continue
+        lo, hi = max(top, diag[k]), bound[k] * (1 + slack)
+        while hi > lo * (1 + slack):
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            if fits(k, mid):
+                hi = mid
+            else:
+                lo = mid
+        top = hi
+    if nan:
+        return float("nan")
+    # a norm beyond the largest float is inf, unwarned, as in op_norms
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.sqrt(top), e))
 
 
 def band_det(b: Band) -> np.ndarray:

@@ -718,13 +718,21 @@ def _inv_cut_passes(monkeypatch, entry):
 
 
 def _band_norm_passes(monkeypatch, plant):
-    # the one matrix's eigenvalues come back NaN; the running maximum starts
-    # at 0.0, so max(0.0, NaN) would drop them
+    # the bidiagonal band 1 + N has Gram 1-norm 4 above its top eigenvalue
+    # 3.62, so its one matrix is bisected.  Planted, every factorization
+    # reports a NaN factor with LAPACK's own info, as zpbtrf does on a band
+    # holding a NaN, whose pivot test ajj <= 0 a NaN passes: a bisection
+    # that read the info alone would return a finite top
     if plant:
-        real = matcore.scipy_linalg().eig_banded
+        real = matcore.scipy_linalg().lapack.zpbtrf
+
+        def planted(ab):
+            factor, info = real(ab)
+            return np.nan * factor, info
         monkeypatch.setattr(matcore, "scipy_linalg", lambda: types.SimpleNamespace(
-            eig_banded=lambda *args, **kwargs: np.nan * real(*args, **kwargs)))
-    return matcore.band_norm(matcore.band(np.eye(4), 1, 1)) <= 1e300
+            lapack=types.SimpleNamespace(zpbtrf=planted)))
+    x = np.eye(4) + np.eye(4, k=1)
+    return matcore.band_norm(matcore.band(x, 1, 1)) <= 1e300
 
 
 def _band_norm_skip_passes(plant):

@@ -597,18 +597,18 @@ def test_reconstruct_keeps_the_frame_banded(count_calls):
     assert len(framed) == 2 and framed[0] is rec.x and framed[1] is rec.y
 
 
-def test_reconstruct_eigensolves_only_the_maximizers(count_calls):
+def test_reconstruct_takes_no_spectrum(count_calls):
     # loop_reconstruct's inputs: band_norm runs 5 times on stacks of 16
-    # samples; each takes the spectrum of the sample with the largest
-    # Gram 1-norm, and a banded Cholesky certifies every other below its
-    # top.  Visiting every sample whose 1-norm beats the maximum took 12
-    # eigensolves, and a Cholesky test with no slack took 6: it eigensolved
-    # again a sample whose top ties the first to the last digits
+    # samples and takes no eigenvalue: it bisects the sample with the largest
+    # Gram 1-norm by banded Cholesky tests, and one test certifies each
+    # other sample whose 1-norm beats the top.  The count of tests is exact,
+    # since no step of the reconstruction is random
     calls = count_calls("eig_banded", matcore.scipy_linalg())
+    factors = count_calls("zpbtrf", matcore.scipy_linalg().lapack)
     norms = count_calls("band_norm", matcore)
     rec = boundary.sigma_reconstruct(**sigma_case("circle_split_grid16_steps96"))
     assert rec.windings == (1, 1, -1)
-    assert len(norms) == 5 and len(calls) == 5
+    assert len(norms) == 5 and calls == [] and len(factors) == 224
 
 
 def test_reconstruct_traced_peak_stays_below_32_mb():

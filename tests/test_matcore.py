@@ -252,15 +252,22 @@ def test_sup_norm_slack_and_the_other_paths(count_calls):
     assert eigs == factors == []
 
 
-def test_band_norm_certifies_ties_without_a_second_eigensolve(rng, count_calls):
+def test_band_norm_certifies_ties_with_one_bisection(rng, count_calls):
     # diagonal phase conjugates and exact repeats of one band tie with it:
-    # the Cholesky test, shifted by the slack, certifies them all
+    # one sample is bisected, and the Cholesky test, shifted by the slack,
+    # certifies each other one by one factorization
     x = np.triu(np.tril(rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40)), 3), -3)
     phases = np.exp(2j * np.pi * rng.random((9, 2, 40)))
     stack = np.concatenate([x[None], phases[:, 0, :, None] * x * phases[:, 1, None, :]])
-    calls = count_calls("eig_banded", matcore.scipy_linalg())
+    factors = count_calls("zpbtrf", matcore.scipy_linalg().lapack)
     got = matcore.band_norm(matcore.band(stack, 3, 3))
-    assert len(calls) == 1
+    # each factorization is of level 1 - G_k, kd = 6: its first superdiagonal
+    # row, kd - 1, is -G_k's, and names the sample k
+    supers = [np.diagonal(np.conj(s).T @ s, 1) for s in stack]
+    owners = [np.argmin([np.abs(args[0][5, 1:] + sup).max() for sup in supers])
+              for args in factors]
+    per_sample = np.bincount(owners, minlength=len(stack))
+    assert sorted(per_sample)[:-1] == [1] * 9 and per_sample.max() > 20
     assert got == pytest.approx(np.max(np.linalg.norm(stack, 2, axis=(-2, -1))), rel=1e-13)
 
 
@@ -434,6 +441,9 @@ def test_band_product_matches_dense(lead, n, kl, ku, seed, kl2, ku2):
     np.testing.assert_array_equal(band_dense(bx), x)
     np.testing.assert_allclose(band_dense(bx @ by), x @ y, rtol=0, atol=1e-13)
     np.testing.assert_allclose(band_dense(bx - by), x - y, rtol=0, atol=1e-15)
+    # the infinity norm read off the storage is the dense largest row sum
+    np.testing.assert_allclose(matcore._norm_inf(bx), np.abs(x).sum(axis=-1).max(axis=-1),
+                               rtol=1e-15, atol=0)
 
 
 @BAND
@@ -470,6 +480,66 @@ def test_band_norm_matches_dense_on_ties(n, k, copies, seed):
     stack = np.stack([x] + [make[c]() for c in copies])[rng.permutation(len(copies) + 1)]
     want = np.max(np.linalg.norm(stack, 2, axis=(-2, -1)))
     assert matcore.band_norm(matcore.band(stack, k, k)) == pytest.approx(want, rel=1e-13)
+
+
+def sigma_1_from_below(x):
+    """The top singular value of each matrix, from below to within n times
+    the extended precision's epsilon: the Rayleigh quotient ||x v|| / ||v||
+    at the top right singular vector v of a double SVD, in np.clongdouble.
+    Its error is quadratic in v's, so it is far closer to sigma_1 than the
+    SVD's own value, which strays up to 10 u either way at side 40."""
+    v = np.conj(np.linalg.svd(x)[2][..., 0, :]).astype(np.clongdouble)
+    xv = np.matmul(x.astype(np.clongdouble), v[..., None])[..., 0]
+    return np.sqrt((np.abs(xv) ** 2).sum(axis=-1) / (np.abs(v) ** 2).sum(axis=-1))
+
+
+@settings(BAND, max_examples=150)
+@given(lead=st.sampled_from([(), (3,), (2, 2)]), n=st.integers(1, 40),
+       kl=st.integers(0, 8), ku=st.integers(0, 8),
+       ties=st.lists(st.sampled_from(["repeat", "phases"]), max_size=3),
+       scale=st.sampled_from([0, 600, -600]), seed=st.integers(0, 2**32 - 1))
+def test_band_norm_is_an_upper_bound_within_the_slack(lead, n, kl, ku, ties, scale, seed):
+    # sigma_1 (1 - 4u) <= band_norm <= sigma_1 (1 + gamma) over lead shapes,
+    # widths with kl + ku >= n (whose storage has more rows than the Gram
+    # band's kd + 1), exact repeats and diagonal phase conjugates, whose
+    # norms tie, and scales 2^+-600, where a Gram band formed as it is
+    # would over- or underflow.  Taken on unscaled bands, sigma_1 scales
+    # exactly by the power of two
+    rng = np.random.default_rng(seed)
+    x = random_band(rng, lead, n, kl, ku)
+
+    def phases():
+        return np.exp(2j * np.pi * rng.random(lead + (n,)))
+
+    make = {"repeat": lambda: x, "phases": lambda: phases()[..., :, None] * x * phases()[..., None, :]}
+    stack = np.stack([x] + [make[t]() for t in ties])
+    sigma = np.max(sigma_1_from_below(stack)) * np.longdouble(2.0) ** scale
+    u = np.finfo(float).eps / 2
+    lower = sigma * (1 - 4 * u - n * np.finfo(np.longdouble).eps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = matcore.band_norm(matcore.band(stack * 2.0 ** scale, kl, ku))
+    assert lower <= got <= sigma * (1 + matcore._level_slack(n))
+
+
+def test_band_norm_range_and_guards(count_calls):
+    # far from 1 the Gram band is formed from a stack scaled by one power of
+    # two: unscaled, 1e-170 gave 0.0, 1e-160 was 5.6e-5 low, and 1e155
+    # overflowed with a warning.  A NaN or an inf gives NaN unwarned, and an
+    # all-zero stack is exactly 0 with no factorization
+    factors = count_calls("zpbtrf", matcore.scipy_linalg().lapack)
+    gamma = matcore._level_slack(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e-170, 1e-160, 1e155, 1e300, 5e-324):
+            got = matcore.band_norm(matcore.band(scale * np.eye(4), 1, 1))
+            assert scale <= got <= scale * (1 + gamma)
+        assert matcore.band_norm(matcore.band(np.full((2, 4, 4), 1e308), 3, 3)) == np.inf
+        for bad in (np.nan, np.inf):
+            assert np.isnan(matcore.band_norm(matcore.band(np.where(np.eye(4), bad, 0), 1, 1)))
+        factors.clear()
+        assert matcore.band_norm(matcore.band(np.zeros((3, 4, 4)), 1, 1)) == 0.0
+    assert factors == []
 
 
 @BAND
