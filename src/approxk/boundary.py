@@ -966,6 +966,20 @@ def _maxima(rows: np.ndarray) -> tuple[float, float]:
     return float(np.max(np.delete(rows, np.s_[1:5]))), float(np.max(rows))
 
 
+def _step_count(t_steps, name: str) -> int:
+    """A count of t-steps as an int: InvalidInput for a bool, a non-integer
+    or a count below 1."""
+    try:
+        if isinstance(t_steps, bool):
+            raise TypeError("a bool is not a count")
+        t_steps = operator.index(t_steps)
+    except TypeError as err:
+        raise InvalidInput(f"{name} must be an integer: {err}") from None
+    if t_steps < 1:
+        raise InvalidInput(f"{name} must be >= 1, got {t_steps}")
+    return t_steps
+
+
 def whitehead_split(a, h, c, d=None, tol: Tol | None = None,
                     t_steps: int = 32) -> WhiteheadCert:
     """Split diag(a, a^-1) as a product of a near-C and a near-D invertible,
@@ -993,8 +1007,7 @@ def whitehead_split(a, h, c, d=None, tol: Tol | None = None,
     summands.  (c, d) and tol make the pair as :func:`make_pair` does, and
     a^-1 is taken at its Tol.
     """
-    if t_steps < 1:
-        raise InvalidInput(f"t_steps must be >= 1, got {t_steps}")
+    t_steps = _step_count(t_steps, "t_steps")
     check_contraction(h)
     pair = make_pair(c, d, tol)
     lone = not isinstance(a, ops.Stack)
@@ -1028,8 +1041,18 @@ def whitehead_split(a, h, c, d=None, tol: Tol | None = None,
 
 @dataclasses.dataclass(eq=False)
 class SigmaReconstruct:
-    x: object
-    y: object
+    """The class x = 1 + y of :func:`sigma_reconstruct`, with its gates.
+
+    y is held as the band it was projected on, in path order: ``band``,
+    with ``order``, the frame index of each path position, and ``carrier``,
+    the element whose carrier x and y take (the path's first).  x and y are
+    dense in the frame's own order, and each is made at its first read: y
+    is scattered from the band once (:func:`matcore.band_scatter`), and x
+    is 1 + y.  A caller that reads neither forms no frame-sized array.
+    """
+    band: matcore.Band  # y in path order
+    order: np.ndarray  # the frame index of each path position
+    carrier: object  # the element whose carrier x and y take
     achieved: float
     gap: float
     windings: tuple | None
@@ -1038,6 +1061,18 @@ class SigmaReconstruct:
 
     def gates(self) -> tuple:
         return self.enforced
+
+    @functools.cached_property
+    def _scattered(self) -> np.ndarray:
+        return matcore.band_scatter(self.band, self.order)
+
+    @functools.cached_property
+    def x(self):
+        return ops.like(self.carrier, np.eye(self.band.size) + self._scattered)
+
+    @functools.cached_property
+    def y(self):
+        return ops.like(self.carrier, self._scattered)
 
 
 def _path_order(n: int, m: int) -> np.ndarray:
@@ -1094,9 +1129,11 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d=None, tol: Tol | None = None,
     its projection until it returns.  The membership projection acts on
     each n-block alone, so it runs on the stack of the n-blocks that the
     band touches (:func:`_band_project`) and takes no membership residual;
-    a projected entry outside the band raises InvalidInput.  x and y are
-    returned dense in the frame's own order, y scattered from its band
-    (:func:`matcore.band_scatter`) and x = 1 + y.
+    a projected entry outside the band raises InvalidInput.  The result
+    holds y as that band: x and y are dense in the frame's own order only
+    when first read, y scattered from its band (:func:`matcore.band_scatter`)
+    and x = 1 + y (see :class:`SigmaReconstruct`), so the call itself forms
+    no frame-sized array.
     The stability check of x reads the residual R = x X - 1 of the banded
     inverse X that :func:`matcore.band_invert` returns with it (the kappa_1
     rule applied there): sqrt(||R||_1 ||R||_inf) is at least ||R||_2, so
@@ -1108,8 +1145,17 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d=None, tol: Tol | None = None,
     (c, d) and tol make the pair as :func:`make_pair` does, and every
     inverse, the path's included, is taken at its Tol.  seed reaches
     nothing: no step of the reconstruction is random.  It is kept for
-    callers that pass it.
+    callers that pass it.  A whitehead_t_steps that :func:`whitehead_split`
+    refuses, and a uniform_constant that is not finite and > 0, are
+    InvalidInput before any work.
     """
+    whitehead_t_steps = _step_count(whitehead_t_steps, "whitehead_t_steps")
+    try:
+        usable = math.isfinite(uniform_constant) and uniform_constant > 0
+    except TypeError:
+        usable = False
+    if not usable:
+        raise InvalidInput(f"uniform_constant must be finite and > 0, got {uniform_constant!r}")
     pair = make_pair(c, d, tol)
     tol = pair.tol
     a, b, defect = _homotopy_stacks(u_path, tol)
@@ -1196,9 +1242,8 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d=None, tol: Tol | None = None,
                     (wx, wx_d, wuc, wud),
                     f"winding mismatch: x {wx}/{wx_d}, u_C {wuc}, u_D {wud}"))
         windings = (wx, wuc, wud)
-    y_out = matcore.band_scatter(y, _path_order(n, m))
-    return SigmaReconstruct(ops.like(u0, np.eye(size) + y_out), ops.like(u0, y_out),
-                            achieved, float(gap), windings, float(defect), tuple(enforced))
+    return SigmaReconstruct(y, _path_order(n, m), u0, achieved, float(gap), windings,
+                            float(defect), tuple(enforced))
 
 
 # ---------------------------------------------------------------------------

@@ -1000,6 +1000,39 @@ def test_whitehead_split_full_algebra(rng):
         boundary.whitehead_split(a, np.eye(3, dtype=complex), alg, alg, t_steps=0)
 
 
+def _trivial_block_case():
+    one = np.eye(6, dtype=complex)
+    blk = scenarios.block_ideal_pair()
+    return dict(u_path=[one, one, one], u_c=one, u_d=one, h=block_h(), c=blk["c"], d=blk["d"])
+
+
+@pytest.mark.parametrize("t_steps", [1.5, 2.0, True, "2"])
+def test_t_steps_must_be_an_integer(t_steps, rng):
+    # whitehead_split and sigma_reconstruct refuse them alike, and a numpy
+    # integer is recorded as an int
+    alg = full_alg(2)
+    a = random_invertible(rng, 2, spread=0.3)
+    one = np.eye(2, dtype=complex)
+    with pytest.raises(InvalidInput, match="t_steps must be an integer"):
+        boundary.whitehead_split(a, one, alg, alg, t_steps=t_steps)
+    case = _trivial_block_case()
+    with pytest.raises(InvalidInput, match="whitehead_t_steps must be an integer"):
+        boundary.sigma_reconstruct(**case, whitehead_t_steps=t_steps)
+    cert = boundary.whitehead_split(a, one, alg, alg, t_steps=np.int64(2))
+    assert type(cert.t_steps) is int and cert.t_steps == 2
+
+
+@pytest.mark.parametrize("constant", [-1.0, 0.0, np.inf, np.nan])
+def test_sigma_reconstruct_refuses_an_unusable_uniform_constant(constant, count_calls):
+    # refused before any work: a constant <= 0 gave a budget of 1e-6, and on
+    # this exact input (gap 0) inf and NaN gave a NaN budget
+    homotopies = count_calls("_homotopy_stacks", boundary)
+    with pytest.raises(InvalidInput, match="uniform_constant must be finite and > 0"):
+        boundary.sigma_reconstruct(**_trivial_block_case(), uniform_constant=constant)
+    assert homotopies == []
+    assert boundary.sigma_reconstruct(**_trivial_block_case()).gap == 0.0
+
+
 def test_whitehead_split_circle(rng):
     scn = scenarios.circle_split(grid=360)
     cert = boundary.whitehead_split(scn["u_c"], scn["h"], scn["c"], scn["d"])

@@ -10,6 +10,7 @@ check_delta_ideal_structure and uniformity_probe are stacks too; these tests
 hold them to the per-probe loops, kept here as the reference.
 """
 
+import dataclasses
 import functools
 import json
 import pathlib
@@ -134,6 +135,17 @@ def dense_defect(path, a, b):
     return ops.norm(embed_top_left(path[0], total) - prod)
 
 
+@dataclasses.dataclass
+class DenseReconstruct:
+    """The fields of a SigmaReconstruct that the dense reference computes."""
+    x: object
+    y: object
+    achieved: float
+    gap: float
+    windings: tuple | None
+    defect: float
+
+
 def dense_sigma_reconstruct(u_path, u_c, u_d, h, c, d, uniform_constant=3.0,
                             eps_floor=1e-6, whitehead_t_steps=8):
     """sigma_reconstruct's composition on the dense 2(m+1)n frame, in the
@@ -190,8 +202,7 @@ def dense_sigma_reconstruct(u_path, u_c, u_d, h, c, d, uniform_constant=3.0,
         if wx != wx_d or wx != wuc or wx != -wud:
             raise ReconstructionFailed((wx, wx_d, wuc, wud), "winding mismatch")
         windings = (wx, wuc, wud)
-    return boundary.SigmaReconstruct(x, y, float(achieved), float(gap),
-                                     windings, float(defect))
+    return DenseReconstruct(x, y, float(achieved), float(gap), windings, float(defect))
 
 
 # ---------------------------------------------------------------------------
@@ -585,16 +596,24 @@ def test_band_projection_refuses_a_planted_leak(monkeypatch):
 
 def test_reconstruct_keeps_the_frame_banded(count_calls):
     # loop_reconstruct's inputs: y is projected on its band, never banded
-    # again from a dense frame, and only the returned x and y are wrapped
-    # as frame-sized loops (a dense projection wraps 4)
+    # again from a dense frame, and the call scatters and wraps nothing
+    # frame-sized.  The first reads of x and y scatter y once and wrap x and
+    # y, and later reads return the same objects
     case = sigma_case("circle_split_grid16_steps96")
     size = 2 * len(case["u_path"]) * ops.side_size(case["u_c"])
     bands = count_calls("band", matcore)
+    scatters = count_calls("band_scatter", matcore)
     wraps = count_calls("__init__", LoopElem)
+
+    def framed():
+        return [args[0] for args in wraps if np.shape(args[1])[-1] == size]
+
     rec = boundary.sigma_reconstruct(**case)
-    assert bands == []
-    framed = [args[0] for args in wraps if np.shape(args[1])[-1] == size]
-    assert len(framed) == 2 and framed[0] is rec.x and framed[1] is rec.y
+    assert bands == [] and scatters == [] and framed() == []
+    x, y = rec.x, rec.y
+    assert len(scatters) == 1 and framed() == [x, y]
+    assert rec.x is x and rec.y is y and len(framed()) == 2
+    np.testing.assert_array_equal(ops.arr(x) - np.eye(size), ops.arr(y))
 
 
 def test_reconstruct_takes_no_spectrum(count_calls):
@@ -611,10 +630,10 @@ def test_reconstruct_takes_no_spectrum(count_calls):
     assert len(norms) == 5 and calls == [] and len(factors) == 224
 
 
-def test_reconstruct_traced_peak_stays_below_32_mb():
+def test_reconstruct_traced_peak_stays_below_10_mb():
     # projecting y through a dense frame peaked at 35.1 MB on
-    # loop_reconstruct's inputs; the banded frame peaks at 28.1 MB, most of
-    # it the returned x and y
+    # loop_reconstruct's inputs, and scattering the returned x and y at
+    # 24.2 MB; a call that reads neither peaks at about 6.4 MB
     case = sigma_case("circle_split_grid16_steps96")
     boundary.sigma_reconstruct(**case)
     tracemalloc.start()
@@ -624,7 +643,7 @@ def test_reconstruct_traced_peak_stays_below_32_mb():
     finally:
         tracemalloc.stop()
     assert rec.windings == (1, 1, -1)
-    assert peak < 32 * 2 ** 20
+    assert peak < 10 * 2 ** 20
 
 
 def _fail_by_winding(monkeypatch):
