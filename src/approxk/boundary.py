@@ -119,12 +119,10 @@ def h_prod(h1, h2):
     return _multiplier(h1) @ _multiplier(h2)
 
 
-def h_apply(h, x, side: str = "left"):
-    """Multiply x by (an amplification of) h on the given side; on a stack,
-    the same h acts on every summand."""
-    hm = _multiplier(h)
-    xa = ops.arr(x)
-    stacked = isinstance(x, ops.Stack)
+def _acting(hm: np.ndarray, xa: np.ndarray, stacked: bool) -> np.ndarray:
+    """The multiplier array hm as it acts on the array xa of an element (of
+    a stack's summands when stacked): hm itself for a scalar per sample, and
+    its amplification 1_k (x) hm on an element of side k n otherwise."""
     lead = xa.shape[:-3] if stacked else xa.shape[:-2]
     if hm.shape[:-2] != lead:
         raise InvalidInput(
@@ -137,11 +135,23 @@ def h_apply(h, x, side: str = "left"):
     k = xa.shape[-1] // n
     if k * n != xa.shape[-1]:
         raise InvalidInput("element size is not a multiple of the multiplier size")
-    if n == 1:
+    return np.kron(eye(k), hm) if n > 1 and k > 1 else hm
+
+
+def _times(amp: np.ndarray, xa: np.ndarray, side: str) -> np.ndarray:
+    """xa multiplied by an :func:`_acting` multiplier on the given side."""
+    if amp.shape[-1] == 1:
         # a scalar per sample: both sides agree
-        return ops.like(x, hm * xa)
-    amp = np.kron(eye(k), hm) if k > 1 else hm
-    return ops.like(x, amp @ xa if side == "left" else xa @ amp)
+        return amp * xa
+    return amp @ xa if side == "left" else xa @ amp
+
+
+def h_apply(h, x, side: str = "left"):
+    """Multiply x by (an amplification of) h on the given side; on a stack,
+    the same h acts on every summand."""
+    hm = _multiplier(h)
+    xa = ops.arr(x)
+    return ops.like(x, _times(_acting(hm, xa, isinstance(x, ops.Stack)), xa, side))
 
 
 # ---------------------------------------------------------------------------
@@ -590,24 +600,34 @@ def check_inv_cut(u, h):
     """Measured deviation of ab - 1 and ba - 1 from (y + z) h (1 - h), with
     the certified bound 2 (c^2 + c) delta_comm.  Returns (measured, bound).
 
-    The six norms (ab - 1 - target, ba - 1 - target, y, z and the
-    commutators of h with y and with z) are taken in one stacked call."""
-    one = ops.eye_like(u)
-    y = u - one
-    z = ops.inv(u) - one
-    hbar = h_one_minus(h)
-    a = one + h_apply(hbar, y, "left")
-    b = one + h_apply(hbar, z, "right")
-    h_hbar = h_prod(h, hbar)
-    target = h_apply(h_hbar, y + z, "right")
-    comms = [h_apply(h, w, "left") - h_apply(h, w, "right") for w in (y, z)]
-    norms = ops.summand_norms(ops.stack(
-        [a @ b - one - target, b @ a - one - target, y, z, *comms])).tolist()
-    # maxima by np.max, which keeps a NaN, so that measured <= bound fails
-    measured = np.max(norms[:2])
-    cc = np.max(norms[2:4])
-    comm = np.max([nc / nw for nw, nc in zip(norms[2:4], norms[4:]) if nw > 1e-14],
-                  initial=0.0)
+    u is validated once, by :func:`ops.arr`, and h once, by
+    :func:`_multiplier`; h, 1 - h and h (1 - h) are each amplified to act on
+    u once, by the helper :func:`h_apply` calls.  The products are those of
+    :func:`h_apply` and of u's carrier, so the result is bit for bit what the
+    same formulas give over the carrier's elements.  The six norms
+    (ab - 1 - target, ba - 1 - target, y, z and the commutators of h with y
+    and with z) are taken in one :func:`ops.summand_norms` call; an
+    intermediate that overflows makes a norm inf or NaN, and measured <=
+    bound then fails."""
+    ua = ops.arr(u)
+    hm = _multiplier(h)
+    stacked = isinstance(u, ops.Stack)
+    mul = ops.product(u)
+    one = eye(ua.shape[-1])
+    y = ua - one
+    z = matcore.invert(ua) - one
+    hbar = np.eye(hm.shape[-1]) - hm
+    on_h, on_hbar, on_h_hbar = (_acting(m, ua, stacked) for m in (hm, hbar, hm @ hbar))
+    a = one + _times(on_hbar, y, "left")
+    b = one + _times(on_hbar, z, "right")
+    target = _times(on_h_hbar, y + z, "right")
+    comms = [_times(on_h, w, "left") - _times(on_h, w, "right") for w in (y, z)]
+    norms = ops.summand_norms(ops.Stack(np.stack(
+        [mul(a, b) - one - target, mul(b, a) - one - target, y, z, *comms], axis=-3)))
+    # the maxima keep a NaN, so that measured <= bound fails
+    measured, cc = norms[:2].max(), norms[2:4].max()
+    moved = norms[2:4] > 1e-14
+    comm = np.max(norms[4:][moved] / norms[2:4][moved], initial=0.0)
     # a zero commutator bounds by 0 even where c^2 overflows, which would
     # make inf * 0; a NaN c still gives NaN
     bound = 2.0 * (cc * cc + cc) * comm if comm else 0.0 * cc
@@ -1269,7 +1289,10 @@ def uniformity_probe(c, d=None, sample_count: int = 50, b_dims=(1, 2, 3),
     """Empirical f-uniformity data for the pair (C, D).
 
     Draws c in C (tensor M_m), its projection d in D, and measures how well
-    the HS midpoint projection into the intersection approximates both.
+    the HS midpoint projection into the intersection approximates both.  A
+    draw whose projection into C has norm below 1e-9 of the draw's HS norm
+    (over a loop, the sup over its samples) is dropped, so the ratios do not
+    depend on the scale of the draws.
 
     The intersection is the pair's, taken once, and for each m > 1 the
     tensored pair's, which is the base intersection tensored (see
@@ -1290,8 +1313,12 @@ def uniformity_probe(c, d=None, sample_count: int = 50, b_dims=(1, 2, 3),
     ratios = []
     for m in b_dims:
         pm = pair if m == 1 else pair.tensor(m)
-        cc = pm.c.project(pair.c.random_elements(m, sample_count, rng), unitized=False)
-        cc = ops.unit_summands(cc, 1e-9)
+        draws = pair.c.random_elements(m, sample_count, rng)
+        # a projection below 1e-9 of its draw's HS norm, the sup over the
+        # samples of a loop's, is dropped: the floor scales with the draw
+        hs = np.linalg.norm(draws.summands, axis=(-2, -1))
+        floor = 1e-9 * np.max(hs, axis=tuple(range(hs.ndim - 1)))
+        cc = ops.unit_summands(pm.c.project(draws, unitized=False), floor)
         dd = pm.d.project(cc, unitized=False)
         delta_in = ops.summand_norms(cc - dd)
         x = pm.inter.project(ops.scal(0.5, cc + dd), unitized=False)

@@ -26,9 +26,11 @@ carrier: it raises NotInvertible when the 1-norm condition number
 ||a||_1 ||a^-1||_1, maximized over loop samples and summands, exceeds
 ``Tol.invert_cond_max``.
 
-The only place that knows about the carriers is the pair :func:`arr` /
-:func:`like`: ``arr`` unwraps an element to its array and ``like`` wraps a
-result back into the carrier of an exemplar.
+The only place that knows about the carriers is the trio :func:`arr` /
+:func:`like` / :func:`product`: ``arr`` unwraps an element to its array,
+``like`` wraps a result back into the carrier of an exemplar, and
+``product`` is the product that the exemplar's carrier takes of two arrays,
+for code that works on the arrays once they are unwrapped.
 """
 
 from __future__ import annotations
@@ -78,6 +80,13 @@ def like(x, a):
     return Stack(a) if isinstance(x, Stack) else a
 
 
+def product(x):
+    """The product of two arrays of x's carrier, as that carrier's @ forms
+    it: :func:`matcore.matmul` over a loop's samples and a stack's summands,
+    numpy's @ over a matrix."""
+    return matcore.matmul if isinstance(x, (loops.LoopElem, Stack)) else np.matmul
+
+
 def stack(elements) -> Stack:
     """The stack of the summands of the direct sum of elements, which must
     share a carrier and a size."""
@@ -114,8 +123,9 @@ def summand_norms(s: Stack) -> np.ndarray:
     return np.max(norms, axis=tuple(range(norms.ndim - 1)))
 
 
-def unit_summands(s: Stack, floor: float) -> Stack:
-    """The summands of norm at least floor, each scaled to unit norm."""
+def unit_summands(s: Stack, floor) -> Stack:
+    """The summands of norm at least floor, each scaled to unit norm; floor
+    is one number, or one per summand."""
     norms = summand_norms(s)
     keep = norms >= floor
     return Stack(s.summands[..., keep, :, :] * (1.0 / norms[keep])[:, None, None])

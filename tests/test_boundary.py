@@ -297,10 +297,30 @@ def test_loop_inv_cut_matches_one_norm_at_a_time(fiber):
             == _inv_cut_one_norm_at_a_time(scn["u"], scn["h"]))
 
 
+def test_generic_loop_inv_cut_matches_one_norm_at_a_time(rng):
+    # a loop of generic 2 x 2 samples, whose products by matcore.matmul and
+    # by numpy's @ differ in the last bits: check_inv_cut takes the loop
+    # carrier's product, as LoopElem's @ does
+    g = rng.standard_normal((32, 2, 2)) + 1j * rng.standard_normal((32, 2, 2))
+    u = LoopElem(np.eye(2) + 0.3 * g / np.linalg.norm(g, 2, axis=(-2, -1), keepdims=True))
+    h = rng.uniform(0.0, 1.0, 32)
+    assert boundary.check_inv_cut(u, h) == _inv_cut_one_norm_at_a_time(u, h)
+
+
 def test_inv_cut_takes_its_norms_in_one_call(rng, count_calls):
     calls = count_calls("op_norms", matcore)
     boundary.check_inv_cut(random_invertible(rng, 4, spread=0.4), block_h()[:4, :4])
     assert len(calls) == 1
+
+
+def test_inv_cut_validates_its_inputs_once(rng, count_calls):
+    # u by ops.arr, the one matcore.as_matrix call, and h by _multiplier,
+    # whose as_matrix is boundary's
+    arr_calls = count_calls("as_matrix", matcore)
+    own_calls = count_calls("as_matrix", boundary)
+    mult_calls = count_calls("_multiplier", boundary)
+    boundary.check_inv_cut(random_invertible(rng, 4, spread=0.4), block_h()[:4, :4])
+    assert (len(arr_calls), len(mult_calls), len(own_calls)) == (1, 1, 1)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1253,6 +1273,24 @@ def test_uniformity_probe_separates_hereditary_angles():
         sups.append(rep.ratio_sup)
     assert sups[0] < sups[1] < sups[2]
     assert sups[2] > 3.0
+
+
+@pytest.mark.parametrize("name", ["block_pair", "circle_split"])
+def test_uniformity_floor_scales_with_the_draws(monkeypatch, name):
+    # draws scaled by 2^-40 project far below an absolute 1e-9; the floor is
+    # 1e-9 of each draw's HS norm, so every sample is kept, and the unit
+    # projections and the ratios are those of the unscaled draws
+    scn = (scenarios.circle_split(grid=32, fiber=2) if name == "circle_split"
+           else cli.build_scenario({"kind": name, "params": {}}))
+    want = boundary.uniformity_probe(scn["c"], scn["d"], sample_count=5, seed=3)
+    side = boundary.LoopSide if name == "circle_split" else boundary.MatrixSide
+    real = side.random_elements
+    monkeypatch.setattr(side, "random_elements", lambda self, m, count, rng: ops.Stack(
+        2.0 ** -40 * real(self, m, count, rng).summands))
+    got = boundary.uniformity_probe(scn["c"], scn["d"], sample_count=5, seed=3)
+    assert len(got.ratios) == len(want.ratios) == 5 * 3
+    np.testing.assert_allclose(got.ratios, want.ratios, rtol=1e-12, atol=0)
+    assert all(g.holds for g in got.gates(3.0))
 
 
 # ---------------------------------------------------------------------------

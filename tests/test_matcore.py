@@ -342,6 +342,91 @@ def test_op_norms_of_a_subnormal_two_by_two():
     assert norms[1] == matcore.op_norm(a[1])
 
 
+U = 2.0 ** -53
+# exponents e of the matrices 2^e z, z standard complex Gaussian, that lie
+# outside the real-plane range and take the scaled form; None is a zero
+# matrix, and inf and nan plant one such entry
+TRAPS = {"zero": None, "subnormal": -1060, "tiny": -700, "huge": 1015, "inf": np.inf,
+         "nan": np.nan}
+
+
+@settings(KERNEL, max_examples=150)
+@given(kind=st.sampled_from(["random", "graded", "rank_one", "scaled"]),
+       traps=st.lists(st.sampled_from(sorted(TRAPS)), max_size=4),
+       count=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_two_by_two_norms_are_lapacks_within_16_ulps(kind, traps, count, seed):
+    # the real-plane form on matrices with p + q in [2^-400, 2^400], the
+    # scaled form on the traps mixed into the same stack: each norm lies
+    # within 16 u of LAPACK's top singular value, taken on 2^-e times the
+    # matrix, exactly, and scaled back, rounded once (to the subnormal grid
+    # of spacing 2^-1074 for the subnormal trap); a matrix with an inf or a NaN
+    # entry has norm NaN, as it had before the real-plane form; a lone
+    # matrix has its stacked norm bit for bit; and nothing warns
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((count + len(traps), 2, 2)) + 1j * rng.standard_normal(
+        (count + len(traps), 2, 2))
+    if kind == "graded":
+        z = z * np.array([1.0, 2.0 ** -30])
+    elif kind == "rank_one":
+        z = z[:, :, :1] * z[:, :1, :] + 2.0 ** -40 * z
+    exps = rng.choice([-1000, -300, -190, 0, 190, 300, 1000] if kind == "scaled" else [0], count)
+    exps = [float(e) for e in exps] + [TRAPS[t] for t in traps]
+    order = rng.permutation(len(exps))
+    z, exps = z[order], [exps[i] for i in order]
+    a = z.copy()
+    for i, e in enumerate(exps):
+        if e is None:
+            a[i] = 0.0
+        elif np.isfinite(e):
+            a[i] = 2.0 ** e * z[i]
+        else:
+            a[i, rng.integers(2), rng.integers(2)] = e
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = matcore.op_norms(a)
+        lone = [matcore.op_norms(x) for x in a]
+    np.testing.assert_array_equal(got, lone)
+    for norm, x, e in zip(got, a, exps):
+        if e is None:
+            assert norm == 0.0
+        elif not np.isfinite(e):
+            assert np.isnan(norm)
+        else:
+            x = np.ldexp(x.real, -int(e)) + 1j * np.ldexp(x.imag, -int(e))
+            want = np.ldexp(np.linalg.svd(x, compute_uv=False)[0], int(e))
+            assert abs(norm - want) <= 16 * U * want + 2.0 ** -1074, (norm, want)
+
+
+def test_two_by_two_norm_beyond_the_largest_float_is_inf():
+    # as on the SVD and the Gram path, unwarned
+    a = np.full((2, 2, 2), 1e308, dtype=complex)
+    a[1] = np.eye(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert matcore.op_norms(a).tolist() == [np.inf, 1.0]
+
+
+@KERNEL
+@given(lead=st.sampled_from([(), (7,), (3, 5)]), n=st.sampled_from([1, 2]),
+       nan=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_kappa_of_small_sides_is_the_reduction_bit_for_bit(lead, n, nan, seed):
+    # sides 1 and 2 read the 1-norm elementwise; the kappa that NotInvertible
+    # carries is the generic reduction's, bit for bit, NaN included
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(lead + (n, n)) + 1j * rng.standard_normal(lead + (n, n))
+    if nan:
+        a.reshape(-1)[rng.integers(a.size)] = np.nan
+
+    def reduction(m):
+        return np.abs(m).sum(axis=-2).max(axis=-1)
+
+    np.testing.assert_array_equal(matcore._norm_1(a), reduction(a))
+    with pytest.raises(NotInvertible) as err:
+        matcore.invert(a, Tol(invert_cond_max=1e-300))
+    want = np.max(reduction(a) * reduction(np.linalg.inv(a)), initial=0.0)
+    np.testing.assert_array_equal(err.value.cond_estimate, want)
+
+
 def test_rank_basic_and_zero_floor():
     assert matcore.rank(np.diag([1.0, 1.0, 0.0])) == 2
     # numerically-zero matrices must rank 0, not rank their own noise
