@@ -18,32 +18,16 @@ Every operator norm is taken by :func:`op_norms`, over any leading axes,
 and :func:`op_norm` is its one-matrix case.  The samples of loops over
 small fibers are 1 x 1 or 2 x 2, where a LAPACK SVD per matrix costs far
 more than the arithmetic, so those two sides have closed forms: |a| for
-side 1, and for side 2 sqrt(lam), the top eigenvalue
-lam = (p + q)/2 + sqrt(((p - q)/2)^2 + |c|^2) of the Gram matrix
-[[p, c], [c*, q]], with p = |a00|^2 + |a10|^2, q = |a01|^2 + |a11|^2 and
-c = conj(a00) a01 + conj(a10) a11.  p, q and the two parts of c are read
-off the real and imaginary planes of a (``a.real`` and ``a.imag``, views
-of any layout) by real products and sums alone, so every matrix of a
-stack takes the same correctly rounded operations whatever it is stacked
-with.  The form runs on every matrix with p + q in [2^-400, 2^400]: there
-no square or product overflows (|c| <= sqrt(p q) <= (p + q)/2, so every
-square under the root is at most 2^798), and a product that underflows
-loses at most 2^-1074, far below u (p + q).  Its error is a few ulps
-(Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 3.1):
-p and q are sums of four nonnegative squares, so their relative error is
-at most gamma_4; each part of c sums four products whose moduli add up to
-at most (p + q)/2, so its absolute error is at most gamma_4 (p + q)/2, as
-is that of p - q; lam is the sum of two nonnegative terms and at least
-(p + q)/2, so these absolute errors are O(u) relative to lam, and sqrt
-halves them.  On 1.8 million random, graded and near-rank-one matrices at
-scales 2^-190 to 2^190 the norms lie within 9.1 u of LAPACK's, where the
-scaled form lies within 9.7 u.  A matrix outside that range (a zero
-matrix, a matrix of subnormal or huge entries, or one with an inf or a NaN
-entry) takes the scaled form instead: s sqrt(lam') with s the largest
-entry modulus and lam' the top eigenvalue of the Gram matrix of a / s,
-whose p + q lies in [1, 4]; a matrix with a subnormal s is first scaled
-by 2^600, since the complex division by s would overflow.  The choice is
-made matrix by matrix, so a norm never depends on its stack-mates.
+side 1, and for side 2 s sqrt(lam), where s is the largest entry modulus
+and lam = (p + q)/2 + hypot((p - q)/2, |r|) is the top eigenvalue of the
+Gram matrix [[p, r], [r*, q]] of a / s; a with a subnormal s is first
+scaled by 2^600, since the complex division by s would overflow.  Its error
+is a few ulps at any scale: a / s has an entry of modulus 1 and none
+larger, so p + q lies in [1, 4] and nothing over- or underflows; p and q
+are sums of nonnegative terms, so their relative error is O(eps), and r's
+absolute error is O(eps); lam is the sum of two nonnegative terms and at
+least (p + q)/2, so these absolute errors are O(eps) relative to lam, and
+sqrt halves them.
 
 A matrix whose smaller side n is at least :data:`GRAM_SIDE` (12) takes
 sigma_1 = sqrt(lam_max(G)), G the n x n Gram matrix of that side, and a
@@ -252,29 +236,24 @@ GRAM_SIDE = 12
 # any other matrix is first scaled by 2^-e, with that modulus f 2^e and f
 # in [1/2, 1), which is exact
 _GRAM_RANGE = (2.0 ** -128, 2.0 ** 128)
-# a 2 x 2 matrix with p + q, its squared Frobenius norm, in _PLANE_RANGE
-# takes the real-plane form of op_norms: no square under its roots
-# overflows, and an underflow is far below u (p + q)
-_PLANE_RANGE = (2.0 ** -400, 2.0 ** 400)
 
 
 def op_norms(a) -> np.ndarray:
     """The operator norm of every matrix over the leading axes of a.
 
-    Side 1 is |a|.  Side 2 reads sqrt(lam) off the top eigenvalue lam of
-    the Gram matrix [[p, c], [c*, q]], formed from the real and imaginary
-    planes of a by real products alone, for every matrix with p + q in
-    [2^-400, 2^400]; each other matrix takes :func:`_scaled_norms_2x2`.  A
-    matrix whose smaller side is at least :data:`GRAM_SIDE` reads
-    sqrt(lam_max) off the Gram matrix of that side, a* a (a a* when a is
-    wide), all of a stack's from one batched ``eigvalsh``.  A matrix whose
-    largest entry modulus f 2^e, f in [1/2, 1), lies outside
-    [2^-128, 2^128] is first scaled by 2^-e and its norm by 2^e, so no Gram
-    entry over- or underflows.  On these paths a zero matrix has norm
-    exactly 0, a matrix with an inf or a NaN entry has norm NaN, and a norm
-    beyond the largest float is inf, with no RuntimeWarning.  Every other
-    shape takes one LAPACK SVD per matrix, values only, and reads the top
-    singular value directly: LAPACK
+    Side 1 is |a|.  Side 2 scales each matrix by s, its largest entry
+    modulus, and reads s sqrt(lam) off the top eigenvalue lam of the Gram
+    matrix [[p, r], [r*, q]] of the scaled matrix; a matrix with a
+    subnormal s is first scaled by 2^600.  A matrix whose smaller side is
+    at least :data:`GRAM_SIDE` reads sqrt(lam_max) off the Gram matrix of
+    that side, a* a (a a* when a is wide), all of a stack's from one
+    batched ``eigvalsh``.  A matrix whose largest entry modulus f 2^e,
+    f in [1/2, 1), lies outside [2^-128, 2^128] is first scaled by 2^-e
+    and its norm by 2^e, so no Gram entry over- or underflows.  On these
+    paths a zero matrix has norm exactly 0, a matrix with an inf or a NaN
+    entry has norm NaN, and a norm beyond the largest float is inf, with
+    no RuntimeWarning.  Every other shape takes one LAPACK SVD per
+    matrix, values only, and reads the top singular value directly: LAPACK
     returns them in descending order, so this is the maximum that numpy's
     matrix 2-norm takes of the same values, without that wrapper's cost.
     The path depends on the shape of a matrix alone, and a lone matrix and
@@ -309,56 +288,26 @@ def op_norms(a) -> np.ndarray:
             return np.where(finite, np.ldexp(norms, e), np.nan)
     if a.shape[-2:] != (2, 2):
         return np.linalg.svd(a, compute_uv=False)[..., 0]
-    # the real and imaginary planes of a, as views; each operation below is
-    # one elementwise pass over a plane, a column of it or one entry
-    a = np.asarray(a, dtype=complex)
-    re, im = a.real, a.imag
-    # the products over- or underflow only on matrices outside the range,
-    # which take the scaled form
+    # an inf or a NaN entry makes the scaled entries NaN, and a norm beyond
+    # the largest float is inf, as the SVD's is: both unwarned
     with np.errstate(over="ignore", invalid="ignore"):
-        mod2 = re * re + im * im
-        p = mod2[..., 0, 0] + mod2[..., 1, 0]
-        q = mod2[..., 0, 1] + mod2[..., 1, 1]
-        # the terms conj(a_i0) a_i1 of c, row by row
-        r0, r1, i0, i1 = re[..., :, 0], re[..., :, 1], im[..., :, 0], im[..., :, 1]
-        c_re, c_im = r0 * r1 + i0 * i1, r0 * i1 - i0 * r1
-        c_re, c_im = c_re[..., 0] + c_re[..., 1], c_im[..., 0] + c_im[..., 1]
-        t = p + q
-        half = 0.5 * (p - q)
-        norms = np.sqrt(0.5 * t + np.sqrt(half * half + c_re * c_re + c_im * c_im))
-        outside = ~((t >= _PLANE_RANGE[0]) & (t <= _PLANE_RANGE[1]))
-        if outside.any():
-            # a writable copy, 0-d for a lone matrix, which [()] unwraps
-            norms = np.array(norms)
-            norms[outside] = _scaled_norms_2x2(a[outside])
-            return norms[()]
-    return norms
-
-
-def _scaled_norms_2x2(a: np.ndarray) -> np.ndarray:
-    """The norms of a stack of 2 x 2 matrices by the scaled closed form: s
-    sqrt(lam) with s the largest entry modulus and lam the top eigenvalue
-    of the Gram matrix [[p, r], [r*, q]] of a / s, whose p + q lies in
-    [1, 4]; a matrix with a subnormal s is first scaled by 2^600, exactly,
-    and its norm scaled back.  A zero matrix has norm 0 and a matrix with
-    an inf or a NaN entry norm NaN.  The caller silences the RuntimeWarnings
-    of the non-finite entries and of norms beyond the largest float."""
-    mod = np.abs(a)
-    # the entrywise maximum of the four moduli: a reduction over the two
-    # small matrix axes costs more than the rest of the closed form
-    s = np.maximum(np.maximum(mod[..., 0, 0], mod[..., 0, 1]),
-                   np.maximum(mod[..., 1, 0], mod[..., 1, 1]))
-    sub = (s > 0) & (s < np.finfo(float).tiny)
-    if sub.any():
-        # the complex division by a subnormal s overflows
-        up = np.where(sub, 2.0 ** 600, 1.0)
-        return _scaled_norms_2x2(a * up[..., None, None]) / up
-    safe = np.where(s > 0, s, 1.0)[..., None, None]
-    sq = (mod / safe) ** 2
-    b = a / safe
-    p, q = sq[..., 0, 0] + sq[..., 1, 0], sq[..., 0, 1] + sq[..., 1, 1]
-    r = np.abs(np.conj(b[..., 0, 0]) * b[..., 0, 1] + np.conj(b[..., 1, 0]) * b[..., 1, 1])
-    return s * np.sqrt((p + q) / 2 + np.hypot((p - q) / 2, r))
+        mod = np.abs(a)
+        # the entrywise maximum of the four moduli: a reduction over the two
+        # small matrix axes costs more than the rest of the closed form
+        s = np.maximum(np.maximum(mod[..., 0, 0], mod[..., 0, 1]),
+                       np.maximum(mod[..., 1, 0], mod[..., 1, 1]))
+        sub = (s > 0) & (s < np.finfo(float).tiny)
+        if sub.any():
+            # the complex division by a subnormal s overflows: such a matrix
+            # is scaled by 2^600, exactly, and its norm scaled back
+            up = np.where(sub, 2.0 ** 600, 1.0)
+            return op_norms(a * up[..., None, None]) / up
+        safe = np.where(s > 0, s, 1.0)[..., None, None]
+        sq = (mod / safe) ** 2
+        b = a / safe
+        p, q = sq[..., 0, 0] + sq[..., 1, 0], sq[..., 0, 1] + sq[..., 1, 1]
+        r = np.abs(np.conj(b[..., 0, 0]) * b[..., 0, 1] + np.conj(b[..., 1, 0]) * b[..., 1, 1])
+        return s * np.sqrt((p + q) / 2 + np.hypot((p - q) / 2, r))
 
 
 def op_norm(m) -> float:
@@ -437,17 +386,7 @@ def matmul(a, b) -> np.ndarray:
 def _norm_1(a: np.ndarray) -> np.ndarray:
     """The 1-norm of every matrix over the leading axes of a: the largest
     absolute column sum.  a may also be the storage of a :class:`Band`,
-    whose columns hold exactly the band entries of the matrix's.  Sides 1
-    and 2, the samples of loops over small fibers, are read elementwise:
-    |a00|, and the larger of |a00| + |a10| and |a01| + |a11|.  That is bit
-    for bit the reduction, whose sum over two rows is the one addition and
-    whose maximum keeps a NaN as np.maximum does, without its cost on
-    small axes."""
-    if a.shape[-2:] == (1, 1):
-        return np.abs(a[..., 0, 0])
-    if a.shape[-2:] == (2, 2):
-        m = np.abs(a)
-        return np.maximum(m[..., 0, 0] + m[..., 1, 0], m[..., 0, 1] + m[..., 1, 1])
+    whose columns hold exactly the band entries of the matrix's."""
     return np.abs(a).sum(axis=-2).max(axis=-1)
 
 

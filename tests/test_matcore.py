@@ -343,9 +343,9 @@ def test_op_norms_of_a_subnormal_two_by_two():
 
 
 U = 2.0 ** -53
-# exponents e of the matrices 2^e z, z standard complex Gaussian, that lie
-# outside the real-plane range and take the scaled form; None is a zero
-# matrix, and inf and nan plant one such entry
+# exponents e of the matrices 2^e z, z standard complex Gaussian, whose
+# squares or products over- or underflow unless the matrix is scaled first;
+# None is a zero matrix, and inf and nan plant one such entry
 TRAPS = {"zero": None, "subnormal": -1060, "tiny": -700, "huge": 1015, "inf": np.inf,
          "nan": np.nan}
 
@@ -355,13 +355,12 @@ TRAPS = {"zero": None, "subnormal": -1060, "tiny": -700, "huge": 1015, "inf": np
        traps=st.lists(st.sampled_from(sorted(TRAPS)), max_size=4),
        count=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_two_by_two_norms_are_lapacks_within_16_ulps(kind, traps, count, seed):
-    # the real-plane form on matrices with p + q in [2^-400, 2^400], the
-    # scaled form on the traps mixed into the same stack: each norm lies
-    # within 16 u of LAPACK's top singular value, taken on 2^-e times the
-    # matrix, exactly, and scaled back, rounded once (to the subnormal grid
-    # of spacing 2^-1074 for the subnormal trap); a matrix with an inf or a NaN
-    # entry has norm NaN, as it had before the real-plane form; a lone
-    # matrix has its stacked norm bit for bit; and nothing warns
+    # generic matrices at any scale, with the traps mixed into the same
+    # stack: each norm lies within 16 u of LAPACK's top singular value, taken
+    # on 2^-e times the matrix, exactly, and scaled back, rounded once (to
+    # the subnormal grid of spacing 2^-1074 for the subnormal trap); a matrix
+    # with an inf or a NaN entry has norm NaN; a lone matrix has its stacked
+    # norm bit for bit; and nothing warns
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((count + len(traps), 2, 2)) + 1j * rng.standard_normal(
         (count + len(traps), 2, 2))
@@ -410,8 +409,8 @@ def test_two_by_two_norm_beyond_the_largest_float_is_inf():
 @given(lead=st.sampled_from([(), (7,), (3, 5)]), n=st.sampled_from([1, 2]),
        nan=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_kappa_of_small_sides_is_the_reduction_bit_for_bit(lead, n, nan, seed):
-    # sides 1 and 2 read the 1-norm elementwise; the kappa that NotInvertible
-    # carries is the generic reduction's, bit for bit, NaN included
+    # the kappa that NotInvertible carries on the loop samples' sides is the
+    # product of the column-sum reductions, bit for bit, NaN included
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(lead + (n, n)) + 1j * rng.standard_normal(lead + (n, n))
     if nan:
