@@ -9,7 +9,7 @@ sampled loop algebras.
 
 from .errors import ApproxKError
 from .matcore import DEFAULT_TOL, Gate, Tol
-from .subalg import Subalg, Subspace, amplify, from_basis, intersect
+from .subalg import Subalg, Subspace, amplify, intersect
 from .wedderburn import (
     K0Vec,
     K1Vec,
@@ -19,13 +19,7 @@ from .wedderburn import (
     similarity_witness,
 )
 from .loops import LoopAlg, LoopElem, arc_ideal, bump, power_z, winding_k1
-from .funcalc import (
-    RoundingCert,
-    riesz_bound,
-    riesz_idempotent,
-    round_idempotent_in,
-    round_invertible_in,
-)
+from .funcalc import RoundingCert, riesz_bound, riesz_idempotent
 from .boundary import (
     IdealCert,
     LiftCert,
@@ -65,7 +59,6 @@ __all__ = [
     "Subalg",
     "Subspace",
     "amplify",
-    "from_basis",
     "intersect",
     "K0Vec",
     "K1Vec",
@@ -82,8 +75,6 @@ __all__ = [
     "RoundingCert",
     "riesz_bound",
     "riesz_idempotent",
-    "round_idempotent_in",
-    "round_invertible_in",
     "IdealCert",
     "LiftCert",
     "SigmaReconstruct",

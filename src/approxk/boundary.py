@@ -71,7 +71,7 @@ from .errors import (
 from .loops import (LoopAlg, LoopElem, arc_k0_trivialize, det_winding, loop_membership,
                     loop_project, winding_k1)
 from .matcore import DEFAULT_TOL, Gate, Tol, as_matrix, below, eye
-from .subalg import Subalg, Subspace
+from .subalg import Subalg
 from .wedderburn import K0Vec, k0_class, similarity_witness
 
 
@@ -103,7 +103,7 @@ def check_contraction(h):
     hm_adj = np.conj(np.swapaxes(hm, -1, -2))
     if matcore.sup_norm(hm - hm_adj) > slack * max(1.0, matcore.sup_norm(hm)):
         raise NotAContraction("multiplier is not hermitian")
-    w = np.linalg.eigvalsh((hm + hm_adj) / 2)
+    w = np.linalg.eigvalsh(0.5 * hm + 0.5 * hm_adj)
     if w.min() < -slack or w.max() > 1.0 + slack:
         raise NotAContraction(
             f"spectrum [{w.min():.3e}, {w.max():.3e}] outside [0, 1]"
@@ -221,7 +221,7 @@ class MatrixSide:
     def trivializer(self, f, half: int, seed: int = 0):
         try:
             return similarity_witness(f, _top_projection(eye(half)), self.alg,
-                                      self.tol, seed=seed)
+                                      self.tol, seed=seed)[0]
         except NotEquivalent as err:
             raise NoWitness(f"boundary class nonzero: {err}") from err
 
@@ -403,7 +403,7 @@ def check_delta_ideal_structure(h, c, d, x_basis, tol: Tol | None = None,
     """
     check_contraction(h)
     pair = make_pair(c, d, tol)
-    basis = list(x_basis.basis) if isinstance(x_basis, Subspace) else list(x_basis)
+    basis = list(x_basis)
     if not basis:
         raise InvalidInput("empty probe subspace")
     if random_probes < 0:
@@ -659,13 +659,11 @@ def iota_lift(p, q, c, d=None, tol: Tol | None = None, seed: int = 0):
     p = as_matrix(p)
     q = as_matrix(q)
     try:
-        u_c = similarity_witness(p, q, pair.c.alg, tol, seed=seed)
-        u_d = similarity_witness(p, q, pair.d.alg, tol, seed=seed)
+        _, u_c_inv = similarity_witness(p, q, pair.c.alg, tol, seed=seed)
+        u_d, u_d_inv = similarity_witness(p, q, pair.d.alg, tol, seed=seed)
     except NotEquivalent as err:
         raise IotaNotZero(f"no similarity witness: {err}") from err
     one = eye(p.shape[0])
-    u_c_inv = matcore.invert(u_c, tol)
-    u_d_inv = matcore.invert(u_d, tol)
     u = (one - p) @ u_c_inv + p @ u_d_inv
     v = ops.block2(p @ u_d_inv, p - one, one - q, u_d @ p)
     return u, v, certify_lift(u, v, pair)

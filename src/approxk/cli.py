@@ -38,6 +38,10 @@ class SchemaError(Exception):
 # circle_split report takes about 2 s and 380 MB
 MAX_LOOP_ENTRIES = 2 ** 16
 
+# the most entries a uniformity probe may draw at its largest amplification,
+# 3: samples * grid * (3 fiber)^2 on loops, samples * (3 N)^2 on N x N matrices
+MAX_DRAW_ENTRIES = 2 ** 23
+
 
 def _number(table: dict, key: str, default, kind=float, minimum=None):
     """table[key], or the default, as a finite float (kind=float) or an int
@@ -50,6 +54,20 @@ def _number(table: dict, key: str, default, kind=float, minimum=None):
         at_least = "" if minimum is None else f" >= {minimum}"
         raise SchemaError(f"{key} must be {what}{at_least}, got {val!r}")
     return kind(val)
+
+
+def _bounded_draws(count: int, pair: boundary.Pair) -> int:
+    """count, when a uniformity probe of count draws over the pair stays
+    within MAX_DRAW_ENTRIES; SchemaError, before any draw, otherwise."""
+    side = pair.c
+    if isinstance(side, boundary.LoopSide):
+        per_draw = side.alg.grid_size * (3 * side.alg.fiber_dim) ** 2
+    else:
+        per_draw = (3 * side.ambient_dim) ** 2
+    if count * per_draw > MAX_DRAW_ENTRIES:
+        raise SchemaError(f"{count} uniformity draws of {per_draw} entries each exceed "
+                          f"the limit of {MAX_DRAW_ENTRIES} entries")
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +211,7 @@ def check_boundary(scn: dict, seed: int, params: dict) -> dict:
     cert = _lift_for(scn, seed)
     cls = cert.boundary_class
     inv_cls = boundary.inverse_lift(cert).boundary_class
-    negated = tuple(-a for a in cls.entries)
-    ok = inv_cls.entries == negated
+    ok = inv_cls.entries == (-cls).entries
     if expected is not None:
         ok = ok and list(cls.entries) == list(expected)
     return {
@@ -267,7 +284,7 @@ def check_whitehead(scn: dict, seed: int, params: dict) -> dict:
 
 
 def check_uniformity(scn: dict, seed: int, params: dict) -> dict:
-    count = _number(params, "samples", 50, int, minimum=1)
+    count = _bounded_draws(_number(params, "samples", 50, int, minimum=1), scn["pair"])
     rep = boundary.uniformity_probe(scn["pair"], sample_count=count, seed=seed)
     limit = _number(params, "ratio_max", 3.0)
     return {
@@ -408,8 +425,10 @@ def sweep_uniformity(count: int, seed: int, tol: Tol):
     header = ["index", "family", "param", "ratio_sup", "passed"]
     rows = []
     blk = scenarios.block_ideal_pair()
-    rep = boundary.uniformity_probe(blk["c"], blk["d"], sample_count=count,
-                                    seed=seed, tol=tol)
+    pair = boundary.Pair(blk["c"], blk["d"], tol)
+    # the block pair's draws, the sweep's largest, bound the hereditary ones
+    rep = boundary.uniformity_probe(pair, sample_count=_bounded_draws(count, pair),
+                                    seed=seed)
     rows.append([0, "block_ideal_pair", 0.0, rep.ratio_sup,
                  all(g.holds for g in rep.gates(3.0))])
     prev = 0.0

@@ -61,13 +61,6 @@ class DefectTooLarge(ApproxKError):
     pass
 
 
-class NotCloseEnough(ApproxKError):
-    def __init__(self, residual, threshold):
-        self.residual = residual
-        self.threshold = threshold
-        super().__init__(f"membership residual {residual:.3e} exceeds threshold {threshold:.3e}")
-
-
 class RoundingUnstable(ApproxKError):
     pass
 

@@ -1,4 +1,4 @@
-"""Rounding almost-idempotents and almost-members to exact ones.
+"""Rounding almost-idempotents to exact idempotents.
 
 The central tool is holomorphic functional calculus with the indicator
 function chi of the half-plane {Re z > 1/2}: applied to an almost-idempotent
@@ -28,10 +28,8 @@ import dataclasses
 import numpy as np
 
 from . import matcore
-from .errors import DefectTooLarge, InvalidInput, NotCloseEnough, RoundingUnstable
-from .matcore import DEFAULT_TOL, Gate, Tol, as_matrix, eye, op_norm
-from .subalg import Subspace
-from .wedderburn import k0_class
+from .errors import DefectTooLarge, InvalidInput, RoundingUnstable
+from .matcore import Gate, as_matrix
 
 DELTA_MAX = 1.0 / 16.0
 UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
@@ -100,73 +98,3 @@ def riesz_idempotent(e):
     cert = RoundingCert(delta=delta, c=c, distance=dist,
                         bound=riesz_bound(delta, c))
     return f, cert
-
-
-def idempotent_eps_max(c: float) -> float:
-    """Largest admissible membership error for rounding an almost-idempotent
-    of norm at most c into a subspace: eps must lie in (0, 1/(4c + 6))."""
-    return 1.0 / (4.0 * c + 6.0)
-
-
-def invertible_eps_max(c: float) -> float:
-    """Largest admissible membership error for rounding an invertible with
-    max(||u||, ||u^-1||) <= c into a subspace."""
-    return 1.0 / (4.0 * c)
-
-
-def round_idempotent_in(e, alg, eps: float | None = None,
-                        tol: Tol = DEFAULT_TOL):
-    """Round an almost-idempotent close to (matrices over the unitization of)
-    an algebra into an exact idempotent there, and compute its class.
-
-    Returns (f, cls, cert).  The nearest point of e in the span has defect at
-    most delta + (2c + eps + 1) eps where delta is the defect of e and
-    c = ||e||; that point is Riesz-rounded.  The rounding stays inside the
-    algebra, since chi vanishes at 0 and chi(b) lies in the non-unital
-    algebra generated by b.  The class does not depend on the admissible
-    eps: two roundings differ by less than 1 / ||2f - 1|| and are similar.
-    """
-    e = as_matrix(e)
-    c = op_norm(e)
-    if eps is None:
-        eps = idempotent_eps_max(c) * (1.0 - 1e-9)
-    if not 0 < eps < idempotent_eps_max(c):
-        raise InvalidInput(
-            f"eps = {eps:.3e} outside (0, 1/(4c+6)) = (0, {idempotent_eps_max(c):.3e})"
-        )
-    threshold = eps / 2.0
-    b, resid = alg.unitization.nearest(e)
-    if resid > threshold:
-        raise NotCloseEnough(resid, threshold)
-    f, cert = riesz_idempotent(b)
-    cls = k0_class(f, alg.wedderburn, tol)
-    return f, cls, cert
-
-
-def round_invertible_in(u, span: Subspace, eps: float | None = None,
-                        tol: Tol = DEFAULT_TOL):
-    """Round an invertible close to a subspace to an exact member of the span.
-
-    The nearest point v is certified invertible through ||1 - u^-1 v|| < 1/4,
-    which also gives ||v^-1|| <= 2 max(||u||, ||u^-1||).  Returns
-    (v, v_inverse, residual).
-    """
-    u = as_matrix(u)
-    uinv = matcore.invert(u, tol)
-    c = max(op_norm(u), op_norm(uinv))
-    eps0 = invertible_eps_max(c)
-    if eps is None:
-        eps = eps0 * (1.0 - 1e-9)
-    if not 0 < eps < eps0:
-        raise InvalidInput(f"eps = {eps:.3e} outside (0, 1/(4c)) = (0, {eps0:.3e})")
-    v, resid = span.nearest(u)
-    if resid > eps:
-        raise NotCloseEnough(resid, eps)
-    gap = op_norm(eye(u.shape[0]) - uinv @ v)
-    if gap >= 0.25:
-        raise RoundingUnstable(f"||1 - u^-1 v|| = {gap:.3f} >= 1/4")
-    vinv = matcore.invert(v, tol)
-    if op_norm(vinv) > 2.0 * c * (1.0 + 1e-9):
-        raise RoundingUnstable("inverse norm bound 2c violated")
-    return v, vinv, resid
-

@@ -75,12 +75,10 @@ def boundary_product_check(cert: LiftCert, p, m: int, seed: int = 0) -> ProductC
     p = as_matrix(p)
     if p.shape != (m, m):
         raise InvalidInput(f"p must be {m}x{m}")
-    rank_p = matcore.rank(p, cert.pair.tol)
-    base = cert.boundary_class
-    lhs = tuple(entry * rank_p for entry in base.entries)
+    lhs = cert.boundary_class.scale(matcore.rank(p, cert.pair.tol)).entries
 
     pair2 = cert.pair.tensor(m)
     cert2 = certify_lift(box_times(cert.u, p), box_times(cert.v, p), pair2)
     rhs = cert2.boundary_class.entries
-    return ProductCheck(lhs, tuple(rhs), tuple(lhs) == tuple(rhs), cert2,
+    return ProductCheck(lhs, rhs, lhs == rhs, cert2,
                         int(pair2.intersection_gap))

@@ -115,15 +115,6 @@ class LoopElem:
     def norm(self) -> float:
         return ops.norm(self)
 
-    def adj(self) -> "LoopElem":
-        return ops.adj(self)
-
-    def inv(self) -> "LoopElem":
-        return ops.inv(self)
-
-    def eye_like(self) -> "LoopElem":
-        return ops.eye_like(self)
-
     def __matmul__(self, other):
         return LoopElem(matcore.matmul(self.samples, other.samples))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import ops
 from .loops import LoopAlg, LoopElem, arc_ideal, bump, power_z
 from .matcore import DEFAULT_TOL, Tol, adjoint, eye, kron, matrix_unit
 from .subalg import Subalg
@@ -96,7 +97,7 @@ def circle_split(grid: int = 720, fiber: int = 1, winding: int = 1,
     d_alg = arc_ideal(amb, (half - overlap, 3 * half + overlap))
     h = bump(amb, (-half + overlap, half - overlap), 2 * overlap)
     u = power_z(amb, winding)
-    one = u.eye_like()
+    one = ops.eye_like(u)
     z_m1 = power_z(amb, 1) - one
     zbar_m1 = power_z(amb, -1) - one
     # split u's winding between the two arcs: u_c ramps up inside C, u_d

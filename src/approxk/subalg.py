@@ -30,7 +30,7 @@ import numpy as np
 
 from . import matcore
 from .errors import ClosureFailure, InvalidInput
-from .matcore import DEFAULT_TOL, Tol, adjoint, as_matrix, eye, op_norm
+from .matcore import DEFAULT_TOL, Tol, as_matrix, eye, op_norm
 
 if TYPE_CHECKING:
     from .wedderburn import WedderburnData
@@ -194,27 +194,6 @@ class Subalg(Subspace):
                 raise ClosureFailure("span not closed under multiplication")
         if self.dim and self.gram_residual() > 1e-10:
             raise ClosureFailure("basis Gram matrix deviates from identity")
-
-
-def from_basis(ambient_dim: int, generators, tol: Tol = DEFAULT_TOL) -> Subalg:
-    """The *-algebra generated by the given matrices.
-
-    Iterates closure under adjoints and pairwise products until the span
-    dimension stabilizes; errors if it fails to do so within N^2 rounds.
-    """
-    mats = [as_matrix(g) for g in generators]
-    span = Subspace(ambient_dim, mats, tol)
-    cap = ambient_dim * ambient_dim
-    for _ in range(cap + 1):
-        cur = span.basis
-        new = list(cur)
-        new.extend(adjoint(b) for b in cur)
-        new.extend(bi @ bj for bi in cur for bj in cur)
-        grown = Subspace(ambient_dim, new, tol)
-        if grown.dim == span.dim:
-            return Subalg(ambient_dim, grown.basis, tol, _orthonormal=True)
-        span = grown
-    raise ClosureFailure(f"span dimension failed to stabilize within {cap} iterations")
 
 
 def _kron_basis(s: Subalg, m: int, s_left: bool) -> Subalg:

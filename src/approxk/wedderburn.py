@@ -239,8 +239,9 @@ def algebra_conjugator(e, f, span: Subspace, tol: Tol = DEFAULT_TOL, seed: int =
     raise NotEquivalent("no invertible intertwiner found in the null space")
 
 
-def similarity_witness(e, f, s: Subalg, tol: Tol = DEFAULT_TOL, seed: int = 0) -> np.ndarray:
-    """Invertible w in the amplified unitized algebra conjugating e to f.
+def similarity_witness(e, f, s: Subalg, tol: Tol = DEFAULT_TOL, seed: int = 0):
+    """(w, w^-1) for an invertible w in the amplified unitized algebra
+    conjugating e to f.
 
     K_0 classes must agree; in the finite-dimensional setting equality of
     classes already forces similarity within the algebra itself (l = 0).
@@ -260,4 +261,4 @@ def similarity_witness(e, f, s: Subalg, tol: Tol = DEFAULT_TOL, seed: int = 0) -
     resid = op_norm(wmat @ e @ wmat_inv - f)
     if resid > 1e-8:
         raise NotEquivalent(f"conjugation residual {resid:.3e} exceeds 1e-8")
-    return wmat
+    return wmat, wmat_inv

@@ -271,6 +271,22 @@ def test_circle_split_size_is_bounded(tmp_path, capsys, monkeypatch, params, ove
     assert err.startswith("error: circle_split grid") and err.count("\n") == 1, err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("h_middle", [1e308, -1e308])
+@pytest.mark.parametrize("command", ["run", "check-ideal-structure"])
+def test_huge_multiplier_is_recorded_not_a_contraction(tmp_path, command, h_middle):
+    # a finite multiplier whose Hermitian part overflowed once ended in a
+    # LinAlgError traceback; it is refused as a failed check, exit 1
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"schema": 1, "kind": "block_pair",
+                                "params": {"h_middle": h_middle},
+                                "checks": [{"check": "check-ideal-structure"}]}))
+    out = tmp_path / "huge_out.json"
+    assert run_cli([command, str(path), "--out", str(out)]) == 1
+    [rec] = json.loads(out.read_text())["checks"]
+    assert rec["error"] == "NotAContraction" and "spectrum" in rec["detail"]
+
+
 def _not_utf8(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes('{"schema": 1, "name": "caf\u00e9"}'.encode("latin-1"))
@@ -339,6 +355,51 @@ def test_uniformity_samples_param_below_one_exits_2(tmp_path):
         "checks": [{"check": "uniformity", "samples": 0}],
     }))
     assert run_cli(["run", str(path)]) == 2
+
+
+FAR_ABOVE_THE_DRAW_BOUND = 2 ** 40
+
+
+def _samples_in_file(tmp_path):
+    path = tmp_path / "many_draws.json"
+    path.write_text(json.dumps({
+        "schema": 1, "kind": "block_pair",
+        "checks": [{"check": "uniformity", "samples": FAR_ABOVE_THE_DRAW_BOUND}],
+    }))
+    return ["run", str(path)]
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp_path: ["uniformity", "block_pair", "--samples", str(FAR_ABOVE_THE_DRAW_BOUND)],
+    lambda tmp_path: ["uniformity", "circle_split", "--samples", str(FAR_ABOVE_THE_DRAW_BOUND)],
+    _samples_in_file,
+    lambda tmp_path: ["sweep", "uniformity", "--count", str(FAR_ABOVE_THE_DRAW_BOUND)],
+], ids=["--samples", "--samples-loops", "samples-param", "sweep--count"])
+def test_uniformity_draws_are_bounded(tmp_path, capsys, monkeypatch, argv):
+    # a draw count far above the bound once ended in a MemoryError; it is
+    # refused by the schema before any draw
+    def never(*args, **kwargs):
+        raise AssertionError("uniformity_probe ran")
+
+    monkeypatch.setattr(boundary, "uniformity_probe", never)
+    assert run_cli(argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {FAR_ABOVE_THE_DRAW_BOUND} uniformity draws") \
+        and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("name, per_draw", [
+    ("twisted_pair", 12 ** 2), ("block_pair", 18 ** 2), ("circle_split", 720 * 3 ** 2),
+])
+def test_draw_bound_admits_exactly_max_draw_entries(name, per_draw):
+    # the bound itself is checked without drawing: the largest admitted
+    # count has at most MAX_DRAW_ENTRIES entries at amplification 3
+    scn = cli.build_scenario(cli.load_scenario(name))
+    pair = boundary.Pair(scn["c"], scn["d"])
+    most = cli.MAX_DRAW_ENTRIES // per_draw
+    assert cli._bounded_draws(most, pair) == most
+    with pytest.raises(cli.SchemaError, match="uniformity draws"):
+        cli._bounded_draws(most + 1, pair)
 
 
 def test_empty_check_list_exits_2(tmp_path, capsys):

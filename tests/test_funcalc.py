@@ -3,9 +3,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from approxk import funcalc, matcore, scenarios
-from approxk.errors import DefectTooLarge, InvalidInput, NotCloseEnough, RoundingUnstable
-from approxk.matcore import matrix_unit, op_norm
+from approxk import funcalc, matcore
+from approxk.errors import DefectTooLarge, InvalidInput, RoundingUnstable
+from approxk.matcore import op_norm
 
 from conftest import random_idempotent, schur_projector
 
@@ -155,47 +155,8 @@ def test_riesz_rounds_a_defective_mixed_spectrum():
     assert op_norm(f - schur_projector(e)) <= 1e-15
 
 
-def test_round_idempotent_in_algebra():
-    scn = scenarios.twisted_pair()
-    e = scn["p"] + 1e-4 * scn["c"].basis[1]
-    f, cls, cert = funcalc.round_idempotent_in(e, scn["c"])
-    assert np.linalg.norm(f @ f - f, 2) < 1e-8
-    assert scn["c"].unitization.nearest(f)[1] <= 1e-6
-    assert cls.entries == (1,)
-
-
-def test_round_idempotent_rejects_far_element():
-    scn = scenarios.block_ideal_pair()
-    e = np.diag([1.0, 0, 0, 0, 0, 0]).astype(complex)
-    e += 0.3 * (matrix_unit(6, 0, 5) + matrix_unit(6, 5, 0))
-    with pytest.raises(NotCloseEnough):
-        funcalc.round_idempotent_in(e, scn["c"])
-
-
-def test_round_idempotent_eps_window():
-    scn = scenarios.twisted_pair()
-    with pytest.raises(InvalidInput):
-        funcalc.round_idempotent_in(scn["p"], scn["c"], eps=10.0)
-
-
-def test_round_invertible_in_span(rng):
-    scn = scenarios.block_ideal_pair()
-    span = scn["c"].unitization
-    base, _ = span.nearest(np.diag([1.1, 0.9, 1.2, 1.0, 1.0, 1.0]))
-    noise = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    u = base + 1e-4 * noise / np.linalg.norm(noise, 2)
-    v, vinv, resid = funcalc.round_invertible_in(u, span)
-    assert span.nearest(v)[1] <= 1e-9
-    assert np.allclose(v @ vinv, np.eye(6))
-    assert resid < 2e-4
-
-
-def test_round_invertible_rejects_far_element():
-    scn = scenarios.block_ideal_pair()
-    span = scn["c"].unitization
-    u = np.eye(6) + 0.9 * (matrix_unit(6, 0, 5) + matrix_unit(6, 5, 0))
-    with pytest.raises(NotCloseEnough):
-        funcalc.round_invertible_in(u, span)
+class TooFarApart(Exception):
+    pass
 
 
 def idempotent_similarity_step(f, f2):
@@ -206,7 +167,7 @@ def idempotent_similarity_step(f, f2):
     gap = op_norm(f - f2)
     limit = 1.0 / op_norm(sym)
     if gap >= limit:
-        raise NotCloseEnough(gap, limit)
+        raise TooFarApart(f"||f - f2|| = {gap:.3e} >= 1/||2f - 1|| = {limit:.3e}")
     return ((2.0 * f2 - one) @ sym + one) / 2.0
 
 
@@ -218,10 +179,5 @@ def test_idempotent_similarity_step():
     f2 = u @ f @ u.conj().T
     z = idempotent_similarity_step(f, f2)
     assert np.linalg.norm(z @ f @ np.linalg.inv(z) - f2, 2) < 1e-12
-    with pytest.raises(NotCloseEnough):
+    with pytest.raises(TooFarApart):
         idempotent_similarity_step(f, np.diag([0.0, 1.0]).astype(complex))
-
-
-def test_eps_max_helpers():
-    assert funcalc.idempotent_eps_max(1.0) == pytest.approx(0.1)
-    assert funcalc.invertible_eps_max(2.0) == pytest.approx(0.125)

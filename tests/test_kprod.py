@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from approxk import boundary, kprod, scenarios, subalg
+from approxk import boundary, kprod, ops, scenarios, subalg
 from approxk.errors import InvalidInput, NotAClass
 from approxk.loops import LoopAlg, power_z
 from approxk.matcore import matrix_unit
@@ -39,7 +39,7 @@ def test_box_times_loop_carrier():
     p = np.diag([1.0, 0.0]).astype(complex)
     w = kprod.box_times(u, p)
     assert w.side == 2
-    assert (w @ kprod.box_times(power_z(alg, -1), p) - w.eye_like()).norm() < 1e-12
+    assert (w @ kprod.box_times(power_z(alg, -1), p) - ops.eye_like(w)).norm() < 1e-12
 
 
 def test_box_times_rejects_non_idempotent(rng):

@@ -7,7 +7,7 @@ from approxk import matcore, subalg, wedderburn
 from approxk.errors import AmbiguousIntersection, ClosureFailure, InvalidInput
 from approxk.matcore import DEFAULT_TOL, matrix_unit
 from approxk import scenarios
-from approxk.subalg import Subalg, Subspace, from_basis, intersect
+from approxk.subalg import Subalg, Subspace, intersect
 
 from conftest import corner_pair
 
@@ -53,12 +53,6 @@ def test_closure_check_rejects_non_algebra():
     # closed under adjoint, but E01 E10 = E00 leaves the span
     with pytest.raises(ClosureFailure, match="multiplication"):
         Subalg(2, [matrix_unit(2, 0, 1), matrix_unit(2, 1, 0)])
-
-
-def test_from_basis_generates_full_block(rng):
-    gen = matrix_unit(3, 0, 1) + matrix_unit(3, 1, 2)
-    s = from_basis(3, [gen])
-    assert s.dim == 9
 
 
 def test_unitize_adds_ambient_unit():

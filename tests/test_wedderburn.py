@@ -270,8 +270,9 @@ def test_k0_vec_arithmetic():
 
 def test_similarity_witness_conjugates(rng):
     scn = scenarios.twisted_pair()
-    w = similarity_witness(scn["p"], scn["q"], scn["c"])
-    resid = np.linalg.norm(w @ scn["p"] @ np.linalg.inv(w) - scn["q"], 2)
+    w, w_inv = similarity_witness(scn["p"], scn["q"], scn["c"])
+    assert np.linalg.norm(w @ w_inv - np.eye(4), 2) < 1e-12
+    resid = np.linalg.norm(w @ scn["p"] @ w_inv - scn["q"], 2)
     assert resid < 1e-8
 
 
