@@ -954,18 +954,31 @@ def _whitehead_coefficients(x, y, h) -> tuple[np.ndarray, np.ndarray]:
 _ROW_CHUNK = 2 ** 15
 
 
+def _weighted(weights: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """sum_k w_k coefs_k for each row w of the real weights, over the
+    coefficients on axis 0 of coefs: one real product on the float view of
+    the complex coefficients, which weighs their real and imaginary parts
+    alike, with no complex product by the zero imaginary parts of the
+    weights."""
+    c = np.ascontiguousarray(coefs, dtype=complex)
+    out = weights @ c.view(float).reshape(len(c), -1)
+    return out.view(complex).reshape(weights.shape[:-1] + c.shape[1:])
+
+
 def _row_norms(weights: np.ndarray, coefs: np.ndarray) -> np.ndarray:
     """For each row w of weights, the largest operator norm of
-    sum_k w_k coefs_k over its samples and summands.  The rows are taken a
-    few at a time, about _ROW_CHUNK entries per product and norm call, so
-    that the rows of a long loop never fill memory at once.  Coefficients
-    that are all zero, as the membership residuals of an exact split are,
-    give zero rows without a norm call."""
+    sum_k w_k coefs_k over its samples and summands.  The weights are real
+    (Bernstein rows and powers of the samples), so each row is one real
+    product of :func:`_weighted`.  The rows are taken a few at a time, about
+    _ROW_CHUNK entries per product and norm call, so that the rows of a long
+    loop never fill memory at once.  Coefficients that are all zero, as the
+    membership residuals of an exact split are, give zero rows without a
+    norm call."""
     if not coefs.any():
         return np.zeros(len(weights))
     step = max(1, _ROW_CHUNK // coefs[0].size)
     return np.concatenate([
-        np.max(matcore.op_norms(np.tensordot(w, coefs, 1)).reshape(len(w), -1), axis=1)
+        np.max(matcore.op_norms(_weighted(w, coefs)).reshape(len(w), -1), axis=1)
         for w in np.split(weights, range(step, len(weights), step))])
 
 
@@ -1039,8 +1052,7 @@ def whitehead_split(a, h, c, d=None, tol: Tol | None = None,
     target = ops.arr(ops.oplus(s, s_inv))
     weights = _row_weights(t_steps)
     factors = _whitehead_coefficients(s - one, s_inv - one, h)
-    (vc0, vc1), (vd0, vd1) = (np.tensordot(_BERNSTEIN[[5, 0]], coefs, 1)
-                              for coefs in factors)
+    (vc0, vc1), (vd0, vd1) = (_weighted(_BERNSTEIN[[5, 0]], coefs) for coefs in factors)
     norms = [_maxima(_row_norms(weights, coefs)) for coefs in factors]
     norm_max, norm_upper = (float(np.max(v)) for v in zip(*norms))
     prod_resid = matcore.sup_norm(matcore.matmul(vc0, vd0) - target)

@@ -18,16 +18,31 @@ Every operator norm is taken by :func:`op_norms`, over any leading axes,
 and :func:`op_norm` is its one-matrix case.  The samples of loops over
 small fibers are 1 x 1 or 2 x 2, where a LAPACK SVD per matrix costs far
 more than the arithmetic, so those two sides have closed forms: |a| for
-side 1, and for side 2 s sqrt(lam), where s is the largest entry modulus
-and lam = (p + q)/2 + hypot((p - q)/2, |r|) is the top eigenvalue of the
-Gram matrix [[p, r], [r*, q]] of a / s; a with a subnormal s is first
-scaled by 2^600, since the complex division by s would overflow.  Its error
-is a few ulps at any scale: a / s has an entry of modulus 1 and none
-larger, so p + q lies in [1, 4] and nothing over- or underflows; p and q
-are sums of nonnegative terms, so their relative error is O(eps), and r's
-absolute error is O(eps); lam is the sum of two nonnegative terms and at
-least (p + q)/2, so these absolute errors are O(eps) relative to lam, and
-sqrt halves them.
+side 1, and for side 2 sqrt(lam), with lam = h + sqrt(d^2 + |r|^2) the top
+eigenvalue of the Gram matrix [[p, r], [r*, q]] of a, h = (p + q)/2 and
+d = (p - q)/2.  p and q are the squared column norms and r the product
+col_0* col_1, all read off the real and imaginary parts of the entries by
+real products alone.  Its error is a few ulps (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2nd ed., 3.1): p and q are sums of
+nonnegative terms, so their relative error is O(u); the absolute errors of
+d and of Re r and Im r are O(u) h, since |r| <= sqrt(p q) <= h; so
+sqrt(d^2 + |r|^2) has an absolute error O(u) h, and lam, the sum of two
+nonnegative terms and at least h, a relative one of O(u), which sqrt
+halves.  This holds while nothing over- or underflows, and the guard reads
+that off the result.  The norm s of a 2 x 2 matrix lies in [m, 2 m], m its
+largest entry modulus, and an underflow can only lower the computed norm,
+by at most a factor sqrt 2 (p + q >= lam >= (p + q)/2).  So when the
+computed s lies in [2^-200, 2^200], no square or fourth power of the form
+overflows, and a term that underflows errs by less than 2^-1074, against
+an h above 2^-403 and an h^2 above 2^-806.  A wider range fails at the
+small end first: at s = 2^-300 every fourth power underflows.  A matrix
+whose computed norm lies outside the range (a zero, tiny, huge or
+non-finite one) is computed again through the same form after scaling by
+2^-e, m = f 2^e with f in [1/2, 1), which is exact, as on the Gram path,
+and its norm is scaled back by 2^e.  The guard reads each matrix alone, so
+a norm never depends on what it was stacked with.  Stacks are taken a
+block of :data:`_PLANE_CHUNK` matrices at a time, which keeps the
+temporaries of a long stack small.
 
 A matrix whose smaller side n is at least :data:`GRAM_SIDE` (12) takes
 sigma_1 = sqrt(lam_max(G)), G the n x n Gram matrix of that side, and a
@@ -236,29 +251,82 @@ GRAM_SIDE = 12
 # any other matrix is first scaled by 2^-e, with that modulus f 2^e and f
 # in [1/2, 1), which is exact
 _GRAM_RANGE = (2.0 ** -128, 2.0 ** 128)
+# a 2 x 2 matrix whose computed norm lies in _PLANE_RANGE keeps every
+# square and fourth power of the closed form clear of over- and underflow;
+# any other is computed again after the exact scaling of the Gram path
+_PLANE_RANGE = (2.0 ** -200, 2.0 ** 200)
+# the 2 x 2 matrices whose closed form one block of products takes, 128 KB
+# per temporary: a Whitehead row stack of 7920 matrices taken whole, with
+# temporaries of 500 KB, took twice as long as in blocks of this size
+_PLANE_CHUNK = 2048
+
+
+def _exponent_scaled(a, top, keep=False):
+    """(a 2^-e, e, finite) over the matrices of a, each scaled exactly: top
+    is its largest entry modulus f 2^e, f in [1/2, 1), and e is 0 where
+    keep holds.  frexp gives a zero matrix e = 0; a subnormal one is scaled
+    by 2^1021 at most, a finite scale; a matrix with an inf or a NaN, whose
+    top is not finite, is zeroed, and its norm is to be NaN."""
+    finite = np.isfinite(top)
+    e = np.where(keep | ~finite, 0, np.maximum(np.frexp(top)[1], -1021))
+    return np.where(finite[..., None, None], a, 0) * np.ldexp(1.0, -e)[..., None, None], e, finite
+
+
+def _plane_form(x):
+    """The 2 x 2 closed form of op_norms on the real planes x: each row i
+    of the matrices on axis 0, and Re a_i0, Im a_i0, Re a_i1, Im a_i1 on
+    axis 1."""
+    sq = x * x
+    s = sq[0] + sq[1]
+    p, q = s[0] + s[1], s[2] + s[3]
+    # the products of (Re, Im) of a_i0 and of a_i1, summed over the rows
+    g = x[:, :2, None] * x[:, None, 2:]
+    g = g[0] + g[1]
+    re, im = g[0, 0] + g[1, 1], g[0, 1] - g[1, 0]
+    d = (p - q) * 0.5
+    return np.sqrt((p + q) * 0.5 + np.sqrt(d * d + re * re + im * im))
+
+
+def _plane_norms(a) -> np.ndarray:
+    """The closed form of every 2 x 2 matrix over the leading axes of a,
+    unguarded: a lone matrix is read in place, and a stack a block of
+    _PLANE_CHUNK matrices at a time, each copied with the stack on its last
+    axis so that every product runs along it."""
+    x = np.ascontiguousarray(a, dtype=complex).view(float)
+    if x.ndim == 2:
+        return _plane_form(x)
+    x = x.reshape(-1, 8)
+    out = np.empty(len(x))
+    for k in range(0, len(x), _PLANE_CHUNK):
+        out[k:k + _PLANE_CHUNK] = _plane_form(x[k:k + _PLANE_CHUNK].T.reshape(2, 4, -1).copy())
+    return out.reshape(a.shape[:-2])
 
 
 def op_norms(a) -> np.ndarray:
     """The operator norm of every matrix over the leading axes of a.
 
-    Side 1 is |a|.  Side 2 scales each matrix by s, its largest entry
-    modulus, and reads s sqrt(lam) off the top eigenvalue lam of the Gram
-    matrix [[p, r], [r*, q]] of the scaled matrix; a matrix with a
-    subnormal s is first scaled by 2^600.  A matrix whose smaller side is
-    at least :data:`GRAM_SIDE` reads sqrt(lam_max) off the Gram matrix of
-    that side, a* a (a a* when a is wide), all of a stack's from one
-    batched ``eigvalsh``.  A matrix whose largest entry modulus f 2^e,
-    f in [1/2, 1), lies outside [2^-128, 2^128] is first scaled by 2^-e
-    and its norm by 2^e, so no Gram entry over- or underflows.  On these
-    paths a zero matrix has norm exactly 0, a matrix with an inf or a NaN
-    entry has norm NaN, and a norm beyond the largest float is inf, with
-    no RuntimeWarning.  Every other shape takes one LAPACK SVD per
-    matrix, values only, and reads the top singular value directly: LAPACK
-    returns them in descending order, so this is the maximum that numpy's
-    matrix 2-norm takes of the same values, without that wrapper's cost.
-    The path depends on the shape of a matrix alone, and a lone matrix and
-    a stack go through the same call, so a norm never depends on what it
-    was stacked with.  The module docstring gives the error of each path."""
+    Side 1 is |a|.  Side 2 reads sqrt(lam) off the top eigenvalue lam of
+    the Gram matrix [[p, r], [r*, q]], p, q and r formed by real products
+    of the real and imaginary parts of the entries; a matrix whose computed
+    norm lies outside [2^-200, 2^200] is computed again after the exact
+    scaling by 2^-e of the Gram path.  A matrix whose smaller side is at
+    least :data:`GRAM_SIDE` reads sqrt(lam_max) off the Gram matrix of that
+    side, a* a (a a* when a is wide), all of a stack's from one batched
+    ``eigvalsh``; one whose largest entry modulus f 2^e, f in [1/2, 1),
+    lies outside [2^-128, 2^128] is first scaled by 2^-e and its norm by
+    2^e, so no Gram entry over- or underflows.  On these paths a zero
+    matrix has norm exactly 0, a matrix with an inf or a NaN entry has
+    norm NaN, and a norm beyond the largest float is inf, with no
+    RuntimeWarning.  Every other shape takes one LAPACK SVD per matrix,
+    values only, and reads the top singular value directly: LAPACK returns
+    them in descending order, so this is the maximum that numpy's matrix
+    2-norm takes of the same values, without that wrapper's cost.  The
+    path depends on the shape of a matrix alone, and a lone matrix and a
+    stack go through the same call, so a norm never depends on what it was
+    stacked with.  The module docstring gives the error of each path: on
+    side 2, the sums of squares are nonnegative, the guard's range keeps
+    every fourth power of the form normal, and the scaling by a power of
+    two is exact."""
     a = np.asarray(a)
     if a.shape[-2:] == (1, 1):
         return np.abs(a[..., 0, 0])
@@ -273,12 +341,7 @@ def op_norms(a) -> np.ndarray:
         inside = (top >= _GRAM_RANGE[0]) & (top <= _GRAM_RANGE[1])
         rescale = not inside.all()
         if rescale:
-            # frexp gives a zero matrix e = 0; a subnormal one is scaled by
-            # 2^1021 at most, a finite scale; a matrix with an inf or a NaN
-            # is zeroed, and its norm is NaN, as the SVD's is on an inf
-            finite = np.isfinite(top)
-            e = np.where(inside | ~finite, 0, np.maximum(np.frexp(top)[1], -1021))
-            a = np.where(finite[..., None, None], a, 0) * np.ldexp(1.0, -e)[..., None, None]
+            a, e, finite = _exponent_scaled(a, top, inside)
         gram = np.conj(np.swapaxes(a, -1, -2)) @ a
         norms = np.sqrt(np.linalg.eigvalsh(gram)[..., -1])
         if not rescale:
@@ -288,26 +351,21 @@ def op_norms(a) -> np.ndarray:
             return np.where(finite, np.ldexp(norms, e), np.nan)
     if a.shape[-2:] != (2, 2):
         return np.linalg.svd(a, compute_uv=False)[..., 0]
-    # an inf or a NaN entry makes the scaled entries NaN, and a norm beyond
-    # the largest float is inf, as the SVD's is: both unwarned
+    # an inf or a NaN entry, or a square beyond the largest float, puts the
+    # computed norm outside the range; the recomputed norm of a matrix with
+    # such an entry is NaN, and one beyond the largest float is inf, as the
+    # SVD's are: all unwarned
     with np.errstate(over="ignore", invalid="ignore"):
-        mod = np.abs(a)
-        # the entrywise maximum of the four moduli: a reduction over the two
-        # small matrix axes costs more than the rest of the closed form
-        s = np.maximum(np.maximum(mod[..., 0, 0], mod[..., 0, 1]),
-                       np.maximum(mod[..., 1, 0], mod[..., 1, 1]))
-        sub = (s > 0) & (s < np.finfo(float).tiny)
-        if sub.any():
-            # the complex division by a subnormal s overflows: such a matrix
-            # is scaled by 2^600, exactly, and its norm scaled back
-            up = np.where(sub, 2.0 ** 600, 1.0)
-            return op_norms(a * up[..., None, None]) / up
-        safe = np.where(s > 0, s, 1.0)[..., None, None]
-        sq = (mod / safe) ** 2
-        b = a / safe
-        p, q = sq[..., 0, 0] + sq[..., 1, 0], sq[..., 0, 1] + sq[..., 1, 1]
-        r = np.abs(np.conj(b[..., 0, 0]) * b[..., 0, 1] + np.conj(b[..., 1, 0]) * b[..., 1, 1])
-        return s * np.sqrt((p + q) / 2 + np.hypot((p - q) / 2, r))
+        norms = _plane_norms(a)
+        inside = (norms >= _PLANE_RANGE[0]) & (norms <= _PLANE_RANGE[1])
+        if inside.all():
+            return norms
+        redo = ~inside
+        b = a[redo]
+        b, e, finite = _exponent_scaled(b, np.abs(b).max(axis=(-2, -1)))
+        norms = np.array(norms)
+        norms[redo] = np.where(finite, np.ldexp(_plane_norms(b), e), np.nan)
+        return norms
 
 
 def op_norm(m) -> float:

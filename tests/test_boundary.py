@@ -1125,6 +1125,28 @@ def test_whitehead_memberships_project_once_per_side(count_calls):
     assert [call[0] for call in calls] == [cert.pair.c, cert.pair.d]
 
 
+def test_real_weighted_rows_match_the_complex_product():
+    # the rows of _row_norms and the Bernstein endpoints of whitehead_split
+    # are real products on the float view of the coefficients; on the
+    # factors of circle_split's loop stack and of a block_pair matrix
+    # stack, and on a transposed view of each, they match the complex
+    # tensordot with the weights to 1e-15 relative
+    scn = scenarios.circle_split()
+    loop = boundary.whitehead_split(scn["u_c"], scn["h"], scn["c"], scn["d"])
+    weights = boundary._row_weights(loop.t_steps)
+    ends = boundary._BERNSTEIN[[5, 0]]
+    for coefs in loop.coefs + _block_whitehead().coefs:
+        assert coefs.imag.any()
+        for c in (coefs, np.swapaxes(coefs, -1, -2)):
+            want = np.tensordot(weights, c, 1)
+            want = np.max(matcore.op_norms(want).reshape(len(weights), -1), axis=1)
+            np.testing.assert_allclose(boundary._row_norms(weights, c), want, rtol=1e-15)
+            want = np.tensordot(ends, c, 1)
+            got = boundary._weighted(ends, c)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 def test_certificates_holding_arrays_compare_by_identity():
     # two certificates of the same computation hold equal arrays, whose ==
     # has no truth value: they compare by identity, and == gives a bool

@@ -405,6 +405,111 @@ def test_two_by_two_norm_beyond_the_largest_float_is_inf():
         assert matcore.op_norms(a).tolist() == [np.inf, 1.0]
 
 
+def lapack_norm(x):
+    """LAPACK's top singular value of the finite 2 x 2 matrix x, taken on x
+    scaled by 2^-e, its largest entry modulus f 2^e, and scaled back, so
+    that the SVD neither over- nor underflows; in double precision, which
+    holds every float32 exactly."""
+    x = np.asarray(x, dtype=complex)
+    e = int(np.frexp(np.abs(x).max())[1])
+    y = np.ldexp(x.real, -e) + 1j * np.ldexp(x.imag, -e)
+    return np.ldexp(np.linalg.svd(y, compute_uv=False)[0], e)
+
+
+def checked_two_by_two_norms(a):
+    """op_norms of the 2 x 2 stack a, checked: nothing warns, each norm is
+    its lone norm bit for bit, a zero matrix has norm 0, a matrix with an
+    inf or a NaN entry NaN, and any other is LAPACK's within 16 u, rounded
+    once to the subnormal grid of spacing 2^-1074."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = matcore.op_norms(a)
+        lone = [matcore.op_norms(x) for x in a]
+    np.testing.assert_array_equal(got, lone)
+    for norm, x in zip(got, a):
+        if not np.isfinite(x).all():
+            assert np.isnan(norm)
+        elif not x.any():
+            assert norm == 0.0
+        else:
+            want = lapack_norm(x)
+            assert abs(norm - want) <= 16 * U * want + 2.0 ** -1074, (norm, want)
+    return got
+
+
+def unit_two_by_twos(rng, count):
+    """count 2 x 2 matrices of norm 1 up to rounding: random, rank-one and
+    graded in turn."""
+    z = rng.standard_normal((count, 2, 2)) + 1j * rng.standard_normal((count, 2, 2))
+    z[1::3] = z[1::3, :, :1] * z[1::3, :1, :]
+    z[2::3] *= np.array([1.0, 2.0 ** -30])
+    return z / np.linalg.norm(z, 2, axis=(-2, -1))[:, None, None]
+
+
+def test_two_by_two_norms_at_the_ends_of_the_plane_range(rng, count_calls):
+    # a norm just inside [2^-200, 2^200] is read off the closed form once;
+    # one just outside either end is computed again, after the exact
+    # scaling, with the others of its stack left as they were; all are
+    # LAPACK's within 16 u, alone or stacked
+    lo, hi = matcore._PLANE_RANGE
+    z = unit_two_by_twos(rng, 3)
+    step = 2.0 ** -40
+    scales = {lo * (1 + step): True, hi * (1 - step): True,
+              lo * (1 - step): False, hi * (1 + step): False}
+    for scale, inside in scales.items():
+        calls = count_calls("_plane_norms", matcore)
+        norms = checked_two_by_two_norms(scale * z)
+        assert np.all((norms >= lo) & (norms <= hi)) == inside
+        # the stack, then each matrix alone, every one again when outside
+        shapes = [c[0].shape[:-2] for c in calls]
+        assert shapes == ([(3,)] + 3 * [()] if inside else [(3,), (3,)] + 3 * [(), (1,)])
+    calls = count_calls("_plane_norms", matcore)
+    checked_two_by_two_norms(np.concatenate([scale * z for scale in scales]))
+    assert [c[0].shape[:-2] for c in calls[:2]] == [(12,), (6,)]
+
+
+# exponents of matrices inside the closed form's range and beyond its ends,
+# stacked with the traps of TRAPS in any order
+FAR = [-300, -250, -190, 0, 190, 250, 300]
+
+
+@settings(KERNEL, max_examples=100)
+@given(exps=st.lists(st.sampled_from(FAR + sorted(TRAPS)), min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+def test_two_by_two_norms_of_far_scales_stacked_with_traps(exps, seed):
+    # random, rank-one and graded matrices at 2^+-250 and 2^+-300, mixed in
+    # one stack with matrices inside the range and zero, subnormal, tiny,
+    # huge, inf and NaN ones: each norm is LAPACK's within 16 u and its lone
+    # norm bit for bit, unwarned
+    rng = np.random.default_rng(seed)
+    a = unit_two_by_twos(rng, len(exps))
+    for i, e in enumerate(exps):
+        e = TRAPS.get(e, e)
+        if e is None:
+            a[i] = 0.0
+        elif np.isfinite(e):
+            a[i] *= 2.0 ** e
+        else:
+            a[i, rng.integers(2), rng.integers(2)] = e
+    checked_two_by_two_norms(a)
+
+
+@pytest.mark.parametrize("form", ["float64", "complex64", "swapaxes", "strided"])
+def test_two_by_two_norms_of_real_single_and_strided_input(rng, form):
+    # the closed form reads the real planes of a complex copy when the input
+    # is not a contiguous complex128 array: a real stack, a single-precision
+    # one, a transposed view and a strided slice have the norms of that copy
+    z = 2.0 ** 250 * (rng.standard_normal((6, 2, 2)) + 1j * rng.standard_normal((6, 2, 2)))
+    z[0] = 0.0
+    z[1] *= 2.0 ** -560
+    a = {"float64": z.real, "complex64": (2.0 ** -250 * z).astype(np.complex64),
+         "swapaxes": np.swapaxes(z, -1, -2), "strided": np.stack([z, z], -1)[..., 1]}[form]
+    assert not (a.dtype == complex and a.flags.c_contiguous)
+    norms = checked_two_by_two_norms(a)
+    np.testing.assert_array_equal(norms, matcore.op_norms(np.array(a, dtype=complex)))
+    assert norms[0] == 0.0
+
+
 @KERNEL
 @given(lead=st.sampled_from([(), (7,), (3, 5)]), n=st.sampled_from([1, 2]),
        nan=st.booleans(), seed=st.integers(0, 2**32 - 1))

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 import approxk
 
@@ -75,3 +76,65 @@ def test_a_public_def_without_a_caller_is_refused():
     users["demo.py"] += "mod.lonely(2)\n"
     assert unreferenced(package, users) == set()
 
+
+
+# the package sources, file name to text, each rule reads
+PACKAGE = _sources(sorted((ROOT / "src" / "approxk").glob("*.py")))
+MATCORE = "src/approxk/matcore.py"
+
+
+def grep(package: dict, pattern: str) -> list[str]:
+    """file:line of each line of the sources that pattern matches, as
+    ``grep -n`` gives them."""
+    return [f"{name}:{i}" for name, text in package.items()
+            for i, line in enumerate(text.splitlines(), 1) if re.search(pattern, line)]
+
+
+def lapack_outside_matcore(package: dict) -> list[str]:
+    """The lines that name ``lapack.`` outside matcore, where the band
+    kernels make every LAPACK call; a line saying so when no line names it
+    at all, since the rule would then hold vacuously."""
+    hits = grep(package, r"lapack\.")
+    if not hits:
+        return ["no line names lapack."]
+    return [hit for hit in hits if not hit.startswith(f"{MATCORE}:")]
+
+
+def banded_eigensolves(package: dict) -> list[str]:
+    """The lines that name a banded eigensolver: band_norm bisects the top
+    of each Gram band by banded Cholesky tests and takes no spectrum."""
+    return grep(package, "eig_banded")
+
+
+def planted(edits: dict) -> dict:
+    """The package sources with each (file: (old, new)) edit made once."""
+    package = dict(PACKAGE)
+    for name, (old, new) in edits.items():
+        assert package[name].count(old) == 1, (name, old)
+        package[name] = package[name].replace(old, new)
+    return package
+
+
+def test_band_kernels_live_in_matcore():
+    assert lapack_outside_matcore(PACKAGE) == []
+
+
+def test_a_lapack_call_outside_matcore_is_refused():
+    at = "def sigma_reconstruct("
+    call = "h = matcore.scipy_linalg().lapack.zpbtrf(g)\n"
+    package = planted({"src/approxk/boundary.py": (at, call + at)})
+    hits = lapack_outside_matcore(package)
+    assert [hit.split(":")[0] for hit in hits] == ["src/approxk/boundary.py"]
+    bare = {name: re.sub(r"lapack\.", "lapack_", text) for name, text in PACKAGE.items()}
+    assert lapack_outside_matcore(bare) == ["no line names lapack."]
+
+
+def test_band_norms_take_no_spectrum():
+    assert banded_eigensolves(PACKAGE) == []
+
+
+def test_a_banded_eigensolver_is_refused():
+    at = "def band_norm("
+    solve = "top = scipy_linalg().eig_banded(gram, eigvals_only=True, select=\"i\")\n"
+    package = planted({MATCORE: (at, solve + at)})
+    assert [hit.split(":")[0] for hit in banded_eigensolves(package)] == [MATCORE]
