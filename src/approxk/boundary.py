@@ -401,13 +401,12 @@ def check_delta_ideal_structure(h, c, d, x_basis, tol: Tol | None = None,
     stack; a probe of norm below 1e-12 is dropped.  (c, d) and tol make the
     pair as :func:`make_pair` does.
     """
+    random_probes = _count(random_probes, "random_probes", 0)
     check_contraction(h)
     pair = make_pair(c, d, tol)
     basis = list(x_basis)
     if not basis:
         raise InvalidInput("empty probe subspace")
-    if random_probes < 0:
-        raise InvalidInput(f"random_probes must be >= 0, got {random_probes}")
     b = ops.arr(ops.stack(basis))
     g = np.random.default_rng(seed).standard_normal((random_probes, 2, len(basis)))
     coeffs = g[:, 0] + 1j * g[:, 1]
@@ -459,6 +458,7 @@ def tensor_scale_ideal_structure(cert: IdealCert, m: int):
     C cap D is the base intersection tensored (see :class:`Pair`), so no
     intersection is computed here.
     """
+    m = _count(m, "m", 1)
     m_x = _dual_constant(cert.x_basis, cert.pair.tol)
     h2 = np.kron(_multiplier(cert.h), eye(m))
     units = [matcore.matrix_unit(m, i, j) for i in range(m) for j in range(m)]
@@ -997,18 +997,18 @@ def _maxima(rows: np.ndarray) -> tuple[float, float]:
     return float(np.max(np.delete(rows, np.s_[1:5]))), float(np.max(rows))
 
 
-def _step_count(t_steps, name: str) -> int:
-    """A count of t-steps as an int: InvalidInput for a bool, a non-integer
-    or a count below 1."""
+def _count(value, name: str, minimum: int) -> int:
+    """A count as an int: InvalidInput for a bool, a non-integer or a count
+    below minimum."""
     try:
-        if isinstance(t_steps, bool):
+        if isinstance(value, bool):
             raise TypeError("a bool is not a count")
-        t_steps = operator.index(t_steps)
+        value = operator.index(value)
     except TypeError as err:
         raise InvalidInput(f"{name} must be an integer: {err}") from None
-    if t_steps < 1:
-        raise InvalidInput(f"{name} must be >= 1, got {t_steps}")
-    return t_steps
+    if value < minimum:
+        raise InvalidInput(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def whitehead_split(a, h, c, d=None, tol: Tol | None = None,
@@ -1038,7 +1038,7 @@ def whitehead_split(a, h, c, d=None, tol: Tol | None = None,
     summands.  (c, d) and tol make the pair as :func:`make_pair` does, and
     a^-1 is taken at its Tol.
     """
-    t_steps = _step_count(t_steps, "t_steps")
+    t_steps = _count(t_steps, "t_steps", 1)
     check_contraction(h)
     pair = make_pair(c, d, tol)
     lone = not isinstance(a, ops.Stack)
@@ -1179,7 +1179,7 @@ def sigma_reconstruct(u_path, u_c, u_d, h, c, d=None, tol: Tol | None = None,
     refuses, and a uniform_constant that is not finite and > 0, are
     InvalidInput before any work.
     """
-    whitehead_t_steps = _step_count(whitehead_t_steps, "whitehead_t_steps")
+    whitehead_t_steps = _count(whitehead_t_steps, "whitehead_t_steps", 1)
     try:
         usable = math.isfinite(uniform_constant) and uniform_constant > 0
     except TypeError:
@@ -1310,14 +1310,9 @@ def uniformity_probe(c, d=None, sample_count: int = 50, b_dims=(1, 2, 3),
     A sample_count or an entry of b_dims that is not an integer is
     InvalidInput, as are a negative count and an m below 1.
     """
+    sample_count = _count(sample_count, "sample_count", 0)
+    b_dims = tuple(_count(m, "each entry of b_dims", 1) for m in b_dims)
     pair = make_pair(c, d, tol)
-    try:
-        sample_count = operator.index(sample_count)
-        b_dims = tuple(operator.index(m) for m in b_dims)
-    except TypeError as err:
-        raise InvalidInput(f"sample_count and b_dims must be integers: {err}") from None
-    if sample_count < 0:
-        raise InvalidInput(f"sample_count must be >= 0, got {sample_count}")
     rng = np.random.default_rng(seed)
     samples = []
     ratios = []

@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 
 from . import matcore, ops
-from .boundary import LiftCert, MatrixSide, certify_lift
+from .boundary import LiftCert, MatrixSide, _count, certify_lift
 from .errors import InvalidInput, NotAClass
 from .matcore import DEFAULT_TOL, Gate, Tol, as_matrix, eye, kron, op_norm
 from .wedderburn import K0Vec, WedderburnData, k0_class
@@ -70,6 +70,7 @@ def boundary_product_check(cert: LiftCert, p, m: int, seed: int = 0) -> ProductC
     against the algebras' own Wedderburn data: seed reaches nothing and is
     kept for callers that pass it.
     """
+    m = _count(m, "m", 1)
     if not isinstance(cert.pair.c, MatrixSide):
         raise InvalidInput("product checks run over matrix carriers")
     p = as_matrix(p)

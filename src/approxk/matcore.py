@@ -102,10 +102,9 @@ factorization fails, the result is the maximum of op_norms over the stack.
 the sum of two broadcast outer products, with no BLAS call per matrix.
 
 Banded matrices are :class:`Band` values in LAPACK general band storage,
-over any leading axes.  The band kernels are :func:`band` (from a dense
-array, refusing entries outside the band), :func:`band_block_diag` (square
-blocks along the diagonal of an identity), :func:`band_scatter` (the dense
-array, in a permuted order), :func:`band_blockwise` (a map
+over any leading axes.  The band kernels are :func:`band_block_diag`
+(square blocks along the diagonal of an identity), :func:`band_scatter`
+(the dense array, in a permuted order), :func:`band_blockwise` (a map
 applied to the square blocks that the band touches, as one stack),
 :func:`band_matmul` (band times band), :func:`band_norm`
 (an upper bound on the operator norm, up to rounding, from banded Cholesky
@@ -587,20 +586,6 @@ def _band_slots(n: int, kl: int, ku: int):
     return (ku + i - j)[inside], j[inside], inside
 
 
-def band(a, kl: int, ku: int) -> Band:
-    """The band of a dense array with widths (kl, ku); InvalidInput if an
-    entry outside the band is nonzero."""
-    a = np.asarray(a, dtype=complex)
-    n = a.shape[-1]
-    kl, ku = min(kl, n - 1), min(ku, n - 1)
-    rows, cols, inside = _band_slots(n, kl, ku)
-    if np.any(a[..., ~inside]):
-        raise InvalidInput(f"matrix has nonzero entries outside the band ({kl}, {ku})")
-    ab = np.zeros(a.shape[:-2] + (kl + ku + 1, n), dtype=complex)
-    ab[..., rows, cols] = a[..., inside]
-    return Band(ab, kl, ku)
-
-
 def band_block_diag(blocks, start: int, size: int) -> Band:
     """The identity of side `size` with the square blocks (..., k, s, s)
     placed along its diagonal from index `start` on."""
@@ -634,7 +619,7 @@ def band_blockwise(b: Band, s: int, f) -> Band:
     map a zero block to 0, so that the blocks the band misses stay 0: a
     linear map applied block by block does both.  The result keeps b's
     widths, and InvalidInput is raised if f puts a nonzero entry outside
-    them, as :func:`band` does."""
+    them."""
     n, kl, ku = b.size, b.kl, b.ku
     if n % s:
         raise InvalidInput(f"side {n} is not a multiple of the block side {s}")

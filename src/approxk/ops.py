@@ -137,10 +137,6 @@ def inv(x, tol: matcore.Tol = matcore.DEFAULT_TOL):
     return like(x, matcore.invert(arr(x), tol))
 
 
-def adj(x):
-    return like(x, np.conj(np.swapaxes(arr(x), -1, -2)))
-
-
 def eye_like(x):
     a = arr(x)
     return like(x, _eye(a.shape[:-2], a.shape[-1]))

@@ -102,6 +102,20 @@ def schur_projector(a) -> np.ndarray:
     return q @ p @ q.conj().T
 
 
+def band(a, kl: int, ku: int) -> matcore.Band:
+    """The band of a dense array with widths (kl, ku); InvalidInput if an
+    entry outside the band is nonzero."""
+    a = np.asarray(a, dtype=complex)
+    n = a.shape[-1]
+    kl, ku = min(kl, n - 1), min(ku, n - 1)
+    rows, cols, inside = matcore._band_slots(n, kl, ku)
+    if np.any(a[..., ~inside]):
+        raise InvalidInput(f"matrix has nonzero entries outside the band ({kl}, {ku})")
+    ab = np.zeros(a.shape[:-2] + (kl + ku + 1, n), dtype=complex)
+    ab[..., rows, cols] = a[..., inside]
+    return matcore.Band(ab, kl, ku)
+
+
 def band_dense(b: matcore.Band) -> np.ndarray:
     """The dense array of a band, in its own order."""
     return matcore.band_scatter(b, np.arange(b.size))

@@ -30,7 +30,7 @@ from approxk.matcore import Tol, matrix_unit
 from approxk.subalg import Subalg
 from approxk.wedderburn import K0Vec
 
-from conftest import corner_pair, random_invertible
+from conftest import band, corner_pair, random_invertible
 
 
 def block_h(middle: float = 0.5) -> np.ndarray:
@@ -762,7 +762,7 @@ def _band_norm_passes(monkeypatch, plant):
         monkeypatch.setattr(matcore, "scipy_linalg", lambda: types.SimpleNamespace(
             lapack=types.SimpleNamespace(zpbtrf=planted)))
     x = np.eye(4) + np.eye(4, k=1)
-    return matcore.band_norm(matcore.band(x, 1, 1)) <= 1e300
+    return matcore.band_norm(band(x, 1, 1)) <= 1e300
 
 
 def _band_norm_skip_passes(plant):
@@ -773,7 +773,7 @@ def _band_norm_skip_passes(plant):
     x = np.stack([np.eye(4, dtype=complex), 0.5 * np.eye(4, dtype=complex)])
     if plant:
         x[1, 2, 1] = np.nan
-    return matcore.band_norm(matcore.band(x, 1, 1)) <= 1e300
+    return matcore.band_norm(band(x, 1, 1)) <= 1e300
 
 
 def _sigma_witness_passes(plant):
@@ -1050,6 +1050,41 @@ def test_t_steps_must_be_an_integer(t_steps, rng):
         boundary.sigma_reconstruct(**case, whitehead_t_steps=t_steps)
     cert = boundary.whitehead_split(a, one, alg, alg, t_steps=np.int64(2))
     assert type(cert.t_steps) is int and cert.t_steps == 2
+
+
+# each count that a public entry point takes: the name its error gives, and a
+# call with the count n
+COUNTS = {
+    "t_steps": ("t_steps", lambda n: boundary.whitehead_split(
+        np.eye(2, dtype=complex), np.eye(2, dtype=complex), full_alg(2), full_alg(2), t_steps=n)),
+    "whitehead_t_steps": ("whitehead_t_steps", lambda n: boundary.sigma_reconstruct(
+        **_trivial_block_case(), whitehead_t_steps=n)),
+    "random_probes": ("random_probes", lambda n: boundary.check_delta_ideal_structure(
+        block_h(), *_block_sides(), [matrix_unit(6, 0, 0)], random_probes=n)),
+    "tensor_scale_ideal_structure": ("m", lambda n: boundary.tensor_scale_ideal_structure(
+        _ideal_cert(), n)),
+    "boundary_product_check": ("m", lambda n: kprod.boundary_product_check(
+        _twisted_lift(), np.eye(2), n)),
+    "sample_count": ("sample_count", lambda n: boundary.uniformity_probe(
+        *_block_sides(), sample_count=n)),
+    "b_dims": ("each entry of b_dims", lambda n: boundary.uniformity_probe(
+        *_block_sides(), sample_count=2, b_dims=(1, n))),
+}
+
+
+def _block_sides():
+    blk = scenarios.block_ideal_pair()
+    return blk["c"], blk["d"]
+
+
+@pytest.mark.parametrize("value", [2.0, 2.5, True, "3", -1])
+@pytest.mark.parametrize("entry", list(COUNTS))
+def test_counts_are_refused_on_entry(entry, value):
+    # a float, even an integral one, a bool, a string and a count below the
+    # least are InvalidInput, where a float reached numpy as a raw TypeError
+    name, call = COUNTS[entry]
+    with pytest.raises(InvalidInput, match=f"^{name} must be (an integer|>= [01], got -1)"):
+        call(value)
 
 
 @pytest.mark.parametrize("constant", [-1.0, 0.0, np.inf, np.nan])

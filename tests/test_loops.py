@@ -72,7 +72,8 @@ def test_loop_elem_algebra(rng):
     assert u.norm() == pytest.approx(1.0)
     assert (u @ ops.inv(u) - ops.eye_like(u)).norm() < 1e-12
     assert (2.0 * u - u - u).norm() < 1e-12
-    assert (ops.adj(u) @ u - ops.eye_like(u)).norm() < 1e-12
+    assert (ops.like(u, np.conj(np.swapaxes(ops.arr(u), -1, -2))) @ u
+            - ops.eye_like(u)).norm() < 1e-12
 
 
 def test_arc_ideal_membership():

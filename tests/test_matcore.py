@@ -13,7 +13,7 @@ from approxk.errors import (
 )
 from approxk.matcore import DEFAULT_TOL, Tol, matrix_unit
 
-from conftest import band_dense
+from conftest import band, band_dense
 
 
 def test_as_matrix_rejects_bad_shapes():
@@ -260,7 +260,7 @@ def test_band_norm_certifies_ties_with_one_bisection(rng, count_calls):
     phases = np.exp(2j * np.pi * rng.random((9, 2, 40)))
     stack = np.concatenate([x[None], phases[:, 0, :, None] * x * phases[:, 1, None, :]])
     factors = count_calls("zpbtrf", matcore.scipy_linalg().lapack)
-    got = matcore.band_norm(matcore.band(stack, 3, 3))
+    got = matcore.band_norm(band(stack, 3, 3))
     # each factorization is of level 1 - G_k, kd = 6: its first superdiagonal
     # row, kd - 1, is -G_k's, and names the sample k
     supers = [np.diagonal(np.conj(s).T @ s, 1) for s in stack]
@@ -626,7 +626,7 @@ def well_conditioned_band(rng, lead, n, kl, ku):
 def test_band_product_matches_dense(lead, n, kl, ku, seed, kl2, ku2):
     rng = np.random.default_rng(seed)
     x, y = random_band(rng, lead, n, kl, ku), random_band(rng, (), n, kl2, ku2)
-    bx, by = matcore.band(x, kl, ku), matcore.band(y, kl2, ku2)
+    bx, by = band(x, kl, ku), band(y, kl2, ku2)
     np.testing.assert_array_equal(band_dense(bx), x)
     np.testing.assert_allclose(band_dense(bx @ by), x @ y, rtol=0, atol=1e-13)
     np.testing.assert_allclose(band_dense(bx - by), x - y, rtol=0, atol=1e-15)
@@ -640,7 +640,7 @@ def test_band_product_matches_dense(lead, n, kl, ku, seed, kl2, ku2):
 def test_band_norm_matches_dense(lead, n, kl, ku, seed):
     x = random_band(np.random.default_rng(seed), lead, n, kl, ku)
     want = np.max(np.linalg.norm(x, 2, axis=(-2, -1)))
-    assert matcore.band_norm(matcore.band(x, kl, ku)) == pytest.approx(want, rel=1e-13)
+    assert matcore.band_norm(band(x, kl, ku)) == pytest.approx(want, rel=1e-13)
 
 
 @BAND
@@ -668,7 +668,7 @@ def test_band_norm_matches_dense_on_ties(n, k, copies, seed):
             "other": lambda: rng.uniform(0.5, 1.0) * random_band(rng, (), n, k, k)}
     stack = np.stack([x] + [make[c]() for c in copies])[rng.permutation(len(copies) + 1)]
     want = np.max(np.linalg.norm(stack, 2, axis=(-2, -1)))
-    assert matcore.band_norm(matcore.band(stack, k, k)) == pytest.approx(want, rel=1e-13)
+    assert matcore.band_norm(band(stack, k, k)) == pytest.approx(want, rel=1e-13)
 
 
 def sigma_1_from_below(x):
@@ -707,7 +707,7 @@ def test_band_norm_is_an_upper_bound_within_the_slack(lead, n, kl, ku, ties, sca
     lower = sigma * (1 - 4 * u - n * np.finfo(np.longdouble).eps)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = matcore.band_norm(matcore.band(stack * 2.0 ** scale, kl, ku))
+        got = matcore.band_norm(band(stack * 2.0 ** scale, kl, ku))
     assert lower <= got <= sigma * (1 + matcore._level_slack(n))
 
 
@@ -721,13 +721,13 @@ def test_band_norm_range_and_guards(count_calls):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for scale in (1e-170, 1e-160, 1e155, 1e300, 5e-324):
-            got = matcore.band_norm(matcore.band(scale * np.eye(4), 1, 1))
+            got = matcore.band_norm(band(scale * np.eye(4), 1, 1))
             assert scale <= got <= scale * (1 + gamma)
-        assert matcore.band_norm(matcore.band(np.full((2, 4, 4), 1e308), 3, 3)) == np.inf
+        assert matcore.band_norm(band(np.full((2, 4, 4), 1e308), 3, 3)) == np.inf
         for bad in (np.nan, np.inf):
-            assert np.isnan(matcore.band_norm(matcore.band(np.where(np.eye(4), bad, 0), 1, 1)))
+            assert np.isnan(matcore.band_norm(band(np.where(np.eye(4), bad, 0), 1, 1)))
         factors.clear()
-        assert matcore.band_norm(matcore.band(np.zeros((3, 4, 4)), 1, 1)) == 0.0
+        assert matcore.band_norm(band(np.zeros((3, 4, 4)), 1, 1)) == 0.0
     assert factors == []
 
 
@@ -735,7 +735,7 @@ def test_band_norm_range_and_guards(count_calls):
 @given(**band_shapes)
 def test_band_lu_matches_dense(lead, n, kl, ku, seed):
     a = well_conditioned_band(np.random.default_rng(seed), lead, n, kl, ku)
-    b = matcore.band(a, kl + 1, ku + 1)
+    b = band(a, kl + 1, ku + 1)
     dets = np.linalg.det(a)
     assert np.all(np.abs(matcore.band_det(b) - dets) <= 1e-12 * np.abs(dets))
     assert_band_inverse(b, a)
@@ -748,7 +748,7 @@ def assert_band_inverse(b, a):
     Returns x."""
     x, r = matcore.band_invert(b)
     dense = band_dense(x)
-    np.testing.assert_array_equal(matcore.band(dense, x.kl, x.ku).ab, x.ab)
+    np.testing.assert_array_equal(band(dense, x.kl, x.ku).ab, x.ab)
     np.testing.assert_allclose(dense, np.linalg.inv(a), rtol=0, atol=1e-12)
     want = b @ x
     want.ab[..., want.ku, :] -= 1.0
@@ -767,7 +767,7 @@ def test_band_invert_widens_on_slow_decay(lead, n, c, seed):
     rng = np.random.default_rng(seed)
     off = -rng.uniform(c, 0.99, lead + (1,))
     a = 2.0 * np.eye(n) + off[..., None] * (np.eye(n, k=1) + np.eye(n, k=-1))
-    x = assert_band_inverse(matcore.band(a, 1, 1), a)
+    x = assert_band_inverse(band(a, 1, 1), a)
     assert x.kl == x.ku > 3
 
 
@@ -787,7 +787,7 @@ def test_band_invert_widens_past_singular_windows(lead, n, seed):
     alone = (partner < 1) | (partner >= n)
     partner[alone] = i[alone]
     a[..., i, partner] = entry
-    x = assert_band_inverse(matcore.band(a, 1, 1), a)
+    x = assert_band_inverse(band(a, 1, 1), a)
     assert x.kl == x.ku == n - 1
 
 
@@ -801,7 +801,7 @@ def test_band_invert_refuses_near_singular(lead, n, kl, ku, s, seed):
     # one matrix of the stack gets a row scaled by s
     a[(0,) * len(lead) + (int(rng.integers(n)),)] *= s
     with pytest.raises(NotInvertible):
-        matcore.band_invert(matcore.band(a, kl + 1, ku + 1))
+        matcore.band_invert(band(a, kl + 1, ku + 1))
 
 
 @BAND
@@ -815,7 +815,7 @@ def test_band_blockwise_matches_the_dense_block_map(lead, k, s, kl, ku, seed):
     n = k * s
     kl, ku = min(kl, n - 1), min(ku, n - 1)
     x = random_band(rng, lead, n, kl, ku)
-    b = matcore.band(x, kl, ku)
+    b = band(x, kl, ku)
     w, m = rng.standard_normal((2, s, s)) + 1j * rng.standard_normal((2, s, s))
     seen = []
 
@@ -850,14 +850,14 @@ def test_band_blockwise_refuses_a_leak_outside_the_band():
         blocks[..., 0, -1] = 1e-300
         return blocks
 
-    got = matcore.band_blockwise(matcore.band(x, 1, 2), 3, leak)
+    got = matcore.band_blockwise(band(x, 1, 2), 3, leak)
     assert band_dense(got)[0, 2] == 1e-300
     for lead in ((), (4,)):
         with pytest.raises(InvalidInput, match="outside the band"):
-            matcore.band_blockwise(matcore.band(np.broadcast_to(x, lead + (3, 3)), 1, 1),
+            matcore.band_blockwise(band(np.broadcast_to(x, lead + (3, 3)), 1, 1),
                                    3, leak)
     with pytest.raises(InvalidInput, match="multiple"):
-        matcore.band_blockwise(matcore.band(x, 1, 1), 2, leak)
+        matcore.band_blockwise(band(x, 1, 1), 2, leak)
 
 
 @BAND
@@ -867,15 +867,15 @@ def test_band_scatter_matches_the_permuted_dense_array(lead, n, kl, ku, seed):
     x = random_band(rng, lead, n, kl, ku)
     order = rng.permutation(n)
     back = np.argsort(order)
-    got = matcore.band_scatter(matcore.band(x, kl, ku), order)
+    got = matcore.band_scatter(band(x, kl, ku), order)
     np.testing.assert_array_equal(got, x[..., back[:, None], back])
 
 
 def test_band_refuses_entries_outside_the_band():
     a = np.eye(5, dtype=complex)
     a[4, 1] = 1e-300
-    matcore.band(a, 3, 0)
+    band(a, 3, 0)
     with pytest.raises(InvalidInput):
-        matcore.band(a, 2, 4)
+        band(a, 2, 4)
     with pytest.raises(InvalidInput):
-        matcore.band(np.broadcast_to(a, (3, 5, 5)), 2, 4)
+        band(np.broadcast_to(a, (3, 5, 5)), 2, 4)

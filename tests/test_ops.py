@@ -40,7 +40,7 @@ def test_helpers_act_samplewise(data):
     g, d, (a, b, c, e) = data
 
     assert ops.norm(a) == max(ops.norm(a.samples[i]) for i in range(g))
-    for fn in (ops.inv, ops.adj, upper_unipotent, lower_unipotent, rotation_j):
+    for fn in (ops.inv, upper_unipotent, lower_unipotent, rotation_j):
         assert_per_sample(fn(a), lambda i: fn(a.samples[i]))
     assert_per_sample(
         ops.block2(a, b, c, e),
